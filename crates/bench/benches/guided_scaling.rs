@@ -1,6 +1,6 @@
 //! Throughput of the generational shared-corpus guided engine across a
 //! (workers × generation size) grid — the scaling curve of
-//! `iris_fuzzer::guided::run_guided_shared`.
+//! `iris_fuzzer::guided::run_guided_shared_with`.
 //!
 //! Every arm runs the same budget over the same OS BOOT trace, so the
 //! execs/s differences isolate the engine's two knobs: `jobs` (how many

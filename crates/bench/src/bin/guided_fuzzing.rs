@@ -1,14 +1,12 @@
-//! The §IX coverage-guided fuzzer: AFL-style feedback over IRIS seeds.
-//! Compares blind mutation (no promotion) against the guided loop.
+//! The §IX coverage-guided fuzzer: AFL-style feedback over IRIS seeds,
+//! as one shared-corpus run and (optionally) an ensemble of them.
 //!
 //! `guided_fuzzing [budget] [instances] [target]` — `target` selects the
 //! fuzz-target backend (`iris` or `faulty`).
 
 use iris_bench::experiments::record_workload;
-use iris_fuzzer::guided::{
-    run_guided_parallel_with, run_guided_shared_with, run_guided_with, GuidedConfig,
-};
-use iris_fuzzer::parallel::available_jobs;
+use iris_fuzzer::executor::{available_jobs, run_ordered, RunPolicy};
+use iris_fuzzer::guided::{run_guided_shared_with, GuidedConfig};
 use iris_fuzzer::target::{Backend, TargetFactory};
 use iris_guest::workloads::Workload;
 
@@ -26,13 +24,14 @@ fn main() {
         .map(|s| Backend::parse(&s).expect("unknown target (iris|faulty)"))
         .unwrap_or(Backend::Iris);
     let (_, trace) = record_workload(Workload::OsBoot, 800, 42);
-    let r = run_guided_with(
+    let r = run_guided_shared_with(
         &backend,
         &trace,
         GuidedConfig {
             budget,
             ..GuidedConfig::default()
         },
+        1,
     );
     println!(
         "Coverage-guided fuzzing over OS BOOT seeds ({budget} executions, target {})\n",
@@ -73,7 +72,16 @@ fn main() {
             })
             .collect();
         let jobs = available_jobs();
-        let ensemble = run_guided_parallel_with(&backend, &trace, &configs, jobs);
+        let mut ensemble = Vec::with_capacity(configs.len());
+        run_ordered(
+            &configs,
+            jobs,
+            &RunPolicy::default(),
+            || (),
+            |(), _, cfg| run_guided_shared_with(&backend, &trace, *cfg, 1),
+            |_, r| ensemble.push(r),
+        )
+        .expect("no stop flag: only a persistent crash loop can fail the ensemble");
         println!("\nensemble: {instances} guided campaigns across {jobs} workers");
         for (cfg, r) in configs.iter().zip(&ensemble) {
             println!(

@@ -8,7 +8,6 @@ use iris_core::metrics::{self, DiffByReason, Efficiency};
 use iris_core::record::{RecordConfig, Recorder};
 use iris_core::replay::ReplayEngine;
 use iris_core::trace::RecordedTrace;
-use iris_fuzzer::campaign::Campaign;
 use iris_fuzzer::parallel::{CampaignReport, ParallelCampaign};
 use iris_fuzzer::table1::Table1;
 use iris_fuzzer::target::TargetFactory;
@@ -404,13 +403,11 @@ pub fn table1_traces(exits: usize, seed: u64) -> BTreeMap<Workload, RecordedTrac
     traces
 }
 
-/// Run Table I with the given mutant count per cell.
+/// Run Table I with the given mutant count per cell, sequentially —
+/// the paper's sweep: one worker, whole-cell chunks.
 #[must_use]
-pub fn table1(exits: usize, mutants: usize, seed: u64) -> (Table1, Campaign) {
-    let traces = table1_traces(exits, seed);
-    let mut campaign = Campaign::new();
-    let table = Table1::run(&mut campaign, &traces, mutants, seed);
-    (table, campaign)
+pub fn table1(exits: usize, mutants: usize, seed: u64) -> (Table1, CampaignReport) {
+    table1_parallel(exits, mutants, seed, 1, usize::MAX)
 }
 
 /// Run Table I on the sharded executor with `jobs` workers stealing

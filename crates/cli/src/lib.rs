@@ -23,13 +23,12 @@ use iris_dist::worker::{run_worker, WorkerOptions};
 use iris_dist::DistError;
 use iris_fuzzer::checkpoint::{
     atomic_write_json, campaign_fingerprint, guided_fingerprint, CampaignCheckpoint,
-    GuidedCheckpoint, JsonWriter, CHECKPOINT_VERSION,
+    GuidedCheckpoint, JsonWriter, SessionError,
 };
 use iris_fuzzer::corpus::{Corpus, CorpusWriter};
-use iris_fuzzer::executor::{ExecutorError, RunPolicy};
+use iris_fuzzer::executor::{run_ordered, RunPolicy};
 use iris_fuzzer::guided::{
-    run_guided_parallel_with, run_guided_shared_session, GuidedConfig, GuidedResult,
-    SharedRunOptions,
+    run_guided_shared_session, run_guided_shared_with, GuidedConfig, GuidedResult, SharedRunOptions,
 };
 use iris_fuzzer::mutation::SeedArea;
 use iris_fuzzer::parallel::{available_jobs, CampaignReport, CampaignRunOptions, ParallelCampaign};
@@ -49,7 +48,7 @@ pub enum CliError {
     Io(std::io::Error),
     /// A fault-tolerant run gave up (e.g. the worker restart budget was
     /// exhausted by persistent panics).
-    Run(ExecutorError),
+    Run(SessionError),
     /// `iris lint` found law violations; the string is the rendered
     /// report. Carried as an error so the binary exits nonzero — the
     /// contract CI relies on.
@@ -127,9 +126,10 @@ reports which of them the run detected.
 corpus, synchronizing at generation barriers every G executions
 (default: 256), and the result — promotions, corpus order, growth
 curve, crashes — is byte-identical for any N (`--json` writes it for
-diffing). `ensemble` instead runs N independent loops with distinct RNG
-seeds (N disjoint corpora). `--corpus` persists the crash corpus (per
-generation in shared mode) through the background writer.
+diffing). `ensemble` instead runs N independent single-worker engines
+with distinct RNG seeds (N disjoint corpora). `--corpus` persists the
+crash corpus (per generation in shared mode) through the background
+writer.
 
 `--forest` turns on the copy-on-write snapshot forest (PERFORMANCE.md):
 targets pin post-execution state nodes and restore to them in O(delta)
@@ -137,9 +137,8 @@ instead of replaying the whole seed prefix from s1. Reports are
 byte-identical with the forest on or off, for any --jobs/--chunk — the
 flag changes replay cost only. `--forest-cap N` bounds the live node
 count (default: 64; LRU nodes collapse into their parents). Forest
-mode covers `campaign` and `guided --mode shared`; `--mode ensemble`
-rejects it. Checkpoint fingerprints ignore the flag, so a resume may
-switch it freely (RELIABILITY.md).
+mode covers `campaign` and both `guided` modes. Checkpoint fingerprints
+ignore the flag, so a resume may switch it freely (RELIABILITY.md).
 
 Fault tolerance: worker panics are absorbed — the lost work is re-run
 byte-identically on a fresh worker context, up to a restart budget.
@@ -508,6 +507,18 @@ fn interrupted_note(done: u64, total: u64, what: &str, checkpoint: Option<&PathB
     note
 }
 
+/// Map a session failure to the user: a `--resume` checkpoint the
+/// engine refused names its file, like every other checkpoint error.
+fn session_error(e: SessionError, resume: Option<&PathBuf>) -> CliError {
+    match (e, resume) {
+        (SessionError::Checkpoint(e), Some(path)) => CliError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("checkpoint {} is inconsistent: {e}", path.display()),
+        )),
+        (e, _) => CliError::Run(e),
+    }
+}
+
 fn cmd_targets() -> String {
     let mut out = String::from("registered fuzz targets (select with --target NAME):\n");
     for b in Backend::ALL {
@@ -578,7 +589,8 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                     },
                     resume,
                 },
-                |p, partial: &CampaignReport| {
+                |engine| {
+                    let (p, partial) = (engine.progress(), engine.report());
                     if show_progress {
                         eprint!(
                             "\rfuzzing: {}/{} mutants, {}/{} test cases",
@@ -601,19 +613,14 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
                         // Checkpoints live at test-case fold boundaries:
                         // the report is exactly a folded plan prefix there,
                         // which is what a resume can continue from.
-                        if partial.results.len() > last_folded {
-                            last_folded = partial.results.len();
-                            ckpt.persist(CampaignCheckpoint {
-                                version: CHECKPOINT_VERSION,
-                                fingerprint: fingerprint.clone(),
-                                folded: partial.results.len(),
-                                report: partial.clone(),
-                            });
+                        if p.results_folded > last_folded {
+                            last_folded = p.results_folded;
+                            ckpt.persist(engine.checkpoint(&fingerprint));
                         }
                     }
                 },
             )
-            .map_err(CliError::Run)?;
+            .map_err(|e| session_error(e, resume_path.as_ref()))?;
     if show_progress {
         eprintln!();
     }
@@ -726,14 +733,7 @@ fn cmd_guided(args: &[String]) -> Result<String, CliError> {
                     "--checkpoint/--resume require --mode shared".to_owned(),
                 ));
             }
-            if forest.is_some() {
-                // Ensemble loops are sequential per worker — no prefix
-                // replay to amortize, so the forest buys nothing there.
-                return Err(CliError::Usage(
-                    "--forest requires --mode shared".to_owned(),
-                ));
-            }
-            cmd_guided_ensemble(args, w, &trace, config, jobs, backend)
+            cmd_guided_ensemble(args, w, &trace, config, jobs, backend, forest)
         }
         other => Err(CliError::Usage(format!(
             "bad --mode '{other}' (shared | ensemble)"
@@ -867,7 +867,7 @@ fn cmd_guided_shared(
             ckpt.persist(p.checkpoint(&fingerprint));
         }
     })
-    .map_err(CliError::Run)?;
+    .map_err(|e| session_error(e, resume_path.as_ref()))?;
     if show_progress {
         eprintln!();
     }
@@ -919,9 +919,9 @@ fn cmd_guided_shared(
     Ok(out)
 }
 
-/// The ensemble mode: `jobs` independent sequential loops with distinct
-/// RNG seeds (rng_seed + i), sharded over the worker pool — N disjoint
-/// corpora instead of N× progress on one.
+/// The ensemble mode: `jobs` independent shared-corpus engines, each at
+/// one worker, with distinct RNG seeds (rng_seed + i), sharded over the
+/// executor — N disjoint corpora instead of N× progress on one.
 fn cmd_guided_ensemble(
     args: &[String],
     w: Workload,
@@ -929,6 +929,7 @@ fn cmd_guided_ensemble(
     config: GuidedConfig,
     jobs: usize,
     backend: Backend,
+    forest: Option<ForestConfig>,
 ) -> Result<String, CliError> {
     let configs: Vec<GuidedConfig> = (0..jobs as u64)
         .map(|i| GuidedConfig {
@@ -936,7 +937,17 @@ fn cmd_guided_ensemble(
             ..config
         })
         .collect();
-    let results = run_guided_parallel_with(&backend, trace, &configs, jobs);
+    let factory = ConfiguredBackend::new(backend).with_forest(forest);
+    let mut results = Vec::with_capacity(configs.len());
+    run_ordered(
+        &configs,
+        jobs,
+        &RunPolicy::default(),
+        || (),
+        |(), _, cfg| run_guided_shared_with(&factory, trace, *cfg, 1),
+        |_, result| results.push(result),
+    )
+    .map_err(|e| CliError::Run(e.into()))?;
     let mut out = format!(
         "guided fuzzing over {} ({} executions, target {})\n\
          mode ensemble: {} independent instance{} (disjoint corpora)\n",
@@ -1337,8 +1348,8 @@ mod tests {
 
     #[test]
     fn forest_flag_is_validated() {
-        // A cap without the flag is a usage error, as is cap 0 and
-        // forest in ensemble mode (no prefix replay to amortize there).
+        // A cap without the flag is a usage error, as is cap 0; every
+        // guided mode takes the flag (ensembles run the same engine).
         assert!(matches!(
             run(&args("campaign os_boot --exits 80 --forest-cap 8")),
             Err(CliError::Usage(_))
@@ -1347,12 +1358,12 @@ mod tests {
             run(&args("campaign os_boot --exits 80 --forest --forest-cap 0")),
             Err(CliError::Usage(_))
         ));
-        assert!(matches!(
-            run(&args(
-                "guided os_boot --exits 80 --budget 100 --mode ensemble --forest"
-            )),
-            Err(CliError::Usage(_))
-        ));
+        let ensemble = "guided os_boot --exits 80 --budget 100 --jobs 2 --mode ensemble";
+        assert_eq!(
+            run(&args(&format!("{ensemble} --forest"))).unwrap(),
+            run(&args(ensemble)).unwrap(),
+            "the forest changes replay cost, never results"
+        );
     }
 
     #[test]

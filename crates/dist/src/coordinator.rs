@@ -4,11 +4,13 @@
 //! is a [`LeaseTable`] of campaign chunks or guided slot sub-ranges.
 //! Per-connection handler threads claim leases in fold order, ship them
 //! to workers, and fold the returned [`RangeOutput`]s through the
-//! **existing in-process merge** — [`assemble_test_case`] +
-//! [`CampaignReport::fold_assembled`] in `(test_case_index,
-//! range_start)` order for campaigns, [`SharedEngine::fold_generation`]
-//! in slot order at generation barriers for guided runs — so the final
-//! report is byte-identical to `iris campaign|guided --jobs 1`.
+//! **same engines the in-process drivers run** —
+//! [`CampaignEngine::fold`] in `(test_case_index, range_start)` order
+//! for campaigns, [`SharedEngine::fold_generation`] in slot order at
+//! generation barriers for guided runs — so the final report is
+//! byte-identical to `iris campaign|guided --jobs 1`. What lives here
+//! is only what is the coordinator's own: the lease table, the quorum
+//! verifier, and the checkpoint writers.
 //!
 //! Fault model (DISTRIBUTED.md): a worker that stops heartbeating has
 //! its connection dropped and its leases returned; re-execution is
@@ -30,24 +32,21 @@ use crate::verify::{
     digest_output, disagreeing_holders, execute_range, spot_check_due, Candidate, ExecDetail,
     Submission, Verifier,
 };
-use iris_core::seed::VmSeed;
 use iris_core::trace::RecordedTrace;
-use iris_fuzzer::campaign::{assemble_test_case, ChunkOutput};
 use iris_fuzzer::checkpoint::{
-    CampaignCheckpoint, GuidedCheckpoint, JsonWriter, CHECKPOINT_VERSION,
+    CampaignCheckpoint, CheckpointMismatch, GuidedCheckpoint, JsonWriter,
 };
+use iris_fuzzer::executor::Reorder;
 use iris_fuzzer::guided::{
-    initial_corpus, measure_baseline, GuidedResult, SharedEngine, SlotOutcome, SlotRange,
+    initial_corpus, measure_baseline, GuidedResult, SharedEngine, SlotOutcome,
 };
-use iris_fuzzer::parallel::CampaignReport;
+use iris_fuzzer::parallel::CampaignEngine;
 use iris_fuzzer::target::Backend;
-use iris_fuzzer::testcase::{MutantRange, TestCase};
-use iris_hv::coverage::CoverageMap;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -168,161 +167,19 @@ struct FinishedJob {
 }
 
 struct CampaignJob {
-    fingerprint: String,
-    plan: Vec<TestCase>,
-    /// Remaining chunks in plan order (the resumed prefix is skipped).
-    chunks: Vec<(usize, MutantRange)>,
-    /// Chunk count per plan test case, over `chunks`.
-    span: Vec<usize>,
-    table: LeaseTable,
-    /// Out-of-order results parked until the contiguous fold reaches
-    /// them. Ordered map: draining happens in chunk-index order.
-    parked: BTreeMap<usize, ChunkOutput>,
-    next_fold: usize,
-    /// The current test case's folded chunks, in range order.
-    pending: Vec<ChunkOutput>,
-    report: CampaignReport,
-    /// Test cases fully folded (including the resumed prefix).
-    folded: usize,
-    mutants_done: u64,
-    mutants_total: u64,
+    engine: CampaignEngine,
     writer: Option<JsonWriter<CampaignCheckpoint>>,
-    verifier: Verifier,
-}
-
-impl CampaignJob {
-    /// Fold one completed chunk; `Ok(true)` when this completed the
-    /// whole job. Duplicates (re-lease races) drop silently.
-    fn fold(&mut self, index: usize, output: ChunkOutput) -> Result<bool, &'static str> {
-        let Some(&(_, range)) = self.chunks.get(index) else {
-            return Err("result for an unknown campaign lease");
-        };
-        if output.range != range {
-            return Err("campaign chunk range does not match its lease");
-        }
-        if !self.table.complete(index) {
-            return Ok(false);
-        }
-        self.parked.insert(index, output);
-        // Drain the contiguous prefix: chunks fold strictly in plan
-        // order whatever order workers returned them in.
-        while let Some(out) = self.parked.remove(&self.next_fold) {
-            let Some(&(tc_idx, _)) = self.chunks.get(self.next_fold) else {
-                return Err("fold cursor escaped the chunk list");
-            };
-            self.mutants_done += out.range.len as u64;
-            self.pending.push(out);
-            if self.pending.len() == self.span.get(tc_idx).copied().unwrap_or(0) {
-                let Some(tc) = self.plan.get(tc_idx) else {
-                    return Err("chunk list references a test case outside the plan");
-                };
-                let chunks = std::mem::take(&mut self.pending);
-                let (result, coverage) = assemble_test_case(tc, chunks, &mut self.report.corpus);
-                self.report.fold_assembled(result, &coverage);
-                self.folded += 1;
-                if let Some(w) = &self.writer {
-                    w.persist(CampaignCheckpoint {
-                        version: CHECKPOINT_VERSION,
-                        fingerprint: self.fingerprint.clone(),
-                        folded: self.folded,
-                        report: self.report.clone(),
-                    });
-                }
-            }
-            self.next_fold += 1;
-        }
-        Ok(self.table.all_done())
-    }
-
-    fn progress(&self) -> (u64, u64, u64) {
-        (self.mutants_done, self.mutants_total, self.folded as u64)
-    }
 }
 
 struct GuidedJob {
-    fingerprint: String,
     engine: SharedEngine,
     /// Generation counter — the wire protocol's epoch.
     epoch: u64,
-    /// The frozen generation's lease sub-ranges, in slot order.
-    leases: Vec<SlotRange>,
-    table: LeaseTable,
-    /// Completed lease outcomes parked until the generation barrier.
-    /// Ordered map keyed by lease index: the barrier drains in slot
-    /// order.
-    parked: BTreeMap<usize, Vec<SlotOutcome>>,
-    timeout_ms: u64,
-    redundancy: u32,
-    /// The trace-derived initial corpus — the epoch scheduling corpus
-    /// is `corpus0 ++ promoted`, cloned for adjudicating re-execution.
-    corpus0: Vec<VmSeed>,
+    /// Completed leases' outcomes, ordered by lease index — slot order
+    /// by construction — into `generation` for the barrier.
+    order: Reorder<Vec<SlotOutcome>>,
+    generation: Vec<SlotOutcome>,
     writer: Option<JsonWriter<GuidedCheckpoint>>,
-    verifier: Verifier,
-}
-
-impl GuidedJob {
-    /// Carve the engine's frozen batch into lease sub-ranges and reset
-    /// the lease table for the new generation.
-    fn freeze(&mut self, batch: SlotRange) {
-        let mut leases = Vec::new();
-        let mut start = batch.start;
-        let end = batch.start + batch.len;
-        while start < end {
-            let len = GUIDED_LEASE_SLOTS.min(end - start);
-            leases.push(SlotRange { start, len });
-            start += len;
-        }
-        self.table = LeaseTable::with_redundancy(leases.len(), self.timeout_ms, self.redundancy);
-        self.leases = leases;
-        self.parked = BTreeMap::new();
-        // Lease indices restart each generation; so does the quorum
-        // bookkeeping (the barrier guarantees nothing was pending).
-        self.verifier = Verifier::new(self.redundancy);
-    }
-
-    /// Fold one completed slot range; at the generation barrier the
-    /// whole batch folds through [`SharedEngine::fold_generation`] and
-    /// the next generation freezes. `Ok(true)` when the budget is
-    /// spent.
-    fn fold(&mut self, index: usize, outcomes: Vec<SlotOutcome>) -> Result<bool, &'static str> {
-        let Some(&range) = self.leases.get(index) else {
-            return Err("result for an unknown guided lease");
-        };
-        if outcomes.len() as u64 != range.len {
-            return Err("guided outcome count does not match its lease range");
-        }
-        if !self.table.complete(index) {
-            return Ok(false);
-        }
-        self.parked.insert(index, outcomes);
-        if !self.table.all_done() {
-            return Ok(false);
-        }
-        // The generation barrier: every lease of the batch is in;
-        // BTreeMap iteration order is lease-index order, which is slot
-        // order by construction.
-        let parked = std::mem::take(&mut self.parked);
-        let mut generation = Vec::new();
-        for (_, outs) in parked {
-            generation.extend(outs);
-        }
-        self.engine.fold_generation(generation);
-        self.epoch += 1;
-        if let Some(w) = &self.writer {
-            w.persist(self.engine.progress().checkpoint(&self.fingerprint));
-        }
-        match self.engine.batch() {
-            Some(batch) => {
-                self.freeze(batch);
-                Ok(false)
-            }
-            None => Ok(true),
-        }
-    }
-
-    fn progress(&self) -> (u64, u64, u64) {
-        (self.engine.executed(), self.engine.budget(), self.epoch)
-    }
 }
 
 enum JobBody {
@@ -338,53 +195,77 @@ struct Job {
     /// the exec contexts handed out to connection handlers.
     backend: Backend,
     trace: Arc<RecordedTrace>,
+    /// Leases over the body's current work list: the campaign's
+    /// outstanding chunks, or the frozen generation's slot sub-ranges.
+    table: LeaseTable,
+    /// Digest quorum over the same lease indices.
+    verifier: Verifier,
     body: JobBody,
 }
 
-/// Everything an adjudicating re-execution needs, cloned out of the
-/// job so the actual execution runs **outside** the state lock.
-struct ExecCtx {
-    backend: Backend,
-    trace: Arc<RecordedTrace>,
-    detail: VerifyDetail,
-}
+/// An adjudicating re-execution of one lease, with everything it needs
+/// cloned out of the job so it runs **outside** the state lock.
+type Reexecute = Box<dyn FnOnce(LeaseRange, u64) -> RangeOutput + Send>;
 
-enum VerifyDetail {
-    Campaign(TestCase),
-    Guided {
-        corpus: Vec<VmSeed>,
-        /// Per-entry seed paths (the slot law's mutation-base
-        /// positioning), rebuilt from the engine's promotion lineage.
-        paths: Vec<Vec<usize>>,
-        // Boxed: the dense coverage bitmap is ~3.5 KB and would
-        // dominate the Campaign arm's size.
-        seen: Box<CoverageMap>,
-    },
-}
-
-impl ExecCtx {
-    fn run(&self, range: LeaseRange, rng_seed: u64) -> RangeOutput {
-        let detail = match &self.detail {
-            VerifyDetail::Campaign(tc) => ExecDetail::Campaign(tc),
-            VerifyDetail::Guided {
-                corpus,
-                paths,
-                seen,
-            } => ExecDetail::Guided {
-                corpus,
-                paths,
-                seen,
-            },
-        };
-        execute_range(&self.backend, &self.trace, &detail, range, rng_seed)
-    }
-}
+const RESULT_LEASE_MISMATCH: &str = "result does not match its lease";
 
 impl Job {
+    /// `(work units done, total, fold boundaries completed)`.
     fn progress(&self) -> (u64, u64, u64) {
         match &self.body {
-            JobBody::Campaign(c) => c.progress(),
-            JobBody::Guided(g) => g.progress(),
+            JobBody::Campaign(c) => {
+                let p = c.engine.progress();
+                (p.mutants_done, p.mutants_total, p.results_folded as u64)
+            }
+            JobBody::Guided(g) => {
+                let p = g.engine.progress();
+                (p.executed, p.budget, g.epoch)
+            }
+        }
+    }
+
+    /// Open leases over the body's current work list: every outstanding
+    /// chunk of a campaign; the next generation of a guided run, carved
+    /// into slot sub-ranges. A body with no work left leaves the table
+    /// empty.
+    fn open_leases(&mut self) {
+        let len = match &mut self.body {
+            JobBody::Campaign(c) => c.engine.chunks().len(),
+            JobBody::Guided(g) => {
+                g.order = Reorder::default();
+                let slots = g.engine.batch().map_or(0, |batch| batch.len);
+                slots.div_ceil(GUIDED_LEASE_SLOTS) as usize
+            }
+        };
+        // Lease indices restart with the work list; so does the quorum
+        // bookkeeping (the barrier guarantees nothing was pending).
+        self.table = self.table.renewed(len);
+        self.verifier = Verifier::new(self.verifier.redundancy());
+    }
+
+    /// Lease `index` as the wire describes it: kind, range, RNG seed
+    /// and epoch.
+    fn lease(&self, index: usize) -> Option<(LeaseKind, LeaseRange, u64, u64)> {
+        match &self.body {
+            JobBody::Campaign(c) => {
+                let &(testcase_index, range) = c.engine.chunks().get(index)?;
+                let wire = LeaseRange {
+                    start: range.start as u64,
+                    len: range.len as u64,
+                };
+                let rng_seed = c.engine.plan().get(testcase_index)?.rng_seed;
+                let kind = LeaseKind::CampaignChunk { testcase_index };
+                Some((kind, wire, rng_seed, 0))
+            }
+            JobBody::Guided(g) => {
+                // The frozen batch, cut every GUIDED_LEASE_SLOTS slots.
+                let batch = g.engine.batch()?;
+                let offset = (index as u64).checked_mul(GUIDED_LEASE_SLOTS)?;
+                let rest = batch.len.checked_sub(offset).filter(|&rest| rest > 0)?;
+                let (start, len) = (batch.start + offset, rest.min(GUIDED_LEASE_SLOTS));
+                let (kind, wire) = (LeaseKind::GuidedSlotRange, LeaseRange { start, len });
+                Some((kind, wire, g.engine.rng_seed(), g.epoch))
+            }
         }
     }
 
@@ -400,6 +281,8 @@ impl Job {
         conn_job: u64,
         conn_epoch: Option<u64>,
     ) -> Option<LeaseGrant> {
+        let index = self.table.claim(holder, now_ms)?;
+        let (kind, range, rng_seed, epoch) = self.lease(index)?;
         let mut frames = Vec::new();
         if conn_job != self.id {
             frames.push(Frame::Assign {
@@ -408,178 +291,141 @@ impl Job {
                 spec: self.spec.clone(),
             });
         }
-        match &mut self.body {
-            JobBody::Campaign(c) => {
-                let index = c.table.claim(holder, now_ms)?;
-                let &(tc_idx, range) = c.chunks.get(index)?;
-                let wire = LeaseRange {
-                    start: range.start as u64,
-                    len: range.len as u64,
-                };
-                let rng_seed = c.plan.get(tc_idx).map_or(0, |tc| tc.rng_seed);
-                frames.push(Frame::Lease {
+        if let JobBody::Guided(g) = &self.body {
+            if conn_epoch != Some(epoch) {
+                frames.push(Frame::Epoch {
                     job_id: self.id,
-                    kind: LeaseKind::CampaignChunk {
-                        testcase_index: tc_idx,
-                    },
-                    range: wire,
-                    rng_seed,
-                    epoch: 0,
+                    epoch,
+                    promoted: g.engine.promoted().to_vec(),
+                    lineage: g.engine.lineage().to_vec(),
+                    seen: Box::new(g.engine.seen().clone()),
                 });
-                Some(LeaseGrant {
-                    frames,
-                    index,
-                    job_id: self.id,
-                    epoch: 0,
-                    range: wire,
-                    rng_seed,
-                })
-            }
-            JobBody::Guided(g) => {
-                let index = g.table.claim(holder, now_ms)?;
-                let &range = g.leases.get(index)?;
-                if conn_epoch != Some(g.epoch) {
-                    frames.push(Frame::Epoch {
-                        job_id: self.id,
-                        epoch: g.epoch,
-                        promoted: g.engine.promoted().to_vec(),
-                        lineage: g.engine.lineage().to_vec(),
-                        seen: Box::new(g.engine.seen().clone()),
-                    });
-                }
-                let wire = LeaseRange {
-                    start: range.start,
-                    len: range.len,
-                };
-                let rng_seed = g.engine.rng_seed();
-                frames.push(Frame::Lease {
-                    job_id: self.id,
-                    kind: LeaseKind::GuidedSlotRange,
-                    range: wire,
-                    rng_seed,
-                    epoch: g.epoch,
-                });
-                Some(LeaseGrant {
-                    frames,
-                    index,
-                    job_id: self.id,
-                    epoch: g.epoch,
-                    range: wire,
-                    rng_seed,
-                })
             }
         }
-    }
-
-    fn release(&mut self, holder: u64) {
-        match &mut self.body {
-            JobBody::Campaign(c) => {
-                c.table.release_holder(holder);
-            }
-            JobBody::Guided(g) => {
-                g.table.release_holder(holder);
-            }
-        }
+        frames.push(Frame::Lease {
+            job_id: self.id,
+            kind,
+            range,
+            rng_seed,
+            epoch,
+        });
+        Some(LeaseGrant {
+            frames,
+            index,
+            job_id: self.id,
+            epoch,
+            range,
+            rng_seed,
+        })
     }
 
     /// Structural validation of a delivered result against its lease —
     /// **before** any vote is recorded, so a malformed result costs the
     /// sender its connection without poisoning the quorum bookkeeping.
-    fn validate_output(&self, index: usize, output: &RangeOutput) -> Result<(), &'static str> {
-        match (&self.body, output) {
+    fn validate_output(&self, index: usize, output: &RangeOutput) -> Result<(), String> {
+        let fits = match (self.lease(index), output) {
+            (Some((LeaseKind::CampaignChunk { .. }, range, ..)), RangeOutput::Campaign(chunk)) => {
+                (chunk.range.start as u64, chunk.range.len as u64) == (range.start, range.len)
+            }
+            (Some((LeaseKind::GuidedSlotRange, range, ..)), RangeOutput::Guided(outcomes)) => {
+                outcomes.len() as u64 == range.len
+            }
+            _ => false,
+        };
+        fits.then_some(())
+            .ok_or_else(|| RESULT_LEASE_MISMATCH.to_owned())
+    }
+
+    /// Fold one accepted result through the body's engine; `Ok(true)`
+    /// when this completed the whole job. Duplicates (re-lease races)
+    /// drop silently. A campaign checkpoints whenever a test case
+    /// folded; a guided run folds, checkpoints and opens the next
+    /// generation's leases at the barrier.
+    fn fold(&mut self, index: usize, output: RangeOutput) -> Result<bool, String> {
+        self.validate_output(index, &output)?;
+        if !self.table.complete(index) {
+            return Ok(false);
+        }
+        match (&mut self.body, output) {
             (JobBody::Campaign(c), RangeOutput::Campaign(chunk)) => {
-                let Some(&(_, range)) = c.chunks.get(index) else {
-                    return Err("result for an unknown campaign lease");
-                };
-                if chunk.range != range {
-                    return Err("campaign chunk range does not match its lease");
+                let folded = c.engine.report().results.len();
+                c.engine.fold(index, *chunk).map_err(|e| e.to_string())?;
+                if let Some(w) = &c.writer {
+                    if c.engine.report().results.len() > folded {
+                        w.persist(c.engine.checkpoint(&self.fingerprint));
+                    }
                 }
-                Ok(())
+                Ok(self.table.all_done())
             }
             (JobBody::Guided(g), RangeOutput::Guided(outcomes)) => {
-                let Some(&range) = g.leases.get(index) else {
-                    return Err("result for an unknown guided lease");
-                };
-                if outcomes.len() as u64 != range.len {
-                    return Err("guided outcome count does not match its lease range");
+                let g = &mut **g;
+                g.order
+                    .push(index, outcomes, |_, outs| g.generation.extend(outs));
+                if !self.table.all_done() {
+                    return Ok(false);
                 }
-                Ok(())
+                // The generation barrier: every lease of the batch is
+                // in, and `generation` holds them in slot order.
+                g.engine.fold_generation(std::mem::take(&mut g.generation));
+                g.epoch += 1;
+                if let Some(w) = &g.writer {
+                    w.persist(g.engine.checkpoint(&self.fingerprint));
+                }
+                self.open_leases();
+                Ok(self.table.is_empty())
             }
-            _ => Err("result kind does not match the lease kind"),
+            _ => Err(RESULT_LEASE_MISMATCH.to_owned()),
         }
     }
 
-    /// Convert `holder`'s lease on `index` into a vote (distinctness is
-    /// the lease table's guarantee).
-    fn record_vote(&mut self, index: usize, holder: u64) -> VoteOutcome {
-        match &mut self.body {
-            JobBody::Campaign(c) => c.table.record_vote(index, holder),
-            JobBody::Guided(g) => g.table.record_vote(index, holder),
-        }
-    }
-
-    /// Feed a digested result into the quorum bookkeeping.
-    fn verifier_submit(
-        &mut self,
-        index: usize,
-        holder: u64,
-        digest: u64,
-        output: RangeOutput,
-    ) -> Submission {
-        match &mut self.body {
-            JobBody::Campaign(c) => c.verifier.submit(index, holder, digest, output),
-            JobBody::Guided(g) => g.verifier.submit(index, holder, digest, output),
-        }
-    }
-
-    /// Quarantine `holder` inside this job: drop its leases and void
-    /// its not-yet-folded votes so honest workers re-earn those slots.
-    fn disqualify(&mut self, holder: u64) {
-        match &mut self.body {
+    /// Stage an adjudicating re-execution ([`execute_range`]) of lease
+    /// `index`.
+    fn reexecute(&self, index: usize) -> Option<Reexecute> {
+        let (backend, trace) = (self.backend, Arc::clone(&self.trace));
+        Some(match &self.body {
             JobBody::Campaign(c) => {
-                c.table.disqualify(holder);
-                c.verifier.disqualify(holder);
+                let &(tc_idx, _) = c.engine.chunks().get(index)?;
+                let tc = c.engine.plan().get(tc_idx)?.clone();
+                Box::new(move |range, rng_seed| {
+                    let detail = ExecDetail::Campaign(&tc);
+                    execute_range(&backend, &trace, &detail, range, rng_seed)
+                })
             }
             JobBody::Guided(g) => {
-                g.table.disqualify(holder);
-                g.verifier.disqualify(holder);
+                let corpus = g.engine.corpus().to_vec();
+                let paths = g.engine.paths().to_vec();
+                let seen = g.engine.seen().clone();
+                Box::new(move |range, rng_seed| {
+                    let detail = ExecDetail::Guided {
+                        corpus: &corpus,
+                        paths: &paths,
+                        seen: &seen,
+                    };
+                    execute_range(&backend, &trace, &detail, range, rng_seed)
+                })
             }
-        }
-    }
-
-    /// Clone out what an adjudicating re-execution of `index` needs, so
-    /// the execution itself can run outside the state lock.
-    fn exec_ctx(&self, index: usize) -> Option<ExecCtx> {
-        let detail = match &self.body {
-            JobBody::Campaign(c) => {
-                let &(tc_idx, _) = c.chunks.get(index)?;
-                VerifyDetail::Campaign(c.plan.get(tc_idx)?.clone())
-            }
-            JobBody::Guided(g) => {
-                let mut corpus = g.corpus0.clone();
-                corpus.extend_from_slice(g.engine.promoted());
-                VerifyDetail::Guided {
-                    corpus,
-                    paths: g.engine.paths().to_vec(),
-                    seen: Box::new(g.engine.seen().clone()),
-                }
-            }
-        };
-        Some(ExecCtx {
-            backend: self.backend,
-            trace: Arc::clone(&self.trace),
-            detail,
         })
     }
 
-    /// The finished job's report JSON — byte-identical to the
+    /// The job's report JSON — once finished, byte-identical to the
     /// in-process `--jobs 1` run's `--json` artifact.
-    fn report_json(&self) -> Result<String, &'static str> {
-        let json = match &self.body {
-            JobBody::Campaign(c) => serde_json::to_string_pretty(&c.report),
+    fn report_json(&self) -> Result<String, serde_json::Error> {
+        match &self.body {
+            JobBody::Campaign(c) => serde_json::to_string_pretty(c.engine.report()),
             JobBody::Guided(g) => serde_json::to_string_pretty(&g.engine.result()),
-        };
-        json.map_err(|_| "report serialization failed")
+        }
+    }
+
+    /// Detach the checkpoint writer as a join-and-report step to run
+    /// outside the state lock.
+    fn take_writer(&mut self) -> Option<Box<dyn FnOnce() + Send>> {
+        fn join<T: Serialize + Send + 'static>(w: JsonWriter<T>) -> Box<dyn FnOnce() + Send> {
+            Box::new(move || log_writer_result("checkpoint", w.finish()))
+        }
+        match &mut self.body {
+            JobBody::Campaign(c) => c.writer.take().map(join),
+            JobBody::Guided(g) => g.writer.take().map(join),
+        }
     }
 }
 
@@ -750,23 +596,8 @@ impl Server {
             if let Some(w) = st.progress_writer.take() {
                 writers.push(Box::new(move || log_writer_result("progress", w.finish())));
             }
-            if let Some(job) = st.job.take() {
-                match job.body {
-                    JobBody::Campaign(mut c) => {
-                        if let Some(w) = c.writer.take() {
-                            writers.push(Box::new(move || {
-                                log_writer_result("checkpoint", w.finish())
-                            }));
-                        }
-                    }
-                    JobBody::Guided(mut g) => {
-                        if let Some(w) = g.writer.take() {
-                            writers.push(Box::new(move || {
-                                log_writer_result("checkpoint", w.finish())
-                            }));
-                        }
-                    }
-                }
+            if let Some(mut job) = st.job.take() {
+                writers.extend(job.take_writer());
             }
             (st.jobs_completed, writers)
         };
@@ -861,32 +692,26 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
 /// Everything a job needs, prepared outside the state lock (trace
 /// recording and the guided baseline are seconds of work).
 enum PreparedJob {
-    /// A job with outstanding work.
-    Run {
-        fingerprint: String,
-        backend: Backend,
-        trace: Arc<RecordedTrace>,
-        body: JobBody,
-    },
+    /// A job with outstanding work (its `id` is assigned at install).
+    Run(Job),
     /// A job that is already complete at install time (fully-resumed
     /// checkpoint, or a guided trace with an empty corpus — mirroring
     /// the in-process drivers' outputs byte-for-byte).
-    Instant { fingerprint: String, report: String },
+    Instant(FinishedJob),
 }
 
-fn load_resume_checkpoint<T>(
-    shared: &Shared,
+/// Load the `--resume` checkpoint, if one is configured and present,
+/// alongside the path it came from.
+fn load_resume_checkpoint<'s, T>(
+    shared: &'s Shared,
     fingerprint: &str,
-    load: impl FnOnce(&std::path::Path, &str) -> io::Result<T>,
-) -> Result<Option<T>, (ErrorCode, String)> {
-    let Some(path) = &shared.resume else {
+    load: impl FnOnce(&Path, &str) -> io::Result<T>,
+) -> Result<Option<(T, &'s Path)>, (ErrorCode, String)> {
+    let Some(path) = shared.resume.as_ref().filter(|p| p.exists()) else {
         return Ok(None);
     };
-    if !path.exists() {
-        return Ok(None);
-    }
     match load(path, fingerprint) {
-        Ok(cp) => Ok(Some(cp)),
+        Ok(cp) => Ok(Some((cp, path))),
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
             Err((ErrorCode::FingerprintMismatch, e.to_string()))
         }
@@ -894,18 +719,19 @@ fn load_resume_checkpoint<T>(
     }
 }
 
-fn prepare_job(shared: &Shared, spec: &JobSpec) -> Result<PreparedJob, (ErrorCode, String)> {
-    let backend = spec
-        .backend()
-        .map_err(|e| (ErrorCode::BadSpec, e.to_string()))?;
-    let trace = spec
-        .record_trace()
-        .map_err(|e| (ErrorCode::BadSpec, e.to_string()))?;
-    match spec.kind {
+fn prepare_job(shared: &Shared, spec: JobSpec) -> Result<PreparedJob, (ErrorCode, String)> {
+    let bad_spec = |e: crate::DistError| (ErrorCode::BadSpec, e.to_string());
+    let unserializable = |e: serde_json::Error| (ErrorCode::Protocol, e.to_string());
+    // A fingerprint-valid checkpoint the engine cannot continue from.
+    let mismatch = |path: &Path, e: CheckpointMismatch| {
+        let detail = format!("resume checkpoint {} is inconsistent: {e}", path.display());
+        (ErrorCode::Protocol, detail)
+    };
+    let backend = spec.backend().map_err(bad_spec)?;
+    let trace = spec.record_trace().map_err(bad_spec)?;
+    let (fingerprint, body) = match spec.kind {
         JobKind::Campaign { chunk, .. } => {
-            let plan = spec
-                .plan(&trace)
-                .map_err(|e| (ErrorCode::BadSpec, e.to_string()))?;
+            let plan = spec.plan(&trace).map_err(bad_spec)?;
             if plan.is_empty() {
                 return Err((
                     ErrorCode::BadSpec,
@@ -913,71 +739,16 @@ fn prepare_job(shared: &Shared, spec: &JobSpec) -> Result<PreparedJob, (ErrorCod
                 ));
             }
             let fingerprint = spec.fingerprint(plan.len());
-            let resume = load_resume_checkpoint(shared, &fingerprint, CampaignCheckpoint::load)?;
-            let folded0 = resume.as_ref().map_or(0, |cp| cp.folded);
-            if let Some(cp) = &resume {
-                if cp.folded > plan.len() || cp.folded != cp.report.results.len() {
-                    return Err((
-                        ErrorCode::Protocol,
-                        "resume checkpoint is structurally inconsistent with the plan".to_owned(),
-                    ));
-                }
-            }
-            let report = resume.map_or_else(CampaignReport::new, |cp| cp.report);
-            let chunk = chunk.max(1);
-            let chunks: Vec<(usize, MutantRange)> = plan
-                .iter()
-                .enumerate()
-                .skip(folded0)
-                .flat_map(|(tc_idx, tc)| tc.chunks(chunk).map(move |r| (tc_idx, r)))
-                .collect();
-            if chunks.is_empty() {
-                // Fully resumed: the checkpointed report is the report.
-                let json = serde_json::to_string_pretty(&report)
-                    .map_err(|e| (ErrorCode::Protocol, e.to_string()))?;
-                return Ok(PreparedJob::Instant {
-                    fingerprint,
-                    report: json,
-                });
-            }
-            let mut span = vec![0usize; plan.len()];
-            for &(tc_idx, _) in &chunks {
-                if let Some(s) = span.get_mut(tc_idx) {
-                    *s += 1;
-                }
-            }
-            let mutants_total = plan.iter().map(|tc| tc.mutants as u64).sum();
-            let mutants_done = plan.iter().take(folded0).map(|tc| tc.mutants as u64).sum();
-            let table = LeaseTable::with_redundancy(
-                chunks.len(),
-                shared.lease_timeout_ms,
-                shared.redundancy,
-            );
-            let writer = shared
-                .checkpoint
-                .as_ref()
-                .map(|p| JsonWriter::spawn(p.clone()));
-            Ok(PreparedJob::Run {
-                fingerprint: fingerprint.clone(),
-                backend,
-                trace: Arc::new(trace),
-                body: JobBody::Campaign(Box::new(CampaignJob {
-                    fingerprint,
-                    plan,
-                    chunks,
-                    span,
-                    table,
-                    parked: BTreeMap::new(),
-                    next_fold: 0,
-                    pending: Vec::new(),
-                    report,
-                    folded: folded0,
-                    mutants_done,
-                    mutants_total,
-                    writer,
-                    verifier: Verifier::new(shared.redundancy),
-                })),
-            })
+            let engine =
+                match load_resume_checkpoint(shared, &fingerprint, CampaignCheckpoint::load)? {
+                    Some((cp, at)) => {
+                        CampaignEngine::resume(plan, chunk, cp).map_err(|e| mismatch(at, e))?
+                    }
+                    None => CampaignEngine::fresh(plan, chunk),
+                };
+            let writer = shared.checkpoint.clone().map(JsonWriter::spawn);
+            let body = JobBody::Campaign(Box::new(CampaignJob { engine, writer }));
+            (fingerprint, body)
         }
         JobKind::Guided { .. } => {
             let config = spec.guided_config().unwrap_or_default();
@@ -986,82 +757,58 @@ fn prepare_job(shared: &Shared, spec: &JobSpec) -> Result<PreparedJob, (ErrorCod
             if corpus0.is_empty() {
                 // Mirrors the in-process drivers: an empty corpus is
                 // the derived zero result.
-                let json = serde_json::to_string_pretty(&GuidedResult::default())
-                    .map_err(|e| (ErrorCode::Protocol, e.to_string()))?;
-                return Ok(PreparedJob::Instant {
+                let report = serde_json::to_string_pretty(&GuidedResult::default())
+                    .map_err(unserializable)?;
+                return Ok(PreparedJob::Instant(FinishedJob {
                     fingerprint,
-                    report: json,
-                });
+                    report,
+                }));
             }
-            let resume = load_resume_checkpoint(shared, &fingerprint, GuidedCheckpoint::load)?;
-            if let Some(cp) = &resume {
-                let generation = config.generation.max(1);
-                if cp.next_slot > config.budget
-                    || (cp.next_slot != config.budget && cp.next_slot % generation != 0)
-                {
-                    return Err((
-                        ErrorCode::Protocol,
-                        "resume checkpoint slot is not a generation boundary".to_owned(),
-                    ));
+            let engine = match load_resume_checkpoint(shared, &fingerprint, GuidedCheckpoint::load)?
+            {
+                Some((cp, at)) => {
+                    SharedEngine::resume(&trace, config, cp).map_err(|e| mismatch(at, e))?
                 }
-            }
-            let engine = match resume {
-                Some(cp) => SharedEngine::resume(&trace, config, cp),
                 None => {
                     let baseline = measure_baseline(&backend, &trace, &corpus0);
                     SharedEngine::fresh(&trace, config, baseline)
                 }
             };
-            let writer = shared
-                .checkpoint
-                .as_ref()
-                .map(|p| JsonWriter::spawn(p.clone()));
-            let mut job = GuidedJob {
-                fingerprint: fingerprint.clone(),
+            let body = JobBody::Guided(Box::new(GuidedJob {
                 engine,
                 epoch: 0,
-                leases: Vec::new(),
-                table: LeaseTable::new(0, shared.lease_timeout_ms),
-                parked: BTreeMap::new(),
-                timeout_ms: shared.lease_timeout_ms,
-                redundancy: shared.redundancy,
-                corpus0,
-                writer,
-                verifier: Verifier::new(shared.redundancy),
-            };
-            match job.engine.batch() {
-                Some(batch) => {
-                    job.freeze(batch);
-                    Ok(PreparedJob::Run {
-                        fingerprint,
-                        backend,
-                        trace: Arc::new(trace),
-                        body: JobBody::Guided(Box::new(job)),
-                    })
-                }
-                None => {
-                    let json = serde_json::to_string_pretty(&job.engine.result())
-                        .map_err(|e| (ErrorCode::Protocol, e.to_string()))?;
-                    Ok(PreparedJob::Instant {
-                        fingerprint,
-                        report: json,
-                    })
-                }
-            }
+                order: Reorder::default(),
+                generation: Vec::new(),
+                writer: shared.checkpoint.clone().map(JsonWriter::spawn),
+            }));
+            (fingerprint, body)
         }
+    };
+    let mut job = Job {
+        id: 0,
+        fingerprint,
+        spec,
+        backend,
+        trace: Arc::new(trace),
+        table: LeaseTable::with_redundancy(0, shared.lease_timeout_ms, shared.redundancy),
+        verifier: Verifier::new(shared.redundancy),
+        body,
+    };
+    job.open_leases();
+    if job.table.is_empty() {
+        // Fully resumed: the checkpointed state is the report.
+        return Ok(PreparedJob::Instant(FinishedJob {
+            report: job.report_json().map_err(unserializable)?,
+            fingerprint: job.fingerprint,
+        }));
     }
+    Ok(PreparedJob::Run(job))
 }
 
-/// Record a finished job in the state and return anything that must run
-/// outside the lock (writer joins).
-fn finish_job(st: &mut State, job: Job) -> Vec<Box<dyn FnOnce() + Send>> {
-    let mut after: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-    let report = match job.report_json() {
-        Ok(json) => json,
-        Err(msg) => format!("{{\"error\":\"{msg}\"}}"),
-    };
-    let (done, total, folded) = job.progress();
+/// Snapshot `job`'s progress into the `--progress` artifact.
+fn persist_progress(st: &State, job: &Job) {
     if let Some(w) = &st.progress_writer {
+        let (done, total, folded) = job.progress();
         w.persist(ServeProgress {
             job_id: job.id,
             fingerprint: job.fingerprint.clone(),
@@ -1071,35 +818,32 @@ fn finish_job(st: &mut State, job: Job) -> Vec<Box<dyn FnOnce() + Send>> {
             events: st.events.clone(),
         });
     }
-    st.finished.insert(
-        job.id,
-        FinishedJob {
-            fingerprint: job.fingerprint.clone(),
-            report,
-        },
-    );
+}
+
+/// Record a finished job in the state and return anything that must run
+/// outside the lock (writer joins).
+fn finish_job(st: &mut State, mut job: Job) -> Vec<Box<dyn FnOnce() + Send>> {
+    let report = match job.report_json() {
+        Ok(json) => json,
+        Err(e) => format!("{{\"error\":\"{e}\"}}"),
+    };
+    persist_progress(st, &job);
+    let finished = FinishedJob {
+        fingerprint: job.fingerprint.clone(),
+        report,
+    };
+    record_finished(st, job.id, finished);
+    job.take_writer().into_iter().collect()
+}
+
+/// File job `id`'s result for its submitter to collect.
+fn record_finished(st: &mut State, id: u64, finished: FinishedJob) {
+    st.finished.insert(id, finished);
     while st.finished.len() > FINISHED_BACKLOG {
         st.finished.pop_first();
     }
-    st.completed_through = st.completed_through.max(job.id);
+    st.completed_through = st.completed_through.max(id);
     st.jobs_completed += 1;
-    match job.body {
-        JobBody::Campaign(mut c) => {
-            if let Some(w) = c.writer.take() {
-                after.push(Box::new(move || {
-                    log_writer_result("checkpoint", w.finish())
-                }));
-            }
-        }
-        JobBody::Guided(mut g) => {
-            if let Some(w) = g.writer.take() {
-                after.push(Box::new(move || {
-                    log_writer_result("checkpoint", w.finish())
-                }));
-            }
-        }
-    }
-    after
 }
 
 fn handle_submit(shared: &Arc<Shared>, mut stream: TcpStream, spec: JobSpec) {
@@ -1129,7 +873,7 @@ fn handle_submit(shared: &Arc<Shared>, mut stream: TcpStream, spec: JobSpec) {
         }
         st.queued += 1;
     }
-    let prepared = match prepare_job(shared, &spec) {
+    let prepared = match prepare_job(shared, spec) {
         Ok(p) => p,
         Err((code, detail)) => {
             {
@@ -1164,34 +908,10 @@ fn handle_submit(shared: &Arc<Shared>, mut stream: TcpStream, spec: JobSpec) {
         let id = st.next_job_id;
         st.next_job_id += 1;
         match prepared {
-            PreparedJob::Instant {
-                fingerprint,
-                report,
-            } => {
-                st.finished.insert(
-                    id,
-                    FinishedJob {
-                        fingerprint,
-                        report,
-                    },
-                );
-                st.completed_through = st.completed_through.max(id);
-                st.jobs_completed += 1;
-            }
-            PreparedJob::Run {
-                fingerprint,
-                backend,
-                trace,
-                body,
-            } => {
-                st.job = Some(Job {
-                    id,
-                    fingerprint,
-                    spec,
-                    backend,
-                    trace,
-                    body,
-                });
+            PreparedJob::Instant(finished) => record_finished(&mut st, id, finished),
+            PreparedJob::Run(mut job) => {
+                job.id = id;
+                st.job = Some(job);
             }
         }
         shared.cv.notify_all();
@@ -1356,14 +1076,7 @@ fn handle_worker(shared: &Arc<Shared>, mut stream: TcpStream, target: &str) {
                     let mut st = shared.lock();
                     let now = shared.now_ms();
                     if let Some(job) = st.job.as_mut().filter(|j| j.id == grant.job_id) {
-                        match &mut job.body {
-                            JobBody::Campaign(c) => {
-                                c.table.renew(grant.index, holder, now);
-                            }
-                            JobBody::Guided(g) => {
-                                g.table.renew(grant.index, holder, now);
-                            }
-                        }
+                        job.table.renew(grant.index, holder, now);
                     }
                 }
                 Ok(Frame::ChunkDone {
@@ -1408,7 +1121,7 @@ fn handle_worker(shared: &Arc<Shared>, mut stream: TcpStream, target: &str) {
 fn release_lease(shared: &Arc<Shared>, holder: u64) {
     let mut st = shared.lock();
     if let Some(job) = st.job.as_mut() {
-        job.release(holder);
+        job.table.release_holder(holder);
     }
     shared.cv.notify_all();
 }
@@ -1425,19 +1138,12 @@ fn quarantine_holder(st: &mut State, job_id: u64, holder: u64, lease_index: usiz
         lease_index: lease_index as u64,
         detail,
     });
-    let snapshot = st.job.as_mut().filter(|j| j.id == job_id).map(|job| {
-        job.disqualify(holder);
-        (job.progress(), job.fingerprint.clone())
-    });
-    if let (Some(((done, total, folded), fingerprint)), Some(w)) = (snapshot, &st.progress_writer) {
-        w.persist(ServeProgress {
-            job_id,
-            fingerprint,
-            done,
-            total,
-            folded,
-            events: st.events.clone(),
-        });
+    if let Some(job) = st.job.as_mut().filter(|j| j.id == job_id) {
+        job.table.disqualify(holder);
+        job.verifier.disqualify(holder);
+    }
+    if let Some(job) = st.job.as_ref().filter(|j| j.id == job_id) {
+        persist_progress(st, job);
     }
 }
 
@@ -1455,40 +1161,24 @@ fn fold_accepted(
         shared.cv.notify_all();
         return true;
     };
-    let folded = match (&mut job.body, output) {
-        (JobBody::Campaign(c), RangeOutput::Campaign(chunk)) => c.fold(grant.index, *chunk),
-        (JobBody::Guided(g), RangeOutput::Guided(outcomes)) => g.fold(grant.index, outcomes),
-        _ => Err("result kind does not match the lease kind"),
-    };
-    let complete = match folded {
+    let complete = match job.fold(grant.index, output) {
         Ok(complete) => complete,
         Err(detail) => {
-            job.release(holder);
+            job.table.release_holder(holder);
             drop(st);
-            send_error(stream, ErrorCode::Protocol, detail.to_owned());
+            send_error(stream, ErrorCode::Protocol, detail);
             release_lease(shared, holder);
             return false;
         }
     };
-    let (done, total, folded_units) = job.progress();
-    let (job_id, fingerprint) = (job.id, job.fingerprint.clone());
-    if let Some(w) = &st.progress_writer {
-        w.persist(ServeProgress {
-            job_id,
-            fingerprint,
-            done,
-            total,
-            folded: folded_units,
-            events: st.events.clone(),
-        });
-    }
-    let after = if complete {
-        match st.job.take() {
-            Some(job) => finish_job(&mut st, job),
-            None => Vec::new(),
+    let after = match st.job.take_if(|_| complete) {
+        Some(job) => finish_job(&mut st, job),
+        None => {
+            if let Some(job) = &st.job {
+                persist_progress(&st, job);
+            }
+            Vec::new()
         }
-    } else {
-        Vec::new()
     };
     shared.cv.notify_all();
     drop(st);
@@ -1502,7 +1192,7 @@ fn fold_accepted(
 /// re-execution outside the lock.
 struct Adjudication {
     candidates: Vec<Candidate>,
-    ctx: ExecCtx,
+    reexecute: Reexecute,
 }
 
 /// Validate, vote, and fold (or adjudicate) a delivered result; returns
@@ -1544,19 +1234,22 @@ fn apply_result(
             return true;
         };
         if let Err(detail) = job.validate_output(grant.index, &output) {
-            job.release(holder);
+            job.table.release_holder(holder);
             drop(st);
-            send_error(stream, ErrorCode::Protocol, detail.to_owned());
+            send_error(stream, ErrorCode::Protocol, detail);
             release_lease(shared, holder);
             return false;
         }
-        if matches!(job.record_vote(grant.index, holder), VoteOutcome::Duplicate) {
+        if matches!(
+            job.table.record_vote(grant.index, holder),
+            VoteOutcome::Duplicate
+        ) {
             // A re-lease race duplicate — byte-identical by the RNG
             // law, so dropping it is safe.
             shared.cv.notify_all();
             return true;
         }
-        match job.verifier_submit(grant.index, holder, digest, output) {
+        match job.verifier.submit(grant.index, holder, digest, output) {
             Submission::Pending { .. } => {
                 // Quorum open: the range stays out with other workers.
                 shared.cv.notify_all();
@@ -1568,23 +1261,23 @@ fn apply_result(
                 if !audit {
                     return fold_accepted(shared, st, grant, holder, *out, stream);
                 }
-                match job.exec_ctx(grant.index) {
-                    Some(ctx) => Adjudication {
+                match job.reexecute(grant.index) {
+                    Some(reexecute) => Adjudication {
                         candidates: vec![Candidate {
                             digest,
                             holders: vec![holder],
                             output: *out,
                         }],
-                        ctx,
+                        reexecute,
                     },
                     None => return fold_accepted(shared, st, grant, holder, *out, stream),
                 }
             }
             Submission::Divergent(candidates) => {
-                let Some(ctx) = job.exec_ctx(grant.index) else {
+                let Some(reexecute) = job.reexecute(grant.index) else {
                     // Unreachable in practice (the lease exists); treat
                     // as a protocol failure rather than guessing.
-                    job.release(holder);
+                    job.table.release_holder(holder);
                     drop(st);
                     send_error(
                         stream,
@@ -1594,14 +1287,17 @@ fn apply_result(
                     release_lease(shared, holder);
                     return false;
                 };
-                Adjudication { candidates, ctx }
+                Adjudication {
+                    candidates,
+                    reexecute,
+                }
             }
         }
     };
     // Phase 2 (unlocked): the adjudicating re-execution. Expensive, but
     // rare — only digest divergence or a sampled audit lands here — and
     // exact: the per-range RNG law makes the local bytes ground truth.
-    let local = adjudication.ctx.run(grant.range, grant.rng_seed);
+    let local = (adjudication.reexecute)(grant.range, grant.rng_seed);
     let truth = match digest_output(&local) {
         Ok(d) => d,
         Err(e) => {

@@ -102,6 +102,13 @@ impl LeaseTable {
         }
     }
 
+    /// A fresh table of `len` pending entries under this table's
+    /// timeout and redundancy — what each guided generation starts on.
+    #[must_use]
+    pub fn renewed(&self, len: usize) -> Self {
+        Self::with_redundancy(len, self.timeout_ms, self.redundancy)
+    }
+
     /// Total entries.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -282,20 +282,14 @@ fn serve(
                         "epoch update for a job this worker was never assigned".to_owned(),
                     ));
                 };
-                if lineage.len() != promoted.len() {
-                    return Err(DistError::Protocol(format!(
-                        "epoch lineage ({}) does not match its promotions ({})",
-                        lineage.len(),
-                        promoted.len()
-                    )));
-                }
                 // The scheduling corpus is `initial ++ promoted` — the
                 // exact shape SharedEngine maintains coordinator-side —
                 // and the seed paths every slot positions with are a
                 // pure function of the lineage.
+                j.epoch_paths = corpus_paths(j.corpus0.len(), promoted.len(), &lineage)
+                    .map_err(|e| DistError::Protocol(format!("epoch update: {e}")))?;
                 let mut corpus = j.corpus0.clone();
                 corpus.extend(promoted);
-                j.epoch_paths = corpus_paths(j.corpus0.len(), &lineage);
                 j.epoch_corpus = corpus;
                 j.epoch_seen = *seen;
                 j.epoch = Some(epoch);

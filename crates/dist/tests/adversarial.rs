@@ -16,7 +16,12 @@ use iris_dist::job::{JobKind, JobSpec};
 use iris_dist::proto::ErrorCode;
 use iris_dist::worker::{run_worker, WorkerOptions, WorkerSummary};
 use iris_dist::DistError;
-use iris_fuzzer::parallel::ParallelCampaign;
+use iris_fuzzer::checkpoint::{
+    CampaignCheckpoint, CheckpointMismatch, GuidedCheckpoint, SessionError, CHECKPOINT_VERSION,
+};
+use iris_fuzzer::executor::RunPolicy;
+use iris_fuzzer::guided::{run_guided_shared_session, SharedRunOptions};
+use iris_fuzzer::parallel::{CampaignRunOptions, ParallelCampaign};
 use iris_fuzzer::target::{Backend, TargetFactory};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -407,4 +412,149 @@ fn queued_submissions_below_the_limit_are_served_in_turn() {
     }
     fleet.join();
     assert_eq!(server.stop(), 2, "both submissions completed");
+}
+
+/// A fingerprint-valid checkpoint tampered into structural nonsense.
+enum Hostile {
+    Guided(GuidedCheckpoint),
+    Campaign(CampaignCheckpoint),
+}
+
+#[test]
+fn hostile_checkpoints_are_typed_errors_in_process_and_over_the_wire() {
+    // A checkpoint file is a trust boundary. The fingerprint proves it
+    // was written for this configuration, not that its contents hang
+    // together — so every structural lie must come back as a typed
+    // `CheckpointMismatch` from the in-process sessions and as a typed
+    // `Protocol` rejection naming the file from `serve --resume`; never
+    // a panic, never a partial load.
+    let campaign = campaign_spec("iris", 4, 4);
+    let guided = JobSpec {
+        kind: JobKind::Guided {
+            budget: 128,
+            generation: 64,
+        },
+        ..campaign.clone()
+    };
+    let trace = campaign.record_trace().expect("known workload");
+    let plan = campaign.plan(&trace).expect("known workload");
+    let config = guided.guided_config().expect("guided spec");
+    let mut traces = std::collections::BTreeMap::new();
+    traces.insert(campaign.workload().expect("known workload"), trace.clone());
+
+    // Genuine mid-run checkpoints to tamper with: one generation in,
+    // two test cases folded.
+    let stop = AtomicBool::new(false);
+    let mut barrier = None;
+    let interrupt = SharedRunOptions {
+        policy: RunPolicy {
+            stop: Some(&stop),
+            ..RunPolicy::default()
+        },
+        resume: None,
+    };
+    run_guided_shared_session(&Backend::Iris, &trace, config, 1, interrupt, |p| {
+        barrier = Some(p.checkpoint(&guided.fingerprint(0)));
+        stop.store(true, Ordering::SeqCst);
+    })
+    .expect("interruption is not an error");
+    let guided_cp = barrier.expect("the first barrier ran");
+    assert!(!guided_cp.lineage.is_empty(), "need a promotion to tamper");
+    let campaign_cp = CampaignCheckpoint {
+        version: CHECKPOINT_VERSION,
+        fingerprint: campaign.fingerprint(plan.len()),
+        folded: 2,
+        report: ParallelCampaign::with_factory(1, Backend::Iris).run_trace(&trace, &plan[..2]),
+    };
+
+    let tamper_guided = |edit: fn(&mut GuidedCheckpoint)| {
+        let mut cp = guided_cp.clone();
+        edit(&mut cp);
+        Hostile::Guided(cp)
+    };
+    let tamper_campaign = |edit: &dyn Fn(&mut CampaignCheckpoint)| {
+        let mut cp = campaign_cp.clone();
+        edit(&mut cp);
+        Hostile::Campaign(cp)
+    };
+    type Expect = fn(&CheckpointMismatch) -> bool;
+    let cases: Vec<(&str, Hostile, Expect)> = vec![
+        (
+            "short lineage",
+            tamper_guided(|cp| cp.lineage.truncate(cp.lineage.len() - 1)),
+            |e| matches!(e, CheckpointMismatch::LineageLength { .. }),
+        ),
+        (
+            "out-of-range lineage base",
+            tamper_guided(|cp| cp.lineage[0].0 = usize::MAX),
+            |e| matches!(e, CheckpointMismatch::LineageBase { entry: 0, .. }),
+        ),
+        (
+            "off-boundary next_slot",
+            tamper_guided(|cp| cp.next_slot += 1),
+            |e| matches!(e, CheckpointMismatch::SlotOffBoundary { .. }),
+        ),
+        (
+            "folded > plan.len()",
+            tamper_campaign(&|cp| cp.folded = plan.len() + 1),
+            |e| matches!(e, CheckpointMismatch::FoldedCount { .. }),
+        ),
+        (
+            "results are not the plan prefix",
+            tamper_campaign(&|cp| cp.report.results.swap(0, 1)),
+            |e| matches!(e, CheckpointMismatch::PlanPrefix { index: 0 }),
+        ),
+    ];
+
+    for (name, hostile, expected) in cases {
+        // In-process: the session refuses before running anything.
+        let path = unique_path("hostile");
+        let (spec, refused) = match hostile {
+            Hostile::Guided(cp) => {
+                cp.save(&path).expect("checkpoint saves");
+                let options = SharedRunOptions {
+                    resume: Some(cp),
+                    ..SharedRunOptions::default()
+                };
+                let run =
+                    run_guided_shared_session(&Backend::Iris, &trace, config, 1, options, |_| {});
+                (&guided, run.map(|_| ()))
+            }
+            Hostile::Campaign(cp) => {
+                cp.save(&path).expect("checkpoint saves");
+                let options = CampaignRunOptions {
+                    resume: Some(cp),
+                    ..CampaignRunOptions::default()
+                };
+                let run = ParallelCampaign::with_factory(1, Backend::Iris).run_session(
+                    &traces,
+                    &plan,
+                    options,
+                    |_| {},
+                );
+                (&campaign, run.map(|_| ()))
+            }
+        };
+        match refused {
+            Err(SessionError::Checkpoint(e)) => assert!(expected(&e), "{name}: got {e:?}"),
+            other => panic!("{name}: in-process resume must be refused, got {other:?}"),
+        }
+
+        // Over the wire: the same file behind `serve --resume`.
+        let server = Server::start(ServeOptions {
+            resume: Some(path.clone()),
+            ..ServeOptions::default()
+        })
+        .expect("bind loopback");
+        match submit(&server.addr().to_string(), spec, |_, _, _| {}) {
+            Err(DistError::Remote { code, detail }) => {
+                assert_eq!(code, ErrorCode::Protocol, "{name}: {detail}");
+                let file = path.display().to_string();
+                assert!(detail.contains(&file), "{name}: {detail} must name {file}");
+            }
+            other => panic!("{name}: submission must be refused, got {other:?}"),
+        }
+        assert_eq!(server.stop(), 0, "{name}: nothing may have been installed");
+        let _ = std::fs::remove_file(&path);
+    }
 }

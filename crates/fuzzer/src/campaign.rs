@@ -16,7 +16,7 @@
 use crate::corpus::{Corpus, CrashRecord};
 use crate::failure::FailureStats;
 use crate::mutation::{mutant_rng, mutate};
-use crate::target::{BootPlan, FuzzTarget, IrisHvTarget, TargetFactory};
+use crate::target::{BootPlan, FuzzTarget, TargetFactory};
 use crate::testcase::{MutantRange, TestCase};
 use iris_core::trace::RecordedTrace;
 use iris_hv::coverage::CoverageMap;
@@ -37,64 +37,10 @@ pub struct TestCaseResult {
     pub failures: FailureStats,
 }
 
-/// Default dummy-VM RAM for campaign drivers (sequential and sharded):
+/// Default dummy-VM RAM for campaign drivers:
 /// the seeds carry the state, so RAM only matters for the
 /// guest-memory-dependent paths.
 pub const DEFAULT_RAM_BYTES: u64 = 16 << 20;
-
-/// Campaign driver, generic over the fuzz-target backend.
-#[derive(Debug)]
-pub struct Campaign<F: TargetFactory = IrisHvTarget> {
-    /// Builds the per-test-case target instances.
-    pub factory: F,
-    /// Saved crashes.
-    pub corpus: Corpus,
-}
-
-impl Default for Campaign {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Campaign {
-    /// A stock-backend campaign with small dummy VMs (the seeds carry
-    /// the state; RAM only matters for guest-memory-dependent paths).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_factory(IrisHvTarget::default())
-    }
-}
-
-impl<F: TargetFactory> Campaign<F> {
-    /// A campaign over an explicit backend factory.
-    #[must_use]
-    pub fn with_factory(factory: F) -> Self {
-        Self {
-            factory,
-            corpus: Corpus::new(),
-        }
-    }
-
-    /// Run one test case against a recorded trace.
-    ///
-    /// The trace must be the recording of `testcase.workload`;
-    /// `testcase.seed_index` selects `VM_seed_R` within it.
-    pub fn run_test_case(&mut self, trace: &RecordedTrace, testcase: &TestCase) -> TestCaseResult {
-        self.run_test_case_cov(trace, testcase).0
-    }
-
-    /// Like [`Campaign::run_test_case`], but also returns the coverage
-    /// map the test case touched (baseline ∪ discovered). The parallel
-    /// executor merges these word-wise into the campaign-wide map.
-    pub fn run_test_case_cov(
-        &mut self,
-        trace: &RecordedTrace,
-        testcase: &TestCase,
-    ) -> (TestCaseResult, CoverageMap) {
-        run_test_case_with(&self.factory, &mut self.corpus, trace, testcase)
-    }
-}
 
 /// Partial output of one mutant-range run — everything the aggregator
 /// needs to reassemble the test case's [`TestCaseResult`]. One value is
@@ -325,7 +271,7 @@ pub fn run_test_case_with<F: TargetFactory>(
 mod tests {
     use super::*;
     use crate::mutation::SeedArea;
-    use crate::target::{record_trace, FaultyHvTarget};
+    use crate::target::{record_trace, FaultyHvTarget, IrisHvTarget};
     use crate::testcase::TestCase;
     use iris_guest::workloads::Workload;
     use iris_vtx::exit::ExitReason;
@@ -346,7 +292,7 @@ mod tests {
     fn vmcs_mutation_discovers_new_coverage_and_crashes() {
         let trace = boot_trace(120);
         let idx = find_seed(&trace, ExitReason::CrAccess);
-        let mut campaign = Campaign::new();
+        let mut corpus = Corpus::new();
         let tc = TestCase {
             mutants: 150,
             ..TestCase::new(
@@ -357,7 +303,7 @@ mod tests {
                 3,
             )
         };
-        let r = campaign.run_test_case(&trace, &tc);
+        let (r, _) = run_test_case_with(&IrisHvTarget::default(), &mut corpus, &trace, &tc);
         assert!(r.baseline_lines > 0);
         assert!(r.new_lines > 0, "bit flips must open new paths");
         assert!(r.coverage_increase_percent > 0.0);
@@ -368,17 +314,17 @@ mod tests {
             r.failures
         );
         assert_eq!(
-            campaign.corpus.observed(),
+            corpus.observed(),
             r.failures.hv_crashes + r.failures.vm_crashes
         );
         // 150 VMCS flips hammer a handful of mutation sites; dedup keeps
         // one reproducer per (kind, site, console) signature.
-        let unique = campaign.corpus.unique();
+        let unique = corpus.unique();
         assert!(unique > 0);
         assert!(
-            (unique as u64) < campaign.corpus.observed(),
+            (unique as u64) < corpus.observed(),
             "a crashy site must not flood the corpus: {unique} unique of {}",
-            campaign.corpus.observed()
+            corpus.observed()
         );
     }
 
@@ -386,12 +332,12 @@ mod tests {
     fn gpr_mutation_is_mostly_harmless() {
         let trace = boot_trace(120);
         let idx = find_seed(&trace, ExitReason::Cpuid);
-        let mut campaign = Campaign::new();
+        let mut corpus = Corpus::new();
         let tc = TestCase {
             mutants: 100,
             ..TestCase::new(Workload::OsBoot, idx, ExitReason::Cpuid, SeedArea::Gpr, 4)
         };
-        let r = campaign.run_test_case(&trace, &tc);
+        let (r, _) = run_test_case_with(&IrisHvTarget::default(), &mut corpus, &trace, &tc);
         // The paper: "In all other cases, the hypervisor is not affected
         // by the mutation" (GPR mutations outside CR ACCESS).
         assert_eq!(r.failures.hv_crashes, 0);
@@ -403,7 +349,7 @@ mod tests {
     fn crash_recovery_restores_the_target_state() {
         let trace = boot_trace(60);
         let idx = find_seed(&trace, ExitReason::CrAccess);
-        let mut campaign = Campaign::new();
+        let mut corpus = Corpus::new();
         let tc = TestCase {
             mutants: 60,
             ..TestCase::new(
@@ -414,7 +360,7 @@ mod tests {
                 5,
             )
         };
-        let r = campaign.run_test_case(&trace, &tc);
+        let (r, _) = run_test_case_with(&IrisHvTarget::default(), &mut corpus, &trace, &tc);
         // Even with crashes along the way, all mutants were submitted.
         assert_eq!(r.failures.submitted, 60);
     }
@@ -433,7 +379,7 @@ mod tests {
                 11,
             )
         };
-        let factory = crate::target::IrisHvTarget::default();
+        let factory = IrisHvTarget::default();
         let mut ref_corpus = Corpus::new();
         let (ref_result, ref_cov) = run_test_case_with(&factory, &mut ref_corpus, &trace, &tc);
         assert!(
@@ -471,7 +417,7 @@ mod tests {
             ..TestCase::new(Workload::OsBoot, 0, trace.seeds[0].reason, SeedArea::Gpr, 1)
         };
         let _ = run_mutant_range_with(
-            &crate::target::IrisHvTarget::default(),
+            &IrisHvTarget::default(),
             &trace,
             &tc,
             MutantRange { start: 4, len: 2 },
@@ -489,15 +435,14 @@ mod tests {
             mutants: 150,
             ..TestCase::new(Workload::OsBoot, idx, ExitReason::Cpuid, SeedArea::Gpr, 4)
         };
-        let mut faulty = Campaign::with_factory(FaultyHvTarget::default());
-        let r = faulty.run_test_case(&trace, &tc);
+        let mut corpus = Corpus::new();
+        let (r, _) = run_test_case_with(&FaultyHvTarget::default(), &mut corpus, &trace, &tc);
         assert!(
             r.failures.hv_crashes > 0,
             "planted CPUID bug must fire under GPR mutation: {:?}",
             r.failures
         );
-        assert!(faulty
-            .corpus
+        assert!(corpus
             .crashes
             .iter()
             .any(|c| c.console.contains("Xen BUG at cpuid.c")));

@@ -38,9 +38,10 @@
 //! every I/O error is collected and surfaced joined at the end.
 
 use crate::corpus::Corpus;
+use crate::executor::ExecutorError;
 use crate::failure::FailureStats;
 use crate::guided::GuidedConfig;
-use crate::parallel::CampaignReport;
+use crate::parallel::{CampaignReport, FoldError};
 use iris_core::seed::VmSeed;
 use iris_hv::coverage::CoverageMap;
 use serde::{Deserialize, Serialize};
@@ -146,6 +147,137 @@ fn validate(version: u32, fingerprint: &str, expected: &str, path: &Path) -> io:
         ));
     }
     Ok(())
+}
+
+/// A fingerprint-valid checkpoint whose *structure* contradicts the run
+/// it claims to belong to — what [`crate::guided::SharedEngine::resume`]
+/// and [`crate::parallel::CampaignEngine::resume`] return instead of
+/// panicking or silently loading a wrong state. The fingerprint only
+/// proves the file was written for this configuration; these checks
+/// prove its contents can be continued from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CheckpointMismatch {
+    /// Guided: `next_slot` is past the budget or off a generation
+    /// boundary — checkpoints are only taken at barriers.
+    SlotOffBoundary {
+        /// The checkpoint's next slot.
+        next_slot: u64,
+        /// The run's generation size.
+        generation: u64,
+    },
+    /// Guided: promoted seeds and lineage entries do not pair up.
+    LineageLength {
+        /// Lineage entries in the checkpoint.
+        lineage: usize,
+        /// Promoted seeds in the checkpoint.
+        promoted: usize,
+    },
+    /// Guided: lineage entry `entry` names a mutation base that did not
+    /// exist yet when that promotion happened.
+    LineageBase {
+        /// Position of the offending lineage entry.
+        entry: usize,
+        /// The base index it names.
+        base: usize,
+    },
+    /// Campaign: `folded` disagrees with the stored results or exceeds
+    /// the plan.
+    FoldedCount {
+        /// The checkpoint's folded counter.
+        folded: usize,
+        /// Results actually stored in its report.
+        results: usize,
+        /// Test cases in this run's plan.
+        plan: usize,
+    },
+    /// Campaign: stored result `index` is not the plan's test case at
+    /// that position — the report is not a folded prefix of this plan.
+    PlanPrefix {
+        /// First position where result and plan disagree.
+        index: usize,
+    },
+}
+
+impl std::fmt::Display for CheckpointMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Self::SlotOffBoundary {
+                next_slot: slot,
+                generation: gen,
+            } => write!(
+                f,
+                "slot {slot} is past the budget or off a {gen}-slot boundary"
+            ),
+            Self::LineageLength { lineage, promoted } => {
+                write!(f, "{lineage} lineage entries for {promoted} promoted seeds")
+            }
+            Self::LineageBase { entry, base } => {
+                write!(
+                    f,
+                    "lineage entry {entry} names base {base} before it existed"
+                )
+            }
+            Self::FoldedCount {
+                folded,
+                results,
+                plan,
+            } => write!(
+                f,
+                "folded={folded}, {results} stored results, plan of {plan}"
+            ),
+            Self::PlanPrefix { index } => {
+                write!(
+                    f,
+                    "stored result {index} is not the plan's test case {index}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for CheckpointMismatch {}
+
+/// Why a resumable in-process session
+/// ([`crate::parallel::ParallelCampaign::run_session`],
+/// [`crate::guided::run_guided_shared_session`]) gave up.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SessionError {
+    /// The executor gave up (restart budget exhausted).
+    Executor(ExecutorError),
+    /// The resume checkpoint cannot be continued from.
+    Checkpoint(CheckpointMismatch),
+    /// A chunk output did not fit the campaign's chunk list.
+    Fold(FoldError),
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Executor(e) => e.fmt(f),
+            Self::Checkpoint(e) => write!(f, "resume checkpoint is inconsistent: {e}"),
+            Self::Fold(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for SessionError {}
+
+impl From<ExecutorError> for SessionError {
+    fn from(e: ExecutorError) -> Self {
+        Self::Executor(e)
+    }
+}
+
+impl From<CheckpointMismatch> for SessionError {
+    fn from(e: CheckpointMismatch) -> Self {
+        Self::Checkpoint(e)
+    }
+}
+
+impl From<FoldError> for SessionError {
+    fn from(e: FoldError) -> Self {
+        Self::Fold(e)
+    }
 }
 
 fn load_json<T: Deserialize>(path: &Path) -> io::Result<T> {

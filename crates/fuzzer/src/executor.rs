@@ -1,25 +1,24 @@
 //! The shared work-stealing executor every parallel driver runs on.
 //!
-//! PR 4 built the worker-pool mechanics inside
-//! [`crate::parallel::ParallelCampaign`]: an **atomic-cursor claim**
-//! over a precomputed, indexed work list (one uncontended `fetch_add`
-//! per claim — measured 5.6 vs 13.7 ns against the old
-//! `Mutex<VecDeque>` queue), worker threads streaming `(index, output)`
-//! pairs to the aggregating thread over an `mpsc` channel, and an
-//! aggregator that re-establishes **item order** whatever the
-//! completion order was. This module extracts that core so the chunked
-//! campaign executor, the guided ensembles, and the generational
-//! shared-corpus guided engine ([`crate::guided::run_guided_shared`])
-//! all shard on one engine instead of three hand-rolled pools.
+//! One entry point, [`run_ordered`]: an **atomic-cursor claim** over a
+//! precomputed, indexed work list (one uncontended `fetch_add` per
+//! claim — measured 5.6 vs 13.7 ns against the old `Mutex<VecDeque>`
+//! queue), worker threads streaming `(index, output)` pairs to the
+//! calling thread over an `mpsc` channel, and a [`Reorder`] buffer that
+//! re-establishes **item order** whatever the completion order was.
+//! The chunked campaign ([`crate::parallel::ParallelCampaign`]), the
+//! generational guided engine
+//! ([`crate::guided::run_guided_shared_session`]) and the CLI's guided
+//! ensembles all shard on it; callers that want a `Vec` collect in
+//! their sink.
 //!
-//! The primitive is [`run_ordered`]: claim items off the cursor, run
-//! each through `work` on whichever worker stole it, and deliver every
-//! output to `sink` **in item-index order** on the calling thread —
-//! eagerly, as soon as the next-in-order output exists, so a
+//! Each item runs through `work` on whichever worker stole it, and
+//! every output reaches `sink` **in item-index order** on the calling
+//! thread — eagerly, as soon as the next-in-order output exists, so a
 //! deterministic fold can consume results while workers are still
-//! running. Out-of-order arrivals are parked in a map keyed by index,
-//! so memory scales with the *out-of-order window* (bounded by how far
-//! the fastest worker runs ahead), not with the work list.
+//! running. Out-of-order arrivals are parked by index, so memory
+//! scales with the *out-of-order window* (bounded by how far the
+//! fastest worker runs ahead), not with the work list.
 //!
 //! Workers can carry state across the items they claim:
 //! `worker_ctx` builds one context per worker thread, **lazily** on its
@@ -31,9 +30,9 @@
 //!
 //! # Fault tolerance
 //!
-//! PR 6 hardened the claim loop. Every `work` call (together with the
-//! lazy context build that may precede it) runs under
-//! [`std::panic::catch_unwind`]. When a worker panics:
+//! Every `work` call (together with the lazy context build that may
+//! precede it) runs under [`std::panic::catch_unwind`]. When a worker
+//! panics:
 //!
 //! * its context is **torn down** (the panicking state is dropped, and
 //!   the worker rebuilds a fresh context lazily on its next claim — a
@@ -99,7 +98,7 @@ pub const INJECTED_FAULT: &str = "injected executor fault";
 /// * [`panic_at_claim`](Self::panic_at_claim) — panic on the n-th
 ///   **claim ordinal** of the run (0-based, counted across all
 ///   workers in claim order), independent of which item was claimed.
-///   Ordinals are per [`run_ordered_with`] invocation.
+///   Ordinals are per [`run_ordered`] invocation.
 ///
 /// The plan is interior-mutable and `Sync`; thread it into a run via
 /// [`RunPolicy::faults`]. Injected panics carry the
@@ -211,9 +210,9 @@ pub fn quiet_injected_faults() {
 
 /// Fault-tolerance knobs for one executor run.
 ///
-/// The default policy matches what the infallible entry points use:
-/// a restart budget of [`RunPolicy::DEFAULT_MAX_WORKER_RESTARTS`], no
-/// stop flag, no fault injection.
+/// The default policy is a restart budget of
+/// [`RunPolicy::DEFAULT_MAX_WORKER_RESTARTS`], no stop flag, no fault
+/// injection.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunPolicy<'a> {
     /// How many worker panics one run absorbs before giving up with
@@ -382,9 +381,70 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Fault-tolerant core of the executor: [`run_ordered`] plus a
-/// [`RunPolicy`] that controls panic recovery, cooperative stop, and
-/// fault injection.
+/// The index-reorder buffer every ordered fold shares: outputs arrive
+/// tagged with their index in any order, and leave in index order —
+/// eagerly when the next index arrives, parked while a gap is open.
+/// [`run_ordered`]'s aggregator, [`crate::parallel::CampaignEngine`]
+/// and the `crates/dist` coordinator's generation barrier all order
+/// through this one type.
+#[derive(Debug)]
+pub struct Reorder<R> {
+    /// Outputs that ran ahead of a gap, keyed by index.
+    parked: BTreeMap<usize, R>,
+    /// The next index to deliver; everything below it has been.
+    next: usize,
+}
+
+impl<R> Default for Reorder<R> {
+    /// An empty buffer expecting index 0 first.
+    fn default() -> Self {
+        Self {
+            parked: BTreeMap::new(),
+            next: 0,
+        }
+    }
+}
+
+impl<R> Reorder<R> {
+    /// Accept `out` for `index` and hand every output that is now
+    /// next-in-order to `deliver`, in index order. Each index must be
+    /// pushed at most once (callers deduplicate — the executor by
+    /// construction, the coordinator through its lease table).
+    pub fn push(&mut self, index: usize, out: R, mut deliver: impl FnMut(usize, R)) {
+        debug_assert!(index >= self.next, "index {index} was already delivered");
+        if index != self.next {
+            self.parked.insert(index, out);
+            return;
+        }
+        deliver(index, out);
+        self.next += 1;
+        while let Some(out) = self.parked.remove(&self.next) {
+            deliver(self.next, out);
+            self.next += 1;
+        }
+    }
+
+    /// Outputs delivered so far — the contiguous prefix `0..delivered`.
+    #[must_use]
+    pub fn delivered(&self) -> usize {
+        self.next
+    }
+}
+
+/// Shard `items` across at most `jobs` worker threads and deliver each
+/// item's output to `sink` in **item-index order**, eagerly.
+///
+/// * Workers claim indices off an atomic cursor (one `fetch_add` per
+///   claim, no lock on the hot path).
+/// * `worker_ctx` runs on the worker thread, once per worker, lazily at
+///   its first successful claim; the context is handed to every `work`
+///   call that worker makes.
+/// * `sink` runs on the calling thread, concurrently with the workers;
+///   out-of-order completions are parked until the gap before them
+///   fills.
+/// * `policy` controls panic recovery, cooperative stop, and fault
+///   injection ([`RunPolicy::default`] absorbs up to
+///   [`RunPolicy::DEFAULT_MAX_WORKER_RESTARTS`] worker panics).
 ///
 /// On success the sink has seen every index in order, exactly once —
 /// byte-identical to a run without panics, because re-leased indices
@@ -400,7 +460,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`ExecutorError::RestartBudgetExhausted`] when worker panics exceed
 /// `policy.max_worker_restarts`; [`ExecutorError::Interrupted`] when
 /// `policy.stop` trips before the work list drains.
-pub fn run_ordered_with<T, R, C, B, W, S>(
+pub fn run_ordered<T, R, C, B, W, S>(
     items: &[T],
     jobs: usize,
     policy: &RunPolicy<'_>,
@@ -499,24 +559,11 @@ where
             });
         }
         drop(tx);
-        // Re-establish item order: deliver eagerly when the next index
-        // arrives, park everything that ran ahead of a gap.
-        let mut parked: BTreeMap<usize, R> = BTreeMap::new();
-        let mut next = 0usize;
+        let mut order = Reorder::default();
         for (index, out) in rx {
-            if index == next {
-                sink(next, out);
-                next += 1;
-                while let Some(out) = parked.remove(&next) {
-                    sink(next, out);
-                    next += 1;
-                }
-            } else {
-                parked.insert(index, out);
-            }
+            order.push(index, out, &mut sink);
         }
-        if next == items.len() {
-            debug_assert!(parked.is_empty());
+        if order.delivered() == items.len() {
             return Ok(());
         }
         if faults.poisoned.load(Ordering::Acquire) {
@@ -530,99 +577,10 @@ where
             });
         }
         Err(ExecutorError::Interrupted {
-            delivered: next,
+            delivered: order.delivered(),
             total: items.len(),
         })
     })
-}
-
-/// Shard `items` across at most `jobs` worker threads and deliver each
-/// item's output to `sink` in **item-index order**, eagerly.
-///
-/// * Workers claim indices off an atomic cursor (one `fetch_add` per
-///   claim, no lock on the hot path).
-/// * `worker_ctx` runs on the worker thread, once per worker, lazily at
-///   its first successful claim; the context is handed to every `work`
-///   call that worker makes.
-/// * `sink` runs on the calling thread, concurrently with the workers;
-///   out-of-order completions are parked until the gap before them
-///   fills.
-///
-/// Worker panics are absorbed and the lost indices re-executed under
-/// the default [`RunPolicy`]; only exhausting the default restart
-/// budget panics (with the [`ExecutorError`] message). Use
-/// [`run_ordered_with`] to configure recovery, interruption, or fault
-/// injection.
-pub fn run_ordered<T, R, C, B, W, S>(items: &[T], jobs: usize, worker_ctx: B, work: W, sink: S)
-where
-    T: Sync,
-    R: Send,
-    B: Fn() -> C + Sync,
-    W: Fn(&mut C, usize, &T) -> R + Sync,
-    S: FnMut(usize, R),
-{
-    if let Err(err) = run_ordered_with(items, jobs, &RunPolicy::default(), worker_ctx, work, sink) {
-        // No stop flag in the default policy, so the only reachable
-        // error is budget exhaustion — a persistent crash-loop.
-        // lint:allow(panic-path-audit) -- infallible wrapper by contract: a
-        // persistent crash-loop past the default budget is itself a panic
-        panic!("executor run failed: {err}");
-    }
-}
-
-/// [`run_ordered`] collecting the outputs into a `Vec` in item order —
-/// the barrier form the guided ensembles use (one indivisible work item
-/// per instance, no per-worker state).
-pub fn run_indexed<T, R, F>(items: &[T], jobs: usize, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_indexed_ctx(items, jobs, || (), |(), index, item| work(index, item))
-}
-
-/// [`run_ordered`] with per-worker context, collecting the outputs into
-/// a `Vec` in item order — the generational guided engine's batch form:
-/// every worker builds one booted target and serves all the slots it
-/// steals on it.
-pub fn run_indexed_ctx<T, R, C, B, W>(items: &[T], jobs: usize, worker_ctx: B, work: W) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    B: Fn() -> C + Sync,
-    W: Fn(&mut C, usize, &T) -> R + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    run_ordered(items, jobs, worker_ctx, work, |_, r| out.push(r));
-    out
-}
-
-/// [`run_indexed_ctx`] under an explicit [`RunPolicy`] — the batch
-/// form the guided engine uses so a generation can absorb worker
-/// panics and honour stop requests.
-///
-/// # Errors
-///
-/// Propagates [`run_ordered_with`]'s errors; on
-/// [`ExecutorError::Interrupted`] the partially collected outputs are
-/// discarded with the error (a generation is all-or-nothing).
-pub fn run_indexed_ctx_with<T, R, C, B, W>(
-    items: &[T],
-    jobs: usize,
-    policy: &RunPolicy<'_>,
-    worker_ctx: B,
-    work: W,
-) -> Result<Vec<R>, ExecutorError>
-where
-    T: Sync,
-    R: Send,
-    B: Fn() -> C + Sync,
-    W: Fn(&mut C, usize, &T) -> R + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    run_ordered_with(items, jobs, policy, worker_ctx, work, |_, r| out.push(r))?;
-    Ok(out)
 }
 
 /// Worker count of the host (`std::thread::available_parallelism`),
@@ -639,15 +597,41 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+    /// Collect the ordered deliveries, as batch callers do in their sink.
+    fn collect<T: Sync, R: Send, C>(
+        items: &[T],
+        jobs: usize,
+        policy: &RunPolicy<'_>,
+        worker_ctx: impl Fn() -> C + Sync,
+        work: impl Fn(&mut C, usize, &T) -> R + Sync,
+    ) -> Result<Vec<R>, ExecutorError> {
+        let mut out = Vec::with_capacity(items.len());
+        run_ordered(items, jobs, policy, worker_ctx, work, |_, r| out.push(r))?;
+        Ok(out)
+    }
+
+    fn faulty(plan: &FaultPlan) -> RunPolicy<'_> {
+        RunPolicy {
+            faults: Some(plan),
+            ..RunPolicy::default()
+        }
+    }
+
     #[test]
     fn outputs_come_back_in_item_order() {
         let items: Vec<usize> = (0..100).collect();
         for jobs in [1usize, 2, 8] {
-            let out = run_indexed(&items, jobs, |i, &v| {
-                assert_eq!(i, v);
-                v * 3
-            });
-            assert_eq!(out, (0..100).map(|v| v * 3).collect::<Vec<_>>());
+            let out = collect(
+                &items,
+                jobs,
+                &RunPolicy::default(),
+                || (),
+                |(), i, &v| {
+                    assert_eq!(i, v);
+                    v * 3
+                },
+            );
+            assert_eq!(out, Ok((0..100).map(|v| v * 3).collect::<Vec<_>>()));
         }
     }
 
@@ -658,13 +642,15 @@ mod tests {
         run_ordered(
             &items,
             4,
+            &RunPolicy::default(),
             || (),
             |(), _, &v| v,
             |index, v| {
                 seen.push(index);
                 assert_eq!(v as usize, index);
             },
-        );
+        )
+        .expect("no faults, no stop flag");
         assert_eq!(seen, (0..64).collect::<Vec<_>>());
     }
 
@@ -672,13 +658,14 @@ mod tests {
     fn worker_contexts_are_lazy_and_bounded_by_jobs() {
         let items: Vec<usize> = (0..40).collect();
         let built = AtomicUsize::new(0);
-        let out = run_indexed_ctx(
+        let out = collect(
             &items,
             3,
+            &RunPolicy::default(),
             || built.fetch_add(1, Ordering::Relaxed),
             |_ctx, _, &v| v,
         );
-        assert_eq!(out.len(), 40);
+        assert_eq!(out, Ok(items.clone()));
         let built = built.load(Ordering::Relaxed);
         assert!(
             (1..=3).contains(&built),
@@ -691,48 +678,52 @@ mod tests {
         // With one worker, a single context serves every item, so a
         // per-context counter ends at the item count.
         let items: Vec<usize> = (0..25).collect();
-        let out = run_indexed_ctx(
+        let out = collect(
             &items,
             1,
+            &RunPolicy::default(),
             || 0usize,
             |count, _, _| {
                 *count += 1;
                 *count
             },
         );
-        assert_eq!(out, (1..=25).collect::<Vec<_>>());
+        assert_eq!(out, Ok((1..=25).collect::<Vec<_>>()));
     }
 
     #[test]
     fn empty_items_are_a_no_op() {
-        let out = run_indexed::<u32, u32, _>(&[], 4, |_, &v| v);
-        assert!(out.is_empty());
         let mut fired = false;
-        run_ordered::<u32, u32, (), _, _, _>(&[], 4, || (), |(), _, &v| v, |_, _| fired = true);
+        let outcome = run_ordered(
+            &[0u32; 0],
+            4,
+            &RunPolicy::default(),
+            || (),
+            |(), _, &v| v,
+            |_, _| fired = true,
+        );
+        assert_eq!(outcome, Ok(()));
         assert!(!fired);
     }
 
     #[test]
     fn more_workers_than_items_is_fine() {
         let items = [7u64, 8, 9];
-        assert_eq!(run_indexed(&items, 64, |_, &v| v + 1), vec![8, 9, 10]);
+        let out = collect(&items, 64, &RunPolicy::default(), || (), |(), _, &v| v + 1);
+        assert_eq!(out, Ok(vec![8, 9, 10]));
     }
 
     #[test]
     fn injected_panic_is_recovered_byte_identically() {
         quiet_injected_faults();
         let items: Vec<usize> = (0..50).collect();
-        let reference = run_indexed(&items, 1, |_, &v| v * 7);
+        let reference: Vec<usize> = items.iter().map(|v| v * 7).collect();
         for jobs in [1usize, 2, 4] {
             let plan = FaultPlan::new()
                 .panic_once_at(3)
                 .panic_once_at(17)
                 .panic_once_at(49);
-            let policy = RunPolicy {
-                faults: Some(&plan),
-                ..RunPolicy::default()
-            };
-            let out = run_indexed_ctx_with(&items, jobs, &policy, || (), |(), _, &v| v * 7)
+            let out = collect(&items, jobs, &faulty(&plan), || (), |(), _, &v| v * 7)
                 .expect("panics within budget must be absorbed");
             assert_eq!(out, reference, "jobs={jobs}");
         }
@@ -743,11 +734,7 @@ mod tests {
         quiet_injected_faults();
         let items: Vec<usize> = (0..32).collect();
         let plan = FaultPlan::new().panic_at_claim(0).panic_at_claim(9);
-        let policy = RunPolicy {
-            faults: Some(&plan),
-            ..RunPolicy::default()
-        };
-        let out = run_indexed_ctx_with(&items, 2, &policy, || (), |(), _, &v| v + 1)
+        let out = collect(&items, 2, &faulty(&plan), || (), |(), _, &v| v + 1)
             .expect("claim faults within budget must be absorbed");
         assert_eq!(out, (1..=32).collect::<Vec<_>>());
     }
@@ -758,14 +745,10 @@ mod tests {
         let items: Vec<usize> = (0..10).collect();
         let built = AtomicUsize::new(0);
         let plan = FaultPlan::new().panic_once_at(4);
-        let policy = RunPolicy {
-            faults: Some(&plan),
-            ..RunPolicy::default()
-        };
-        let out = run_indexed_ctx_with(
+        let out = collect(
             &items,
             1,
-            &policy,
+            &faulty(&plan),
             || built.fetch_add(1, Ordering::Relaxed),
             |_ctx, _, &v| v,
         )
@@ -786,7 +769,7 @@ mod tests {
             faults: Some(&plan),
             ..RunPolicy::default()
         };
-        let err = run_indexed_ctx_with(&items, 2, &policy, || (), |(), _, &v| v)
+        let err = collect(&items, 2, &policy, || (), |(), _, &v| v)
             .expect_err("a persistent fault must exhaust the budget");
         match &err {
             ExecutorError::RestartBudgetExhausted {
@@ -816,7 +799,7 @@ mod tests {
             stop: Some(&stop),
             ..RunPolicy::default()
         };
-        let err = run_indexed_ctx_with(&items, 4, &policy, || (), |(), _, &v| v)
+        let err = collect(&items, 4, &policy, || (), |(), _, &v| v)
             .expect_err("a pre-tripped stop flag must interrupt");
         assert_eq!(
             err,
@@ -836,7 +819,7 @@ mod tests {
             ..RunPolicy::default()
         };
         let mut delivered = Vec::new();
-        let err = run_ordered_with(
+        let err = run_ordered(
             &items,
             2,
             &policy,
@@ -877,11 +860,7 @@ mod tests {
         // first claim ordinal); the retry builds cleanly.
         let items: Vec<usize> = (0..6).collect();
         let plan = FaultPlan::new().panic_at_claim(0);
-        let policy = RunPolicy {
-            faults: Some(&plan),
-            ..RunPolicy::default()
-        };
-        let out = run_indexed_ctx_with(&items, 1, &policy, || (), |(), _, &v| v * 2)
+        let out = collect(&items, 1, &faulty(&plan), || (), |(), _, &v| v * 2)
             .expect("context-build panic must be absorbed");
         assert_eq!(out, vec![0, 2, 4, 6, 8, 10]);
     }

@@ -3,59 +3,57 @@
 //!
 //! A greybox loop on top of the replay engine: a corpus of VM seeds is
 //! scheduled round-robin; each scheduled seed is mutated with a rotating
-//! [`Strategy`]; mutants that discover coverage the campaign has never
-//! seen are promoted into the corpus (becoming future mutation bases),
-//! crashes are recorded, and the loop continues for a fixed budget —
-//! the classic AFL feedback cycle, with IRIS seeds as the input format
-//! and the hypervisor's basic-block bitmap as the feedback channel.
+//! [`crate::strategies::Strategy`]; mutants that discover coverage the
+//! campaign has never seen are promoted into the corpus (becoming
+//! future mutation bases), crashes are recorded, and the loop continues
+//! for a fixed budget — the classic AFL feedback cycle, with IRIS seeds
+//! as the input format and the hypervisor's basic-block bitmap as the
+//! feedback channel.
 //!
-//! Three drivers share that cycle:
-//!
-//! * [`run_guided`] — the classic **sequential** loop: one long-lived
-//!   target, one RNG threaded through the budget, promotions take
-//!   effect immediately.
-//! * [`run_guided_parallel`] — **ensembles**: N independent sequential
-//!   instances (typically differing in `rng_seed`) sharded over the
-//!   worker pool; N jobs buy N disjoint corpora.
-//! * [`run_guided_shared`] — the **generational shared-corpus** engine:
-//!   one corpus, N workers, deterministic results for any worker
-//!   count. The budget is cut into *generations*
-//!   ([`GuidedConfig::generation`] slots each). Each generation
-//!   snapshots the corpus and the coverage map, expands
-//!   deterministically into an indexed batch of slots — slot `g` is a
-//!   pure function of `(corpus, rng_seed, g)` per the scheduling law
-//!   ([`crate::strategies::scheduled_mutant`], RNG =
-//!   `SmallRng(rng_seed ⊕ g)`) — and executes the batch on the shared
-//!   work-stealing executor ([`crate::executor`]): every worker builds
-//!   one private booted [`SlotContext`] and serves all the slots it
-//!   steals on it. Each slot **positions at its mutation base's
-//!   state** — `s1` plus the base's seed path ([`corpus_paths`]) — so
-//!   mutation resumes from where the promoted base left off instead of
-//!   rebooting to `s1`; with a snapshot forest
-//!   ([`crate::target::TargetFactory::forest`]) that positioning is an
-//!   O(delta) restore of the base's pinned node, without one it is a
-//!   root reset plus path replay — **state-identical by the forest
-//!   law**, so the forest is a pure accelerator. At the **generation
-//!   barrier** the outcomes merge in slot order against the
-//!   generation-start coverage map: promotions append to the corpus in
-//!   slot order, crash records fold into the crash corpus in slot
-//!   order, and the growth curve records one point per generation.
-//!   Because the from-scratch positioning makes every slot outcome an
-//!   *exact* pure function of
-//!   `(corpus, paths, coverage snapshot, rng_seed, g)` — no residual
-//!   target state leaks between the slots a worker serves — and the
-//!   merge order is defined, the serialized [`GuidedResult`] is
-//!   **byte-identical for any `jobs` count and with the forest on or
-//!   off** — jobs=1 without a forest is the reference semantics. The
-//!   same law is what lets a panicked worker's lost slots be
-//!   re-executed byte-identically (see RELIABILITY.md).
+//! One engine runs that cycle — the **generational shared-corpus**
+//! engine ([`SharedEngine`], driven in-process by
+//! [`run_guided_shared_session`] and over the wire by the `crates/dist`
+//! coordinator): one corpus, N workers, deterministic results for any
+//! worker count. (Ensembles — N disjoint corpora — are N such engines
+//! at `jobs = 1` over distinct `rng_seed`s, sharded on the executor by
+//! whoever wants them; `iris guided --mode ensemble` does exactly
+//! that.) The budget is cut into *generations*
+//! ([`GuidedConfig::generation`] slots each). Each generation
+//! snapshots the corpus and the coverage map, expands
+//! deterministically into an indexed batch of slots — slot `g` is a
+//! pure function of `(corpus, rng_seed, g)` per the scheduling law
+//! ([`crate::strategies::scheduled_mutant`], RNG =
+//! `SmallRng(rng_seed ⊕ g)`) — and executes the batch on the shared
+//! work-stealing executor ([`crate::executor`]): every worker builds
+//! one private booted [`SlotContext`] and serves all the slots it
+//! steals on it. Each slot **positions at its mutation base's
+//! state** — `s1` plus the base's seed path ([`corpus_paths`]) — so
+//! mutation resumes from where the promoted base left off instead of
+//! rebooting to `s1`; with a snapshot forest
+//! ([`crate::target::TargetFactory::forest`]) that positioning is an
+//! O(delta) restore of the base's pinned node, without one it is a
+//! root reset plus path replay — **state-identical by the forest
+//! law**, so the forest is a pure accelerator. At the **generation
+//! barrier** the outcomes merge in slot order against the
+//! generation-start coverage map: promotions append to the corpus in
+//! slot order, crash records fold into the crash corpus in slot
+//! order, and the growth curve records one point per generation.
+//! Because the from-scratch positioning makes every slot outcome an
+//! *exact* pure function of
+//! `(corpus, paths, coverage snapshot, rng_seed, g)` — no residual
+//! target state leaks between the slots a worker serves — and the
+//! merge order is defined, the serialized [`GuidedResult`] is
+//! **byte-identical for any `jobs` count and with the forest on or
+//! off** — jobs=1 without a forest is the reference semantics. The
+//! same law is what lets a panicked worker's lost slots be
+//! re-executed byte-identically (see RELIABILITY.md).
 
-use crate::checkpoint::{GuidedCheckpoint, CHECKPOINT_VERSION};
+use crate::checkpoint::{CheckpointMismatch, GuidedCheckpoint, SessionError, CHECKPOINT_VERSION};
 use crate::corpus::{Corpus, CrashRecord};
 use crate::executor::{ExecutorError, RunPolicy};
 use crate::failure::FailureStats;
-use crate::strategies::{mutate_with, scheduled_mutant, Strategy};
-use crate::target::{BootPlan, CrashVerdict, FuzzTarget, IrisHvTarget, TargetFactory};
+use crate::strategies::scheduled_mutant;
+use crate::target::{BootPlan, CrashVerdict, FuzzTarget, TargetFactory};
 use crate::testcase::TestCase;
 use iris_core::forest::StateId;
 use iris_core::seed::VmSeed;
@@ -63,8 +61,6 @@ use iris_core::trace::RecordedTrace;
 use iris_guest::workloads::Workload;
 use iris_hv::coverage::CoverageMap;
 use iris_vtx::exit::ExitReason;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Result of a guided run.
@@ -82,9 +78,7 @@ pub struct GuidedResult {
     pub baseline_lines: u64,
     /// Failure statistics.
     pub failures: FailureStats,
-    /// Coverage growth: total lines after each sync point — each 1/16
-    /// of the budget for the sequential loop, each generation barrier
-    /// for the shared engine.
+    /// Coverage growth: total lines after each generation barrier.
     pub growth: Vec<u64>,
     /// The promoted mutants, in promotion order — the shared-corpus
     /// determinism guarantee covers the corpus *order*, so the
@@ -105,7 +99,7 @@ pub struct GuidedConfig {
     /// Dummy-VM RAM.
     pub ram_bytes: u64,
     /// Slots per generation of the shared-corpus engine (clamped to
-    /// ≥ 1; the sequential loop ignores it). Smaller generations fold
+    /// ≥ 1). Smaller generations fold
     /// discoveries back into the scheduling corpus sooner; larger ones
     /// expose more parallelism between sync points.
     pub generation: u64,
@@ -123,8 +117,8 @@ impl Default for GuidedConfig {
 }
 
 /// The initial corpus: the first seed of each distinct exit reason —
-/// the trace's "dictionary" of behaviours. Shared by every driver, and
-/// public because distributed workers rebuild the scheduling corpus
+/// the trace's "dictionary" of behaviours. Public because distributed
+/// workers rebuild the scheduling corpus
 /// locally as `initial_corpus(trace) ++ promoted` instead of shipping
 /// it over the wire (the trace re-records deterministically from the
 /// job spec).
@@ -139,27 +133,6 @@ pub fn initial_corpus(trace: &RecordedTrace) -> Vec<VmSeed> {
     corpus
 }
 
-/// The baseline pass every driver shares: submit the initial corpus
-/// once on a fresh booted target and return the union of its coverage
-/// (resetting on crashes). The shared engine runs this outside the
-/// batch, so its baseline is identical to the sequential loop's for
-/// every `jobs` count.
-fn baseline_coverage<F: TargetFactory>(
-    target: &mut F::Target<'_>,
-    corpus: &[VmSeed],
-) -> CoverageMap {
-    let mut seen = CoverageMap::new();
-    for seed in corpus {
-        let out = target.submit(seed);
-        seen.merge(&out.coverage);
-        if out.crash.is_some() {
-            // lint:allow(slot-reset-law) -- sequential corpus warm-up outside the slot protocol: this reset is crash recovery, not slot state; run_slot resets unconditionally
-            target.reset();
-        }
-    }
-    seen
-}
-
 /// The workload a trace was recorded from, by label (crash records name
 /// their test case's workload). Unlabelled/custom traces fall back to
 /// OS BOOT.
@@ -170,12 +143,12 @@ fn workload_of(trace: &RecordedTrace) -> Workload {
         .unwrap_or(Workload::OsBoot)
 }
 
-/// The baseline pass over an explicit factory: build one private booted
-/// target and run the initial corpus through `baseline_coverage`'s
-/// sequential warm-up. The shared engine (and the `crates/dist`
-/// coordinator, which runs this on the serving host) measures the
-/// baseline *outside* the batch, so it is identical for every jobs
-/// count and every fleet size.
+/// The baseline pass: build one private booted target, submit the
+/// initial corpus once, and return the union of its coverage (resetting
+/// on crashes). The shared engine (and the `crates/dist` coordinator,
+/// which runs this on the serving host) measures the baseline *outside*
+/// the batch, so it is identical for every jobs count and every fleet
+/// size.
 #[must_use]
 pub fn measure_baseline<F: TargetFactory>(
     factory: &F,
@@ -184,7 +157,16 @@ pub fn measure_baseline<F: TargetFactory>(
 ) -> CoverageMap {
     let mut target = factory.build(BootPlan::post_boot(trace));
     target.boot();
-    baseline_coverage::<F>(&mut target, corpus)
+    let mut seen = CoverageMap::new();
+    for seed in corpus {
+        let out = target.submit(seed);
+        seen.merge(&out.coverage);
+        if out.crash.is_some() {
+            // lint:allow(slot-reset-law) -- sequential corpus warm-up outside the slot protocol: this reset is crash recovery, not slot state; run_slot resets unconditionally
+            target.reset();
+        }
+    }
+    seen
 }
 
 /// The synthetic test case a guided crash record carries: `seed_index`
@@ -203,116 +185,7 @@ fn guided_testcase(
     }
 }
 
-/// Run the coverage-guided loop seeded from a recorded trace on the
-/// stock backend, sized per `config.ram_bytes`.
-///
-/// The initial corpus is a sample of the trace's seeds (one per distinct
-/// exit reason — the trace's "dictionary" of behaviours).
-#[must_use]
-pub fn run_guided(trace: &RecordedTrace, config: GuidedConfig) -> GuidedResult {
-    run_guided_with(&IrisHvTarget::with_ram(config.ram_bytes), trace, config)
-}
-
-/// [`run_guided`] over an explicit backend factory (the factory's
-/// dummy-VM sizing wins over `config.ram_bytes`).
-#[must_use]
-pub fn run_guided_with<F: TargetFactory>(
-    factory: &F,
-    trace: &RecordedTrace,
-    config: GuidedConfig,
-) -> GuidedResult {
-    // lint:allow(rng-law) -- the guided driver's scheduling RNG is seeded from config.rng_seed, a recorded input; mutant bytes still flow through mutation::mutant_rng
-    let mut rng = SmallRng::seed_from_u64(config.rng_seed);
-    let workload = workload_of(trace);
-
-    let mut corpus = initial_corpus(trace);
-    if corpus.is_empty() {
-        return GuidedResult::default();
-    }
-
-    // One long-lived target: `s1` is the post-boot snapshot, so crash
-    // recovery ([`FuzzTarget::reset`]) restores it in place; only a
-    // SUT-fatal crash rebuilds the stack from scratch.
-    let mut target = factory.build(BootPlan::post_boot(trace));
-    target.boot();
-
-    // Baseline: run the initial corpus once.
-    let mut seen = baseline_coverage::<F>(&mut target, &corpus);
-    let baseline_lines = seen.lines();
-
-    let mut failures = FailureStats::default();
-    let mut promotions = 0u64;
-    let mut promoted = Vec::new();
-    let mut crashes = Corpus::new();
-    let mut growth = Vec::new();
-    let checkpoint = (config.budget / 16).max(1);
-
-    for i in 0..config.budget {
-        let base_idx = (i % corpus.len() as u64) as usize;
-        // lint:allow(panic-path-audit) -- the index is reduced modulo Strategy::ALL.len() in the expression itself
-        let strategy = Strategy::ALL[(i as usize / corpus.len()) % Strategy::ALL.len()];
-        let area = if rng.gen_bool(0.7) {
-            crate::mutation::SeedArea::Vmcs
-        } else {
-            crate::mutation::SeedArea::Gpr
-        };
-        let donor_idx = rng.gen_range(0..corpus.len());
-        let (mutant, reason) = {
-            // lint:allow(panic-path-audit) -- base_idx is i % corpus.len(), in bounds by construction
-            let base = &corpus[base_idx];
-            // lint:allow(panic-path-audit) -- donor_idx is drawn from gen_range(0..corpus.len()), in bounds by construction
-            let donor = &corpus[donor_idx];
-            (
-                mutate_with(base, area, strategy, Some(donor), &mut rng),
-                base.reason,
-            )
-        };
-
-        let out = target.submit(&mutant);
-        failures.record_kind(out.crash.as_ref().map(|v| v.kind));
-        if let Some(verdict) = &out.crash {
-            crashes.push(CrashRecord {
-                testcase: guided_testcase(workload, base_idx, reason, area, config),
-                mutant_index: i as usize,
-                seed: mutant.clone(),
-                mutation: None,
-                kind: verdict.kind,
-                console: verdict.console.clone(),
-            });
-        }
-
-        let new_lines = seen.new_lines_from(&out.coverage);
-        if new_lines > 0 {
-            seen.merge(&out.coverage);
-            // Feedback: interesting mutants join the corpus.
-            promoted.push(mutant.clone());
-            corpus.push(mutant);
-            promotions += 1;
-        }
-
-        if out.crash.is_some() {
-            // lint:allow(slot-reset-law) -- sequential reference path, not a slot: conditional reset is crash recovery; the parallel slot path resets unconditionally in run_slot
-            target.reset();
-        }
-        if (i + 1) % checkpoint == 0 {
-            growth.push(seen.lines());
-        }
-    }
-
-    GuidedResult {
-        executions: config.budget,
-        corpus_size: corpus.len(),
-        promotions,
-        total_lines: seen.lines(),
-        baseline_lines,
-        failures,
-        growth,
-        promoted,
-        crashes,
-    }
-}
-
-/// Progress snapshot handed to [`run_guided_shared_observed`]'s
+/// Progress snapshot handed to [`run_guided_shared_session`]'s
 /// observer at every generation barrier, after the merge — drive
 /// progress lines, persist the crash corpus incrementally, or build a
 /// durable checkpoint ([`GenerationProgress::checkpoint`]); pair with
@@ -331,60 +204,32 @@ pub struct GenerationProgress<'a> {
     pub total_lines: u64,
     /// Scheduling-corpus size (initial seeds + promotions so far).
     pub corpus_size: usize,
-    /// Promotions so far.
-    pub promotions: u64,
     /// The crash corpus so far.
     pub crashes: &'a Corpus,
-    /// Lines the initial corpus alone covered.
-    pub baseline_lines: u64,
-    /// Failure counters folded so far.
-    pub failures: FailureStats,
-    /// The evolving coverage map at this barrier.
-    pub seen: &'a CoverageMap,
-    /// The promoted mutants so far, in promotion order.
-    pub promoted: &'a [VmSeed],
-    /// Promotion lineage, aligned with `promoted` (see
-    /// [`corpus_paths`]).
-    pub lineage: &'a [(usize, bool)],
-    /// The growth curve so far (one point per completed generation).
-    pub growth: &'a [u64],
+    engine: &'a SharedEngine,
 }
 
 impl GenerationProgress<'_> {
-    /// Snapshot this barrier's state as a durable
-    /// [`GuidedCheckpoint`] carrying `fingerprint` — a barrier is the
-    /// one point where the engine's state is complete and
-    /// deterministic, so the snapshot resumes byte-identically.
+    /// [`SharedEngine::checkpoint`] at this barrier.
     #[must_use]
     pub fn checkpoint(&self, fingerprint: &str) -> GuidedCheckpoint {
-        GuidedCheckpoint {
-            version: CHECKPOINT_VERSION,
-            fingerprint: fingerprint.to_owned(),
-            next_slot: self.executed,
-            baseline_lines: self.baseline_lines,
-            seen: self.seen.clone(),
-            promotions: self.promotions,
-            promoted: self.promoted.to_vec(),
-            lineage: self.lineage.to_vec(),
-            failures: self.failures,
-            crashes: self.crashes.clone(),
-            growth: self.growth.to_vec(),
-        }
+        self.engine.checkpoint(fingerprint)
     }
 }
 
 /// Options for [`run_guided_shared_session`]: where to resume from and
 /// how to react to worker panics and stop requests. The default is a
 /// fresh, uninterruptible run under the executor's default restart
-/// budget — exactly [`run_guided_shared_observed`]'s behavior.
+/// budget.
 #[derive(Debug, Default)]
 pub struct SharedRunOptions<'a> {
     /// Executor fault policy: restart budget, cooperative stop flag,
     /// fault injection. The stop flag is honoured at generation-loop
     /// boundaries as well as the executor's claim points.
     pub policy: RunPolicy<'a>,
-    /// Resume from a generation-barrier checkpoint (validate it with
-    /// [`GuidedCheckpoint::load`] first — the engine trusts it).
+    /// Resume from a generation-barrier checkpoint (fingerprint-checked
+    /// by [`GuidedCheckpoint::load`]; [`SharedEngine::resume`] checks
+    /// its structure).
     pub resume: Option<GuidedCheckpoint>,
 }
 
@@ -432,17 +277,36 @@ pub struct SlotRange {
 /// unchanged (a crashed state is not a useful mutation base). Shared
 /// with `crates/dist`, whose workers rebuild the same paths from the
 /// lineage the coordinator ships at each epoch.
-#[must_use]
-pub fn corpus_paths(initial_len: usize, lineage: &[(usize, bool)]) -> Vec<Vec<usize>> {
+///
+/// # Errors
+/// Lineage crosses trust boundaries (checkpoint files, epoch frames):
+/// [`CheckpointMismatch::LineageLength`] when it does not pair up with
+/// the `promoted` seeds, [`CheckpointMismatch::LineageBase`] when an
+/// entry names a base that did not exist at its promotion — a dangling
+/// base would position slots at the wrong state.
+pub fn corpus_paths(
+    initial_len: usize,
+    promoted: usize,
+    lineage: &[(usize, bool)],
+) -> Result<Vec<Vec<usize>>, CheckpointMismatch> {
+    if lineage.len() != promoted {
+        return Err(CheckpointMismatch::LineageLength {
+            lineage: lineage.len(),
+            promoted,
+        });
+    }
     let mut paths: Vec<Vec<usize>> = vec![Vec::new(); initial_len];
-    for (k, (base, extended)) in lineage.iter().enumerate() {
-        let mut path = paths.get(*base).cloned().unwrap_or_default();
-        if *extended {
-            path.push(initial_len + k);
+    for (entry, &(base, extended)) in lineage.iter().enumerate() {
+        let mut path = paths
+            .get(base)
+            .cloned()
+            .ok_or(CheckpointMismatch::LineageBase { entry, base })?;
+        if extended {
+            path.push(initial_len + entry);
         }
         paths.push(path);
     }
-    paths
+    Ok(paths)
 }
 
 /// Per-worker slot execution state: one private booted target plus the
@@ -591,7 +455,6 @@ pub struct SharedEngine {
     seen: CoverageMap,
     baseline_lines: u64,
     failures: FailureStats,
-    promotions: u64,
     promoted: Vec<VmSeed>,
     crashes: Corpus,
     growth: Vec<u64>,
@@ -626,7 +489,6 @@ impl SharedEngine {
             seen: baseline,
             baseline_lines,
             failures: FailureStats::default(),
-            promotions: 0,
             promoted: Vec::new(),
             crashes: Corpus::new(),
             growth: Vec::new(),
@@ -636,45 +498,41 @@ impl SharedEngine {
 
     /// Rebuild an engine from a generation-barrier checkpoint. The
     /// checkpoint's fingerprint was validated at load
-    /// ([`GuidedCheckpoint::load`]) — what remains is structural
-    /// sanity: a checkpoint is only taken at a barrier, so `next_slot`
-    /// must sit on one. The scheduling corpus is always the initial
-    /// corpus plus the promotions, in promotion order — rebuilt here
-    /// instead of stored.
+    /// ([`GuidedCheckpoint::load`]); every structural property the
+    /// engine relies on is checked here, once, for every driver. The
+    /// scheduling corpus is always the initial corpus plus the
+    /// promotions, in promotion order — rebuilt here instead of stored.
+    ///
+    /// # Errors
+    /// [`CheckpointMismatch`] when `next_slot` is past the budget or
+    /// off a generation boundary, when promotions and lineage do not
+    /// line up, or when a lineage entry names a base that did not
+    /// exist.
     ///
     /// # Panics
-    /// Panics on a malformed checkpoint (a `next_slot` beyond the
-    /// budget or off a generation boundary) or an empty initial corpus.
-    #[must_use]
-    pub fn resume(trace: &RecordedTrace, config: GuidedConfig, cp: GuidedCheckpoint) -> Self {
+    /// Panics on an empty initial corpus, like [`SharedEngine::fresh`].
+    pub fn resume(
+        trace: &RecordedTrace,
+        config: GuidedConfig,
+        cp: GuidedCheckpoint,
+    ) -> Result<Self, CheckpointMismatch> {
         let generation = config.generation.max(1);
-        assert!(
-            cp.next_slot <= config.budget,
-            "guided checkpoint is past the budget: {} > {}",
-            cp.next_slot,
-            config.budget
-        );
-        assert!(
-            cp.next_slot == config.budget || cp.next_slot.is_multiple_of(generation),
-            "guided checkpoint slot {} is not a generation boundary (generation {})",
-            cp.next_slot,
-            generation
-        );
+        if cp.next_slot > config.budget
+            || (cp.next_slot != config.budget && !cp.next_slot.is_multiple_of(generation))
+        {
+            return Err(CheckpointMismatch::SlotOffBoundary {
+                next_slot: cp.next_slot,
+                generation,
+            });
+        }
         let mut corpus = initial_corpus(trace);
         assert!(
             !corpus.is_empty(),
             "guided engine requires a non-empty initial corpus"
         );
-        let initial_len = corpus.len();
+        let paths = corpus_paths(corpus.len(), cp.promoted.len(), &cp.lineage)?;
         corpus.extend(cp.promoted.iter().cloned());
-        assert!(
-            cp.lineage.len() == cp.promoted.len(),
-            "guided checkpoint lineage ({}) does not match its promotions ({})",
-            cp.lineage.len(),
-            cp.promoted.len()
-        );
-        let paths = corpus_paths(initial_len, &cp.lineage);
-        Self {
+        Ok(Self {
             workload: workload_of(trace),
             config,
             generation,
@@ -684,12 +542,11 @@ impl SharedEngine {
             seen: cp.seen,
             baseline_lines: cp.baseline_lines,
             failures: cp.failures,
-            promotions: cp.promotions,
             promoted: cp.promoted,
             crashes: cp.crashes,
             growth: cp.growth,
             next_slot: cp.next_slot,
-        }
+        })
     }
 
     /// The next generation to execute — a frozen batch of slots — or
@@ -746,18 +603,6 @@ impl SharedEngine {
         self.config.rng_seed
     }
 
-    /// Slots folded through a barrier so far — the resumable prefix.
-    #[must_use]
-    pub fn executed(&self) -> u64 {
-        self.next_slot
-    }
-
-    /// The run's total slot budget.
-    #[must_use]
-    pub fn budget(&self) -> u64 {
-        self.config.budget
-    }
-
     /// Fold one executed generation back in: the barrier. Outcomes must
     /// arrive in slot order and cover exactly the current
     /// [`SharedEngine::batch`]. Promotions are re-checked against the
@@ -811,7 +656,6 @@ impl SharedEngine {
                     self.paths.push(path);
                     self.promoted.push(mutant.clone());
                     self.corpus.push(mutant);
-                    self.promotions += 1;
                 }
             }
         }
@@ -819,10 +663,7 @@ impl SharedEngine {
         self.growth.push(self.seen.lines());
     }
 
-    /// Progress through the last completed barrier — the one point
-    /// where the engine's state is complete and deterministic, hence
-    /// where [`GenerationProgress::checkpoint`] snapshots resume
-    /// byte-identically.
+    /// Progress through the last completed barrier.
     #[must_use]
     pub fn progress(&self) -> GenerationProgress<'_> {
         GenerationProgress {
@@ -831,14 +672,29 @@ impl SharedEngine {
             budget: self.config.budget,
             total_lines: self.seen.lines(),
             corpus_size: self.corpus.len(),
-            promotions: self.promotions,
             crashes: &self.crashes,
+            engine: self,
+        }
+    }
+
+    /// Snapshot the state through the last completed barrier as a
+    /// durable [`GuidedCheckpoint`] carrying `fingerprint` — a barrier
+    /// is the one point where the engine's state is complete and
+    /// deterministic, so the snapshot resumes byte-identically.
+    #[must_use]
+    pub fn checkpoint(&self, fingerprint: &str) -> GuidedCheckpoint {
+        GuidedCheckpoint {
+            version: CHECKPOINT_VERSION,
+            fingerprint: fingerprint.to_owned(),
+            next_slot: self.next_slot,
             baseline_lines: self.baseline_lines,
+            seen: self.seen.clone(),
+            promotions: self.promoted.len() as u64,
+            promoted: self.promoted.clone(),
+            lineage: self.lineage.clone(),
             failures: self.failures,
-            seen: &self.seen,
-            promoted: &self.promoted,
-            lineage: &self.lineage,
-            growth: &self.growth,
+            crashes: self.crashes.clone(),
+            growth: self.growth.clone(),
         }
     }
 
@@ -850,7 +706,7 @@ impl SharedEngine {
         GuidedResult {
             executions: self.next_slot,
             corpus_size: self.corpus.len(),
-            promotions: self.promotions,
+            promotions: self.promoted.len() as u64,
             total_lines: self.seen.lines(),
             baseline_lines: self.baseline_lines,
             failures: self.failures,
@@ -861,20 +717,14 @@ impl SharedEngine {
     }
 }
 
-/// The generational shared-corpus parallel guided engine on the stock
-/// backend — see the module docs for the protocol. The serialized
-/// result is byte-identical for any `jobs`; jobs=1 is the reference.
-#[must_use]
-pub fn run_guided_shared(trace: &RecordedTrace, config: GuidedConfig, jobs: usize) -> GuidedResult {
-    run_guided_shared_with(
-        &IrisHvTarget::with_ram(config.ram_bytes),
-        trace,
-        config,
-        jobs,
-    )
-}
-
-/// [`run_guided_shared`] over an explicit backend factory.
+/// The generational shared-corpus engine on the in-process executor —
+/// see the module docs for the protocol. The serialized result is
+/// byte-identical for any `jobs`; jobs=1 is the reference.
+///
+/// # Panics
+/// Panics if worker panics exhaust the default executor restart budget
+/// (a persistent crash-loop) — use [`run_guided_shared_session`] for
+/// the typed error.
 #[must_use]
 pub fn run_guided_shared_with<F: TargetFactory>(
     factory: &F,
@@ -882,49 +732,19 @@ pub fn run_guided_shared_with<F: TargetFactory>(
     config: GuidedConfig,
     jobs: usize,
 ) -> GuidedResult {
-    run_guided_shared_observed(factory, trace, config, jobs, |_| {})
-}
-
-/// [`run_guided_shared_with`] with an observer called at every
-/// generation barrier (after the merge) — the hook `iris guided
-/// --corpus` persists the crash corpus through.
-///
-/// # Panics
-/// Panics if worker panics exhaust the default executor restart budget
-/// (a persistent crash-loop) — use [`run_guided_shared_session`] for
-/// the typed error.
-#[must_use]
-pub fn run_guided_shared_observed<F, O>(
-    factory: &F,
-    trace: &RecordedTrace,
-    config: GuidedConfig,
-    jobs: usize,
-    observe: O,
-) -> GuidedResult
-where
-    F: TargetFactory,
-    O: FnMut(GenerationProgress<'_>),
-{
-    match run_guided_shared_session(
-        factory,
-        trace,
-        config,
-        jobs,
-        SharedRunOptions::default(),
-        observe,
-    ) {
+    let options = SharedRunOptions::default();
+    match run_guided_shared_session(factory, trace, config, jobs, options, |_| {}) {
         Ok(result) => result,
-        // The default options carry no stop flag, so the only
-        // reachable error is restart-budget exhaustion.
-        // lint:allow(panic-path-audit) -- infallible wrapper by contract: the default options carry no stop flag, so the only error is a persistent crash loop, itself worth a panic
+        // lint:allow(panic-path-audit) -- infallible wrapper by contract: the default options carry no stop flag and no checkpoint, so the only error is a persistent crash loop, itself worth a panic
         Err(err) => panic!("guided shared run failed: {err}"),
     }
 }
 
 /// The fault-tolerant form of the generational shared-corpus engine:
-/// [`run_guided_shared_observed`] plus [`SharedRunOptions`] — resume
-/// from a generation-barrier checkpoint, absorb worker panics under an
-/// explicit restart budget, and honour a cooperative stop flag.
+/// resume from a generation-barrier checkpoint, absorb worker panics
+/// under an explicit restart budget, honour a cooperative stop flag,
+/// and call `observe` at every generation barrier (after the merge) —
+/// the hook `iris guided --corpus`/`--checkpoint` persist through.
 ///
 /// Interruption semantics: when the stop flag trips, the generation in
 /// flight is **discarded** (a generation is all-or-nothing — its
@@ -935,14 +755,9 @@ where
 /// conformance suite pins this over every backend.
 ///
 /// # Errors
-/// [`ExecutorError::RestartBudgetExhausted`] when worker panics exceed
-/// the policy's budget.
-///
-/// # Panics
-/// Panics on a malformed resume checkpoint (a `next_slot` beyond the
-/// budget or off a generation boundary) — checkpoints are
-/// fingerprint-validated at load, so this indicates tampering, not a
-/// runtime condition.
+/// [`SessionError::Executor`] when worker panics exceed the policy's
+/// budget; [`SessionError::Checkpoint`] when the resume checkpoint is
+/// structurally inconsistent with this run ([`SharedEngine::resume`]).
 pub fn run_guided_shared_session<F, O>(
     factory: &F,
     trace: &RecordedTrace,
@@ -950,7 +765,7 @@ pub fn run_guided_shared_session<F, O>(
     jobs: usize,
     options: SharedRunOptions<'_>,
     mut observe: O,
-) -> Result<GuidedResult, ExecutorError>
+) -> Result<GuidedResult, SessionError>
 where
     F: TargetFactory,
     O: FnMut(GenerationProgress<'_>),
@@ -960,7 +775,7 @@ where
         return Ok(GuidedResult::default());
     }
     let mut engine = match options.resume {
-        Some(cp) => SharedEngine::resume(trace, config, cp),
+        Some(cp) => SharedEngine::resume(trace, config, cp)?,
         None => {
             // Baseline: one target, the initial corpus once — identical
             // for every jobs count (the baseline is not part of the
@@ -985,7 +800,8 @@ where
         let gen_corpus = engine.corpus();
         let gen_paths = engine.paths();
         let gen_seen = engine.seen();
-        let outcomes = match crate::executor::run_indexed_ctx_with(
+        let mut outcomes = Vec::with_capacity(items.len());
+        match crate::executor::run_ordered(
             &items,
             jobs,
             &options.policy,
@@ -1011,75 +827,46 @@ where
                     batch.start + index as u64,
                 )
             },
+            |_, outcome| outcomes.push(outcome),
         ) {
-            Ok(outcomes) => outcomes,
+            Ok(()) => {}
             // A generation is all-or-nothing: an interrupted batch is
             // discarded (its barrier never ran), and the run winds
             // down with the state through the last completed barrier.
             Err(ExecutorError::Interrupted { .. }) => break,
-            Err(err) => return Err(err),
-        };
+            Err(err) => return Err(err.into()),
+        }
         engine.fold_generation(outcomes);
         observe(engine.progress());
     }
     Ok(engine.result())
 }
 
-/// Run an ensemble of guided campaigns, sharded over `jobs` worker
-/// threads — the §IX figure reproduction at scale: many independent
-/// feedback loops (one per config, typically differing in `rng_seed`)
-/// instead of one, using every available core.
-///
-/// Each instance's feedback loop is the sequential [`run_guided`]
-/// (promotions feed later scheduling decisions immediately), so
-/// parallelism lives *across* instances: each is self-contained and
-/// deterministic in its config, and results come back in config order
-/// (the shared executor's [`crate::executor::run_indexed`]), so the
-/// returned vector is identical for any `jobs` value. N jobs buy N
-/// disjoint corpora; for N workers on **one** corpus, use
-/// [`run_guided_shared`].
-#[must_use]
-pub fn run_guided_parallel(
-    trace: &RecordedTrace,
-    configs: &[GuidedConfig],
-    jobs: usize,
-) -> Vec<GuidedResult> {
-    crate::executor::run_indexed(configs, jobs, |_, config| run_guided(trace, *config))
-}
-
-/// [`run_guided_parallel`] over an explicit backend factory, shared by
-/// every worker (each instance still builds its own private target).
-#[must_use]
-pub fn run_guided_parallel_with<F: TargetFactory>(
-    factory: &F,
-    trace: &RecordedTrace,
-    configs: &[GuidedConfig],
-    jobs: usize,
-) -> Vec<GuidedResult> {
-    crate::executor::run_indexed(configs, jobs, |_, config| {
-        run_guided_with(factory, trace, *config)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::target::record_trace;
+    use crate::target::{record_trace, IrisHvTarget};
     use iris_guest::workloads::Workload;
 
     fn boot_trace() -> RecordedTrace {
         record_trace(Workload::OsBoot, 250, 42)
     }
 
+    fn run_guided_shared(trace: &RecordedTrace, config: GuidedConfig, jobs: usize) -> GuidedResult {
+        let factory = IrisHvTarget::with_ram(config.ram_bytes);
+        run_guided_shared_with(&factory, trace, config, jobs)
+    }
+
     #[test]
     fn guided_loop_discovers_and_promotes() {
         let trace = boot_trace();
-        let r = run_guided(
+        let r = run_guided_shared(
             &trace,
             GuidedConfig {
                 budget: 400,
                 ..GuidedConfig::default()
             },
+            1,
         );
         assert_eq!(r.executions, 400);
         assert!(r.total_lines > r.baseline_lines, "{r:?}");
@@ -1097,8 +884,8 @@ mod tests {
             budget: 150,
             ..GuidedConfig::default()
         };
-        let a = run_guided(&trace, cfg);
-        let b = run_guided(&trace, cfg);
+        let a = run_guided_shared(&trace, cfg, 1);
+        let b = run_guided_shared(&trace, cfg, 1);
         assert_eq!(a.total_lines, b.total_lines);
         assert_eq!(a.promotions, b.promotions);
         assert_eq!(a.failures, b.failures);
@@ -1111,12 +898,13 @@ mod tests {
     #[test]
     fn guided_loop_records_crash_corpus() {
         let trace = boot_trace();
-        let r = run_guided(
+        let r = run_guided_shared(
             &trace,
             GuidedConfig {
                 budget: 400,
                 ..GuidedConfig::default()
             },
+            1,
         );
         assert_eq!(
             r.crashes.observed(),
@@ -1134,7 +922,7 @@ mod tests {
     #[test]
     fn empty_trace_is_a_default_result_in_both_modes() {
         let empty = RecordedTrace::new("empty");
-        let sequential = run_guided(&empty, GuidedConfig::default());
+        let sequential = run_guided_shared(&empty, GuidedConfig::default(), 1);
         let shared = run_guided_shared(&empty, GuidedConfig::default(), 2);
         for r in [&sequential, &shared] {
             assert_eq!(r.executions, 0);
@@ -1234,13 +1022,29 @@ mod tests {
                 .map(|r| serde_json::to_string(r).unwrap())
                 .collect::<Vec<_>>()
         };
-        let one = run_guided_parallel(&trace, &configs, 1);
-        let four = run_guided_parallel(&trace, &configs, 4);
+        // An ensemble is N independent shared engines at jobs=1,
+        // sharded over the executor — what `iris guided --mode
+        // ensemble` runs.
+        let ensemble = |jobs: usize| {
+            let mut results = Vec::new();
+            crate::executor::run_ordered(
+                &configs,
+                jobs,
+                &RunPolicy::default(),
+                || (),
+                |(), _, cfg| run_guided_shared(&trace, *cfg, 1),
+                |_, r| results.push(r),
+            )
+            .expect("no faults, no stop flag");
+            results
+        };
+        let one = ensemble(1);
+        let four = ensemble(4);
         assert_eq!(one.len(), 4);
         assert_eq!(snapshot(&one), snapshot(&four));
-        // Each instance equals its standalone sequential run.
+        // Each instance equals its standalone run.
         for (cfg, r) in configs.iter().zip(&one) {
-            let solo = run_guided(&trace, *cfg);
+            let solo = run_guided_shared(&trace, *cfg, 1);
             assert_eq!(
                 serde_json::to_string(&solo).unwrap(),
                 serde_json::to_string(r).unwrap()

@@ -14,18 +14,19 @@
 //! * [`strategies`] — extended greybox mutations (havoc, arith,
 //!   interesting values, splice) per the paper's §IX future work.
 //! * [`guided`] — the §IX coverage-guided feedback loop over the
-//!   replay engine: the classic sequential loop, independent
-//!   ensembles, and the generational shared-corpus parallel engine
-//!   ([`guided::run_guided_shared`]).
+//!   replay engine: the generational shared-corpus engine
+//!   ([`guided::SharedEngine`], [`guided::run_guided_shared_session`]).
 //! * [`testcase`] — `(W, VM_seed_R, A, M)` test-case planning.
 //! * [`campaign`] — baseline, fuzzing sequence, crash recovery, all
 //!   through [`FuzzTarget`].
 //! * [`executor`] — the shared work-stealing executor (atomic-cursor
 //!   claim, per-worker context, index-ordered delivery) every parallel
 //!   driver runs on.
-//! * [`parallel`] — sharded multi-worker campaign execution with
-//!   deterministic (worker-count-independent) aggregation; workers
-//!   build private target instances from a shared factory.
+//! * [`parallel`] — the campaign's ordered fold
+//!   ([`parallel::CampaignEngine`]) and its sharded multi-worker
+//!   thread driver, with deterministic (worker-count-independent)
+//!   aggregation; workers build private target instances from a
+//!   shared factory.
 //! * [`failure`] — VM-crash vs hypervisor-crash classification.
 //! * [`corpus`] — reproducible, signature-deduplicated crash records.
 //! * [`table1`] — assembly of the paper's Table I.
@@ -59,8 +60,8 @@
 //! }
 //! ```
 //!
-//! The [`Campaign`] / [`ParallelCampaign`] / [`guided`] / [`Table1`]
-//! drivers wrap exactly this loop (plus corpus bookkeeping) and accept
+//! The [`ParallelCampaign`] / [`guided`] / [`Table1`] drivers wrap
+//! exactly this loop (plus corpus bookkeeping) and accept
 //! any factory, so a new backend only implements the trait pair.
 
 #![forbid(unsafe_code)]
@@ -79,18 +80,22 @@ pub mod table1;
 pub mod target;
 pub mod testcase;
 
-pub use campaign::{Campaign, TestCaseResult};
-pub use checkpoint::{atomic_write_json, CampaignCheckpoint, GuidedCheckpoint, JsonWriter};
+pub use campaign::TestCaseResult;
+pub use checkpoint::{
+    atomic_write_json, CampaignCheckpoint, CheckpointMismatch, GuidedCheckpoint, JsonWriter,
+    SessionError,
+};
 pub use corpus::{Corpus, CrashRecord};
 pub use executor::{ExecutorError, FaultPlan, RunPolicy};
 pub use failure::{FailureKind, FailureStats};
 pub use guided::{
-    run_guided, run_guided_parallel, run_guided_parallel_with, run_guided_shared,
-    run_guided_shared_observed, run_guided_shared_session, run_guided_shared_with, run_guided_with,
-    GenerationProgress, GuidedConfig, GuidedResult, SharedRunOptions,
+    run_guided_shared_session, run_guided_shared_with, GenerationProgress, GuidedConfig,
+    GuidedResult, SharedEngine, SharedRunOptions,
 };
 pub use mutation::{mutate, AppliedMutation, SeedArea};
-pub use parallel::{available_jobs, CampaignReport, CampaignRunOptions, ParallelCampaign};
+pub use parallel::{
+    available_jobs, CampaignEngine, CampaignReport, CampaignRunOptions, ParallelCampaign,
+};
 pub use strategies::{mutate_with, Strategy};
 pub use table1::Table1;
 pub use target::{

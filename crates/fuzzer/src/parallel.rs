@@ -1,8 +1,8 @@
 //! Parallel sharded campaign execution with sub-test-case work stealing.
 //!
 //! The paper's PoC fuzzer (§VII) submits test cases strictly
-//! sequentially; [`crate::campaign::Campaign`] inherits that. A campaign
-//! plan, however, is embarrassingly parallel — and since the per-range
+//! sequentially ([`ParallelCampaign::run_sequential_with`] is that
+//! reference). A campaign plan, however, is embarrassingly parallel — and since the per-range
 //! RNG law ([`crate::mutation::mutant_rng`]) made the mutant stream
 //! partition-invariant, so is every test case's mutant range.
 //! [`ParallelCampaign`] therefore steals work at **chunk** granularity
@@ -15,8 +15,10 @@
 //! target stack ([`crate::campaign::run_mutant_range_with`] — boot to
 //! `s1` once per chunk, snapshot-restore per crash), and the executor
 //! delivers one [`ChunkOutput`] per chunk (not per seed) back in
-//! chunk-index order. The aggregator therefore sees each test case's
-//! chunks contiguously and in `range_start` order, assembles them
+//! chunk-index order. The fold itself is [`CampaignEngine`] — the one
+//! state machine the thread executor here and the `crates/dist`
+//! coordinator both drive: it sees each test case's chunks
+//! contiguously and in `range_start` order, assembles them
 //! ([`crate::campaign::assemble_test_case`]) and folds completed test
 //! cases into the report in **plan order** — coverage word-merged,
 //! [`FailureStats`] folded, chunk-local [`Corpus`] shards absorbed by
@@ -42,16 +44,16 @@
 //! defined order, and folding is ordered by plan index — so the report
 //! (results, merged coverage, folded stats, deduplicated corpus) is
 //! byte-identical for **any** `(jobs, chunk)` combination and forest
-//! configuration, and identical to a sequential
-//! [`crate::campaign::Campaign`] loop over the same plan.
+//! configuration, and identical to the sequential reference loop over
+//! the same plan.
 
 use crate::campaign::{
     assemble_test_case, run_mutant_range_on, run_mutant_range_with, run_test_case_with,
     ChunkOutput, TestCaseResult,
 };
-use crate::checkpoint::CampaignCheckpoint;
+use crate::checkpoint::{CampaignCheckpoint, CheckpointMismatch, SessionError, CHECKPOINT_VERSION};
 use crate::corpus::Corpus;
-use crate::executor::{ExecutorError, RunPolicy};
+use crate::executor::{run_ordered, ExecutorError, Reorder, RunPolicy};
 use crate::failure::FailureStats;
 use crate::target::{BootPlan, FuzzTarget, IrisHvTarget, TargetFactory};
 use crate::testcase::{MutantRange, TestCase, DEFAULT_CHUNK};
@@ -80,9 +82,7 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// An empty report — the fold's starting state. Public so external
-    /// aggregators (the `crates/dist` coordinator) can run the same
-    /// fold the in-process driver runs.
+    /// An empty report — the fold's starting state.
     #[must_use]
     pub fn new() -> Self {
         Self {
@@ -97,9 +97,8 @@ impl CampaignReport {
     /// the corpus dedup keeps the *first* record per signature, and plan
     /// order is what makes that choice schedule-independent. (The corpus
     /// itself is absorbed chunk-by-chunk in `self.corpus` by
-    /// [`assemble_test_case`] before this runs.) Public for the same
-    /// reason as [`CampaignReport::new`]: the distributed coordinator
-    /// folds wire-delivered chunks through this exact path.
+    /// [`assemble_test_case`] before this runs.) [`CampaignEngine`] and
+    /// the sequential reference are the only callers outside tests.
     pub fn fold_assembled(&mut self, result: TestCaseResult, coverage: &CoverageMap) {
         self.failures.merge(&result.failures);
         self.coverage.merge(coverage);
@@ -223,12 +222,11 @@ fn position<T: FuzzTarget>(
     }
 }
 
-/// Progress snapshot handed to [`ParallelCampaign::run_observed`]'s
-/// observer after every aggregated chunk — **mutant-granular**, so a
-/// huge-`M` cell shows progress long before its test case completes.
+/// Progress through the chunks folded so far — **mutant-granular**, so
+/// a huge-`M` cell shows progress long before its test case completes.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignProgress {
-    /// Mutants whose chunks have been aggregated so far.
+    /// Mutants whose chunks have been folded so far.
     pub mutants_done: u64,
     /// Total mutants the plan submits.
     pub mutants_total: u64,
@@ -236,18 +234,217 @@ pub struct CampaignProgress {
     pub results_folded: usize,
 }
 
+/// Why [`CampaignEngine::fold`] refused a chunk output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FoldError {
+    /// No chunk with this index exists (or it does not resolve against
+    /// the driver's plan and traces).
+    UnknownChunk {
+        /// The offending chunk index.
+        index: usize,
+    },
+    /// The output covers a different mutant range than the chunk at
+    /// that index.
+    RangeMismatch {
+        /// The offending chunk index.
+        index: usize,
+    },
+}
+
+impl std::fmt::Display for FoldError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::UnknownChunk { index } => write!(f, "no campaign chunk {index} in this plan"),
+            Self::RangeMismatch { index } => {
+                write!(f, "chunk output's mutant range is not chunk {index}'s")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FoldError {}
+
+/// The campaign's ordered fold as an explicit state machine — the
+/// campaign's counterpart of [`crate::guided::SharedEngine`]. It owns
+/// the plan→chunk flattening, the per-test-case assembly, the progress
+/// accounting and the resume-prefix validation; drivers only execute
+/// [`CampaignEngine::chunks`] somewhere and hand the outputs back.
+/// [`ParallelCampaign`] drives it on the in-process executor, the
+/// `crates/dist` coordinator over the wire; both therefore produce the
+/// byte-identical report.
+#[derive(Debug)]
+pub struct CampaignEngine {
+    plan: Vec<TestCase>,
+    /// Outstanding work in `(test_case_index, range_start)` order — the
+    /// resumed plan prefix is skipped.
+    chunks: Vec<(usize, MutantRange)>,
+    order: Reorder<ChunkOutput>,
+    /// The chunk outputs of the test case being assembled, in range
+    /// order. Dropped as soon as the test case folds, so memory holds
+    /// one test case's chunks (each carries two ~3.5 KB coverage maps),
+    /// never the plan's.
+    pending: Vec<ChunkOutput>,
+    report: CampaignReport,
+    mutants_done: u64,
+    mutants_total: u64,
+}
+
+impl CampaignEngine {
+    /// An engine over the whole of `plan`, cut into work-stealing
+    /// chunks of `chunk` mutants.
+    #[must_use]
+    pub fn fresh(plan: Vec<TestCase>, chunk: usize) -> Self {
+        Self::start(plan, chunk, CampaignReport::new())
+    }
+
+    /// Continue from a fold-boundary checkpoint (fingerprint-checked by
+    /// [`CampaignCheckpoint::load`]): the checkpointed report must be
+    /// exactly the folded prefix of `plan`; only the rest is chunked.
+    /// Mutant RNG seeding depends on the test case alone, so the
+    /// remainder runs as it would have uninterrupted.
+    ///
+    /// # Errors
+    /// [`CheckpointMismatch`] when `folded` disagrees with the stored
+    /// results or the plan length, or a stored result is not the plan's
+    /// test case at its position.
+    pub fn resume(
+        plan: Vec<TestCase>,
+        chunk: usize,
+        cp: CampaignCheckpoint,
+    ) -> Result<Self, CheckpointMismatch> {
+        let results = &cp.report.results;
+        if cp.folded > plan.len() || cp.folded != results.len() {
+            return Err(CheckpointMismatch::FoldedCount {
+                folded: cp.folded,
+                results: results.len(),
+                plan: plan.len(),
+            });
+        }
+        if let Some(index) = (plan.iter().zip(results)).position(|(tc, r)| *tc != r.testcase) {
+            return Err(CheckpointMismatch::PlanPrefix { index });
+        }
+        Ok(Self::start(plan, chunk, cp.report))
+    }
+
+    fn start(plan: Vec<TestCase>, chunk: usize, report: CampaignReport) -> Self {
+        let folded = report.results.len();
+        let mutants = |n: usize| plan.iter().take(n).map(|tc| tc.mutants as u64).sum();
+        Self {
+            chunks: (plan.iter().enumerate().skip(folded))
+                .flat_map(|(tc_idx, tc)| tc.chunks(chunk).map(move |r| (tc_idx, r)))
+                .collect(),
+            order: Reorder::default(),
+            pending: Vec::new(),
+            mutants_done: mutants(folded),
+            mutants_total: mutants(plan.len()),
+            report,
+            plan,
+        }
+    }
+
+    /// The plan this engine folds.
+    #[must_use]
+    pub fn plan(&self) -> &[TestCase] {
+        &self.plan
+    }
+
+    /// The outstanding work: `(plan index, mutant range)` per chunk, in
+    /// fold order. A chunk's position here is the `index`
+    /// [`CampaignEngine::fold`] takes; empty when the checkpoint
+    /// already covered the whole plan.
+    #[must_use]
+    pub fn chunks(&self) -> &[(usize, MutantRange)] {
+        &self.chunks
+    }
+
+    /// Accept chunk `index`'s output. Outputs may arrive in any order,
+    /// each at most once; they fold strictly in chunk order, and a test
+    /// case assembles and folds into the report the moment its last
+    /// chunk does.
+    ///
+    /// # Errors
+    /// [`FoldError`] when `index` is not a chunk of this engine or
+    /// `out` covers a different mutant range; the engine is unchanged.
+    pub fn fold(&mut self, index: usize, out: ChunkOutput) -> Result<(), FoldError> {
+        match self.chunks.get(index) {
+            None => return Err(FoldError::UnknownChunk { index }),
+            Some(&(_, range)) if range != out.range => {
+                return Err(FoldError::RangeMismatch { index })
+            }
+            Some(_) => {}
+        }
+        let mut folded = Ok(());
+        self.order.push(index, out, |index, out| {
+            let tc_idx = self.chunks.get(index).map(|&(tc_idx, _)| tc_idx);
+            let Some(tc) = tc_idx.and_then(|i| self.plan.get(i)) else {
+                folded = Err(FoldError::UnknownChunk { index });
+                return;
+            };
+            self.mutants_done += out.range.len as u64;
+            // Chunks partition `0..mutants` in order, so the one ending
+            // at `mutants` is the test case's last.
+            let last = out.range.end() == tc.mutants;
+            self.pending.push(out);
+            if last {
+                let (result, coverage) =
+                    assemble_test_case(tc, self.pending.drain(..), &mut self.report.corpus);
+                self.report.fold_assembled(result, &coverage);
+            }
+        });
+        folded
+    }
+
+    /// Progress through the chunks folded so far.
+    #[must_use]
+    pub fn progress(&self) -> CampaignProgress {
+        CampaignProgress {
+            mutants_done: self.mutants_done,
+            mutants_total: self.mutants_total,
+            results_folded: self.report.results.len(),
+        }
+    }
+
+    /// The report over the folded plan prefix.
+    #[must_use]
+    pub fn report(&self) -> &CampaignReport {
+        &self.report
+    }
+
+    /// Snapshot the folded plan prefix as a durable
+    /// [`CampaignCheckpoint`] carrying `fingerprint`; chunks of a test
+    /// case still being assembled are not part of it (they re-run on
+    /// resume).
+    #[must_use]
+    pub fn checkpoint(&self, fingerprint: &str) -> CampaignCheckpoint {
+        CampaignCheckpoint {
+            version: CHECKPOINT_VERSION,
+            fingerprint: fingerprint.to_owned(),
+            folded: self.report.results.len(),
+            report: self.report.clone(),
+        }
+    }
+
+    /// The report over the folded plan prefix — the whole plan once
+    /// every chunk has folded. Chunks of a test case still being
+    /// assembled are discarded: folding is all-or-nothing per test case.
+    #[must_use]
+    pub fn into_report(self) -> CampaignReport {
+        self.report
+    }
+}
+
 /// Options for [`ParallelCampaign::run_session`]: where to resume from
 /// and how to react to worker panics and stop requests. The default is
 /// a fresh, uninterruptible run under the executor's default restart
-/// budget — exactly [`ParallelCampaign::run_observed`]'s behavior.
+/// budget.
 #[derive(Debug, Default)]
 pub struct CampaignRunOptions<'a> {
     /// Executor fault policy: restart budget, cooperative stop flag,
     /// fault injection.
     pub policy: RunPolicy<'a>,
-    /// Resume from a fold-boundary checkpoint (validate it with
-    /// [`CampaignCheckpoint::load`] first — the engine only
-    /// structurally cross-checks it against the plan).
+    /// Resume from a fold-boundary checkpoint (fingerprint-checked by
+    /// [`CampaignCheckpoint::load`]; [`CampaignEngine::resume`] checks
+    /// it against the plan).
     pub resume: Option<CampaignCheckpoint>,
 }
 
@@ -268,12 +465,6 @@ pub struct ParallelCampaign<F: TargetFactory = IrisHvTarget> {
     pub factory: F,
 }
 
-impl Default for ParallelCampaign {
-    fn default() -> Self {
-        Self::with_available_parallelism()
-    }
-}
-
 impl ParallelCampaign {
     /// A stock-backend executor with an explicit worker count (clamped
     /// to ≥ 1) and the sequential campaign's dummy-VM sizing.
@@ -281,11 +472,15 @@ impl ParallelCampaign {
     pub fn new(jobs: usize) -> Self {
         Self::with_factory(jobs, IrisHvTarget::default())
     }
+}
 
-    /// An executor sized to the host: one worker per available core.
-    #[must_use]
-    pub fn with_available_parallelism() -> Self {
-        Self::new(available_jobs())
+/// The infallible entry points' contract: without a stop flag or a
+/// checkpoint the only reachable error is restart-budget exhaustion.
+fn completed(outcome: Result<CampaignReport, SessionError>) -> CampaignReport {
+    match outcome {
+        Ok(report) => report,
+        // lint:allow(panic-path-audit) -- infallible wrapper by contract: default options carry no stop flag and no checkpoint, so the only error is restart-budget exhaustion, a crash loop worth a panic
+        Err(err) => panic!("campaign run failed: {err}"),
     }
 }
 
@@ -313,64 +508,26 @@ impl<F: TargetFactory> ParallelCampaign<F> {
     ///
     /// # Panics
     /// Panics if a planned test case names a workload with no trace in
-    /// `traces` — a malformed plan, not a runtime condition.
+    /// `traces` — a malformed plan, not a runtime condition — or if
+    /// worker panics exhaust the default restart budget.
     #[must_use]
     pub fn run(
         &self,
         traces: &BTreeMap<Workload, RecordedTrace>,
         plan: &[TestCase],
     ) -> CampaignReport {
-        self.run_observed(traces, plan, |_, _| {})
+        completed(self.run_session(traces, plan, CampaignRunOptions::default(), |_| {}))
     }
 
-    /// [`ParallelCampaign::run`] with an observer called on the
-    /// aggregator thread after every aggregated chunk: drive progress
-    /// lines (mutant-granular, so huge-`M` cells show movement) or
-    /// persist corpus snapshots (`report.corpus` grows as test cases
-    /// fold — pair with [`crate::corpus::CorpusWriter`] to keep the
-    /// JSON I/O off this thread).
-    ///
-    /// # Panics
-    /// Panics if a planned test case names a workload with no trace in
-    /// `traces` — a malformed plan, not a runtime condition.
-    #[must_use]
-    pub fn run_observed<O>(
-        &self,
-        traces: &BTreeMap<Workload, RecordedTrace>,
-        plan: &[TestCase],
-        observe: O,
-    ) -> CampaignReport
-    where
-        O: FnMut(CampaignProgress, &CampaignReport),
-    {
-        for tc in plan {
-            assert!(
-                traces.contains_key(&tc.workload),
-                "plan references workload {:?} with no recorded trace",
-                tc.workload
-            );
-        }
-        match self.run_with(
-            plan,
-            // lint:allow(panic-path-audit) -- the loop above asserts every plan workload has a recorded trace
-            |tc| &traces[&tc.workload],
-            0,
-            CampaignReport::new(),
-            &RunPolicy::default(),
-            observe,
-        ) {
-            Ok(report) => report,
-            // The default policy carries no stop flag, so the only
-            // reachable error is restart-budget exhaustion.
-            // lint:allow(panic-path-audit) -- infallible wrapper by contract: the default policy carries no stop flag, so the only error is restart-budget exhaustion, a crash loop worth a panic
-            Err(err) => panic!("campaign run failed: {err}"),
-        }
-    }
-
-    /// The fault-tolerant form of [`ParallelCampaign::run_observed`]:
-    /// resume from a fold-boundary checkpoint, absorb worker panics
-    /// under an explicit restart budget, and honour a cooperative stop
-    /// flag.
+    /// [`ParallelCampaign::run`] with the fault-tolerance knobs and an
+    /// observer: resume from a fold-boundary checkpoint, absorb worker
+    /// panics under an explicit restart budget, honour a cooperative
+    /// stop flag. `observe` runs on the aggregator thread after every
+    /// folded chunk: drive progress lines (mutant-granular, so huge-`M`
+    /// cells show movement), persist corpus snapshots or checkpoints
+    /// ([`CampaignEngine::checkpoint`]; pair with
+    /// [`crate::checkpoint::JsonWriter`] to keep the JSON I/O off this
+    /// thread).
     ///
     /// Interruption semantics: when the stop flag trips, the test case
     /// being assembled is **discarded** (folding is all-or-nothing per
@@ -381,22 +538,21 @@ impl<F: TargetFactory> ParallelCampaign<F> {
     /// byte-identical to an uninterrupted one.
     ///
     /// # Errors
-    /// [`ExecutorError::RestartBudgetExhausted`] when worker panics
-    /// exceed the policy's budget.
+    /// [`SessionError::Executor`] when worker panics exceed the
+    /// policy's budget; [`SessionError::Checkpoint`] when the resume
+    /// checkpoint is not a folded prefix of `plan`.
     ///
     /// # Panics
-    /// Panics on a malformed plan (a workload with no trace) or a
-    /// checkpoint whose folded prefix does not match the plan —
-    /// configuration errors, not runtime conditions.
+    /// Panics on a malformed plan (a workload with no trace).
     pub fn run_session<O>(
         &self,
         traces: &BTreeMap<Workload, RecordedTrace>,
         plan: &[TestCase],
         options: CampaignRunOptions<'_>,
         observe: O,
-    ) -> Result<CampaignReport, ExecutorError>
+    ) -> Result<CampaignReport, SessionError>
     where
-        O: FnMut(CampaignProgress, &CampaignReport),
+        O: FnMut(&CampaignEngine),
     {
         for tc in plan {
             assert!(
@@ -405,141 +561,74 @@ impl<F: TargetFactory> ParallelCampaign<F> {
                 tc.workload
             );
         }
-        let (skip, report) = match options.resume {
-            Some(cp) => {
-                // The fingerprint was validated at load; cross-check
-                // the structure against this plan: the checkpointed
-                // results must be exactly the plan's folded prefix.
-                assert!(
-                    cp.folded <= plan.len() && cp.folded == cp.report.results.len(),
-                    "campaign checkpoint is malformed: folded={} results={} plan={}",
-                    cp.folded,
-                    cp.report.results.len(),
-                    plan.len()
-                );
-                for (tc, result) in plan.iter().zip(&cp.report.results) {
-                    assert!(
-                        *tc == result.testcase,
-                        "campaign checkpoint does not match the plan prefix"
-                    );
-                }
-                (cp.folded, cp.report)
-            }
-            None => (0, CampaignReport::new()),
-        };
-        self.run_with(
-            plan,
-            // lint:allow(panic-path-audit) -- run_resumable asserts every plan workload has a recorded trace before this call
-            |tc| &traces[&tc.workload],
-            skip,
-            report,
-            &options.policy,
-            observe,
-        )
+        self.run_with(plan, |tc| traces.get(&tc.workload), options, observe)
     }
 
     /// Run a single-trace plan (every test case targets `trace`).
+    ///
+    /// # Panics
+    /// Panics if worker panics exhaust the default restart budget.
     #[must_use]
     pub fn run_trace(&self, trace: &RecordedTrace, plan: &[TestCase]) -> CampaignReport {
-        match self.run_with(
-            plan,
-            |_| trace,
-            0,
-            CampaignReport::new(),
-            &RunPolicy::default(),
-            |_, _| {},
-        ) {
-            Ok(report) => report,
-            // lint:allow(panic-path-audit) -- infallible wrapper by contract: the default policy carries no stop flag, so the only error is restart-budget exhaustion, a crash loop worth a panic
-            Err(err) => panic!("campaign run failed: {err}"),
-        }
+        let options = CampaignRunOptions::default();
+        completed(self.run_with(plan, |_| Some(trace), options, |_| {}))
     }
 
-    /// The executor core: flatten `plan` into the precomputed chunk
-    /// list, run it on the shared work-stealing executor
-    /// ([`crate::executor::run_ordered`] — atomic-cursor claim,
-    /// chunk-index-ordered delivery), and fold on this (aggregator)
-    /// thread: because the chunk list is in `(test_case_index,
-    /// range_start)` order and delivery follows it, each test case's
-    /// chunks arrive contiguously and in `range_start` order, so a
-    /// completed test case assembles and folds eagerly — its chunk
-    /// outputs are dropped instead of accumulating for the whole plan.
-    /// (Out-of-order completions park inside the executor, bounded by
-    /// the out-of-order window, not the chunk-list length — each
-    /// `ChunkOutput` carries two ~3.5 KB inline coverage maps.)
+    /// The thread driver of [`CampaignEngine`]: run the engine's chunk
+    /// list on the shared work-stealing executor ([`run_ordered`] —
+    /// atomic-cursor claim, chunk-index-ordered delivery) and fold on
+    /// this (aggregator) thread as outputs arrive. (Out-of-order
+    /// completions park inside the executor, bounded by the
+    /// out-of-order window, not the chunk-list length.)
     fn run_with<'t, G, O>(
         &self,
         plan: &[TestCase],
         trace_of: G,
-        skip: usize,
-        mut report: CampaignReport,
-        policy: &RunPolicy<'_>,
+        options: CampaignRunOptions<'_>,
         mut observe: O,
-    ) -> Result<CampaignReport, ExecutorError>
+    ) -> Result<CampaignReport, SessionError>
     where
-        G: Fn(&TestCase) -> &'t RecordedTrace + Sync,
-        O: FnMut(CampaignProgress, &CampaignReport),
+        G: Fn(&TestCase) -> Option<&'t RecordedTrace>,
+        O: FnMut(&CampaignEngine),
     {
-        // The chunk list is in (test_case_index, range_start) order, so
-        // each test case's chunks occupy one contiguous span of job
-        // indices. `skip` drops the test cases already folded into the
-        // resumed `report`; mutant range RNG seeding depends only on
-        // the test case itself, so the remainder runs identically.
-        let jobs_list: Vec<(usize, MutantRange)> = plan
-            .iter()
-            .enumerate()
-            .skip(skip)
-            .flat_map(|(tc_idx, tc)| tc.chunks(self.chunk).map(move |r| (tc_idx, r)))
-            .collect();
-        let mut span = vec![0usize; plan.len()]; // chunk count per test case
-        for &(tc_idx, _) in &jobs_list {
-            // lint:allow(panic-path-audit) -- span has plan.len() entries and tc_idx comes from enumerate() over plan
-            span[tc_idx] += 1;
-        }
-        let mutants_total: u64 = plan.iter().map(|tc| tc.mutants as u64).sum();
-
-        let factory = &self.factory;
-        let mut pending: Vec<ChunkOutput> = Vec::new();
-        // lint:allow(panic-path-audit) -- skip is asserted <= plan.len() when the checkpoint is validated
-        let mut mutants_done: u64 = plan[..skip].iter().map(|tc| tc.mutants as u64).sum();
-        let mut sink = |job: usize, out: ChunkOutput| {
-            mutants_done += out.range.len as u64;
-            // lint:allow(panic-path-audit) -- job is an index run_ordered_with issues over jobs_list
-            let tc_idx = jobs_list[job].0;
-            pending.push(out);
-            // lint:allow(panic-path-audit) -- span has plan.len() entries and tc_idx comes from enumerate() over plan
-            if pending.len() == span[tc_idx] {
-                let (result, coverage) =
-                    // lint:allow(panic-path-audit) -- tc_idx comes from enumerate() over plan
-                    assemble_test_case(&plan[tc_idx], pending.drain(..), &mut report.corpus);
-                report.fold_assembled(result, &coverage);
-            }
-            observe(
-                CampaignProgress {
-                    mutants_done,
-                    mutants_total,
-                    results_folded: report.results.len(),
-                },
-                &report,
-            );
+        let mut engine = match options.resume {
+            Some(cp) => CampaignEngine::resume(plan.to_vec(), self.chunk, cp)?,
+            None => CampaignEngine::fresh(plan.to_vec(), self.chunk),
         };
+        // Resolve every chunk to its test case and trace once, so the
+        // workers share plain references.
+        let resolve = |tc_idx: usize| {
+            let tc = plan.get(tc_idx)?;
+            Some((tc, trace_of(tc)?))
+        };
+        let items = (engine.chunks().iter().enumerate())
+            .map(|(index, &(tc_idx, range))| {
+                let (tc, trace) = resolve(tc_idx).ok_or(FoldError::UnknownChunk { index })?;
+                Ok((tc, trace, range))
+            })
+            .collect::<Result<Vec<_>, FoldError>>()?;
+        let mut failed = None;
+        let mut sink = |index: usize, out: ChunkOutput| {
+            if failed.is_none() {
+                failed = engine.fold(index, out).err();
+                observe(&engine);
+            }
+        };
+        let factory = &self.factory;
         let outcome = if factory.forest().is_some() {
             // Forest mode: persistent per-worker servers (one per
             // workload) position via pinned nodes instead of booting a
             // fresh stack per chunk. Byte-identical output either way —
             // the conformance suite holds the two paths against each
             // other.
-            crate::executor::run_ordered_with(
-                &jobs_list,
+            run_ordered(
+                &items,
                 self.jobs,
-                policy,
+                &options.policy,
                 BTreeMap::new,
                 |servers: &mut BTreeMap<Workload, PrefixServer<F::Target<'t>>>,
                  _,
-                 &(tc_idx, range)| {
-                    // lint:allow(panic-path-audit) -- tc_idx comes from enumerate() over plan
-                    let tc = &plan[tc_idx];
-                    let trace = trace_of(tc);
+                 &(tc, trace, range)| {
                     servers
                         .entry(tc.workload)
                         .or_insert_with(|| {
@@ -550,26 +639,23 @@ impl<F: TargetFactory> ParallelCampaign<F> {
                 &mut sink,
             )
         } else {
-            crate::executor::run_ordered_with(
-                &jobs_list,
+            run_ordered(
+                &items,
                 self.jobs,
-                policy,
+                &options.policy,
                 || (),
-                |(), _, &(tc_idx, range)| {
-                    // lint:allow(panic-path-audit) -- tc_idx comes from enumerate() over plan
-                    let tc = &plan[tc_idx];
-                    run_mutant_range_with(factory, trace_of(tc), tc, range)
-                },
+                |(), _, &(tc, trace, range)| run_mutant_range_with(factory, trace, tc, range),
                 &mut sink,
             )
         };
+        if let Some(err) = failed {
+            return Err(err.into());
+        }
         match outcome {
-            Ok(()) => Ok(report),
-            // Folding is all-or-nothing per test case: the partial
-            // chunk outputs of the test case in flight are discarded,
-            // so the report covers exactly the folded plan prefix.
-            Err(ExecutorError::Interrupted { .. }) => Ok(report),
-            Err(err) => Err(err),
+            // An interrupted run is not an error: the engine's report
+            // covers exactly the folded plan prefix.
+            Ok(()) | Err(ExecutorError::Interrupted { .. }) => Ok(engine.into_report()),
+            Err(err) => Err(err.into()),
         }
     }
 
@@ -584,25 +670,12 @@ impl<F: TargetFactory> ParallelCampaign<F> {
     ) -> CampaignReport {
         let mut report = CampaignReport::new();
         for tc in plan {
-            // lint:allow(panic-path-audit) -- the sequential reference mirrors run_observed's contract: a plan workload without a trace is a caller bug worth a panic
+            // lint:allow(panic-path-audit) -- the sequential reference mirrors run_session's contract: a plan workload without a trace is a caller bug worth a panic
             let trace = &traces[&tc.workload];
             let (result, coverage) = run_test_case_with(factory, &mut report.corpus, trace, tc);
             report.fold_assembled(result, &coverage);
         }
         report
-    }
-}
-
-impl ParallelCampaign {
-    /// [`ParallelCampaign::run_sequential_with`] on the stock backend
-    /// with explicit dummy-VM sizing.
-    #[must_use]
-    pub fn run_sequential(
-        traces: &BTreeMap<Workload, RecordedTrace>,
-        plan: &[TestCase],
-        ram_bytes: u64,
-    ) -> CampaignReport {
-        Self::run_sequential_with(&IrisHvTarget::with_ram(ram_bytes), traces, plan)
     }
 }
 
@@ -650,7 +723,7 @@ mod tests {
         traces.insert(iris_guest::workloads::Workload::OsBoot, trace);
 
         let sequential =
-            ParallelCampaign::run_sequential(&traces, &plan, crate::campaign::DEFAULT_RAM_BYTES);
+            ParallelCampaign::run_sequential_with(&IrisHvTarget::default(), &traces, &plan);
         let baseline = serde_json::to_string(&sequential).unwrap();
         for jobs in [1usize, 2, 8] {
             let report = ParallelCampaign::new(jobs).run(&traces, &plan);
@@ -695,7 +768,7 @@ mod tests {
         traces.insert(iris_guest::workloads::Workload::OsBoot, trace);
 
         let sequential =
-            ParallelCampaign::run_sequential(&traces, &plan, crate::campaign::DEFAULT_RAM_BYTES);
+            ParallelCampaign::run_sequential_with(&IrisHvTarget::default(), &traces, &plan);
         let baseline = serde_json::to_string(&sequential).unwrap();
         assert!(
             sequential.corpus.observed() > 0,
@@ -713,6 +786,51 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn engine_folds_reverse_order_deliveries_to_the_reference_bytes() {
+        // The engine by hand, as a driver with the worst possible
+        // schedule would run it: every chunk executed up front, outputs
+        // handed back last-to-first. The fold still happens in plan
+        // order, so the bytes match the thread driver and the
+        // sequential reference.
+        let trace = boot_trace(100);
+        let plan = plan_over(&trace, 20);
+        let factory = IrisHvTarget::default();
+        let mut engine = CampaignEngine::fresh(plan.clone(), 8);
+        let outputs: Vec<ChunkOutput> = (engine.chunks().iter())
+            .map(|&(tc_idx, range)| run_mutant_range_with(&factory, &trace, &plan[tc_idx], range))
+            .collect();
+        assert!(outputs.len() > plan.len(), "several chunks per test case");
+        let wrong = outputs[1].clone();
+        assert_eq!(
+            engine.fold(0, wrong),
+            Err(FoldError::RangeMismatch { index: 0 })
+        );
+        assert_eq!(
+            engine.fold(outputs.len(), outputs[0].clone()),
+            Err(FoldError::UnknownChunk {
+                index: outputs.len()
+            })
+        );
+        for (index, out) in outputs.into_iter().enumerate().rev() {
+            assert!(engine.report().results.is_empty(), "chunk 0 is still out");
+            engine
+                .fold(index, out)
+                .expect("every chunk is the engine's own");
+        }
+        assert_eq!(engine.progress().results_folded, plan.len());
+        let folded = serde_json::to_string(&engine.into_report()).unwrap();
+
+        let threaded = ParallelCampaign::new(2)
+            .with_chunk(8)
+            .run_trace(&trace, &plan);
+        let mut traces = BTreeMap::new();
+        traces.insert(iris_guest::workloads::Workload::OsBoot, trace);
+        let sequential = ParallelCampaign::run_sequential_with(&factory, &traces, &plan);
+        assert_eq!(folded, serde_json::to_string(&threaded).unwrap());
+        assert_eq!(folded, serde_json::to_string(&sequential).unwrap());
     }
 
     #[test]
@@ -757,14 +875,15 @@ mod tests {
         let total: u64 = plan.iter().map(|tc| tc.mutants as u64).sum();
 
         let mut seen = Vec::new();
-        let report =
-            ParallelCampaign::new(2)
-                .with_chunk(8)
-                .run_observed(&traces, &plan, |p, partial| {
-                    assert_eq!(p.mutants_total, total);
-                    assert_eq!(p.results_folded, partial.results.len());
-                    seen.push((p.mutants_done, p.results_folded));
-                });
+        let report = ParallelCampaign::new(2)
+            .with_chunk(8)
+            .run_session(&traces, &plan, CampaignRunOptions::default(), |engine| {
+                let p = engine.progress();
+                assert_eq!(p.mutants_total, total);
+                assert_eq!(p.results_folded, engine.report().results.len());
+                seen.push((p.mutants_done, p.results_folded));
+            })
+            .expect("no faults, no stop flag");
         assert!(!seen.is_empty(), "observer must fire per chunk");
         assert!(
             seen.windows(2).all(|w| w[0] <= w[1]),
@@ -787,10 +906,10 @@ mod tests {
         let report = ParallelCampaign::new(4).run_trace(&trace, &plan);
 
         // Re-run sequentially, unioning per-test-case maps by hand.
-        let mut campaign = crate::campaign::Campaign::new();
+        let mut corpus = Corpus::new();
         let maps: Vec<CoverageMap> = plan
             .iter()
-            .map(|tc| campaign.run_test_case_cov(&trace, tc).1)
+            .map(|tc| run_test_case_with(&IrisHvTarget::default(), &mut corpus, &trace, tc).1)
             .collect();
         assert_eq!(report.coverage, CoverageMap::merged(maps.iter()));
         assert!(report.coverage.lines() > 0);
@@ -853,7 +972,6 @@ mod tests {
 
     #[test]
     fn interrupted_campaign_resumes_byte_identically() {
-        use crate::checkpoint::{CampaignCheckpoint, CHECKPOINT_VERSION};
         use std::sync::atomic::{AtomicBool, Ordering};
 
         let trace = boot_trace(100);
@@ -865,10 +983,12 @@ mod tests {
         let reference = ParallelCampaign::new(2).run(&traces, &plan);
         let baseline = serde_json::to_string(&reference).unwrap();
 
-        // Trip the stop flag from the observer after the first fold;
-        // with one worker the claim loop sees it before the plan runs
+        // Trip the stop flag from the observer after the first fold,
+        // keeping the newest checkpoint as a durable writer would; with
+        // one worker the claim loop sees the flag before the plan runs
         // dry, so the partial report is a strict prefix.
         let stop = AtomicBool::new(false);
+        let mut checkpoint = None;
         let partial = ParallelCampaign::new(1)
             .run_session(
                 &traces,
@@ -880,8 +1000,9 @@ mod tests {
                     },
                     resume: None,
                 },
-                |p, _| {
-                    if p.results_folded >= 1 {
+                |engine| {
+                    if engine.progress().results_folded >= 1 {
+                        checkpoint = Some(engine.checkpoint("test-fingerprint"));
                         stop.store(true, Ordering::Relaxed);
                     }
                 },
@@ -893,22 +1014,18 @@ mod tests {
             partial.results.len(),
             plan.len()
         );
+        let checkpoint = checkpoint.expect("a fold was observed");
+        assert_eq!(checkpoint.report, partial, "the last checkpoint is the run");
 
-        let checkpoint = CampaignCheckpoint {
-            version: CHECKPOINT_VERSION,
-            fingerprint: String::from("test-fingerprint"),
-            folded: partial.results.len(),
-            report: partial,
-        };
         let resumed = ParallelCampaign::new(2)
             .run_session(
                 &traces,
                 &plan,
                 CampaignRunOptions {
-                    policy: RunPolicy::default(),
                     resume: Some(checkpoint),
+                    ..CampaignRunOptions::default()
                 },
-                |_, _| {},
+                |_| {},
             )
             .expect("resumed run completes");
         assert_eq!(
@@ -949,7 +1066,7 @@ mod tests {
                     },
                     resume: None,
                 },
-                |_, _| {},
+                |_| {},
             )
             .expect("panics within budget are absorbed");
         assert_eq!(
@@ -982,11 +1099,15 @@ mod tests {
                     },
                     resume: None,
                 },
-                |_, _| {},
+                |_| {},
             )
             .expect_err("a persistent fault must exhaust the budget");
         match err {
-            ExecutorError::RestartBudgetExhausted { budget, panics, .. } => {
+            SessionError::Executor(ExecutorError::RestartBudgetExhausted {
+                budget,
+                panics,
+                ..
+            }) => {
                 assert_eq!(budget, 1);
                 assert!(panics > budget);
             }

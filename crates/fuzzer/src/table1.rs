@@ -4,7 +4,7 @@
 //! coverage discovered by the fuzzing sequence over the single
 //! `VM_seed_R` baseline.
 
-use crate::campaign::{Campaign, TestCaseResult};
+use crate::campaign::TestCaseResult;
 use crate::mutation::SeedArea;
 use crate::parallel::{CampaignReport, ParallelCampaign};
 use crate::target::TargetFactory;
@@ -96,29 +96,11 @@ pub struct TestCaseCell {
 }
 
 impl Table1 {
-    /// Run the full table: for each (workload trace, reason row, area
-    /// column) where the trace contains a seed with that reason, run one
-    /// test case with `mutants` mutants. (The paper's dashes are reasons
-    /// absent from a workload — e.g. HLT never appears in OS BOOT's
-    /// 5000-exit slice.) Runs against whatever backend the campaign's
-    /// factory builds.
-    pub fn run<F: TargetFactory>(
-        campaign: &mut Campaign<F>,
-        traces: &BTreeMap<Workload, RecordedTrace>,
-        mutants: usize,
-        rng_seed: u64,
-    ) -> Table1 {
-        let mut table = Table1::default();
-        for tc in Self::plan(traces, mutants, rng_seed) {
-            let r = campaign.run_test_case(&traces[&tc.workload], &tc);
-            table.insert(&r);
-        }
-        table
-    }
-
-    /// The full-table plan: one test case per (workload trace, reason
-    /// row, area column) where the trace contains a seed with that
-    /// reason, in the deterministic order [`Table1::run`] executes them.
+    /// The full-table plan: one test case with `mutants` mutants per
+    /// (workload trace, reason row, area column) where the trace
+    /// contains a seed with that reason, in deterministic order. (The
+    /// paper's dashes are reasons absent from a workload — e.g. HLT
+    /// never appears in OS BOOT's 5000-exit slice.)
     #[must_use]
     pub fn plan(
         traces: &BTreeMap<Workload, RecordedTrace>,
@@ -142,16 +124,17 @@ impl Table1 {
         plan
     }
 
-    /// Run the full table on a sharded executor. Deterministic: the
-    /// plan and per-test-case results are independent of both the
-    /// worker count and the executor's work-stealing chunk size (the
-    /// per-range RNG law makes every cell's mutant stream
-    /// partition-invariant), so the assembled table equals
-    /// [`Table1::run`]'s for any `(jobs, chunk)` — and a single
+    /// Run the full table on a sharded executor, against whatever
+    /// backend its factory builds. Deterministic: the plan and
+    /// per-test-case results are independent of both the worker count
+    /// and the executor's work-stealing chunk size (the per-range RNG
+    /// law makes every cell's mutant stream partition-invariant), so
+    /// the assembled table is the same for any `(jobs, chunk)` —
+    /// `jobs = 1` is the paper's sequential sweep — and a single
     /// huge-`M` cell (the paper's 10 000-mutant columns) spreads across
     /// the whole pool instead of serializing the sweep. Also returns
     /// the aggregated report (merged coverage, folded stats,
-    /// deduplicated corpus) that the sequential API kept in `Campaign`.
+    /// deduplicated corpus).
     #[must_use]
     pub fn run_parallel<F: TargetFactory>(
         executor: &ParallelCampaign<F>,
@@ -241,8 +224,7 @@ mod tests {
         let mut traces = BTreeMap::new();
         traces.insert(Workload::OsBoot, record_trace(Workload::OsBoot, 150, 42));
 
-        let mut campaign = Campaign::new();
-        let table = Table1::run(&mut campaign, &traces, 20, 1);
+        let (table, _) = Table1::run_parallel(&ParallelCampaign::new(1), &traces, 20, 1);
         // CR ACCESS must be present for OS BOOT; both areas filled.
         assert!(table
             .cell(ExitReason::CrAccess, Workload::OsBoot, SeedArea::Vmcs)
@@ -261,12 +243,15 @@ mod tests {
         let mut traces = BTreeMap::new();
         traces.insert(Workload::OsBoot, record_trace(Workload::OsBoot, 120, 42));
 
-        let mut campaign = Campaign::new();
-        let sequential = Table1::run(&mut campaign, &traces, 15, 1);
+        let plan = Table1::plan(&traces, 15, 1);
+        let reference = ParallelCampaign::run_sequential_with(
+            &crate::target::IrisHvTarget::default(),
+            &traces,
+            &plan,
+        );
+        let (sequential, _) = Table1::run_parallel(&ParallelCampaign::new(1), &traces, 15, 1);
         let (parallel, report) = Table1::run_parallel(&ParallelCampaign::new(4), &traces, 15, 1);
         assert_eq!(sequential, parallel);
-        assert_eq!(report.results.len(), Table1::plan(&traces, 15, 1).len());
-        assert_eq!(report.corpus.observed(), campaign.corpus.observed());
-        assert_eq!(report.corpus.unique(), campaign.corpus.unique());
+        assert_eq!(report, reference);
     }
 }

@@ -159,10 +159,14 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     let mut packages: BTreeMap<&str, PkgState> = BTreeMap::new();
 
     let mut findings = Vec::new();
+    let mut waivers: BTreeMap<String, usize> = BTreeMap::new();
     for rel in &sources {
         let src = std::fs::read_to_string(root.join(rel))?;
         let lines = scan::scan(&src);
         findings.extend(rules::lint_lines(rel, &lines, &scoped_rules(rel)));
+        for rule in rules::waivers(&lines) {
+            *waivers.entry(rule.to_string()).or_insert(0) += 1;
+        }
 
         if let Some(pkg) = package_of(rel, &package_dirs) {
             let state = packages.entry(pkg).or_default();
@@ -204,6 +208,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         root: root.to_string_lossy().into_owned(),
         files_scanned: sources.len(),
         findings,
+        waivers,
     })
 }
 

@@ -10,7 +10,8 @@
 //!   "root": "…",
 //!   "files_scanned": 123,
 //!   "findings": [{"file": "…", "line": 7, "rule": "rng-law", "message": "…"}],
-//!   "summary": {"total": 1, "by_rule": {"rng-law": 1}}
+//!   "summary": {"total": 1, "by_rule": {"rng-law": 1}},
+//!   "waivers": {"total": 2, "by_rule": {"panic-path-audit": 2}}
 //! }
 //! ```
 
@@ -48,6 +49,9 @@ pub struct LintReport {
     pub files_scanned: usize,
     /// All findings, sorted by (file, line, rule).
     pub findings: Vec<Diagnostic>,
+    /// Live `lint:allow` waivers per rule id — reported so the count
+    /// trends (the goal is structure, not annotation: ANALYSIS.md).
+    pub waivers: BTreeMap<String, usize>,
 }
 
 impl LintReport {
@@ -65,6 +69,21 @@ impl LintReport {
             *map.entry(d.rule.clone()).or_insert(0) += 1;
         }
         map
+    }
+
+    /// `rule: n, rule: n` over a per-rule count map.
+    fn text_counts(counts: &BTreeMap<String, usize>) -> String {
+        let cells: Vec<String> = counts.iter().map(|(r, n)| format!("{r}: {n}")).collect();
+        cells.join(", ")
+    }
+
+    /// `{"total":N,"by_rule":{"rule":n,…}}` over a per-rule count map.
+    fn json_counts(counts: &BTreeMap<String, usize>) -> String {
+        let cells: Vec<String> = (counts.iter())
+            .map(|(r, n)| format!("{}:{n}", json_str(r)))
+            .collect();
+        let total: usize = counts.values().sum();
+        format!("{{\"total\":{total},\"by_rule\":{{{}}}}}", cells.join(","))
     }
 
     /// Human-readable report.
@@ -86,16 +105,14 @@ impl LintReport {
                 self.findings.len(),
                 self.files_scanned
             ));
-            let mut first = true;
-            for (rule, n) in self.by_rule() {
-                if !first {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("{rule}: {n}"));
-                first = false;
-            }
+            out.push_str(&Self::text_counts(&self.by_rule()));
             out.push_str(")\n");
         }
+        out.push_str(&format!(
+            "iris-lint: {} waiver(s) ({})\n",
+            self.waivers.values().sum::<usize>(),
+            Self::text_counts(&self.waivers)
+        ));
         out
     }
 
@@ -120,18 +137,11 @@ impl LintReport {
             ));
         }
         out.push_str("],");
-        out.push_str(&format!("\"summary\":{{\"total\":{},", self.findings.len()));
-        out.push_str("\"by_rule\":{");
-        let mut first = true;
-        for (rule, n) in self.by_rule() {
-            if !first {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_str(&rule), n));
-            first = false;
-        }
-        out.push_str("}}}");
-        out.push('\n');
+        out.push_str(&format!(
+            "\"summary\":{},\"waivers\":{}}}\n",
+            Self::json_counts(&self.by_rule()),
+            Self::json_counts(&self.waivers)
+        ));
         out
     }
 }
@@ -169,7 +179,7 @@ mod tests {
         let r = LintReport {
             root: "/ws".into(),
             files_scanned: 3,
-            findings: vec![],
+            ..LintReport::default()
         };
         assert!(r.is_clean());
         assert!(r.render_text().contains("0 findings"));
@@ -195,8 +205,23 @@ mod tests {
                     message: "m".into(),
                 },
             ],
+            ..LintReport::default()
         };
         assert!(r.render_text().contains("rng-law: 2"));
         assert!(r.render_json().contains("\"by_rule\":{\"rng-law\":2}"));
+    }
+
+    #[test]
+    fn waivers_render_in_both_reports() {
+        let r = LintReport {
+            waivers: BTreeMap::from([("panic-path-audit".into(), 3), ("rng-law".into(), 1)]),
+            ..LintReport::default()
+        };
+        assert!(r
+            .render_text()
+            .contains("4 waiver(s) (panic-path-audit: 3, rng-law: 1)"));
+        assert!(r.render_json().ends_with(
+            "\"waivers\":{\"total\":4,\"by_rule\":{\"panic-path-audit\":3,\"rng-law\":1}}}\n"
+        ));
     }
 }

@@ -273,6 +273,18 @@ fn collect_allows(lines: &[LineInfo]) -> Vec<Allow> {
     allows
 }
 
+/// The well-formed waivers in a file, as rule ids — one entry per
+/// `lint:allow` annotation. (Malformed and unused ones are findings, so
+/// on a clean tree this is exactly the set of live waivers.)
+#[must_use]
+pub fn waivers(lines: &[LineInfo]) -> Vec<&'static str> {
+    collect_allows(lines)
+        .iter()
+        .filter(|a| a.error.is_none())
+        .filter_map(|a| a.rule.map(Rule::id))
+        .collect()
+}
+
 /// Parse the `(<rule-id>) -- <reason>` tail of an allow annotation.
 fn parse_allow_body(rest: &str) -> (Option<Rule>, Option<String>) {
     let Some(open) = rest.find('(') else {

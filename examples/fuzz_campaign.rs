@@ -8,9 +8,9 @@
 //! cargo run --release --example fuzz_campaign
 //! ```
 
-use iris_fuzzer::campaign::Campaign;
 use iris_fuzzer::failure::FailureKind;
 use iris_fuzzer::mutation::SeedArea;
+use iris_fuzzer::parallel::ParallelCampaign;
 use iris_fuzzer::target::{
     record_trace, render_planted_fault_report, FaultyHvTarget, TargetFactory,
 };
@@ -25,9 +25,6 @@ fn main() {
         trace.len()
     );
 
-    // The default campaign drives the stock `iris` backend; any
-    // `TargetFactory` slots in the same way.
-    let mut campaign = Campaign::new();
     let mut plan = Vec::new();
     for reason in [
         ExitReason::CrAccess,
@@ -45,8 +42,12 @@ fn main() {
             });
         }
     }
-    for tc in &plan {
-        let r = campaign.run_test_case(&trace, tc);
+    // The default executor drives the stock `iris` backend; any
+    // `TargetFactory` slots in the same way (one worker here — the
+    // report is the same for any count).
+    let report = ParallelCampaign::new(1).run_trace(&trace, &plan);
+    for r in &report.results {
+        let tc = &r.testcase;
         println!(
             "{:<12} {:>4}  +{:>4.0}% new coverage   VM crashes {:>5.1}%   HV crashes {:>5.1}%",
             tc.reason.figure_label(),
@@ -59,15 +60,12 @@ fn main() {
 
     println!(
         "\ncorpus: {} crashes observed, {} unique saved ({} VM, {} hypervisor)",
-        campaign.corpus.observed(),
-        campaign.corpus.unique(),
-        campaign.corpus.of_kind(FailureKind::VmCrash).count(),
-        campaign
-            .corpus
-            .of_kind(FailureKind::HypervisorCrash)
-            .count()
+        report.corpus.observed(),
+        report.corpus.unique(),
+        report.corpus.of_kind(FailureKind::VmCrash).count(),
+        report.corpus.of_kind(FailureKind::HypervisorCrash).count()
     );
-    if let Some(c) = campaign.corpus.crashes.first() {
+    if let Some(c) = report.corpus.crashes.first() {
         println!(
             "first crash: mutant #{} of {} ({:?}) — console: \"{}\"",
             c.mutant_index,
@@ -80,14 +78,11 @@ fn main() {
     // Same plan, same driver, different backend: the faulty build has a
     // ground truth, so the report can say what the fuzzer *found*.
     let faulty = FaultyHvTarget::default();
-    let mut faulty_campaign = Campaign::with_factory(faulty);
-    for tc in &plan {
-        faulty_campaign.run_test_case(&trace, tc);
-    }
+    let faulty_report = ParallelCampaign::with_factory(1, faulty).run_trace(&trace, &plan);
     println!(
         "\nsame plan against `{}` ({}):",
         faulty.name(),
         faulty.description()
     );
-    print!("{}", render_planted_fault_report(&faulty_campaign.corpus));
+    print!("{}", render_planted_fault_report(&faulty_report.corpus));
 }

@@ -5,8 +5,10 @@ use iris_core::manager::{IrisManager, Mode};
 use iris_core::metrics;
 use iris_core::record::RecordConfig;
 use iris_core::seed_db::SeedDb;
-use iris_fuzzer::campaign::Campaign;
+use iris_fuzzer::campaign::run_test_case_with;
+use iris_fuzzer::corpus::Corpus;
 use iris_fuzzer::mutation::SeedArea;
+use iris_fuzzer::target::IrisHvTarget;
 use iris_fuzzer::testcase::TestCase;
 use iris_guest::workloads::Workload;
 use iris_vtx::exit::ExitReason;
@@ -94,15 +96,15 @@ fn fuzzing_on_top_of_replayed_state() {
             3,
         )
     };
-    let mut campaign = Campaign::new();
-    let r = campaign.run_test_case(&trace, &tc);
+    let mut corpus = Corpus::new();
+    let (r, _) = run_test_case_with(&IrisHvTarget::default(), &mut corpus, &trace, &tc);
     assert_eq!(r.failures.submitted, 80);
     assert!(r.baseline_lines > 0);
     // Flipping the I/O qualification reaches other ports/directions.
     assert!(r.new_lines > 0);
     // Crash corpus entries replay deterministically: resubmit one and
     // observe a crash again.
-    if let Some(record) = campaign.corpus.crashes.first() {
+    if let Some(record) = corpus.crashes.first() {
         let mut mgr2 = IrisManager::new(32 << 20);
         mgr2.db.insert(trace.clone());
         mgr2.replay("OS BOOT", Mode::Replay, false);
