@@ -167,14 +167,6 @@ impl SnapshotForest {
         self.cap
     }
 
-    /// Tell the forest the SUT was rebuilt from scratch: a fresh boot
-    /// reproduces the root state exactly (the record/replay determinism
-    /// law), so the live domain now sits at the root. The caller must
-    /// re-enable page dirty tracking on the rebuilt domain.
-    pub fn rebooted(&mut self) {
-        self.current = 0;
-    }
-
     fn bump_tick(&mut self) -> u64 {
         self.tick += 1;
         self.tick
@@ -571,27 +563,5 @@ mod tests {
         assert!(!forest.contains(a), "leaf evicted under pressure");
         assert!(forest.contains(b));
         assert!(!forest.restore_to(&mut hv, dom, a));
-    }
-
-    #[test]
-    fn reboot_resets_current_to_root() {
-        let (mut hv, dom) = fresh();
-        let mut forest = SnapshotForest::new(&hv, dom, ForestConfig::default()).unwrap();
-        enable_tracking(&mut hv, dom);
-        write(&mut hv, dom, 0x1000, 1);
-        let a = forest.take_delta(&mut hv, dom);
-        forest.rebooted();
-        assert_eq!(forest.current(), StateId::ROOT);
-        // After a rebuild the live domain IS the root state; restoring
-        // the pinned node from there must still produce its state.
-        // (Simulate the rebuild: restore root by hand via a fresh
-        // domain of the same recipe.)
-        let mut hv2 = Hypervisor::new();
-        let dom2 = hv2.create_hvm_domain(1 << 20);
-        hv2.domains[dom2 as usize]
-            .memory
-            .set_page_dirty_tracking(true);
-        assert!(forest.restore_to(&mut hv2, dom2, a));
-        assert_eq!(read(&hv2, dom2, 0x1000), Some(1));
     }
 }

@@ -34,7 +34,7 @@ use iris_vtx::gpr::Gpr;
 /// live only when its stamp matches the current generation. Together
 /// with the pre-allocated VMWRITE capture buffer this makes seed
 /// submission allocation-free on the non-crash path.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ReplayHooks {
     /// Current seed generation; entries with a different stamp are dead.
     generation: u32,
@@ -136,7 +136,7 @@ pub struct ReplayOutcome {
 /// Owns the interposition state ([`ReplayHooks`]) so per-seed submission
 /// reuses the override table and capture buffers instead of rebuilding
 /// them.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ReplayEngine {
     /// The dummy domain seeds are submitted through.
     pub domain: u16,
@@ -159,6 +159,19 @@ impl ReplayEngine {
             submitted: 0,
             hooks: ReplayHooks::new(),
         }
+    }
+
+    /// Put the engine back to the state `image` was cloned at, keeping
+    /// the capture buffer's allocation — the engine half of restoring a
+    /// whole stack with [`Hypervisor::restore_from`].
+    pub fn restore_from(&mut self, image: &ReplayEngine) {
+        self.domain = image.domain;
+        self.submitted = image.submitted;
+        self.hooks.generation = image.hooks.generation;
+        self.hooks.stamp = image.hooks.stamp;
+        self.hooks.value = image.hooks.value;
+        self.hooks.writes.clone_from(&image.hooks.writes);
+        self.hooks.cost = image.hooks.cost;
     }
 
     /// Submit one VM seed (recorded or crafted) to the hypervisor.
@@ -271,6 +284,20 @@ mod tests {
         let rep = replayed.total_coverage().lines() as f64;
         let fitting = rep / rec * 100.0;
         assert!(fitting > 85.0, "OS_BOOT fitting {fitting:.1}%");
+    }
+
+    #[test]
+    fn a_booted_dummy_vm_holds_a_handful_of_ept_runs() {
+        // An exact size counter, not a timing: what a snapshot copies and
+        // a restore compares is this many runs, whatever the RAM size.
+        let trace = record_trace(Workload::OsBoot, 300);
+        let mut hv = Hypervisor::new();
+        let dummy = hv.create_hvm_domain(16 << 20);
+        let mut engine = ReplayEngine::new(&mut hv, dummy);
+        let replayed = engine.replay_trace(&mut hv, &trace);
+        assert_eq!(replayed.metrics.len(), 300, "no crash during boot replay");
+        let runs = hv.domains[dummy as usize].ept.runs();
+        assert!(runs <= 16, "dummy VM EPT holds {runs} runs after OS BOOT");
     }
 
     #[test]

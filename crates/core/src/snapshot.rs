@@ -37,45 +37,14 @@ impl Snapshot {
     /// the API now has exactly this method — "revert" and "restore" are
     /// the same operation. Usually the target is the slot the snapshot
     /// came from, but the replay flow restores the *test VM* image into
-    /// the *dummy VM* slot to start both sides from the same state.)
+    /// the *dummy VM* slot to start both sides from the same state; the
+    /// slot keeps its own domain id.)
     ///
-    /// **Divergence-check semantics.** Every component is compared
-    /// before it is written: the vCPU array and guest memory diff at
-    /// page/element granularity inside their `clone_from`/
-    /// [`iris_hv::mm::GuestMemory::restore_from`] paths, and the EPT,
-    /// I/O bus, IRQ, and platform-timer blocks are equality-walked here
-    /// and skipped when unchanged (the walks are allocation-free and
-    /// far cheaper than rebuilding — the EPT alone holds thousands of
-    /// entries; replay rarely touches them). The cost is therefore
-    /// proportional to the state that actually diverged since the
-    /// snapshot, not to a full `Hypervisor::new()` + boot replay — and
-    /// clean components never dirty cache lines, which is also what
-    /// keeps the forest's page-granular dirty sets small when the two
-    /// mechanisms are stacked. This is what lets fuzzing campaigns
-    /// reset the dummy VM to the post-boot state `s1` once per crash
-    /// instead of rebuilding the whole stack per test case.
+    /// The cost is that of [`Domain::restore_from`]: proportional to
+    /// the state that diverged since the snapshot, which is what lets a
+    /// replay flow revert per crash instead of rebuilding per test case.
     pub fn restore_into(&self, hv: &mut Hypervisor, domain_id: u16) {
-        let slot = &mut hv.domains[domain_id as usize];
-        slot.kind = self.domain.kind;
-        slot.crashed = self.domain.crashed.clone();
-        slot.vcpus.clone_from(&self.domain.vcpus);
-        slot.memory.restore_from(&self.domain.memory);
-        // Equality walks are allocation-free and much cheaper than
-        // rebuilding these (the EPT alone holds thousands of entries);
-        // replay rarely touches them, so the common restore skips them.
-        if slot.ept != self.domain.ept {
-            slot.ept.clone_from(&self.domain.ept);
-        }
-        if slot.iobus != self.domain.iobus {
-            slot.iobus.clone_from(&self.domain.iobus);
-        }
-        if slot.irq != self.domain.irq {
-            slot.irq.clone_from(&self.domain.irq);
-        }
-        if slot.vpt != self.domain.vpt {
-            slot.vpt.clone_from(&self.domain.vpt);
-        }
-        slot.id = domain_id;
+        hv.domains[domain_id as usize].restore_from(&self.domain);
     }
 
     /// The captured domain's id.

@@ -167,9 +167,9 @@ pub fn run_mutant_range_on<T: FuzzTarget + ?Sized>(
                 console: verdict.console,
             });
             // Back to s1 (the paper's test-case restart after a
-            // failure — a snapshot or forest-node restore, or a full
-            // rebuild when the SUT itself died), then re-establish the
-            // post-target state.
+            // failure — the dummy VM from the `s1` image or forest
+            // root, the whole stack when the SUT itself died), then
+            // re-establish the post-target state.
             restore_s1(target);
             let _ = target.submit(target_seed);
         }

@@ -20,6 +20,14 @@
 //! scales with the *out-of-order window* (bounded by how far the
 //! fastest worker runs ahead), not with the work list.
 //!
+//! A run with **one worker spawns no thread**: the same claim loop runs
+//! on the calling thread and hands each output straight to the reorder
+//! buffer. A thread and a channel per run bought nothing there, and
+//! their cost is not steady — a spawn, a join and one futex wake per
+//! output, 2× dearer whenever the scheduler puts the worker on another
+//! CPU than the caller (measured on `guided`, one run per 64-slot
+//! generation: 35 ms vs 78 ms of CPU for the same 8 000 slots).
+//!
 //! Workers can carry state across the items they claim:
 //! `worker_ctx` builds one context per worker thread, **lazily** on its
 //! first claim — a worker that never steals anything never pays for a
@@ -442,6 +450,8 @@ impl<R> Reorder<R> {
 /// * `sink` runs on the calling thread, concurrently with the workers;
 ///   out-of-order completions are parked until the gap before them
 ///   fills.
+/// * One worker (`jobs == 1`, or a single item) is the calling thread
+///   itself: no thread is spawned and `sink` runs between items.
 /// * `policy` controls panic recovery, cooperative stop, and fault
 ///   injection ([`RunPolicy::default`] absorbs up to
 ///   [`RunPolicy::DEFAULT_MAX_WORKER_RESTARTS`] worker panics).
@@ -479,96 +489,140 @@ where
         return Ok(());
     }
     let workers = jobs.min(items.len()).max(1);
-    let budget = policy.budget();
-    let cursor = AtomicUsize::new(0);
-    let faults = FaultState::new();
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let cursor = &cursor;
-            let faults = &faults;
-            let tx = tx.clone();
-            let worker_ctx = &worker_ctx;
-            let work = &work;
-            scope.spawn(move || {
-                let mut ctx: Option<C> = None;
-                loop {
-                    // Claim point: honour poisoning and stop requests
-                    // before taking on more work.
-                    if faults.poisoned.load(Ordering::Acquire) || policy.stop_requested() {
+    let run = Run {
+        items,
+        policy,
+        budget: policy.budget(),
+        cursor: AtomicUsize::new(0),
+        faults: FaultState::new(),
+        worker_ctx: &worker_ctx,
+        work: &work,
+    };
+    let mut order = Reorder::default();
+    if workers == 1 {
+        run.claim_loop(|index, out| {
+            order.push(index, out, &mut sink);
+            true
+        });
+    } else {
+        let (tx, rx) = mpsc::channel::<(usize, R)>();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let run = &run;
+                // A failed send means the aggregator is gone; nothing
+                // left to do.
+                scope.spawn(move || run.claim_loop(|index, out| tx.send((index, out)).is_ok()));
+            }
+            drop(tx);
+            for (index, out) in rx {
+                order.push(index, out, &mut sink);
+            }
+        });
+    }
+    run.outcome(order.delivered())
+}
+
+/// What the workers of one [`run_ordered`] call share.
+struct Run<'a, T, B, W> {
+    items: &'a [T],
+    policy: &'a RunPolicy<'a>,
+    budget: usize,
+    cursor: AtomicUsize,
+    faults: FaultState,
+    worker_ctx: &'a B,
+    work: &'a W,
+}
+
+impl<T, B, W> Run<'_, T, B, W> {
+    /// One worker: claim, run and `emit` items until the list drains,
+    /// the run is poisoned or stopped, or `emit` returns `false`.
+    fn claim_loop<R, C>(&self, mut emit: impl FnMut(usize, R) -> bool)
+    where
+        B: Fn() -> C,
+        W: Fn(&mut C, usize, &T) -> R,
+    {
+        let Self {
+            items,
+            policy,
+            faults,
+            ..
+        } = self;
+        let mut ctx: Option<C> = None;
+        loop {
+            // Claim point: honour poisoning and stop requests before
+            // taking on more work.
+            if faults.poisoned.load(Ordering::Acquire) || policy.stop_requested() {
+                break;
+            }
+            // Re-leased indices take priority over the cursor so a lost
+            // item is recovered as soon as any worker is free.
+            let index = match faults.pop_release() {
+                Some(index) => index,
+                None => {
+                    let index = self.cursor.fetch_add(1, Ordering::Relaxed);
+                    if index >= items.len() {
                         break;
                     }
-                    // Re-leased indices take priority over the cursor
-                    // so a lost item is recovered as soon as any
-                    // worker is free.
-                    let index = match faults.pop_release() {
-                        Some(index) => index,
-                        None => {
-                            let index = cursor.fetch_add(1, Ordering::Relaxed);
-                            if index >= items.len() {
-                                break;
-                            }
-                            index
-                        }
-                    };
-                    let ordinal = faults.claim_ordinal.fetch_add(1, Ordering::Relaxed);
-                    // The lazy context build shares the panic scope
-                    // with `work`: a panicking constructor is
-                    // recovered the same way as a panicking item.
-                    let attempt = catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(plan) = policy.faults {
-                            plan.trip(index, ordinal);
-                        }
-                        let ctx = ctx.get_or_insert_with(worker_ctx);
-                        // lint:allow(panic-path-audit) -- index comes from the claim
-                        // cursor or the re-lease list, both bounded by items.len()
-                        work(ctx, index, &items[index])
-                    }));
-                    match attempt {
-                        Ok(out) => {
-                            if tx.send((index, out)).is_err() {
-                                break; // aggregator gone; nothing left to do
-                            }
-                        }
-                        Err(payload) => {
-                            // Tear down the panicking context; the
-                            // next claim rebuilds a fresh one (the
-                            // worker "respawns" in place).
-                            ctx = None;
-                            // lint:allow(panic-path-audit) -- lock guards a bare String
-                            // store; no user code runs under it, so it cannot be poisoned
-                            *faults.last_panic.lock().expect("last panic lock") =
-                                panic_message(payload.as_ref());
-                            drop(payload);
-                            let panics = faults.panics.fetch_add(1, Ordering::AcqRel) + 1;
-                            if panics > budget {
-                                // Poison *before* recording the index
-                                // as lost so no racing worker can
-                                // rescue it: budget exhaustion must
-                                // surface deterministically.
-                                faults.poisoned.store(true, Ordering::Release);
-                                // lint:allow(panic-path-audit) -- lock guards a bare Vec
-                                // push; no user code runs under it, so no poisoning
-                                faults.lost.lock().expect("lost lock").push(index);
-                                break;
-                            }
-                            faults.push_release(index);
-                        }
+                    index
+                }
+            };
+            let ordinal = faults.claim_ordinal.fetch_add(1, Ordering::Relaxed);
+            // The lazy context build shares the panic scope with `work`:
+            // a panicking constructor is recovered the same way as a
+            // panicking item.
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(plan) = policy.faults {
+                    plan.trip(index, ordinal);
+                }
+                let ctx = ctx.get_or_insert_with(self.worker_ctx);
+                // lint:allow(panic-path-audit) -- index comes from the claim
+                // cursor or the re-lease list, both bounded by items.len()
+                (self.work)(ctx, index, &items[index])
+            }));
+            match attempt {
+                Ok(out) => {
+                    if !emit(index, out) {
+                        break;
                     }
                 }
-            });
+                Err(payload) => {
+                    // Tear down the panicking context; the next claim
+                    // rebuilds a fresh one (the worker "respawns" in
+                    // place).
+                    ctx = None;
+                    // lint:allow(panic-path-audit) -- lock guards a bare String
+                    // store; no user code runs under it, so it cannot be poisoned
+                    *faults.last_panic.lock().expect("last panic lock") =
+                        panic_message(payload.as_ref());
+                    drop(payload);
+                    let panics = faults.panics.fetch_add(1, Ordering::AcqRel) + 1;
+                    if panics > self.budget {
+                        // Poison *before* recording the index as lost so
+                        // no racing worker can rescue it: budget
+                        // exhaustion must surface deterministically.
+                        faults.poisoned.store(true, Ordering::Release);
+                        // lint:allow(panic-path-audit) -- lock guards a bare Vec
+                        // push; no user code runs under it, so no poisoning
+                        faults.lost.lock().expect("lost lock").push(index);
+                        break;
+                    }
+                    faults.push_release(index);
+                }
+            }
         }
-        drop(tx);
-        let mut order = Reorder::default();
-        for (index, out) in rx {
-            order.push(index, out, &mut sink);
-        }
-        if order.delivered() == items.len() {
+    }
+
+    /// The run's result once every worker has wound down and `delivered`
+    /// outputs reached the sink.
+    fn outcome(&self, delivered: usize) -> Result<(), ExecutorError> {
+        if delivered == self.items.len() {
             return Ok(());
         }
+        let faults = &self.faults;
         if faults.poisoned.load(Ordering::Acquire) {
             return Err(ExecutorError::RestartBudgetExhausted {
-                budget,
+                budget: self.budget,
                 panics: faults.panics.load(Ordering::Acquire),
                 lost: faults.lost_indices(),
                 // lint:allow(panic-path-audit) -- lock guards a bare String clone;
@@ -577,10 +631,10 @@ where
             });
         }
         Err(ExecutorError::Interrupted {
-            delivered: order.delivered(),
-            total: items.len(),
+            delivered,
+            total: self.items.len(),
         })
-    })
+    }
 }
 
 /// Worker count of the host (`std::thread::available_parallelism`),
@@ -689,6 +743,61 @@ mod tests {
             },
         );
         assert_eq!(out, Ok((1..=25).collect::<Vec<_>>()));
+    }
+
+    #[test]
+    fn one_worker_is_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..8).collect();
+        let ran_on = |jobs| {
+            collect(
+                &items,
+                jobs,
+                &RunPolicy::default(),
+                || (),
+                |(), _, _| std::thread::current().id(),
+            )
+            .expect("no faults, no stop flag")
+        };
+        assert!(ran_on(1).iter().all(|id| *id == caller));
+        assert!(ran_on(2).iter().all(|id| *id != caller));
+    }
+
+    #[test]
+    fn a_stop_from_the_sink_of_a_one_worker_run_is_exact() {
+        // The sink runs between items, so the item after the one whose
+        // delivery tripped the flag is never claimed.
+        let items: Vec<usize> = (0..200).collect();
+        let stop = AtomicBool::new(false);
+        let policy = RunPolicy {
+            stop: Some(&stop),
+            ..RunPolicy::default()
+        };
+        let ran = AtomicUsize::new(0);
+        let err = run_ordered(
+            &items,
+            1,
+            &policy,
+            || (),
+            |(), _, &v| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                v
+            },
+            |index, _| {
+                if index == 4 {
+                    stop.store(true, Ordering::Relaxed);
+                }
+            },
+        )
+        .expect_err("stop mid-run must interrupt");
+        assert_eq!(
+            err,
+            ExecutorError::Interrupted {
+                delivered: 5,
+                total: 200
+            }
+        );
+        assert_eq!(ran.load(Ordering::Relaxed), 5);
     }
 
     #[test]

@@ -252,8 +252,11 @@ pub struct SlotOutcome {
     /// Crash verdict plus the crashing mutant, if the slot crashed.
     pub crash: Option<(CrashVerdict, VmSeed)>,
     /// The mutant and its coverage, if it touched blocks beyond the
-    /// generation-start map (a promotion candidate).
-    pub discovery: Option<(VmSeed, CoverageMap)>,
+    /// generation-start map (a promotion candidate). Boxed: an outcome
+    /// is moved half a dozen times between the slot and the barrier,
+    /// and a 3.5 KB map inline made every one of those moves — on every
+    /// slot, discovery or not — a quarter of a slot's cost.
+    pub discovery: Option<Box<(VmSeed, CoverageMap)>>,
 }
 
 /// A contiguous range of global slot indices `[start, start + len)` —
@@ -412,8 +415,8 @@ impl<T: FuzzTarget> SlotContext<T> {
         self.position(corpus, path);
         let out = self.target.submit(&scheduled.mutant);
         let crash = out.crash.map(|verdict| (verdict, scheduled.mutant.clone()));
-        let discovery =
-            (seen.new_lines_from(&out.coverage) > 0).then_some((scheduled.mutant, out.coverage));
+        let discovery = (seen.new_lines_from(&out.coverage) > 0)
+            .then(|| Box::new((scheduled.mutant, out.coverage)));
         SlotOutcome {
             base_index: scheduled.base_index,
             // lint:allow(panic-path-audit) -- scheduled.base_index was issued by the scheduler from this same corpus snapshot
@@ -641,7 +644,7 @@ impl SharedEngine {
                     console: verdict.console,
                 });
             }
-            if let Some((mutant, coverage)) = out.discovery {
+            if let Some((mutant, coverage)) = out.discovery.map(|d| *d) {
                 if self.seen.new_lines_from(&coverage) > 0 {
                     self.seen.merge(&coverage);
                     // The promoted entry's seed path: its base's path,

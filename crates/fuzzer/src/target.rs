@@ -11,8 +11,9 @@
 //!   dummy VM's boot, replay the seed prefix, snapshot `s1`);
 //! * [`FuzzTarget::submit`] — submit one VM seed and report what happened
 //!   (coverage touched, crash verdict, cycle cost);
-//! * [`FuzzTarget::reset`] — restore `s1` (snapshot restore in O(dirty
-//!   state); a full reboot only if the SUT itself died).
+//! * [`FuzzTarget::reset`] — restore `s1` in O(dirty state): the dummy
+//!   VM alone while the SUT survives, the whole stack in place if the
+//!   SUT itself died. Nothing is rebuilt.
 //!
 //! A [`TargetFactory`] builds private target instances, one per worker
 //! and test case, which is what lets [`crate::parallel::ParallelCampaign`]
@@ -39,7 +40,6 @@ use iris_core::forest::{ForestConfig, SnapshotForest, StateId};
 use iris_core::record::Recorder;
 use iris_core::replay::ReplayEngine;
 use iris_core::seed::VmSeed;
-use iris_core::snapshot::Snapshot;
 use iris_core::trace::RecordedTrace;
 use iris_guest::runner::fast_forward_boot;
 use iris_guest::workloads::Workload;
@@ -129,9 +129,10 @@ pub struct SubmitOutcome {
 /// * submission coverage is reproducible: the same seed from the same
 ///   state touches the same blocks.
 pub trait FuzzTarget {
-    /// Bring the SUT up and reach `s1` per the boot plan. Calling it
-    /// again performs a full rebuild (the hypervisor-crash recovery
-    /// path).
+    /// Bring the SUT up and reach `s1` per the boot plan: build the
+    /// stack, replay the prefix, capture the image every later reset
+    /// restores. Calling it again starts over from nothing (pinned
+    /// states included); no recovery path needs that.
     fn boot(&mut self);
 
     /// Submit one VM seed through the replay interposition surface.
@@ -140,8 +141,10 @@ pub trait FuzzTarget {
     /// Panics if the target was never booted.
     fn submit(&mut self, seed: &VmSeed) -> SubmitOutcome;
 
-    /// Restore `s1`: a snapshot restore when the SUT survives, a full
-    /// reboot when the previous submission was SUT-fatal.
+    /// Restore `s1` in place. While the SUT survives only the dummy VM
+    /// is restored (the SUT's clock, console and cumulative coverage run
+    /// on); after a SUT-fatal submission the whole stack is, and the
+    /// result is indistinguishable from a freshly booted one.
     ///
     /// # Panics
     /// Panics if the target was never booted.
@@ -164,8 +167,8 @@ pub trait FuzzTarget {
     /// leaving the target untouched — when the target has no forest or
     /// the node was evicted; the caller then re-derives the state via
     /// [`FuzzTarget::reset`] + seed replay (slower, never wrong). A
-    /// SUT-fatal crash is recovered with a full reboot first, like
-    /// [`FuzzTarget::reset`]. This seam is what lets a future
+    /// SUT-fatal crash is recovered first, like [`FuzzTarget::reset`]
+    /// does. This seam is what lets a future
     /// `RemoteTarget` adopt the forest protocol without new driver
     /// code.
     fn reset_to(&mut self, _id: StateId) -> bool {
@@ -200,26 +203,38 @@ pub trait TargetFactory: Send + Sync {
     }
 }
 
-/// How a booted [`HvTarget`] gets back to `s1`: one flat snapshot, or a
-/// copy-on-write forest rooted there (when [`TargetFactory::forest`] is
-/// configured).
-enum ResetState {
-    /// Classic single-snapshot restore.
-    Snapshot(Snapshot),
-    /// Snapshot forest: `s1` is the root; [`FuzzTarget::pin_state`] /
-    /// [`FuzzTarget::reset_to`] are live.
-    Forest(SnapshotForest),
-}
-
+/// A booted stack plus what takes it back to `s1`.
 struct HvStack {
     hv: Hypervisor,
     engine: ReplayEngine,
-    reset: ResetState,
+    /// The whole stack as it stood at `s1` — every domain and hypervisor
+    /// global, and the engine. A reset restores the dummy VM from it; a
+    /// SUT-fatal crash restores all of it.
+    s1_hv: Hypervisor,
+    s1_engine: ReplayEngine,
+    /// The copy-on-write forest rooted at `s1`, when
+    /// [`TargetFactory::forest`] is configured: it then owns the dummy
+    /// VM's resets, and [`FuzzTarget::pin_state`] /
+    /// [`FuzzTarget::reset_to`] are live.
+    forest: Option<SnapshotForest>,
+}
+
+impl HvStack {
+    /// Undo a SUT-fatal crash by restoring the `s1` image over the dead
+    /// stack. Returns whether there was one to undo.
+    fn revive(&mut self) -> bool {
+        let dead = !self.hv.is_alive();
+        if dead {
+            self.hv.restore_from(&self.s1_hv);
+            self.engine.restore_from(&self.s1_engine);
+        }
+        dead
+    }
 }
 
 /// A fuzz target over the in-tree hypervisor model: a dummy VM driven by
-/// the [`ReplayEngine`], with `s1` captured as a [`Snapshot`] for O(dirty
-/// state) resets. Both in-tree factories build this type; they differ
+/// the [`ReplayEngine`], with the whole stack captured at `s1` for
+/// O(dirty state) resets. Both in-tree factories build this type; they differ
 /// only in the [`FaultInjection`] configuration baked into the build.
 pub struct HvTarget<'t> {
     plan: BootPlan<'t>,
@@ -242,19 +257,20 @@ impl std::fmt::Debug for HvTarget<'_> {
     }
 }
 
+impl HvTarget<'_> {
+    /// The live stack, for inspection (tests compare whole stacks).
+    ///
+    /// # Panics
+    /// Panics if the target was never booted.
+    #[must_use]
+    pub fn stack(&self) -> (&Hypervisor, &ReplayEngine) {
+        let st = self.state.as_ref().expect("boot() the target first");
+        (&st.hv, &st.engine)
+    }
+}
+
 impl FuzzTarget for HvTarget<'_> {
     fn boot(&mut self) {
-        // A reboot in forest mode salvages the forest: boot is
-        // deterministic, so the freshly built stack *is* the root state
-        // and every pinned node stays restorable (the determinism law —
-        // a node is a pure function of `(trace, prefix, seed path)`).
-        let prior_forest = match self.state.take() {
-            Some(HvStack {
-                reset: ResetState::Forest(forest),
-                ..
-            }) => Some(forest),
-            _ => None,
-        };
         let mut hv = Hypervisor::new();
         hv.faults = self.faults;
         // Campaign drivers only consume Err/Crit console lines (the
@@ -274,28 +290,23 @@ impl FuzzTarget for HvTarget<'_> {
                 out.exit.crash
             );
         }
-        let reset = match (self.forest_cfg, prior_forest) {
-            (Some(_), Some(mut forest)) => {
-                forest.rebooted();
-                hv.domains[dummy as usize]
-                    .memory
-                    .set_page_dirty_tracking(true);
-                ResetState::Forest(forest)
-            }
-            (Some(cfg), None) => match SnapshotForest::new(&hv, dummy, cfg) {
-                Some(forest) => {
-                    // Tracking starts *after* the root capture so the
-                    // dirty set measures divergence from `s1`.
-                    hv.domains[dummy as usize]
-                        .memory
-                        .set_page_dirty_tracking(true);
-                    ResetState::Forest(forest)
-                }
-                None => ResetState::Snapshot(Snapshot::take(&hv, dummy)),
-            },
-            (None, _) => ResetState::Snapshot(Snapshot::take(&hv, dummy)),
-        };
-        self.state = Some(HvStack { hv, engine, reset });
+        let forest = self
+            .forest_cfg
+            .and_then(|cfg| SnapshotForest::new(&hv, dummy, cfg));
+        if forest.is_some() {
+            // Tracking starts *after* the root capture so the dirty set
+            // measures divergence from `s1`.
+            hv.domains[dummy as usize]
+                .memory
+                .set_page_dirty_tracking(true);
+        }
+        self.state = Some(HvStack {
+            s1_hv: hv.clone(),
+            s1_engine: engine.clone(),
+            hv,
+            engine,
+            forest,
+        });
     }
 
     // Inlined so the per-submission `SubmitOutcome` move (the coverage
@@ -325,50 +336,39 @@ impl FuzzTarget for HvTarget<'_> {
 
     fn reset(&mut self) {
         let st = self.state.as_mut().expect("boot() the target first");
-        if st.hv.is_alive() {
-            // A domain crash (or a clean state) restores from the
-            // snapshot in O(dirty state) — or, in forest mode, walks
-            // back to the root in O(delta).
-            match &mut st.reset {
-                ResetState::Snapshot(s1) => s1.restore_into(&mut st.hv, st.engine.domain),
-                ResetState::Forest(forest) => {
-                    let ok = forest.restore_to(&mut st.hv, st.engine.domain, StateId::ROOT);
-                    debug_assert!(ok, "the forest root is never evicted");
-                }
+        let revived = st.revive();
+        let dummy = st.engine.domain as usize;
+        match &mut st.forest {
+            Some(forest) => {
+                let ok = forest.restore_to(&mut st.hv, st.engine.domain, StateId::ROOT);
+                debug_assert!(ok, "the forest root is never evicted");
             }
-        } else {
-            // A hypervisor crash killed the whole stack; rebuild it.
-            self.boot();
+            // The whole-stack restore covered the dummy VM.
+            None if revived => {}
+            None => st.hv.domains[dummy].restore_from(&st.s1_hv.domains[dummy]),
         }
     }
 
     fn pin_state(&mut self) -> Option<StateId> {
         let st = self.state.as_mut().expect("boot() the target first");
-        match &mut st.reset {
-            ResetState::Snapshot(_) => None,
-            ResetState::Forest(forest) => {
-                let id = forest.take_delta(&mut st.hv, st.engine.domain);
-                forest.evict_excess(&[id]);
-                Some(id)
-            }
-        }
+        let forest = st.forest.as_mut()?;
+        let id = forest.take_delta(&mut st.hv, st.engine.domain);
+        forest.evict_excess(&[id]);
+        Some(id)
     }
 
     fn reset_to(&mut self, id: StateId) -> bool {
-        if self.forest_cfg.is_none() {
+        let st = self.state.as_mut().expect("boot() the target first");
+        if st.forest.is_none() {
             return false;
         }
-        let st = self.state.as_mut().expect("boot() the target first");
-        if !st.hv.is_alive() {
-            // SUT-fatal crash: rebuild the stack (which salvages the
-            // forest), then restore the pinned node from the root.
-            self.boot();
-        }
-        let st = self.state.as_mut().expect("boot() the target first");
-        match &mut st.reset {
-            ResetState::Snapshot(_) => false,
-            ResetState::Forest(forest) => forest.restore_to(&mut st.hv, st.engine.domain, id),
-        }
+        // The restored dummy VM sits at `s1` while the forest still
+        // believes it at its last node; every frame the restore rewrote
+        // is in the dirty set, which is all `restore_to` relies on.
+        st.revive();
+        st.forest
+            .as_mut()
+            .is_some_and(|forest| forest.restore_to(&mut st.hv, st.engine.domain, id))
     }
 }
 
@@ -774,7 +774,7 @@ mod tests {
         let _ = target.submit(&fatal);
         assert!(
             target.reset_to(pinned),
-            "reboot salvages the forest and the pin survives"
+            "the whole-stack restore keeps the forest and its pins"
         );
         let again = target.submit(&trace.seeds[1]);
         assert_eq!(expected.coverage, again.coverage);

@@ -150,14 +150,103 @@ fn reset_rebuilds_after_a_sut_fatal_crash() {
             Some(iris_fuzzer::failure::FailureKind::HypervisorCrash),
             "{backend:?}: unhandled exit reason must be SUT-fatal"
         );
-        target.reset(); // full reboot path
+        target.reset(); // whole-stack restore path
         let again = target.submit(&trace.seeds[idx]);
         assert_eq!(
             baseline.coverage, again.coverage,
-            "{backend:?}: reboot did not reproduce s1"
+            "{backend:?}: the whole-stack restore did not reproduce s1"
         );
         assert!(again.crash.is_none());
     });
+}
+
+/// Everything a driver can observe of one submission.
+fn observed(out: iris_fuzzer::target::SubmitOutcome) -> impl PartialEq + std::fmt::Debug {
+    (out.coverage, out.crash, out.cycles)
+}
+
+#[test]
+fn fatal_reset_is_indistinguishable_from_a_fresh_boot() {
+    // Undoing a SUT-fatal crash restores the whole stack in place; the
+    // law is that nobody can tell it from the boot it replaces. Twin B
+    // is that boot: after A's crash and recovery the two stacks must
+    // print the same, and stay in lockstep over the trace.
+    let trace = boot_trace(160);
+    let deep = trace.seeds.len() - 55;
+    assert!(deep >= 100, "the deep plan must replay a long prefix");
+    for backend in Backend::ALL {
+        for forest in [None, Some(ForestConfig::default())] {
+            let factory = ConfiguredBackend::new(backend).with_forest(forest);
+            for plan in [
+                BootPlan::for_test_case(&trace, 3),
+                BootPlan::for_test_case(&trace, deep),
+                BootPlan::post_boot(&trace),
+            ] {
+                let what = format!(
+                    "{backend:?} forest={} prefix={}",
+                    forest.is_some(),
+                    plan.prefix
+                );
+                let mut a = factory.build(plan);
+                let mut b = factory.build(plan);
+                a.boot();
+                b.boot();
+                let next = &trace.seeds[plan.prefix..plan.prefix + 50];
+
+                let killed = a.submit(&hv_fatal_mutant(&trace, plan.prefix));
+                assert!(
+                    killed.crash.is_some(),
+                    "{what}: the mutant must kill the SUT"
+                );
+                assert!(!a.stack().0.is_alive(), "{what}");
+                a.reset();
+                assert_eq!(
+                    format!("{:?}", a.stack()),
+                    format!("{:?}", b.stack()),
+                    "{what}: reset after a fatal crash differs from a fresh boot"
+                );
+
+                // Walk on, pin the same state on both (forest only), kill
+                // A again further along, and come back to the pin.
+                for seed in &next[..5] {
+                    assert_eq!(observed(a.submit(seed)), observed(b.submit(seed)), "{what}");
+                }
+                let pins = (a.pin_state(), b.pin_state());
+                for seed in &next[5..10] {
+                    assert_eq!(observed(a.submit(seed)), observed(b.submit(seed)), "{what}");
+                }
+                let _ = a.submit(&hv_fatal_mutant(&trace, plan.prefix));
+                match pins {
+                    (Some(pin_a), Some(pin_b)) => {
+                        assert!(
+                            a.reset_to(pin_a) && b.reset_to(pin_b),
+                            "{what}: pins survive"
+                        );
+                        for seed in &next[5..] {
+                            assert_eq!(
+                                observed(a.submit(seed)),
+                                observed(b.submit(seed)),
+                                "{what}"
+                            );
+                        }
+                    }
+                    _ => {
+                        assert!(forest.is_none(), "{what}: a forest target pins");
+                        assert!(!a.reset_to(StateId::ROOT), "{what}: no forest, no pins");
+                        a.reset();
+                        b.reset();
+                        for seed in next {
+                            assert_eq!(
+                                observed(a.submit(seed)),
+                                observed(b.submit(seed)),
+                                "{what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -275,6 +364,37 @@ fn chunked_reports_are_byte_identical_across_jobs_and_chunks() {
             }
         }
     });
+}
+
+#[test]
+#[ignore = "known counterexample: campaigns reset only after a crash, so a \
+            surviving mutant's state leaks into the rest of its chunk; \
+            un-ignore with the unconditional-reset follow-up"]
+fn chunk_size_law_counterexample_trace_16_cell_290() {
+    // The `(jobs, chunk)` byte-identity law is pinned on the cells the
+    // suites above run, not in general (benchmark/README.md, "What the
+    // first ledgers say" §3): on OS BOOT trace seed 16 the cell (seed
+    // index 290, CR ACCESS, VMCS, 64 mutants, rng_seed 16 ^ 290) finds
+    // 56 new lines run as one chunk and 50 in chunks of 16.
+    let trace = record_trace(Workload::OsBoot, 300, 16);
+    assert_eq!(trace.seeds[290].reason, ExitReason::CrAccess);
+    let plan = [TestCase {
+        mutants: 64,
+        ..TestCase::new(
+            Workload::OsBoot,
+            290,
+            ExitReason::CrAccess,
+            SeedArea::Vmcs,
+            16 ^ 290,
+        )
+    }];
+    let new_lines = |chunk: usize| {
+        let report = ParallelCampaign::new(1)
+            .with_chunk(chunk)
+            .run_trace(&trace, &plan);
+        report.results[0].new_lines
+    };
+    assert_eq!(new_lines(4096), new_lines(16));
 }
 
 #[test]

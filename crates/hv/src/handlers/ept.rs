@@ -23,7 +23,7 @@ pub fn handle_violation(ctx: &mut ExitCtx<'_>) -> Disposition {
     let gpa = ctx.vmread(VmcsField::GuestPhysicalAddress);
     let gfn = gpa >> PAGE_SHIFT;
 
-    match ctx.ept.entry(gfn).copied() {
+    match ctx.ept.entry(gfn) {
         Some(e) if e.kind == PageKind::Mmio => {
             ctx.cov.hit(Component::P2m, 21, 4);
             handle_mmio(ctx, gpa, qual.write)

@@ -76,8 +76,10 @@ pub struct ExitOutcome {
     pub halted: bool,
 }
 
-/// Global hypervisor state.
-#[derive(Debug)]
+/// Global hypervisor state. A clone is an image of the whole system —
+/// every domain plus the clock, console, coverage and crash record —
+/// that [`Hypervisor::restore_from`] can put back.
+#[derive(Debug, Clone)]
 pub struct Hypervisor {
     /// All domains, indexed by position (domain id == index).
     pub domains: Vec<Domain>,
@@ -151,6 +153,28 @@ impl Hypervisor {
             handlers::cr::init_cr_state(&mut dom.vcpus[0]);
             *slot = dom;
         }
+    }
+
+    /// Make the whole system identical to `image` **in place**: every
+    /// domain via [`Domain::restore_from`] (so the cost follows the state
+    /// that diverged, not the RAM size), then the globals. This is how a
+    /// hypervisor-fatal crash is undone without a rebuild — the result
+    /// is indistinguishable from the system the image was cloned from.
+    pub fn restore_from(&mut self, image: &Hypervisor) {
+        self.domains.truncate(image.domains.len());
+        for (slot, src) in self.domains.iter_mut().zip(&image.domains) {
+            slot.restore_from(src);
+        }
+        let kept = self.domains.len();
+        self.domains
+            .extend(image.domains.iter().skip(kept).cloned());
+        self.coverage.clone_from(&image.coverage);
+        self.tsc.clone_from(&image.tsc);
+        self.log.clone_from(&image.log);
+        self.crashed.clone_from(&image.crashed);
+        self.instrumented = image.instrumented;
+        self.fuzzing_ctl = image.fuzzing_ctl;
+        self.faults = image.faults;
     }
 
     /// Whether the whole system is still alive.

@@ -37,7 +37,13 @@ impl std::fmt::Display for GuestMemError {
 impl std::error::Error for GuestMemError {}
 
 /// Sparse guest-physical memory for one domain.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The two dirty trackers are instrumentation on the *live* memory, not
+/// part of its value: they are skipped by serde, ignored by `==`, and a
+/// clone — an image of the contents — starts with both off. An image's
+/// trackers would never be read: [`GuestMemory::restore_from`] keeps the
+/// target's own.
+#[derive(Debug, Default, Serialize, Deserialize)]
 pub struct GuestMemory {
     pages: BTreeMap<u64, Vec<u8>>,
     ram_pages: u64,
@@ -53,6 +59,25 @@ pub struct GuestMemory {
     #[serde(skip)]
     dirty_pages: Option<BTreeSet<u64>>,
 }
+
+impl Clone for GuestMemory {
+    fn clone(&self) -> Self {
+        Self {
+            pages: self.pages.clone(),
+            ram_pages: self.ram_pages,
+            dirty_log: None,
+            dirty_pages: None,
+        }
+    }
+}
+
+impl PartialEq for GuestMemory {
+    fn eq(&self, other: &Self) -> bool {
+        self.ram_pages == other.ram_pages && self.pages == other.pages
+    }
+}
+
+impl Eq for GuestMemory {}
 
 impl GuestMemory {
     /// Empty memory with a nominal RAM size (pages are populated lazily
@@ -235,11 +260,18 @@ impl GuestMemory {
     /// copies, not a full domain rebuild.
     pub fn restore_from(&mut self, src: &GuestMemory) {
         self.ram_pages = src.ram_pages;
-        let mut touched: Vec<u64> = Vec::new();
+        // A restore rewrites frames, so from the forest's view they are
+        // touched-since-last-sync like any other write.
+        let mut touched = self.dirty_pages.as_mut();
+        let mut mark = |gfn: u64| {
+            if let Some(set) = &mut touched {
+                set.insert(gfn);
+            }
+        };
         self.pages.retain(|gfn, _| {
             let keep = src.pages.contains_key(gfn);
             if !keep {
-                touched.push(*gfn);
+                mark(*gfn);
             }
             keep
         });
@@ -251,22 +283,17 @@ impl GuestMemory {
                 Some(existing) => {
                     if existing != page {
                         existing.copy_from_slice(page);
-                        touched.push(*gfn);
+                        mark(*gfn);
                     }
                 }
                 None => {
                     self.pages.insert(*gfn, page.clone());
-                    touched.push(*gfn);
+                    mark(*gfn);
                 }
             }
         }
         if let Some(log) = &mut self.dirty_log {
             log.clear();
-        }
-        if let Some(set) = &mut self.dirty_pages {
-            // A restore rewrites these frames, so from the forest's view
-            // they are touched-since-last-sync like any other write.
-            set.extend(touched);
         }
     }
 }
@@ -385,6 +412,22 @@ mod tests {
         assert_eq!(dst, src);
         assert_eq!(dst.read_u64(0x100).unwrap(), 0xaaaa);
         assert!(dst.read_u64(0x5000).is_err(), "stray page dropped");
+    }
+
+    #[test]
+    fn a_clone_images_the_contents_not_the_trackers() {
+        let mut m = GuestMemory::new(1 << 16);
+        m.set_dirty_tracking(true);
+        m.set_page_dirty_tracking(true);
+        m.write_u64(0x1000, 5).unwrap();
+        let image = m.clone();
+        assert_eq!(image, m, "equality is over contents");
+        assert_eq!(image.read_u64(0x1000).unwrap(), 5);
+        assert!(!image.page_dirty_tracking());
+        assert!(image.dirty_log.is_none());
+        // The live trackers are untouched by taking or restoring an image.
+        m.restore_from(&image);
+        assert_eq!(m.take_dirty_pages().into_iter().collect::<Vec<_>>(), [1]);
     }
 
     #[test]
