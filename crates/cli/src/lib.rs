@@ -2,18 +2,25 @@
 //!
 //! The paper's Fig. 3 shows a CLI in Dom0 driving the IRIS manager
 //! through the `xc_vmcs_fuzzing` hypercall. This crate is that tool for
-//! the simulated stack: argument parsing, the record / replay / fuzz /
-//! report subcommands, and text rendering of the results. The `iris`
-//! binary is a thin `main` over [`run`].
+//! the simulated stack: the command table (`COMMANDS`) with the one
+//! argv parse pass over it (`args`), the subcommands, and text rendering
+//! of the results. `campaign`, `guided` and `submit` describe their run
+//! with the fleet's own [`JobSpec`] and take trace, plan, config and
+//! fingerprint from it, as the coordinator and the workers do. The
+//! `iris` binary is a thin `main` over [`run`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod args;
+
+use args::{command, Command, Flag, Parsed};
 use iris_core::forest::ForestConfig;
 use iris_core::manager::{IrisManager, Mode};
 use iris_core::metrics;
 use iris_core::record::RecordConfig;
 use iris_core::seed_db::SeedDb;
+use iris_core::trace::RecordedTrace;
 use iris_dist::backoff::BackoffPolicy;
 use iris_dist::chaos::{ChaosOptions, ChaosProxy};
 use iris_dist::client::submit as dist_submit;
@@ -22,8 +29,8 @@ use iris_dist::job::{JobKind, JobSpec};
 use iris_dist::worker::{run_worker, WorkerOptions};
 use iris_dist::DistError;
 use iris_fuzzer::checkpoint::{
-    atomic_write_json, campaign_fingerprint, guided_fingerprint, CampaignCheckpoint,
-    GuidedCheckpoint, JsonWriter, SessionError,
+    atomic_write_json, load_if_present, CampaignCheckpoint, GuidedCheckpoint, JsonWriter,
+    SessionError,
 };
 use iris_fuzzer::corpus::{Corpus, CorpusWriter};
 use iris_fuzzer::executor::{run_ordered, RunPolicy};
@@ -32,12 +39,13 @@ use iris_fuzzer::guided::{
 };
 use iris_fuzzer::mutation::SeedArea;
 use iris_fuzzer::parallel::{available_jobs, CampaignReport, CampaignRunOptions, ParallelCampaign};
-use iris_fuzzer::table1::Table1;
 use iris_fuzzer::target::{render_planted_fault_report, Backend, ConfiguredBackend, TargetFactory};
 use iris_fuzzer::testcase::{TestCase, DEFAULT_CHUNK};
 use iris_guest::workloads::Workload;
+use serde::Serialize;
+use std::collections::BTreeMap;
 use std::io::IsTerminal;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Errors surfaced to the user.
 #[derive(Debug)]
@@ -85,37 +93,111 @@ impl From<DistError> for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Top-level help text.
-pub const USAGE: &str = "\
-iris — record & replay framework for hardware-assisted virtualization fuzzing
+// Flag groups: `(name, metavar)`, the metavar empty for a switch. A
+// spelling that means something else on another command (`chaos --seed`,
+// `chaos --budget`) gets its own entry there.
+const TRACE: &[Flag] = &[("--exits", "N"), ("--seed", "S")];
+const MUTANTS: &[Flag] = &[("--mutants", "M")];
+const GUIDED: &[Flag] = &[("--budget", "B"), ("--gen", "G")];
+const JOBS: &[Flag] = &[("--jobs", "N")];
+const CHUNK: &[Flag] = &[("--chunk", "C")];
+const TARGET: &[Flag] = &[("--target", "T")];
+const FOREST: &[Flag] = &[("--forest", ""), ("--forest-cap", "N")];
+const JSON: &[Flag] = &[("--json", "FILE")];
+const CORPUS: &[Flag] = &[("--corpus", "FILE")];
+const DURABLE: &[Flag] = &[("--checkpoint", "FILE"), ("--resume", "FILE")];
+const CONNECT: &[Flag] = &[("--connect", "ADDR")];
+const LISTEN: &[Flag] = &[("--listen", "ADDR")];
+const REPLAY: &[Flag] = &[("--cold", ""), ("--memory", "")];
+const FUZZ: &[Flag] = &[("--area", "vmcs|gpr"), ("--reason", "R")];
+const MODE: &[Flag] = &[("--mode", "shared|ensemble")];
+const SERVE: &[Flag] = &[
+    ("--progress", "FILE"),
+    ("--lease-timeout-ms", "N"),
+    ("--redundancy", "K"),
+    ("--spot-check", "N"),
+    ("--max-queue", "N"),
+    ("--read-deadline-ms", "N"),
+];
+const WORKER: &[Flag] = &[
+    ("--once", ""),
+    ("--heartbeat-ms", "N"),
+    ("--reconnect-attempts", "N"),
+    ("--reconnect-base-ms", "N"),
+    ("--reconnect-max-ms", "N"),
+    ("--jitter-seed", "S"),
+    ("--corrupt-after", "N"),
+];
+const CHAOS: &[Flag] = &[("--seed", "S"), ("--budget", "N")];
+const CAMPAIGN_RUN: &[&[Flag]] = &[
+    TRACE, MUTANTS, JOBS, CHUNK, TARGET, FOREST, JSON, CORPUS, DURABLE,
+];
+const GUIDED_RUN: &[&[Flag]] = &[
+    TRACE, GUIDED, JOBS, MODE, TARGET, FOREST, JSON, CORPUS, DURABLE,
+];
+const CAMPAIGN_JOB: &[&[Flag]] = &[TRACE, MUTANTS, CHUNK, TARGET, JSON];
+const GUIDED_JOB: &[&[Flag]] = &[TRACE, GUIDED, TARGET, JSON];
+const WORKLOAD: &[&str] = &["workload"];
 
-USAGE:
-    iris record   <workload> [--exits N] [--seed S] [--out FILE.json]
-    iris replay   <workload> [--exits N] [--seed S] [--cold] [--memory]
-    iris fuzz     <workload> [--exits N] [--mutants M] [--area vmcs|gpr] [--reason R] [--jobs N] [--chunk C] [--target T]
-    iris campaign <workload> [--exits N] [--mutants M] [--jobs N] [--chunk C] [--target T] [--forest] [--forest-cap N] [--json FILE] [--corpus FILE] [--checkpoint FILE] [--resume FILE]
-    iris guided   <workload> [--exits N] [--budget B] [--gen G] [--jobs N] [--mode shared|ensemble] [--target T] [--forest] [--forest-cap N] [--json FILE] [--corpus FILE] [--checkpoint FILE] [--resume FILE]
-    iris targets
-    iris report   <FILE.json>
-    iris lint     [--root PATH] [--json FILE]
-    iris serve    [--listen ADDR] [--checkpoint FILE] [--resume FILE] [--progress FILE] [--lease-timeout-ms N]
-                  [--redundancy K] [--spot-check N] [--max-queue N] [--read-deadline-ms N]
-    iris worker   --connect ADDR [--target T] [--once] [--heartbeat-ms N]
-                  [--reconnect-attempts N] [--reconnect-base-ms N] [--reconnect-max-ms N] [--jitter-seed S] [--corrupt-after N]
-    iris submit   campaign <workload> --connect ADDR [--exits N] [--seed S] [--mutants M] [--chunk C] [--target T] [--json FILE]
-    iris submit   guided   <workload> --connect ADDR [--exits N] [--seed S] [--budget B] [--gen G] [--target T] [--json FILE]
-    iris chaos    --connect ADDR [--listen ADDR] [--seed S] [--budget N]
+/// Every command `iris` has: name, positionals, required flags,
+/// optional flag groups, entry point. The parse pass, the synopsis
+/// block of the help text and the hostile-argv test all run off this
+/// table.
+pub(crate) const COMMANDS: &[Command] = &[
+    command(
+        "record",
+        WORKLOAD,
+        &[],
+        &[TRACE, &[("--out", "FILE.json")]],
+        cmd_record,
+    ),
+    command("replay", WORKLOAD, &[], &[TRACE, REPLAY], cmd_replay),
+    command(
+        "fuzz",
+        WORKLOAD,
+        &[],
+        &[TRACE, MUTANTS, FUZZ, JOBS, CHUNK, TARGET],
+        cmd_fuzz,
+    ),
+    command("campaign", WORKLOAD, &[], CAMPAIGN_RUN, cmd_campaign),
+    command("guided", WORKLOAD, &[], GUIDED_RUN, cmd_guided),
+    command("targets", &[], &[], &[], cmd_targets),
+    command("report", &["FILE.json"], &[], &[], cmd_report),
+    command("lint", &[], &[], &[&[("--root", "PATH")], JSON], cmd_lint),
+    command("serve", &[], &[], &[LISTEN, DURABLE, SERVE], cmd_serve),
+    command("worker", &[], CONNECT, &[TARGET, WORKER], cmd_worker),
+    command(
+        "submit campaign",
+        WORKLOAD,
+        CONNECT,
+        CAMPAIGN_JOB,
+        submit_campaign,
+    ),
+    command(
+        "submit guided",
+        WORKLOAD,
+        CONNECT,
+        GUIDED_JOB,
+        submit_guided,
+    ),
+    command("chaos", &[], CONNECT, &[LISTEN, CHAOS], cmd_chaos),
+    command("help", &[], &[], &[], |_| Ok(usage())),
+];
 
-WORKLOADS: os_boot | cpu_bound | mem_bound | io_bound | idle
+const WORKLOADS: &str = "os_boot | cpu_bound | mem_bound | io_bound | idle";
 
+/// The prose of the help text. The synopsis block above it is not
+/// written here: [`usage`] renders it from [`COMMANDS`].
+const USAGE: &str = "\
 `campaign` fuzzes every (exit reason x seed area) cell the trace offers,
 sharded over N worker threads (default: available parallelism) stealing
 work in chunks of C mutants (default: 256). Results are deterministic:
-the same cells, crashes, and corpus for any N and any C — chunking only
-changes the load balance, so even `fuzz`'s single test case spreads
-across the pool. `--json` writes the campaign report (byte-identical
-across N and C); `--corpus` persists the crash corpus through a
-background writer so the campaign never pauses on JSON I/O.
+the same cells, crashes, and corpus for any N; for C on the pinned cells
+— resume a campaign with the `--chunk` it started with (RELIABILITY.md,
+What is actually pinned). Chunking spreads even `fuzz`'s single test
+case across the pool. `--json` writes the campaign report
+(byte-identical across N); `--corpus` persists the crash corpus through
+a background writer so the campaign never pauses on JSON I/O.
 `--target` picks the fuzz-target backend (default: iris, the stock
 hypervisor); `iris targets` lists every registered backend. The faulty
 backend plants known handler bugs, and `campaign --target faulty`
@@ -134,8 +216,8 @@ writer.
 `--forest` turns on the copy-on-write snapshot forest (PERFORMANCE.md):
 targets pin post-execution state nodes and restore to them in O(delta)
 instead of replaying the whole seed prefix from s1. Reports are
-byte-identical with the forest on or off, for any --jobs/--chunk — the
-flag changes replay cost only. `--forest-cap N` bounds the live node
+byte-identical with the forest on or off, for any --jobs — the flag
+changes replay cost only. `--forest-cap N` bounds the live node
 count (default: 64; LRU nodes collapse into their parents). Forest
 mode covers `campaign` and both `guided` modes. Checkpoint fingerprints
 ignore the flag, so a resume may switch it freely (RELIABILITY.md).
@@ -148,11 +230,11 @@ shared mode), so a killed run loses at most one boundary's work.
 `--resume` continues from such a file: a missing file simply starts
 fresh, but a checkpoint from a different run configuration (workload,
 seed, target, budget…) is rejected by its fingerprint. Worker count
-and chunk size may change across a resume — the final report stays
-byte-identical to an uninterrupted run. Ctrl-C stops gracefully: the
-run finishes in-flight work, writes a final checkpoint, and still
-flushes the --json/--corpus artifacts (a second Ctrl-C kills
-immediately). `--checkpoint`/`--resume` reject `--mode ensemble`.
+may change across a resume — the final report stays byte-identical to
+an uninterrupted run. Ctrl-C stops gracefully: the run finishes
+in-flight work, writes a final checkpoint, and still flushes the
+--json/--corpus artifacts (a second Ctrl-C kills immediately).
+`--checkpoint`/`--resume` reject `--mode ensemble`.
 
 Distributed service (DISTRIBUTED.md): `serve` runs the coordinator
 daemon (default --listen 127.0.0.1:7331); `worker` processes connect to
@@ -163,7 +245,9 @@ for the report — byte-identical to the same run's in-process
 under worker death (ranges re-lease and re-execute identically) and
 coordinator kill + `--resume` (checkpoints at every fold boundary, same
 files as the in-process `--checkpoint` flow). `submit --json` writes
-the received report; defaults mirror the in-process subcommands.
+the received report. `submit campaign|guided` and the in-process
+`campaign`/`guided` build the same job description from the same flags
+with the same defaults (one `JobSpec`, RELIABILITY.md).
 
 Adversarial hardening (DISTRIBUTED.md, Failure and trust model):
 `serve --redundancy K` leases every range to K distinct workers and
@@ -174,7 +258,8 @@ sample of accepted ranges the same way; `--max-queue` bounds waiting
 submissions (typed Busy rejection); `--read-deadline-ms` bounds the
 wall time any peer may spend inside one frame (slowloris defense).
 Workers reconnect under bounded exponential backoff with deterministic
-jitter (`--reconnect-*`, `--jitter-seed`); `--corrupt-after N` is a
+jitter (`--reconnect-attempts`, `--reconnect-base-ms`,
+`--reconnect-max-ms`, `--jitter-seed`); `--corrupt-after N` is a
 test hook that deterministically falsifies results after N honest
 chunks — for exercising quarantine, never for real runs. `chaos` runs
 a seeded in-process TCP proxy (`--connect` upstream coordinator) that
@@ -188,70 +273,132 @@ source tree (ANALYSIS.md documents the rules: determinism laws, unsafe
 audit, panic-path audit). The workspace root is found by walking up
 from the current directory; `--root` overrides it. `--json FILE`
 writes the machine-readable report. Findings make the command fail.
+
+Arguments are parsed strictly, in one pass over the table the synopsis
+above is printed from: an unknown flag, a flag of another command, a
+flag missing its value (at the end of the line, or with another flag
+where the value belongs), a repeated flag, and a stray or missing
+positional are usage errors (exit 2) that name the token and print that
+command's synopsis — before any trace is recorded, socket opened or
+file written.
 ";
 
-fn parse_workload(name: &str) -> Result<Workload, CliError> {
-    match name {
-        "os_boot" => Ok(Workload::OsBoot),
-        "cpu_bound" => Ok(Workload::CpuBound),
-        "mem_bound" => Ok(Workload::MemBound),
-        "io_bound" => Ok(Workload::IoBound),
-        "idle" => Ok(Workload::Idle),
-        other => Err(CliError::Usage(format!(
-            "unknown workload '{other}'\n\n{USAGE}"
-        ))),
+/// The help text: the synopsis of every command in `COMMANDS`, then
+/// the prose.
+#[must_use]
+pub fn usage() -> String {
+    let mut text = String::from(
+        "iris — record & replay framework for hardware-assisted virtualization fuzzing\n\nUSAGE:\n",
+    );
+    for command in COMMANDS {
+        text += &format!("    {}\n", command.synopsis());
     }
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn parse_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, CliError> {
-    match flag_value(args, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::Usage(format!("bad value for {flag}: {v}"))),
-    }
+    text + &format!("\nWORKLOADS: {WORKLOADS}\n\n{USAGE}")
 }
 
 /// Run the CLI against `args` (without the program name). Returns the
 /// text to print.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let Some(cmd) = args.first() else {
-        return Err(CliError::Usage(USAGE.to_owned()));
+    let parsed = args::parse(args)?;
+    (parsed.command.run)(&parsed)
+}
+
+/// `<workload> [--exits N] [--seed S]`: the coordinates of a recorded
+/// trace, for every command that starts from one.
+fn trace_args(p: &Parsed) -> Result<(Workload, usize, u64), CliError> {
+    let w = match p.positional(0) {
+        "os_boot" => Workload::OsBoot,
+        "cpu_bound" => Workload::CpuBound,
+        "mem_bound" => Workload::MemBound,
+        "io_bound" => Workload::IoBound,
+        "idle" => Workload::Idle,
+        other => {
+            let problem = format!("unknown workload '{other}' ({WORKLOADS})");
+            return Err(p.command.usage_error(problem));
+        }
     };
-    match cmd.as_str() {
-        "record" => cmd_record(&args[1..]),
-        "replay" => cmd_replay(&args[1..]),
-        "fuzz" => cmd_fuzz(&args[1..]),
-        "campaign" => cmd_campaign(&args[1..]),
-        "guided" => cmd_guided(&args[1..]),
-        "targets" => Ok(cmd_targets()),
-        "report" => cmd_report(&args[1..]),
-        "lint" => cmd_lint(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "worker" => cmd_worker(&args[1..]),
-        "submit" => cmd_submit(&args[1..]),
-        "chaos" => cmd_chaos(&args[1..]),
-        "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
-        other => Err(CliError::Usage(format!(
-            "unknown command '{other}'\n\n{USAGE}"
-        ))),
+    Ok((w, p.num("--exits", 5000)?, p.num("--seed", 42)?))
+}
+
+/// `--jobs N` (default: the host's available parallelism).
+fn jobs(p: &Parsed) -> Result<usize, CliError> {
+    p.at_least_one("--jobs", available_jobs())
+}
+
+/// `--chunk C` (default: [`DEFAULT_CHUNK`]): the work-stealing
+/// granularity in mutants.
+fn chunk(p: &Parsed) -> Result<usize, CliError> {
+    p.at_least_one("--chunk", DEFAULT_CHUNK)
+}
+
+/// `--forest` / `--forest-cap N`: the copy-on-write snapshot-forest
+/// reset strategy (default: off). Reports are byte-identical with the
+/// forest on or off — only replay cost changes (PERFORMANCE.md).
+fn forest(p: &Parsed) -> Result<Option<ForestConfig>, CliError> {
+    if p.has("--forest") {
+        let cap = p.at_least_one("--forest-cap", ForestConfig::DEFAULT_CAP)?;
+        Ok(Some(ForestConfig { cap }))
+    } else if p.has("--forest-cap") {
+        Err(p.command.usage_error("--forest-cap requires --forest"))
+    } else {
+        Ok(None)
     }
 }
 
-fn setup(args: &[String]) -> Result<(IrisManager, Workload, usize, u64), CliError> {
-    let w = parse_workload(
-        args.first()
-            .ok_or_else(|| CliError::Usage(USAGE.to_owned()))?,
-    )?;
-    let exits: usize = parse_num(args, "--exits", 5000)?;
-    let seed: u64 = parse_num(args, "--seed", 42)?;
+/// `--target NAME` (default: the stock `iris` backend). The parsed
+/// [`Backend`] is itself a [`TargetFactory`], so it plugs straight into
+/// the drivers.
+fn target(p: &Parsed) -> Result<Backend, CliError> {
+    let name = p.value("--target").unwrap_or(Backend::Iris.name());
+    Backend::parse(name).ok_or_else(|| {
+        let hint = "`iris targets` lists the registered backends";
+        p.command
+            .usage_error(format!("unknown target '{name}' — {hint}"))
+    })
+}
+
+/// The two kinds of job, in process (`campaign`, `guided`) or on the
+/// fleet (`submit campaign`, `submit guided`).
+#[derive(Clone, Copy)]
+enum Family {
+    Campaign,
+    Guided,
+}
+
+/// The description of a campaign or guided run: the only reader of the
+/// flags that describe a job and the only home of their defaults. In
+/// process or submitted, a run is whatever this [`JobSpec`] derives.
+fn job_spec(p: &Parsed, family: Family) -> Result<JobSpec, CliError> {
+    let (w, exits, seed) = trace_args(p)?;
+    let kind = match family {
+        Family::Campaign => JobKind::Campaign {
+            mutants: p.num("--mutants", 200)?,
+            chunk: chunk(p)?,
+        },
+        Family::Guided => JobKind::Guided {
+            budget: p.num("--budget", 1500)?,
+            generation: p.at_least_one("--gen", GuidedConfig::default().generation)?,
+        },
+    };
+    Ok(JobSpec {
+        target: target(p)?.name().to_owned(),
+        workload: w.label().to_owned(),
+        exits,
+        seed,
+        kind,
+    })
+}
+
+fn plural(n: u64) -> &'static str {
+    if n == 1 {
+        ""
+    } else {
+        "s"
+    }
+}
+
+fn setup(p: &Parsed) -> Result<(IrisManager, Workload, usize, u64), CliError> {
+    let (w, exits, seed) = trace_args(p)?;
     let mut mgr = IrisManager::new(64 << 20);
     if w != Workload::OsBoot {
         mgr.boot_test_vm();
@@ -259,8 +406,8 @@ fn setup(args: &[String]) -> Result<(IrisManager, Workload, usize, u64), CliErro
     Ok((mgr, w, exits, seed))
 }
 
-fn cmd_record(args: &[String]) -> Result<String, CliError> {
-    let (mut mgr, w, exits, seed) = setup(args)?;
+fn cmd_record(p: &Parsed) -> Result<String, CliError> {
+    let (mut mgr, w, exits, seed) = setup(p)?;
     let ops = w.generate(exits, seed);
     let trace = mgr.record(w.label(), ops, RecordConfig::default());
     let total = trace.len().max(1);
@@ -280,24 +427,23 @@ fn cmd_record(args: &[String]) -> Result<String, CliError> {
             *count as f64 / total as f64 * 100.0
         ));
     }
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = p.path("--out") {
         let trace = mgr.db.get(w.label()).expect("just recorded");
-        SeedDb::save_json(trace, &PathBuf::from(&path))?;
-        out.push_str(&format!("trace written to {path}\n"));
+        SeedDb::save_json(trace, &path)?;
+        out.push_str(&format!("trace written to {}\n", path.display()));
     }
     Ok(out)
 }
 
-fn cmd_replay(args: &[String]) -> Result<String, CliError> {
-    let (mut mgr, w, exits, seed) = setup(args)?;
-    let cold = args.iter().any(|a| a == "--cold");
-    let with_memory = args.iter().any(|a| a == "--memory");
+fn cmd_replay(p: &Parsed) -> Result<String, CliError> {
+    let (mut mgr, w, exits, seed) = setup(p)?;
+    let cold = p.has("--cold");
     let ops = w.generate(exits, seed);
     mgr.record(
         w.label(),
         ops,
         RecordConfig {
-            record_memory: with_memory,
+            record_memory: p.has("--memory"),
             ..RecordConfig::default()
         },
     );
@@ -337,37 +483,31 @@ fn cmd_replay(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_fuzz(args: &[String]) -> Result<String, CliError> {
-    let (mut mgr, w, exits, seed) = setup(args)?;
-    let mutants: usize = parse_num(args, "--mutants", 500)?;
-    let area = match flag_value(args, "--area").as_deref() {
+fn cmd_fuzz(p: &Parsed) -> Result<String, CliError> {
+    let (mut mgr, w, exits, seed) = setup(p)?;
+    let mutants: usize = p.num("--mutants", 500)?;
+    let area = match p.value("--area") {
         None | Some("vmcs") => SeedArea::Vmcs,
         Some("gpr") => SeedArea::Gpr,
-        Some(other) => {
-            return Err(CliError::Usage(format!("bad --area {other}")));
-        }
+        Some(other) => return Err(p.command.usage_error(format!("bad --area {other}"))),
     };
     let ops = w.generate(exits, seed);
     mgr.record(w.label(), ops, RecordConfig::default());
     let trace = mgr.db.get(w.label()).expect("recorded").clone();
 
-    let reason_filter = flag_value(args, "--reason");
+    let reason = p.value("--reason");
+    let wanted = |label: &str| reason.is_none_or(|r| label.eq_ignore_ascii_case(r));
     let idx = trace
         .seeds
         .iter()
-        .position(|s| match &reason_filter {
-            None => true,
-            Some(r) => s.reason.figure_label().eq_ignore_ascii_case(r),
-        })
-        .ok_or_else(|| CliError::Usage("no seed matches --reason".to_owned()))?;
+        .position(|s| wanted(s.reason.figure_label()))
+        .ok_or_else(|| p.command.usage_error("no seed matches --reason"))?;
 
     let tc = TestCase {
         mutants,
         ..TestCase::new(w, idx, trace.seeds[idx].reason, area, seed)
     };
-    let jobs = parse_jobs(args)?;
-    let chunk = parse_chunk(args)?;
-    let backend = parse_target(args)?;
+    let (jobs, chunk, backend) = (jobs(p)?, chunk(p)?, target(p)?);
     let report = ParallelCampaign::with_factory(jobs, backend)
         .with_chunk(chunk)
         .run_trace(&trace, std::slice::from_ref(&tc));
@@ -408,238 +548,232 @@ fn cmd_fuzz(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `--jobs N` (default: the host's available parallelism).
-fn parse_jobs(args: &[String]) -> Result<usize, CliError> {
-    let jobs = parse_num(args, "--jobs", available_jobs())?;
-    if jobs == 0 {
-        return Err(CliError::Usage("--jobs must be at least 1".to_owned()));
-    }
-    Ok(jobs)
-}
-
-/// `--chunk C` (default: [`DEFAULT_CHUNK`]): the work-stealing
-/// granularity in mutants. Results are byte-identical for every value;
-/// only the load balance changes.
-fn parse_chunk(args: &[String]) -> Result<usize, CliError> {
-    let chunk = parse_num(args, "--chunk", DEFAULT_CHUNK)?;
-    if chunk == 0 {
-        return Err(CliError::Usage("--chunk must be at least 1".to_owned()));
-    }
-    Ok(chunk)
-}
-
-/// `--forest` / `--forest-cap N`: the copy-on-write snapshot-forest
-/// reset strategy (default: off; cap default
-/// [`ForestConfig::DEFAULT_CAP`]). Reports are byte-identical with the
-/// forest on or off — only replay cost changes (O(delta) instead of
-/// O(prefix); PERFORMANCE.md §snapshot forest).
-fn parse_forest(args: &[String]) -> Result<Option<ForestConfig>, CliError> {
-    let enabled = args.iter().any(|a| a == "--forest");
-    if !enabled {
-        if flag_value(args, "--forest-cap").is_some() {
-            return Err(CliError::Usage("--forest-cap requires --forest".to_owned()));
-        }
-        return Ok(None);
-    }
-    let cap: usize = parse_num(args, "--forest-cap", ForestConfig::DEFAULT_CAP)?;
-    if cap == 0 {
-        return Err(CliError::Usage(
-            "--forest-cap must be at least 1".to_owned(),
-        ));
-    }
-    Ok(Some(ForestConfig { cap }))
-}
-
-/// `--target NAME` (default: the stock `iris` backend). The parsed
-/// [`Backend`] is itself a [`TargetFactory`], so it plugs straight into
-/// the drivers.
-fn parse_target(args: &[String]) -> Result<Backend, CliError> {
-    match flag_value(args, "--target") {
-        None => Ok(Backend::Iris),
-        Some(name) => Backend::parse(&name).ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown target '{name}' — `iris targets` lists the registered backends"
-            ))
-        }),
-    }
-}
-
-/// `--checkpoint FILE` / `--resume FILE`: the durable-progress flags
-/// shared by `campaign` and `guided` (shared mode).
-fn parse_durability(args: &[String]) -> (Option<PathBuf>, Option<PathBuf>) {
-    (
-        flag_value(args, "--checkpoint").map(PathBuf::from),
-        flag_value(args, "--resume").map(PathBuf::from),
-    )
-}
-
-/// Resolve `--resume`: a missing file is a fresh start (so a crash
-/// before the first checkpoint write — or a stale path — cannot strand
-/// the user), while a present one must load and match this
-/// invocation's `fingerprint`. Returns the loaded checkpoint (if any)
-/// plus a note line for the report header.
-fn load_resume<T>(
-    resume: Option<&PathBuf>,
-    fingerprint: &str,
-    load: impl FnOnce(&std::path::Path, &str) -> std::io::Result<T>,
-) -> Result<(Option<T>, String), CliError> {
-    match resume {
-        None => Ok((None, String::new())),
-        Some(path) if !path.exists() => Ok((
-            None,
-            format!("no checkpoint at {} — starting fresh\n", path.display()),
-        )),
-        Some(path) => {
-            let cp = load(path, fingerprint)?;
-            Ok((Some(cp), format!("resumed from {}\n", path.display())))
-        }
-    }
-}
-
-/// The interruption note appended when a Ctrl-C stopped the run short,
-/// with the resume hint if the progress was checkpointed.
-fn interrupted_note(done: u64, total: u64, what: &str, checkpoint: Option<&PathBuf>) -> String {
-    let mut note = format!("interrupted — {done}/{total} {what} finished");
-    if let Some(path) = checkpoint {
-        note.push_str(&format!("; resume with --resume {}", path.display()));
-    }
-    note.push('\n');
-    note
-}
-
-/// Map a session failure to the user: a `--resume` checkpoint the
-/// engine refused names its file, like every other checkpoint error.
-fn session_error(e: SessionError, resume: Option<&PathBuf>) -> CliError {
-    match (e, resume) {
-        (SessionError::Checkpoint(e), Some(path)) => CliError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("checkpoint {} is inconsistent: {e}", path.display()),
-        )),
-        (e, _) => CliError::Run(e),
-    }
-}
-
-fn cmd_targets() -> String {
+fn cmd_targets(_: &Parsed) -> Result<String, CliError> {
     let mut out = String::from("registered fuzz targets (select with --target NAME):\n");
     for b in Backend::ALL {
-        out.push_str(&format!(
-            "  {:<8} {}{}\n",
-            b.name(),
-            b.description(),
-            if b == Backend::Iris {
-                "  [default]"
-            } else {
-                ""
-            }
-        ));
+        let mark = if b == Backend::Iris {
+            "  [default]"
+        } else {
+            ""
+        };
+        out += &format!("  {:<8} {}{mark}\n", b.name(), b.description());
     }
-    out
+    Ok(out)
 }
 
-fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
-    let (mut mgr, w, exits, seed) = setup(args)?;
-    let mutants: usize = parse_num(args, "--mutants", 200)?;
-    let jobs = parse_jobs(args)?;
-    let chunk = parse_chunk(args)?;
-    let backend = parse_target(args)?;
-    let forest = parse_forest(args)?;
-    let ops = w.generate(exits, seed);
-    mgr.record(w.label(), ops, RecordConfig::default());
-    let trace = mgr.db.get(w.label()).expect("recorded").clone();
+/// Ctrl-C stops the run gracefully: SIGINT trips the executor's stop flag.
+fn interruptible() -> RunPolicy<'static> {
+    RunPolicy {
+        stop: Some(sigint::install()),
+        ..RunPolicy::default()
+    }
+}
 
-    let mut traces = std::collections::BTreeMap::new();
-    traces.insert(w, trace);
-    let plan = Table1::plan(&traces, mutants, seed);
+/// What a `campaign` and a `guided` run share around their engine: the
+/// `--resume` load, the background `--corpus` and `--checkpoint`
+/// writers, the stderr progress line, and the closing report with its
+/// resume note, interruption note and artifact lines. `C` is the
+/// engine's checkpoint type.
+struct DurableRun<C> {
+    resume: Option<PathBuf>,
+    resume_note: String,
+    json: Option<PathBuf>,
+    corpus: Option<(PathBuf, CorpusWriter)>,
+    checkpoint: Option<(PathBuf, JsonWriter<C>)>,
+    /// Crashes in the corpus snapshot persisted last.
+    corpus_observed: u64,
+    /// Progress goes to stderr only when that is a terminal — reports
+    /// stay clean.
+    show_progress: bool,
+    progress_shown: bool,
+}
+
+impl<C: Serialize + Send + 'static> DurableRun<C> {
+    /// Resolve `--resume` by the rule the coordinator shares
+    /// ([`load_if_present`]) and start the writers: snapshots persist on
+    /// background threads, so the aggregator never pauses on JSON I/O,
+    /// and write errors surface in [`Self::finish`].
+    fn open(
+        p: &Parsed,
+        fingerprint: &str,
+        load: impl FnOnce(&Path, &str) -> std::io::Result<C>,
+    ) -> Result<(Self, Option<C>), CliError> {
+        let resume = p.path("--resume");
+        let loaded = load_if_present(resume.as_deref(), fingerprint, load)?;
+        let resume_note = match (&resume, &loaded) {
+            (None, _) => String::new(),
+            (Some(at), None) => format!("no checkpoint at {} — starting fresh\n", at.display()),
+            (Some(at), Some(_)) => format!("resumed from {}\n", at.display()),
+        };
+        let corpus = p.path("--corpus");
+        let checkpoint = p.path("--checkpoint");
+        let run = Self {
+            resume,
+            resume_note,
+            json: p.path("--json"),
+            corpus: corpus.map(|at| (at.clone(), CorpusWriter::spawn(at))),
+            checkpoint: checkpoint.map(|at| (at.clone(), JsonWriter::spawn(at))),
+            corpus_observed: 0,
+            show_progress: std::io::stderr().is_terminal(),
+            progress_shown: false,
+        };
+        Ok((run, loaded))
+    }
+
+    fn progress(&mut self, line: std::fmt::Arguments<'_>) {
+        if self.show_progress {
+            eprint!("\r{line}");
+            self.progress_shown = true;
+        }
+    }
+
+    /// Snapshot the crash corpus, but only when it actually grew —
+    /// crash-free folds would otherwise clone and rewrite byte-identical
+    /// JSON once each.
+    fn corpus_grew(&mut self, corpus: &Corpus) {
+        if let Some((_, writer)) = &self.corpus {
+            if corpus.observed() > self.corpus_observed {
+                self.corpus_observed = corpus.observed();
+                writer.persist(corpus.clone());
+            }
+        }
+    }
+
+    /// Hand a resumable point to the newest-wins background writer.
+    fn checkpoint(&self, snapshot: impl FnOnce() -> C) {
+        if let Some((_, writer)) = &self.checkpoint {
+            writer.persist(snapshot());
+        }
+    }
+
+    /// Map a session failure to the user: a `--resume` checkpoint the
+    /// engine refused names its file, like every other checkpoint error.
+    fn session_error(&self, e: SessionError) -> CliError {
+        match (e, &self.resume) {
+            (SessionError::Checkpoint(e), Some(at)) => CliError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("checkpoint {} is inconsistent: {e}", at.display()),
+            )),
+            (e, _) => CliError::Run(e),
+        }
+    }
+
+    /// Close the run and return its report text: `out` (the header),
+    /// the resume note, `body`, the interruption note when a Ctrl-C
+    /// left only `(done, total, what)` finished, and a line per artifact.
+    ///
+    /// The `--json` report is written (atomically, like a checkpoint),
+    /// the `--corpus` writer gets a final snapshot (the incremental ones
+    /// may have been coalesced) and both writers are joined. All are
+    /// **attempted unconditionally** — a JSON write error must not cost
+    /// the corpus snapshot or drop its latched background errors, and
+    /// vice versa, nor may a Ctrl-C cost the artifacts gathered so far —
+    /// then the first failure (in output line order) is surfaced.
+    fn finish(
+        self,
+        mut out: String,
+        body: &str,
+        interrupted: Option<(u64, u64, &str)>,
+        (json_label, json): (&str, impl FnOnce() -> String),
+        corpus: Corpus,
+    ) -> Result<String, CliError> {
+        if self.progress_shown {
+            eprintln!();
+        }
+        out = out + &self.resume_note + body;
+        if let Some((done, total, what)) = interrupted {
+            out += &format!("interrupted — {done}/{total} {what} finished");
+            if let Some((at, _)) = &self.checkpoint {
+                out += &format!("; resume with --resume {}", at.display());
+            }
+            out.push('\n');
+        }
+        let json = self
+            .json
+            .map(|at| atomic_write_json(&at, json().as_bytes()).map(|()| at));
+        let corpus = self.corpus.map(|(at, writer)| {
+            writer.persist(corpus);
+            writer.finish().map(|_| at)
+        });
+        let checkpoint = self.checkpoint.map(|(at, writer)| (at, writer.finish()));
+        if let Some(at) = json {
+            out += &format!("{json_label} written to {}\n", at?.display());
+        }
+        if let Some(at) = corpus {
+            out += &format!("corpus written to {}\n", at?.display());
+        }
+        if let Some((at, saves)) = checkpoint {
+            // Zero saves happens when the run folded nothing new (e.g. a
+            // resume from an already-complete checkpoint) — the file on
+            // disk is still the authoritative final state.
+            let (at, saves) = (at.display(), saves?);
+            out += &format!(
+                "checkpoint at {at} ({saves} snapshot{} written)\n",
+                plural(saves)
+            );
+        }
+        Ok(out)
+    }
+}
+
+fn cmd_campaign(p: &Parsed) -> Result<String, CliError> {
+    let spec = job_spec(p, Family::Campaign)?;
+    let JobKind::Campaign { mutants, chunk } = spec.kind else {
+        unreachable!("job_spec builds the kind of the family it is given")
+    };
+    let (jobs, forest, backend) = (jobs(p)?, forest(p)?, spec.backend()?);
+    let trace = spec.record_trace()?;
+    let plan = spec.plan(&trace)?;
     if plan.is_empty() {
-        return Err(CliError::Usage(
-            "trace contains no Table I exit reasons to fuzz".to_owned(),
-        ));
+        let problem = "trace contains no Table I exit reasons to fuzz";
+        return Err(p.command.usage_error(problem));
     }
+    let traces = BTreeMap::from([(spec.workload()?, trace)]);
+    let fingerprint = spec.fingerprint(plan.len());
+    let (mut run, resume) = DurableRun::open(p, &fingerprint, CampaignCheckpoint::load)?;
 
-    let fingerprint =
-        campaign_fingerprint(backend.name(), w.label(), exits, seed, mutants, plan.len());
-    let (checkpoint_path, resume_path) = parse_durability(args);
-    let (resume, resume_note) =
-        load_resume(resume_path.as_ref(), &fingerprint, CampaignCheckpoint::load)?;
-
-    // Corpus and checkpoint snapshots persist on background writer
-    // threads, so the aggregator never pauses on JSON I/O; write errors
-    // surface after the run. The progress line is mutant-granular (one
-    // update per aggregated chunk) so huge-M cells visibly move, and
-    // goes to stderr only when that is a terminal — reports stay clean.
-    let corpus_path = flag_value(args, "--corpus").map(PathBuf::from);
-    let writer = corpus_path.as_ref().map(|p| CorpusWriter::spawn(p.clone()));
-    let ckpt_writer = checkpoint_path
-        .as_ref()
-        .map(|p| JsonWriter::<CampaignCheckpoint>::spawn(p.clone()));
-    let stop = sigint::install();
-    let show_progress = std::io::stderr().is_terminal();
-    let mut last_observed = 0u64;
     let mut last_folded = resume.as_ref().map_or(0, |cp| cp.folded);
-    let report =
-        ParallelCampaign::with_factory(jobs, ConfiguredBackend::new(backend).with_forest(forest))
-            .with_chunk(chunk)
-            .run_session(
-                &traces,
-                &plan,
-                CampaignRunOptions {
-                    policy: RunPolicy {
-                        stop: Some(stop),
-                        ..RunPolicy::default()
-                    },
-                    resume,
-                },
-                |engine| {
-                    let (p, partial) = (engine.progress(), engine.report());
-                    if show_progress {
-                        eprint!(
-                            "\rfuzzing: {}/{} mutants, {}/{} test cases",
-                            p.mutants_done,
-                            p.mutants_total,
-                            p.results_folded,
-                            plan.len()
-                        );
-                    }
-                    if let Some(writer) = &writer {
-                        // Snapshot only when the corpus actually grew —
-                        // crash-free test cases would otherwise clone and
-                        // rewrite byte-identical JSON once per fold.
-                        if partial.corpus.observed() > last_observed {
-                            last_observed = partial.corpus.observed();
-                            writer.persist(partial.corpus.clone());
-                        }
-                    }
-                    if let Some(ckpt) = &ckpt_writer {
-                        // Checkpoints live at test-case fold boundaries:
-                        // the report is exactly a folded plan prefix there,
-                        // which is what a resume can continue from.
-                        if p.results_folded > last_folded {
-                            last_folded = p.results_folded;
-                            ckpt.persist(engine.checkpoint(&fingerprint));
-                        }
-                    }
-                },
-            )
-            .map_err(|e| session_error(e, resume_path.as_ref()))?;
-    if show_progress {
-        eprintln!();
-    }
-    let interrupted = report.results.len() < plan.len();
+    let options = CampaignRunOptions {
+        policy: interruptible(),
+        resume,
+    };
+    // Fingerprints deliberately exclude the forest flag (like jobs and
+    // chunk): the report bytes are invariant under it, so a resume may
+    // switch it freely (RELIABILITY.md).
+    let factory = ConfiguredBackend::new(backend).with_forest(forest);
+    let report = ParallelCampaign::with_factory(jobs, factory)
+        .with_chunk(chunk)
+        .run_session(&traces, &plan, options, |engine| {
+            // Mutant-granular (one update per aggregated chunk), so
+            // huge-M cells visibly move.
+            let (at, cases) = (engine.progress(), plan.len());
+            let (done, total, folded) = (at.mutants_done, at.mutants_total, at.results_folded);
+            run.progress(format_args!(
+                "fuzzing: {done}/{total} mutants, {folded}/{cases} test cases"
+            ));
+            run.corpus_grew(&engine.report().corpus);
+            // Checkpoints live at test-case fold boundaries: the report
+            // is exactly a folded plan prefix there, which is what a
+            // resume can continue from.
+            if folded > last_folded {
+                last_folded = folded;
+                run.checkpoint(|| engine.checkpoint(&fingerprint));
+            }
+        })
+        .map_err(|e| run.session_error(e))?;
 
-    let mut out = format!(
-        "campaign over {} — {} test cases ({} mutants each), {} worker{}, chunk {}, target {}{}\n",
-        w.label(),
+    let header = format!(
+        "campaign over {} — {} test cases ({mutants} mutants each), {jobs} worker{}, \
+         chunk {chunk}, target {}{}\n",
+        spec.workload,
         plan.len(),
-        mutants,
-        jobs,
-        if jobs == 1 { "" } else { "s" },
-        chunk,
-        backend.name(),
+        plural(jobs as u64),
+        spec.target,
         forest.map_or(String::new(), |f| format!(", forest (cap {})", f.cap))
     );
-    out.push_str(&resume_note);
+    let mut body = String::new();
     for r in &report.results {
-        out.push_str(&format!(
+        body += &format!(
             "  {:<14} {:<5} +{:>3.0}%  ({} new lines, {} VM / {} HV crashes)\n",
             r.testcase.reason.figure_label(),
             r.testcase.area.label(),
@@ -647,145 +781,103 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
             r.new_lines,
             r.failures.vm_crashes,
             r.failures.hv_crashes
-        ));
+        );
     }
-    out.push_str(&format!(
+    let (f, corpus) = (&report.failures, &report.corpus);
+    body += &format!(
         "total: {} mutants, {} lines covered, crashes {} VM ({:.2}%) / {} hypervisor ({:.2}%)\n",
-        report.failures.submitted,
+        f.submitted,
         report.coverage.lines(),
-        report.failures.vm_crashes,
-        report.failures.vm_crash_percent(),
-        report.failures.hv_crashes,
-        report.failures.hv_crash_percent()
-    ));
-    out.push_str(&format!(
-        "corpus: {} crashes observed, {} unique signatures saved\n",
-        report.corpus.observed(),
-        report.corpus.unique()
-    ));
+        f.vm_crashes,
+        f.vm_crash_percent(),
+        f.hv_crashes,
+        f.hv_crash_percent()
+    );
+    let (observed, unique) = (corpus.observed(), corpus.unique());
+    body += &format!("corpus: {observed} crashes observed, {unique} unique signatures saved\n");
     if backend == Backend::Faulty {
         // The faulty backend has a ground truth: state exactly which of
         // the planted handler bugs this campaign detected.
-        out.push_str(&render_planted_fault_report(&report.corpus));
+        body += &render_planted_fault_report(corpus);
     }
-    if interrupted {
-        out.push_str(&interrupted_note(
-            report.results.len() as u64,
-            plan.len() as u64,
-            "test cases",
-            checkpoint_path.as_ref(),
-        ));
-    }
-    // The serialized report is byte-identical across (jobs, chunk) —
-    // the artifact CI diffs for the determinism smoke. The corpus gets
-    // a final snapshot (the incremental ones may have been coalesced)
-    // and the background writers' errors surface at campaign end. All
-    // of this runs even when the run was interrupted — an operator's
-    // Ctrl-C must not cost the artifacts gathered so far.
-    finish_artifacts(
-        &mut out,
-        "report JSON",
-        flag_value(args, "--json").map(|path| {
-            (
-                path,
-                serde_json::to_string_pretty(&report).expect("report serializes"),
-            )
-        }),
-        writer
-            .zip(corpus_path)
-            .map(|(writer, path)| (writer, path, report.corpus.clone())),
-        ckpt_writer
-            .zip(checkpoint_path)
-            .map(|(writer, path)| (path, writer.finish())),
-    )?;
-    Ok(out)
+    let (done, total) = (report.results.len() as u64, plan.len() as u64);
+    let interrupted = (done < total).then_some((done, total, "test cases"));
+    // The serialized report is byte-identical across jobs — the
+    // artifact CI diffs for the determinism smoke.
+    let json = || serde_json::to_string_pretty(&report).expect("report serializes");
+    run.finish(
+        header,
+        &body,
+        interrupted,
+        ("report JSON", json),
+        corpus.clone(),
+    )
 }
 
-fn cmd_guided(args: &[String]) -> Result<String, CliError> {
-    let (mut mgr, w, exits, seed) = setup(args)?;
-    let budget: u64 = parse_num(args, "--budget", 1500)?;
-    let generation: u64 = parse_num(args, "--gen", GuidedConfig::default().generation)?;
-    if generation == 0 {
-        return Err(CliError::Usage("--gen must be at least 1".to_owned()));
-    }
-    let jobs = parse_jobs(args)?;
-    let backend = parse_target(args)?;
-    let mode = flag_value(args, "--mode").unwrap_or_else(|| "shared".to_owned());
-    let ops = w.generate(exits, seed);
-    mgr.record(w.label(), ops, RecordConfig::default());
-    let trace = mgr.db.get(w.label()).expect("recorded").clone();
-    let config = GuidedConfig {
-        budget,
-        rng_seed: seed,
-        generation,
-        ..GuidedConfig::default()
-    };
-    let forest = parse_forest(args)?;
-    match mode.as_str() {
-        "shared" => cmd_guided_shared(args, w, &trace, config, exits, jobs, backend, forest),
-        "ensemble" => {
-            let (checkpoint, resume) = parse_durability(args);
-            if checkpoint.is_some() || resume.is_some() {
-                // The ensemble is N independent runs with N disjoint
-                // corpora — there is no single progress point to
-                // snapshot, so durability is a shared-mode feature.
-                return Err(CliError::Usage(
-                    "--checkpoint/--resume require --mode shared".to_owned(),
-                ));
-            }
-            cmd_guided_ensemble(args, w, &trace, config, jobs, backend, forest)
+fn cmd_guided(p: &Parsed) -> Result<String, CliError> {
+    let spec = job_spec(p, Family::Guided)?;
+    let config = spec.guided_config();
+    let config = config.expect("job_spec builds the kind of the family it is given");
+    let (jobs, forest) = (jobs(p)?, forest(p)?);
+    let ensemble = match p.value("--mode").unwrap_or("shared") {
+        "shared" => false,
+        "ensemble" => true,
+        other => {
+            let problem = format!("bad --mode '{other}' (shared | ensemble)");
+            return Err(p.command.usage_error(problem));
         }
-        other => Err(CliError::Usage(format!(
-            "bad --mode '{other}' (shared | ensemble)"
-        ))),
+    };
+    if ensemble && (p.has("--checkpoint") || p.has("--resume")) {
+        // The ensemble is N independent runs with N disjoint corpora —
+        // there is no single progress point to snapshot, so durability
+        // is a shared-mode feature.
+        let problem = "--checkpoint/--resume require --mode shared";
+        return Err(p.command.usage_error(problem));
     }
-}
+    let factory = ConfiguredBackend::new(spec.backend()?).with_forest(forest);
+    let trace = spec.record_trace()?;
+    let (workload, budget, target) = (&spec.workload, config.budget, &spec.target);
+    let header = format!("guided fuzzing over {workload} ({budget} executions, target {target}");
+    if ensemble {
+        return guided_ensemble(p, header, &factory, &trace, config, jobs);
+    }
 
-/// Finalize a run's on-disk artifacts: write the `--json` report (if
-/// requested), join the `--corpus` background writer (if any) with a
-/// final snapshot, and surface the already-joined `--checkpoint`
-/// writer's result. All are **attempted unconditionally** — a JSON
-/// write error must not leave the corpus snapshot unwritten or its
-/// latched background errors silently dropped, and vice versa — then
-/// the first failure (in output line order) is surfaced. On success,
-/// one line per artifact is appended to `out`.
-///
-/// The JSON report goes through the same atomic tmp-file + rename as
-/// the checkpoints: a crash mid-write can strand a `.tmp` sibling, but
-/// never a torn artifact at the requested path.
-fn finish_artifacts(
-    out: &mut String,
-    json_label: &str,
-    json: Option<(String, String)>,
-    corpus: Option<(CorpusWriter, PathBuf, Corpus)>,
-    checkpoint: Option<(PathBuf, std::io::Result<u64>)>,
-) -> Result<(), CliError> {
-    let json_result = json.map(|(path, payload)| {
-        atomic_write_json(std::path::Path::new(&path), payload.as_bytes()).map(|()| path)
-    });
-    let corpus_result = corpus.map(|(writer, path, snapshot)| {
-        writer.persist(snapshot);
-        writer.finish().map(|_| path)
-    });
-    let checkpoint_result = checkpoint.map(|(path, result)| result.map(|saves| (path, saves)));
-    if let Some(result) = json_result {
-        out.push_str(&format!("{json_label} written to {}\n", result?));
-    }
-    if let Some(result) = corpus_result {
-        out.push_str(&format!("corpus written to {}\n", result?.display()));
-    }
-    if let Some(result) = checkpoint_result {
-        let (path, saves) = result?;
-        // Zero saves happens when the run folded nothing new (e.g. a
-        // resume from an already-complete checkpoint) — the file on
-        // disk is still the authoritative final state.
-        out.push_str(&format!(
-            "checkpoint at {} ({saves} snapshot{} written)\n",
-            path.display(),
-            if saves == 1 { "" } else { "s" }
+    // Shared mode: one corpus, `jobs` workers, and a result JSON that is
+    // byte-identical for any worker count — the artifact CI diffs.
+    let fingerprint = spec.fingerprint(0);
+    let (mut run, resume) = DurableRun::open(p, &fingerprint, GuidedCheckpoint::load)?;
+    let options = SharedRunOptions {
+        policy: interruptible(),
+        resume,
+    };
+    let r = run_guided_shared_session(&factory, &trace, config, jobs, options, |g| {
+        run.progress(format_args!(
+            "guided: {}/{} executions, {} lines, corpus {}",
+            g.executed, g.budget, g.total_lines, g.corpus_size
         ));
-    }
-    Ok(())
+        run.corpus_grew(g.crashes);
+        // Every generation barrier is a resumable point.
+        run.checkpoint(|| g.checkpoint(&fingerprint));
+    })
+    .map_err(|e| run.session_error(e))?;
+
+    let header = format!(
+        "{header}{})\nmode shared: {jobs} worker{}, {} generations of ≤{} executions\n",
+        forest.map_or(String::new(), |f| format!(", forest cap {}", f.cap)),
+        plural(jobs as u64),
+        r.growth.len(),
+        config.generation
+    );
+    let interrupted = (r.executions < budget).then_some((r.executions, budget, "executions"));
+    let json = || serde_json::to_string_pretty(&r).expect("result serializes");
+    let body = render_guided_result(&r);
+    run.finish(
+        header,
+        &body,
+        interrupted,
+        ("result JSON", json),
+        r.crashes.clone(),
+    )
 }
 
 /// Render the coverage/crash summary every guided mode shares.
@@ -806,202 +898,61 @@ fn render_guided_result(r: &GuidedResult) -> String {
     )
 }
 
-/// The generational shared-corpus mode: one corpus, `jobs` workers,
-/// byte-identical results for any worker count. The crash corpus
-/// persists per generation through the background writer; the report
-/// JSON is the determinism artifact CI byte-diffs.
-#[allow(clippy::too_many_arguments)]
-fn cmd_guided_shared(
-    args: &[String],
-    w: Workload,
-    trace: &iris_core::trace::RecordedTrace,
-    config: GuidedConfig,
-    exits: usize,
-    jobs: usize,
-    backend: Backend,
-    forest: Option<ForestConfig>,
-) -> Result<String, CliError> {
-    let fingerprint = guided_fingerprint(backend.name(), w.label(), exits, &config);
-    let (checkpoint_path, resume_path) = parse_durability(args);
-    let (resume, resume_note) =
-        load_resume(resume_path.as_ref(), &fingerprint, GuidedCheckpoint::load)?;
-
-    let corpus_path = flag_value(args, "--corpus").map(PathBuf::from);
-    let writer = corpus_path.as_ref().map(|p| CorpusWriter::spawn(p.clone()));
-    let ckpt_writer = checkpoint_path
-        .as_ref()
-        .map(|p| JsonWriter::<GuidedCheckpoint>::spawn(p.clone()));
-    let stop = sigint::install();
-    let show_progress = std::io::stderr().is_terminal();
-    let mut last_observed = 0u64;
-    let options = SharedRunOptions {
-        policy: RunPolicy {
-            stop: Some(stop),
-            ..RunPolicy::default()
-        },
-        resume,
-    };
-    // Fingerprints deliberately exclude the forest flag (like jobs and
-    // chunk): the report bytes are invariant under it, so a resume may
-    // switch it freely (RELIABILITY.md).
-    let factory = ConfiguredBackend::new(backend).with_forest(forest);
-    let r = run_guided_shared_session(&factory, trace, config, jobs, options, |p| {
-        if show_progress {
-            eprint!(
-                "\rguided: {}/{} executions, {} lines, corpus {}",
-                p.executed, p.budget, p.total_lines, p.corpus_size
-            );
-        }
-        if let Some(writer) = &writer {
-            // Persist only when the crash corpus actually grew —
-            // crash-free generations would otherwise rewrite
-            // byte-identical JSON once per barrier.
-            if p.crashes.observed() > last_observed {
-                last_observed = p.crashes.observed();
-                writer.persist(p.crashes.clone());
-            }
-        }
-        if let Some(ckpt) = &ckpt_writer {
-            // Every generation barrier is a resumable point; the
-            // newest-wins background writer coalesces the stream.
-            ckpt.persist(p.checkpoint(&fingerprint));
-        }
-    })
-    .map_err(|e| session_error(e, resume_path.as_ref()))?;
-    if show_progress {
-        eprintln!();
-    }
-    let interrupted = r.executions < config.budget;
-
-    let mut out = format!(
-        "guided fuzzing over {} ({} executions, target {}{})\n\
-         mode shared: {} worker{}, {} generations of ≤{} executions\n",
-        w.label(),
-        config.budget,
-        backend.name(),
-        forest.map_or(String::new(), |f| format!(", forest cap {}", f.cap)),
-        jobs,
-        if jobs == 1 { "" } else { "s" },
-        r.growth.len(),
-        config.generation
-    );
-    out.push_str(&resume_note);
-    out.push_str(&render_guided_result(&r));
-    if interrupted {
-        out.push_str(&interrupted_note(
-            r.executions,
-            config.budget,
-            "executions",
-            checkpoint_path.as_ref(),
-        ));
-    }
-    // The result JSON is byte-identical across --jobs — the artifact CI
-    // diffs for the shared-mode determinism smoke. The corpus gets a
-    // final snapshot (crashes may have arrived since the last grow-only
-    // persist) and the background writers' errors surface at exit. All
-    // of this runs even when the run was interrupted.
-    finish_artifacts(
-        &mut out,
-        "result JSON",
-        flag_value(args, "--json").map(|path| {
-            (
-                path,
-                serde_json::to_string_pretty(&r).expect("result serializes"),
-            )
-        }),
-        writer
-            .zip(corpus_path)
-            .map(|(writer, path)| (writer, path, r.crashes.clone())),
-        ckpt_writer
-            .zip(checkpoint_path)
-            .map(|(writer, path)| (path, writer.finish())),
-    )?;
-    Ok(out)
-}
-
 /// The ensemble mode: `jobs` independent shared-corpus engines, each at
 /// one worker, with distinct RNG seeds (rng_seed + i), sharded over the
 /// executor — N disjoint corpora instead of N× progress on one.
-fn cmd_guided_ensemble(
-    args: &[String],
-    w: Workload,
-    trace: &iris_core::trace::RecordedTrace,
+fn guided_ensemble(
+    p: &Parsed,
+    header: String,
+    factory: &ConfiguredBackend,
+    trace: &RecordedTrace,
     config: GuidedConfig,
     jobs: usize,
-    backend: Backend,
-    forest: Option<ForestConfig>,
 ) -> Result<String, CliError> {
-    let configs: Vec<GuidedConfig> = (0..jobs as u64)
-        .map(|i| GuidedConfig {
-            rng_seed: config.rng_seed + i,
-            ..config
-        })
-        .collect();
-    let factory = ConfiguredBackend::new(backend).with_forest(forest);
+    let seeded = |i| GuidedConfig {
+        rng_seed: config.rng_seed + i,
+        ..config
+    };
+    let configs: Vec<GuidedConfig> = (0..jobs as u64).map(seeded).collect();
+    // No `--resume` reaches this mode, so nothing is loaded.
+    let (run, _) = DurableRun::open(p, "", GuidedCheckpoint::load)?;
     let mut results = Vec::with_capacity(configs.len());
     run_ordered(
         &configs,
         jobs,
         &RunPolicy::default(),
         || (),
-        |(), _, cfg| run_guided_shared_with(&factory, trace, *cfg, 1),
+        |(), _, cfg| run_guided_shared_with(factory, trace, *cfg, 1),
         |_, result| results.push(result),
     )
     .map_err(|e| CliError::Run(e.into()))?;
-    let mut out = format!(
-        "guided fuzzing over {} ({} executions, target {})\n\
-         mode ensemble: {} independent instance{} (disjoint corpora)\n",
-        w.label(),
-        config.budget,
-        backend.name(),
-        jobs,
-        if jobs == 1 { "" } else { "s" },
+    let header = format!(
+        "{header})\nmode ensemble: {jobs} independent instance{} (disjoint corpora)\n",
+        plural(jobs as u64)
     );
+    // The corpus artifact merges the instances' crash corpora in config
+    // order (the deterministic dedup order).
+    let (mut body, mut merged) = (String::new(), Corpus::new());
     for (cfg, r) in configs.iter().zip(&results) {
-        out.push_str(&format!(
+        body += &format!(
             "  seed {:>3}: {} -> {} lines, {} promotions, {} crashes\n",
             cfg.rng_seed,
             r.baseline_lines,
             r.total_lines,
             r.promotions,
             r.failures.vm_crashes + r.failures.hv_crashes
-        ));
+        );
+        merged.absorb(r.crashes.clone());
     }
-    let best = results
-        .iter()
-        .max_by_key(|r| r.total_lines)
-        .expect("jobs >= 1");
-    out.push_str("best instance:\n");
-    out.push_str(&render_guided_result(best));
-    // The corpus artifact merges the instances' crash corpora in config
-    // order (the deterministic dedup order) and persists through the
-    // background writer, surfacing its error like the shared path does.
-    finish_artifacts(
-        &mut out,
-        "result JSON",
-        flag_value(args, "--json").map(|path| {
-            (
-                path,
-                serde_json::to_string_pretty(&results).expect("results serialize"),
-            )
-        }),
-        flag_value(args, "--corpus").map(PathBuf::from).map(|path| {
-            let mut merged = Corpus::new();
-            for r in &results {
-                merged.absorb(r.crashes.clone());
-            }
-            (CorpusWriter::spawn(path.clone()), path, merged)
-        }),
-        None,
-    )?;
-    Ok(out)
+    let best = results.iter().max_by_key(|r| r.total_lines);
+    body += "best instance:\n";
+    body += &render_guided_result(best.expect("jobs >= 1"));
+    let json = || serde_json::to_string_pretty(&results).expect("results serialize");
+    run.finish(header, &body, None, ("result JSON", json), merged)
 }
 
-fn cmd_report(args: &[String]) -> Result<String, CliError> {
-    let path = args
-        .first()
-        .ok_or_else(|| CliError::Usage(USAGE.to_owned()))?;
-    let trace = SeedDb::load_json(&PathBuf::from(path))?;
+fn cmd_report(p: &Parsed) -> Result<String, CliError> {
+    let trace = SeedDb::load_json(Path::new(p.positional(0)))?;
     let mut out = format!(
         "trace '{}': {} seeds, {} metric records, {} unique lines\n",
         trace.label,
@@ -1015,26 +966,23 @@ fn cmd_report(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `iris lint`: the workspace's own static analyzer as a subcommand,
-/// so the laws are checkable from the tool operators already have. The
-/// report text is identical to the standalone `iris-lint` binary's;
+/// `iris lint`: the report text is the standalone `iris-lint` binary's;
 /// findings surface as [`CliError::Lint`] so the process exits nonzero.
-fn cmd_lint(args: &[String]) -> Result<String, CliError> {
-    let root = match flag_value(args, "--root") {
-        Some(path) => PathBuf::from(path),
+fn cmd_lint(p: &Parsed) -> Result<String, CliError> {
+    let root = match p.path("--root") {
+        Some(path) => path,
         None => iris_lint::find_workspace_root(&std::env::current_dir()?).ok_or_else(|| {
-            CliError::Usage(
+            p.command.usage_error(
                 "no workspace root (a Cargo.toml with [workspace]) above the current \
-                 directory — pass --root PATH"
-                    .to_owned(),
+                 directory — pass --root PATH",
             )
         })?,
     };
     let report = iris_lint::lint_workspace(&root)?;
     // The JSON artifact is written before the pass/fail decision, so a
     // failing run still leaves the machine-readable report for CI.
-    if let Some(path) = flag_value(args, "--json") {
-        atomic_write_json(std::path::Path::new(&path), report.render_json().as_bytes())?;
+    if let Some(path) = p.path("--json") {
+        atomic_write_json(&path, report.render_json().as_bytes())?;
     }
     if report.is_clean() {
         Ok(report.render_text())
@@ -1043,196 +991,117 @@ fn cmd_lint(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-/// `iris serve`: the distributed-fuzzing coordinator daemon. Runs until
-/// Ctrl-C; `--checkpoint`/`--resume` give jobs the same durable fold-
-/// boundary checkpoints as the in-process flow (and interoperate with
-/// its files — the fingerprints match), `--progress` streams a small
-/// JSON progress artifact.
-fn cmd_serve(args: &[String]) -> Result<String, CliError> {
-    let listen = flag_value(args, "--listen").unwrap_or_else(|| "127.0.0.1:7331".to_owned());
-    let (checkpoint, resume) = parse_durability(args);
-    let progress = flag_value(args, "--progress").map(PathBuf::from);
-    let lease_timeout_ms: u64 = parse_num(args, "--lease-timeout-ms", 10_000)?;
-    if lease_timeout_ms == 0 {
-        return Err(CliError::Usage(
-            "--lease-timeout-ms must be at least 1".to_owned(),
-        ));
-    }
-    let redundancy: u32 = parse_num(args, "--redundancy", 1)?;
-    if redundancy == 0 {
-        return Err(CliError::Usage(
-            "--redundancy must be at least 1".to_owned(),
-        ));
-    }
-    let spot_check: u64 = parse_num(args, "--spot-check", 0)?;
-    let max_queue: u64 = parse_num(args, "--max-queue", 4)?;
-    let read_deadline_ms: u64 = parse_num(args, "--read-deadline-ms", 10_000)?;
-    if read_deadline_ms == 0 {
-        return Err(CliError::Usage(
-            "--read-deadline-ms must be at least 1".to_owned(),
-        ));
-    }
-    let server = Server::start(ServeOptions {
-        listen,
-        checkpoint,
-        resume,
-        progress,
-        lease_timeout_ms,
-        redundancy,
-        spot_check,
-        max_queue,
-        read_deadline_ms,
-    })?;
-    eprintln!("iris serve: listening on {}", server.addr());
+/// Block until Ctrl-C: how long the daemons (`serve`, `chaos`) run.
+fn wait_for_sigint() {
     let stop = sigint::install();
     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
+}
+
+/// `iris serve`: the coordinator daemon, until Ctrl-C. Its checkpoints
+/// interoperate with the in-process ones (both stamp
+/// [`JobSpec::fingerprint`]); every default but the well-known port is
+/// [`ServeOptions::default`]'s.
+fn cmd_serve(p: &Parsed) -> Result<String, CliError> {
+    let defaults = ServeOptions::default();
+    let server = Server::start(ServeOptions {
+        listen: p.value("--listen").unwrap_or("127.0.0.1:7331").to_owned(),
+        checkpoint: p.path("--checkpoint"),
+        resume: p.path("--resume"),
+        progress: p.path("--progress"),
+        lease_timeout_ms: p.at_least_one("--lease-timeout-ms", defaults.lease_timeout_ms)?,
+        redundancy: p.at_least_one("--redundancy", defaults.redundancy)?,
+        spot_check: p.num("--spot-check", defaults.spot_check)?,
+        max_queue: p.num("--max-queue", defaults.max_queue)?,
+        read_deadline_ms: p.at_least_one("--read-deadline-ms", defaults.read_deadline_ms)?,
+    })?;
+    eprintln!("iris serve: listening on {}", server.addr());
+    wait_for_sigint();
     let jobs = server.stop();
     Ok(format!(
         "coordinator stopped — {jobs} job{} completed\n",
-        if jobs == 1 { "" } else { "s" }
+        plural(jobs)
     ))
 }
 
-/// `iris worker`: connect to a coordinator and compute leased ranges
-/// until Ctrl-C (or `--once` after the first completed job). The worker
-/// re-derives traces/plans/corpora locally from job specs and runs the
-/// in-process range cores, so its results are byte-identical to the
-/// coordinator-local ones.
-fn cmd_worker(args: &[String]) -> Result<String, CliError> {
-    let connect = flag_value(args, "--connect")
-        .ok_or_else(|| CliError::Usage("worker requires --connect ADDR".to_owned()))?;
-    let backend = parse_target(args)?;
-    let heartbeat_ms: u64 = parse_num(args, "--heartbeat-ms", 1_000)?;
-    let default_backoff = BackoffPolicy::default();
-    let backoff = BackoffPolicy {
-        attempts: parse_num(args, "--reconnect-attempts", default_backoff.attempts)?,
-        base_ms: parse_num(args, "--reconnect-base-ms", default_backoff.base_ms)?,
-        max_ms: parse_num(args, "--reconnect-max-ms", default_backoff.max_ms)?,
-        jitter_seed: parse_num(args, "--jitter-seed", default_backoff.jitter_seed)?,
-    };
-    let corrupt_after: Option<u64> = match flag_value(args, "--corrupt-after") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| CliError::Usage(format!("bad value for --corrupt-after: {v}")))?,
-        ),
-    };
+/// `iris worker`: compute leased ranges until Ctrl-C (or `--once`).
+/// Defaults are [`WorkerOptions::default`]'s.
+fn cmd_worker(p: &Parsed) -> Result<String, CliError> {
+    let defaults = WorkerOptions::default();
     let opts = WorkerOptions {
-        connect,
-        target: backend.name().to_owned(),
-        once: args.iter().any(|a| a == "--once"),
-        heartbeat_ms,
-        backoff,
-        corrupt_after,
+        connect: p.required("--connect").to_owned(),
+        target: target(p)?.name().to_owned(),
+        once: p.has("--once"),
+        heartbeat_ms: p.num("--heartbeat-ms", defaults.heartbeat_ms)?,
+        backoff: BackoffPolicy {
+            attempts: p.num("--reconnect-attempts", defaults.backoff.attempts)?,
+            base_ms: p.num("--reconnect-base-ms", defaults.backoff.base_ms)?,
+            max_ms: p.num("--reconnect-max-ms", defaults.backoff.max_ms)?,
+            jitter_seed: p.num("--jitter-seed", defaults.backoff.jitter_seed)?,
+        },
+        corrupt_after: p.parsed("--corrupt-after")?,
         stop: Some(sigint::install()),
-        ..WorkerOptions::default()
+        ..defaults
     };
     let summary = run_worker(&opts)?;
-    let mut out = format!(
-        "worker stopped — {} lease{} computed across {} job{}\n",
+    let (leases, jobs, falsified) = (
         summary.chunks_done,
-        if summary.chunks_done == 1 { "" } else { "s" },
         summary.jobs_done,
-        if summary.jobs_done == 1 { "" } else { "s" }
+        summary.results_corrupted,
     );
-    if summary.results_corrupted > 0 {
-        out.push_str(&format!(
-            "byzantine test hook: {} result{} deliberately falsified\n",
-            summary.results_corrupted,
-            if summary.results_corrupted == 1 {
-                ""
-            } else {
-                "s"
-            }
-        ));
+    let mut out = format!(
+        "worker stopped — {leases} lease{} computed across {jobs} job{}\n",
+        plural(leases),
+        plural(jobs)
+    );
+    if falsified > 0 {
+        out += &format!(
+            "byzantine test hook: {falsified} result{} deliberately falsified\n",
+            plural(falsified)
+        );
     }
     Ok(out)
 }
 
-/// `iris chaos`: a deterministic network-chaos proxy between workers
-/// and a coordinator. Every accepted connection gets a fault plan
-/// derived purely from `(--seed, connection index)` — split writes,
-/// delays, garbage, truncation, drops — so a failure a fleet hits
-/// through the proxy replays exactly from the same seed. Connections
-/// past `--budget` relay cleanly (the deterministic liveness
-/// guarantee). Runs until Ctrl-C.
-fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
-    let upstream = flag_value(args, "--connect").ok_or_else(|| {
-        CliError::Usage("chaos requires --connect ADDR (the upstream coordinator)".to_owned())
-    })?;
-    let listen = flag_value(args, "--listen").unwrap_or_else(|| "127.0.0.1:0".to_owned());
-    let seed: u64 = parse_num(args, "--seed", 0)?;
-    let destructive_budget: u64 = parse_num(args, "--budget", 4)?;
+/// `iris chaos`: the seeded network-chaos proxy between workers and a
+/// coordinator, until Ctrl-C. Defaults are [`ChaosOptions::default`]'s.
+fn cmd_chaos(p: &Parsed) -> Result<String, CliError> {
+    let defaults = ChaosOptions::default();
+    let seed = p.num("--seed", defaults.seed)?;
     let proxy = ChaosProxy::start(ChaosOptions {
-        listen,
-        upstream,
+        listen: p.value("--listen").map_or(defaults.listen, str::to_owned),
+        upstream: p.required("--connect").to_owned(),
         seed,
-        destructive_budget,
+        destructive_budget: p.num("--budget", defaults.destructive_budget)?,
     })?;
     eprintln!("iris chaos: listening on {} (seed {seed})", proxy.addr());
-    let stop = sigint::install();
-    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
+    wait_for_sigint();
     let conns = proxy.connections();
     proxy.stop();
     Ok(format!(
         "chaos proxy stopped — {conns} connection{} relayed\n",
-        if conns == 1 { "" } else { "s" }
+        plural(conns)
     ))
 }
 
-/// `iris submit`: deliver a campaign/guided job to a coordinator fleet
-/// and wait for the report. Defaults mirror the in-process subcommands,
-/// and `--json` writes the **received bytes** verbatim — the artifact
-/// CI byte-diffs against the in-process `--jobs 1` run's.
-fn cmd_submit(args: &[String]) -> Result<String, CliError> {
-    let family = args
-        .first()
-        .ok_or_else(|| CliError::Usage(USAGE.to_owned()))?
-        .clone();
-    let rest = &args[1..];
-    let w = parse_workload(
-        rest.first()
-            .ok_or_else(|| CliError::Usage(USAGE.to_owned()))?,
-    )?;
-    let connect = flag_value(rest, "--connect")
-        .ok_or_else(|| CliError::Usage("submit requires --connect ADDR".to_owned()))?;
-    let exits: usize = parse_num(rest, "--exits", 5000)?;
-    let seed: u64 = parse_num(rest, "--seed", 42)?;
-    let backend = parse_target(rest)?;
-    let kind = match family.as_str() {
-        "campaign" => JobKind::Campaign {
-            mutants: parse_num(rest, "--mutants", 200)?,
-            chunk: parse_chunk(rest)?,
-        },
-        "guided" => {
-            let generation: u64 = parse_num(rest, "--gen", GuidedConfig::default().generation)?;
-            if generation == 0 {
-                return Err(CliError::Usage("--gen must be at least 1".to_owned()));
-            }
-            JobKind::Guided {
-                budget: parse_num(rest, "--budget", 1500)?,
-                generation,
-            }
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown submit family '{other}' (campaign | guided)\n\n{USAGE}"
-            )))
-        }
-    };
-    let spec = JobSpec {
-        target: backend.name().to_owned(),
-        workload: w.label().to_owned(),
-        exits,
-        seed,
-        kind,
-    };
+fn submit_campaign(p: &Parsed) -> Result<String, CliError> {
+    cmd_submit(p, Family::Campaign)
+}
+
+fn submit_guided(p: &Parsed) -> Result<String, CliError> {
+    cmd_submit(p, Family::Guided)
+}
+
+/// `iris submit`: deliver the [`job_spec`] the in-process command of
+/// the same family would run to a fleet and wait for the report.
+/// `--json` writes the **received bytes** verbatim — the artifact CI
+/// byte-diffs against the in-process `--jobs 1` run's.
+fn cmd_submit(p: &Parsed, family: Family) -> Result<String, CliError> {
+    let spec = job_spec(p, family)?;
+    let connect = p.required("--connect");
     let show_progress = std::io::stderr().is_terminal();
-    let outcome = dist_submit(&connect, &spec, |done, total, folded| {
+    let outcome = dist_submit(connect, &spec, |done, total, folded| {
         if show_progress {
             eprint!("\rdistributed: {done}/{total} units, {folded} folds");
         }
@@ -1246,8 +1115,8 @@ fn cmd_submit(args: &[String]) -> Result<String, CliError> {
     );
     // Summarize from the received report; the bytes themselves are the
     // artifact.
-    match spec.kind {
-        JobKind::Campaign { .. } => {
+    match family {
+        Family::Campaign => {
             if let Ok(report) = serde_json::from_str::<CampaignReport>(&outcome.report) {
                 out.push_str(&format!(
                     "total: {} mutants, {} lines covered, crashes {} VM / {} hypervisor\n",
@@ -1258,15 +1127,15 @@ fn cmd_submit(args: &[String]) -> Result<String, CliError> {
                 ));
             }
         }
-        JobKind::Guided { .. } => {
+        Family::Guided => {
             if let Ok(result) = serde_json::from_str::<GuidedResult>(&outcome.report) {
                 out.push_str(&render_guided_result(&result));
             }
         }
     }
-    if let Some(path) = flag_value(rest, "--json") {
-        atomic_write_json(std::path::Path::new(&path), outcome.report.as_bytes())?;
-        out.push_str(&format!("report JSON written to {path}\n"));
+    if let Some(path) = p.path("--json") {
+        atomic_write_json(&path, outcome.report.as_bytes())?;
+        out.push_str(&format!("report JSON written to {}\n", path.display()));
     }
     Ok(out)
 }

@@ -34,7 +34,7 @@ use crate::verify::{
 };
 use iris_core::trace::RecordedTrace;
 use iris_fuzzer::checkpoint::{
-    CampaignCheckpoint, CheckpointMismatch, GuidedCheckpoint, JsonWriter,
+    load_if_present, CampaignCheckpoint, CheckpointMismatch, GuidedCheckpoint, JsonWriter,
 };
 use iris_fuzzer::executor::Reorder;
 use iris_fuzzer::guided::{
@@ -700,18 +700,17 @@ enum PreparedJob {
     Instant(FinishedJob),
 }
 
-/// Load the `--resume` checkpoint, if one is configured and present,
-/// alongside the path it came from.
+/// Load the `--resume` checkpoint by the rule the in-process CLI uses
+/// ([`load_if_present`]), alongside the path it came from; only the
+/// mapping to wire error codes is the coordinator's own.
 fn load_resume_checkpoint<'s, T>(
     shared: &'s Shared,
     fingerprint: &str,
     load: impl FnOnce(&Path, &str) -> io::Result<T>,
 ) -> Result<Option<(T, &'s Path)>, (ErrorCode, String)> {
-    let Some(path) = shared.resume.as_ref().filter(|p| p.exists()) else {
-        return Ok(None);
-    };
-    match load(path, fingerprint) {
-        Ok(cp) => Ok(Some((cp, path))),
+    let path = shared.resume.as_deref();
+    match load_if_present(path, fingerprint, load) {
+        Ok(cp) => Ok(cp.zip(path)),
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
             Err((ErrorCode::FingerprintMismatch, e.to_string()))
         }

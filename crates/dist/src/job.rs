@@ -4,10 +4,12 @@
 //! Traces, plans, and corpora are all deterministic functions of a few
 //! scalars (the record/replay determinism laws), so a job is fully
 //! described by `(target, workload, exits, seed, kind)`. Coordinator,
-//! workers, and the in-process CLI all re-derive identical traces and
-//! plans from the same spec; the fingerprint (the same string
-//! `iris_fuzzer::checkpoint` uses for durable checkpoints) names the
-//! run configuration for resume and reconnect matching.
+//! workers, and the in-process CLI (`iris campaign`/`iris guided` build
+//! a [`JobSpec`] and call the methods below, like `iris submit`'s
+//! receivers) all derive their traces, plans, configs and fingerprints
+//! here; the fingerprint (the same string `iris_fuzzer::checkpoint`
+//! uses for durable checkpoints) names the run configuration for resume
+//! and reconnect matching.
 
 use crate::DistError;
 use iris_core::manager::IrisManager;
@@ -20,7 +22,6 @@ use iris_fuzzer::target::Backend;
 use iris_fuzzer::testcase::TestCase;
 use iris_guest::workloads::Workload;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Which campaign family a job runs, with its family-specific knobs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,8 +53,7 @@ pub struct JobSpec {
     pub workload: String,
     /// VM exits to record for the trace.
     pub exits: usize,
-    /// Trace RNG seed — also the guided scheduling seed, mirroring
-    /// `iris guided`.
+    /// Trace RNG seed — also the guided scheduling seed.
     pub seed: u64,
     /// Campaign or guided, with family knobs.
     pub kind: JobKind,
@@ -82,8 +82,8 @@ impl JobSpec {
 
     /// Re-record the spec's trace — deterministic in
     /// `(workload, exits, seed)`, so every participant derives
-    /// identical bytes. This is the exact recipe `iris campaign` /
-    /// `iris guided` use in-process.
+    /// identical bytes. `iris campaign` / `iris guided` record their
+    /// trace through this call too.
     ///
     /// # Errors
     /// [`DistError::Protocol`] on an unknown workload label.
@@ -98,25 +98,25 @@ impl JobSpec {
     }
 
     /// The deterministic campaign plan over `trace` (empty for guided
-    /// jobs) — same `Table1::plan` order every participant derives.
+    /// jobs) — the `Table1::plan` order every participant derives.
     ///
     /// # Errors
     /// [`DistError::Protocol`] on an unknown workload label.
     pub fn plan(&self, trace: &RecordedTrace) -> Result<Vec<TestCase>, DistError> {
         match self.kind {
-            JobKind::Campaign { mutants, .. } => {
-                let w = self.workload()?;
-                let mut traces = BTreeMap::new();
-                traces.insert(w, trace.clone());
-                Ok(Table1::plan(&traces, mutants, self.seed))
-            }
+            JobKind::Campaign { mutants, .. } => Ok(Table1::plan_trace(
+                self.workload()?,
+                trace,
+                mutants,
+                self.seed,
+            )),
             JobKind::Guided { .. } => Ok(Vec::new()),
         }
     }
 
-    /// The guided configuration the spec describes, mirroring
-    /// `iris guided`'s construction (scheduling seed = trace seed,
-    /// stock RAM sizing); `None` for campaign jobs.
+    /// The guided configuration the spec describes (scheduling seed =
+    /// trace seed, stock RAM sizing), which `iris guided` runs with too;
+    /// `None` for campaign jobs.
     #[must_use]
     pub fn guided_config(&self) -> Option<GuidedConfig> {
         match self.kind {
@@ -130,8 +130,8 @@ impl JobSpec {
         }
     }
 
-    /// The run-configuration fingerprint — the same string the
-    /// in-process CLI stamps into durable checkpoints, so a coordinator
+    /// The run-configuration fingerprint — the in-process CLI stamps
+    /// this very string into its durable checkpoints, so a coordinator
     /// `--resume` interoperates with a checkpoint written by
     /// `iris campaign`/`iris guided`. `plan_len` is the campaign plan's
     /// length (ignored for guided jobs).

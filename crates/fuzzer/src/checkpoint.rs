@@ -149,6 +149,26 @@ fn validate(version: u32, fingerprint: &str, expected: &str, path: &Path) -> io:
     Ok(())
 }
 
+/// The one `--resume` rule, shared by the in-process CLI and the
+/// coordinator: no path, or a path where no file exists, is a fresh
+/// start (`Ok(None)`) — so a crash before the first checkpoint write,
+/// or a stale path, cannot strand the operator — while a file that is
+/// present must `load` (one of the `Checkpoint::load`s) and match this
+/// run's `fingerprint`.
+///
+/// # Errors
+/// Whatever `load` returns for the file that is present.
+pub fn load_if_present<T>(
+    path: Option<&Path>,
+    fingerprint: &str,
+    load: impl FnOnce(&Path, &str) -> io::Result<T>,
+) -> io::Result<Option<T>> {
+    match path {
+        Some(path) if path.exists() => load(path, fingerprint).map(Some),
+        _ => Ok(None),
+    }
+}
+
 /// A fingerprint-valid checkpoint whose *structure* contradicts the run
 /// it claims to belong to — what [`crate::guided::SharedEngine::resume`]
 /// and [`crate::parallel::CampaignEngine::resume`] return instead of

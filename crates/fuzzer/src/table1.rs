@@ -107,18 +107,29 @@ impl Table1 {
         mutants: usize,
         rng_seed: u64,
     ) -> Vec<TestCase> {
+        let rows = |(&workload, trace)| Self::plan_trace(workload, trace, mutants, rng_seed);
+        traces.iter().flat_map(rows).collect()
+    }
+
+    /// One workload's rows of [`Table1::plan`], from a borrowed trace —
+    /// the whole plan of a single-trace job.
+    #[must_use]
+    pub fn plan_trace(
+        workload: Workload,
+        trace: &RecordedTrace,
+        mutants: usize,
+        rng_seed: u64,
+    ) -> Vec<TestCase> {
         let mut plan = Vec::new();
-        for (&workload, trace) in traces {
-            for &reason in TABLE1_ROWS {
-                let Some(seed_index) = trace.seeds.iter().position(|s| s.reason == reason) else {
-                    continue; // the paper's "-" cells
-                };
-                for area in SeedArea::ALL {
-                    plan.push(TestCase {
-                        mutants,
-                        ..TestCase::new(workload, seed_index, reason, area, rng_seed)
-                    });
-                }
+        for &reason in TABLE1_ROWS {
+            let Some(seed_index) = trace.seeds.iter().position(|s| s.reason == reason) else {
+                continue; // the paper's "-" cells
+            };
+            for area in SeedArea::ALL {
+                plan.push(TestCase {
+                    mutants,
+                    ..TestCase::new(workload, seed_index, reason, area, rng_seed)
+                });
             }
         }
         plan
