@@ -189,6 +189,14 @@ const WORKLOADS: &str = "os_boot | cpu_bound | mem_bound | io_bound | idle";
 /// The prose of the help text. The synopsis block above it is not
 /// written here: [`usage`] renders it from [`COMMANDS`].
 const USAGE: &str = "\
+`replay` records the workload on a test VM, replays the seeds on a
+dummy VM and reports how well the replayed coverage fits the recorded
+one. `--cold` leaves the dummy VM unbooted. `--memory` also records,
+per exit, the image of every guest frame the exit dirtied — page
+granular, what an EPT dirty log gives (the paper's section IX) — and
+applies it before the seed, so handler paths that read guest memory
+fit too.
+
 `campaign` fuzzes every (exit reason x seed area) cell the trace offers,
 sharded over N worker threads (default: available parallelism) stealing
 work in chunks of C mutants (default: 256). Results are deterministic:

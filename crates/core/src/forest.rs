@@ -3,16 +3,24 @@
 //! A [`crate::snapshot::Snapshot`] is one full copy of a domain; every
 //! reset pays a restore to that single image plus an O(prefix) replay
 //! to reach deeper states. The forest generalizes this to a **tree of
-//! deltas rooted at `s1`**: each node stores only the pages and device
-//! components that diverged from its parent (captured from the
-//! hypervisor's page-granular dirty tracking, see
-//! [`iris_hv::mm::GuestMemory::set_page_dirty_tracking`]), so
+//! deltas rooted at `s1`**: each node stores the pages that diverged
+//! from its parent (captured from the hypervisor's page-granular dirty
+//! tracking, see [`iris_hv::mm::GuestMemory::set_page_dirty_tracking`])
+//! and, when anything but memory diverged, one post-image of
+//! everything but memory ([`iris_hv::domain::Domain::clone_state`] —
+//! what a domain is made of is `hv::domain`'s business, not this
+//! module's), so
 //!
 //! * [`SnapshotForest::take_delta`] is O(pages touched since the last
-//!   capture), and
+//!   capture) plus one comparison against the nearest ancestor's image,
+//!   and
 //! * [`SnapshotForest::restore_to`] walks the nearest-common-ancestor
 //!   path between the current node and the target — O(delta), not
-//!   O(prefix).
+//!   O(prefix) — writing pages through the same compare-before-write
+//!   primitive as the flat restore
+//!   ([`iris_hv::mm::GuestMemory::set_page`]) and everything else
+//!   through the same [`iris_hv::domain::Domain::restore_state`]. The
+//!   two differ only in which frames they visit.
 //!
 //! **Determinism law.** A node's state is a pure function of
 //! `(trace, prefix, promoted seed path)`: it is exactly the state the
@@ -30,14 +38,8 @@
 //! its id then returns `false` and the caller re-derives the state by
 //! replaying its seed path — slower, never wrong.
 
-use iris_hv::crash::DomainCrashReason;
-use iris_hv::devices::IoBus;
-use iris_hv::domain::{Domain, DomainKind};
+use iris_hv::domain::Domain;
 use iris_hv::hypervisor::Hypervisor;
-use iris_hv::irq::HvmIrq;
-use iris_hv::vcpu::HvVcpu;
-use iris_hv::vpt::Vpt;
-use iris_vtx::ept::Ept;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -55,7 +57,7 @@ impl StateId {
 /// Snapshot-forest configuration (the CLI's `--forest`/`--forest-cap`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ForestConfig {
-    /// Maximum number of delta nodes kept (the root base snapshot is
+    /// Maximum number of delta nodes held (the root base snapshot is
     /// not counted). Beyond the cap, LRU nodes are collapsed into
     /// their children.
     pub cap: usize,
@@ -75,33 +77,19 @@ impl Default for ForestConfig {
     }
 }
 
-/// One page's post-image in a delta: its full contents, or the fact
-/// that the page was depopulated.
-#[derive(Debug, Clone)]
-enum PageDelta {
-    /// The page holds these bytes at this node.
-    Present(Vec<u8>),
-    /// The page is cold (unpopulated) at this node.
-    Absent,
-}
-
 /// One delta node: what diverged from the parent.
 #[derive(Debug, Clone)]
 struct Node {
     parent: u64,
     /// Post-images of the pages that differ from the parent's
-    /// resolution. Ordered so captures and merges iterate
-    /// deterministically.
-    pages: BTreeMap<u64, PageDelta>,
-    vcpus: Option<Vec<HvVcpu>>,
-    ept: Option<Ept>,
-    iobus: Option<IoBus>,
-    irq: Option<HvmIrq>,
-    vpt: Option<Vpt>,
-    /// Post-image of the crash record (outer `Some` = differs from
-    /// parent).
-    crashed: Option<Option<DomainCrashReason>>,
-    kind: Option<DomainKind>,
+    /// resolution: the page's full contents, or `None` for a page that
+    /// is cold (unpopulated) at this node. Ordered so captures and
+    /// merges iterate deterministically.
+    pages: BTreeMap<u64, Option<Vec<u8>>>,
+    /// Post-image of everything but the guest memory
+    /// ([`Domain::clone_state`]), when it differs from the parent's
+    /// resolution.
+    state: Option<Domain>,
     /// Logical LRU clock value of the node's last use. Logical, not
     /// wall time: eviction order is a pure function of the operation
     /// sequence.
@@ -155,7 +143,7 @@ impl SnapshotForest {
         id == StateId::ROOT || self.nodes.contains_key(&id.0)
     }
 
-    /// Number of delta nodes currently kept (root excluded).
+    /// Number of delta nodes currently held (root excluded).
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -172,58 +160,30 @@ impl SnapshotForest {
         self.tick
     }
 
-    /// Resolve page `gfn`'s contents at node `from` by walking toward
-    /// the root. `None` = the page is cold there.
+    /// The nodes from `from` up to (excluding) the root, nearest first.
+    fn ancestors(&self, from: u64) -> impl Iterator<Item = (u64, &Node)> {
+        let mut at = from;
+        std::iter::from_fn(move || {
+            let node = self.nodes.get(&at)?;
+            let id = std::mem::replace(&mut at, node.parent);
+            Some((id, node))
+        })
+    }
+
+    /// Resolve page `gfn`'s contents at node `from`: the nearest
+    /// ancestor's post-image, else the base snapshot's. `None` = the
+    /// page is cold there.
     fn resolve_page(&self, from: u64, gfn: u64) -> Option<&[u8]> {
-        let mut at = from;
-        while at != 0 {
-            let Some(node) = self.nodes.get(&at) else {
-                break;
-            };
-            if let Some(delta) = node.pages.get(&gfn) {
-                return match delta {
-                    PageDelta::Present(bytes) => Some(bytes.as_slice()),
-                    PageDelta::Absent => None,
-                };
-            }
-            at = node.parent;
+        match self.ancestors(from).find_map(|(_, n)| n.pages.get(&gfn)) {
+            Some(image) => image.as_deref(),
+            None => self.base.memory.page(gfn),
         }
-        self.base.memory.page(gfn)
     }
 
-    /// Resolve a device/vCPU component at node `from`: nearest
-    /// ancestor's post-image, else the base snapshot's.
-    fn resolve_component<'a, T>(
-        &'a self,
-        from: u64,
-        pick: impl Fn(&'a Node) -> Option<&'a T>,
-        base: &'a T,
-    ) -> &'a T {
-        let mut at = from;
-        while at != 0 {
-            let Some(node) = self.nodes.get(&at) else {
-                break;
-            };
-            if let Some(v) = pick(node) {
-                return v;
-            }
-            at = node.parent;
-        }
-        base
-    }
-
-    /// Node ids from `from` up to (excluding) the root, nearest first.
-    fn path_to_root(&self, from: u64) -> Vec<u64> {
-        let mut path = Vec::new();
-        let mut at = from;
-        while at != 0 {
-            let Some(node) = self.nodes.get(&at) else {
-                break;
-            };
-            path.push(at);
-            at = node.parent;
-        }
-        path
+    /// Resolve everything but the guest memory at node `from`: the
+    /// nearest ancestor's post-image, else the base snapshot.
+    fn resolve_state(&self, from: u64) -> &Domain {
+        (self.ancestors(from).find_map(|(_, n)| n.state.as_ref())).unwrap_or(&self.base)
     }
 
     /// Capture the domain's divergence since the current node as a new
@@ -235,36 +195,13 @@ impl SnapshotForest {
         let Some(slot) = hv.domains.get_mut(domain_id as usize) else {
             return StateId(parent);
         };
-        let dirty = slot.memory.take_dirty_pages();
-        let mut pages = BTreeMap::new();
-        for gfn in dirty {
-            let live = slot.memory.page(gfn);
-            if live != self.resolve_page(parent, gfn) {
-                let delta = match live {
-                    Some(bytes) => PageDelta::Present(bytes.to_vec()),
-                    None => PageDelta::Absent,
-                };
-                pages.insert(gfn, delta);
-            }
-        }
-        let vcpus = (slot.vcpus
-            != *self.resolve_component(parent, |n| n.vcpus.as_ref(), &self.base.vcpus))
-        .then(|| slot.vcpus.clone());
-        let ept = (slot.ept != *self.resolve_component(parent, |n| n.ept.as_ref(), &self.base.ept))
-            .then(|| slot.ept.clone());
-        let iobus = (slot.iobus
-            != *self.resolve_component(parent, |n| n.iobus.as_ref(), &self.base.iobus))
-        .then(|| slot.iobus.clone());
-        let irq = (slot.irq != *self.resolve_component(parent, |n| n.irq.as_ref(), &self.base.irq))
-            .then(|| slot.irq.clone());
-        let vpt = (slot.vpt != *self.resolve_component(parent, |n| n.vpt.as_ref(), &self.base.vpt))
-            .then(|| slot.vpt.clone());
-        let crashed = (slot.crashed
-            != *self.resolve_component(parent, |n| n.crashed.as_ref(), &self.base.crashed))
-        .then(|| slot.crashed.clone());
-        let kind = (slot.kind
-            != *self.resolve_component(parent, |n| n.kind.as_ref(), &self.base.kind))
-        .then_some(slot.kind);
+        let pages = (slot.memory.take_dirty_pages().into_iter())
+            .filter_map(|gfn| {
+                let live = slot.memory.page(gfn);
+                (live != self.resolve_page(parent, gfn)).then(|| (gfn, live.map(<[u8]>::to_vec)))
+            })
+            .collect();
+        let state = (!slot.same_state(self.resolve_state(parent))).then(|| slot.clone_state());
 
         let id = self.next_id;
         self.next_id += 1;
@@ -273,13 +210,7 @@ impl SnapshotForest {
             Node {
                 parent,
                 pages,
-                vcpus,
-                ept,
-                iobus,
-                irq,
-                vpt,
-                crashed,
-                kind,
+                state,
                 last_use: tick,
             },
         );
@@ -307,56 +238,21 @@ impl SnapshotForest {
         // on the two NCA legs. Pages on the shared path prefix resolve
         // identically on both sides and need no visit.
         let mut affected: BTreeSet<u64> = slot.memory.take_dirty_pages();
-        let cur_path = self.path_to_root(self.current);
-        let tgt_path = self.path_to_root(t);
-        let mut ci = cur_path.len();
-        let mut ti = tgt_path.len();
-        while ci > 0 && ti > 0 && cur_path.get(ci - 1) == tgt_path.get(ti - 1) {
-            ci -= 1;
-            ti -= 1;
-        }
-        for id in cur_path.iter().take(ci).chain(tgt_path.iter().take(ti)) {
-            if let Some(node) = self.nodes.get(id) {
-                affected.extend(node.pages.keys().copied());
-            }
+        let cur_path: Vec<_> = self.ancestors(self.current).collect();
+        let tgt_path: Vec<_> = self.ancestors(t).collect();
+        let shared = (cur_path.iter().rev().zip(tgt_path.iter().rev()))
+            .take_while(|(cur, tgt)| cur.0 == tgt.0)
+            .count();
+        let legs = (cur_path.iter().take(cur_path.len() - shared))
+            .chain(tgt_path.iter().take(tgt_path.len() - shared));
+        for (_, node) in legs {
+            affected.extend(node.pages.keys().copied());
         }
 
         for gfn in affected {
-            match self.resolve_page(t, gfn) {
-                Some(want) => {
-                    if slot.memory.page(gfn) != Some(want) {
-                        slot.memory.put_page(gfn, want);
-                    }
-                }
-                None => slot.memory.drop_page(gfn),
-            }
+            slot.memory.set_page(gfn, self.resolve_page(t, gfn));
         }
-
-        let want_vcpus = self.resolve_component(t, |n| n.vcpus.as_ref(), &self.base.vcpus);
-        if slot.vcpus != *want_vcpus {
-            slot.vcpus.clone_from(want_vcpus);
-        }
-        let want_ept = self.resolve_component(t, |n| n.ept.as_ref(), &self.base.ept);
-        if slot.ept != *want_ept {
-            slot.ept.clone_from(want_ept);
-        }
-        let want_iobus = self.resolve_component(t, |n| n.iobus.as_ref(), &self.base.iobus);
-        if slot.iobus != *want_iobus {
-            slot.iobus.clone_from(want_iobus);
-        }
-        let want_irq = self.resolve_component(t, |n| n.irq.as_ref(), &self.base.irq);
-        if slot.irq != *want_irq {
-            slot.irq.clone_from(want_irq);
-        }
-        let want_vpt = self.resolve_component(t, |n| n.vpt.as_ref(), &self.base.vpt);
-        if slot.vpt != *want_vpt {
-            slot.vpt.clone_from(want_vpt);
-        }
-        slot.crashed = self
-            .resolve_component(t, |n| n.crashed.as_ref(), &self.base.crashed)
-            .clone();
-        slot.kind = *self.resolve_component(t, |n| n.kind.as_ref(), &self.base.kind);
-        slot.id = domain_id;
+        slot.restore_state(self.resolve_state(t));
 
         self.current = t;
         if let Some(node) = self.nodes.get_mut(&t) {
@@ -389,40 +285,13 @@ impl SnapshotForest {
         let Some(node) = self.nodes.remove(&victim) else {
             return;
         };
-        let children: Vec<u64> = self
-            .nodes
-            .iter()
-            .filter(|(_, n)| n.parent == victim)
-            .map(|(id, _)| *id)
-            .collect();
-        for child_id in children {
-            let Some(child) = self.nodes.get_mut(&child_id) else {
-                continue;
-            };
+        for child in self.nodes.values_mut().filter(|n| n.parent == victim) {
             child.parent = node.parent;
-            for (gfn, delta) in &node.pages {
-                child.pages.entry(*gfn).or_insert_with(|| delta.clone());
+            for (gfn, image) in &node.pages {
+                child.pages.entry(*gfn).or_insert_with(|| image.clone());
             }
-            if child.vcpus.is_none() {
-                child.vcpus.clone_from(&node.vcpus);
-            }
-            if child.ept.is_none() {
-                child.ept.clone_from(&node.ept);
-            }
-            if child.iobus.is_none() {
-                child.iobus.clone_from(&node.iobus);
-            }
-            if child.irq.is_none() {
-                child.irq.clone_from(&node.irq);
-            }
-            if child.vpt.is_none() {
-                child.vpt.clone_from(&node.vpt);
-            }
-            if child.crashed.is_none() {
-                child.crashed.clone_from(&node.crashed);
-            }
-            if child.kind.is_none() {
-                child.kind = node.kind;
+            if child.state.is_none() {
+                child.state.clone_from(&node.state);
             }
         }
     }
@@ -514,6 +383,71 @@ mod tests {
         assert!(!hv.domains[dom as usize].is_alive());
         assert!(forest.restore_to(&mut hv, dom, StateId::ROOT));
         assert!(hv.domains[dom as usize].is_alive());
+    }
+
+    type Diverge = fn(&mut Domain);
+
+    /// One way to diverge each non-memory component of a domain,
+    /// touching nothing else.
+    const DIVERGE: [(&str, Diverge); 7] = [
+        ("kind", |d| d.kind = iris_hv::domain::DomainKind::Control),
+        ("vcpus", |d| d.vcpus[0].exit_count += 7),
+        ("ept", |d| d.ept.misconfigure(3)),
+        ("iobus", |d| d.iobus.uart.tx_log.push(b'x')),
+        ("irq", |d| d.irq.delivered += 1),
+        ("vpt", |d| d.vpt.ticks_delivered += 1),
+        ("crashed", |d| {
+            d.crashed = Some(iris_hv::crash::DomainCrashReason::TripleFault);
+        }),
+    ];
+
+    #[test]
+    fn every_component_round_trips_alone_and_together() {
+        let all: Vec<Diverge> = DIVERGE.iter().map(|(_, f)| *f).collect();
+        let cases = (DIVERGE.iter().map(|(name, f)| (*name, vec![*f])))
+            .chain([("all together", all.clone())]);
+        for (name, diverge) in cases {
+            let (mut hv, dom) = fresh();
+            let at = dom as usize;
+            write(&mut hv, dom, 0x1000, 1);
+            let base = hv.domains[at].clone();
+            let mut forest = SnapshotForest::new(&hv, dom, ForestConfig { cap: 1 }).unwrap();
+            enable_tracking(&mut hv, dom);
+            // Everything moves away from whatever was pinned.
+            let scramble = |hv: &mut Hypervisor| {
+                all.iter().for_each(|f| f(&mut hv.domains[at]));
+                write(hv, dom, 0x1000, 99);
+                write(hv, dom, 0x7000, 99);
+            };
+
+            // Pin the diverged state, move on, come back.
+            diverge.iter().for_each(|f| f(&mut hv.domains[at]));
+            write(&mut hv, dom, 0x2000, 2);
+            let pinned = hv.domains[at].clone();
+            let pin = forest.take_delta(&mut hv, dom);
+            scramble(&mut hv);
+            assert!(forest.restore_to(&mut hv, dom, pin));
+            assert!(hv.domains[at] == pinned, "{name}: pin round trip");
+
+            // A child that only wrote memory inherits the component
+            // image when its parent collapses into it.
+            write(&mut hv, dom, 0x3000, 3);
+            let pinned_child = hv.domains[at].clone();
+            let child = forest.take_delta(&mut hv, dom);
+            forest.evict_excess(&[child]);
+            assert!(!forest.contains(pin), "{name}: parent collapsed");
+            scramble(&mut hv);
+            assert!(forest.restore_to(&mut hv, dom, child));
+            assert!(hv.domains[at] == pinned_child, "{name}: after collapse");
+
+            // The root restore is the flat restore.
+            scramble(&mut hv);
+            let mut flat = hv.domains[at].clone();
+            flat.restore_from(&base);
+            assert!(forest.restore_to(&mut hv, dom, StateId::ROOT));
+            assert!(hv.domains[at] == flat, "{name}: root vs restore_from");
+            assert!(hv.domains[at] == base, "{name}: root is the base");
+        }
     }
 
     #[test]

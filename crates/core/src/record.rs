@@ -14,6 +14,7 @@ use iris_guest::runner::GuestRunner;
 use iris_hv::costs;
 use iris_hv::hooks::VmxHooks;
 use iris_hv::hypervisor::Hypervisor;
+use iris_vtx::ept::PAGE_SHIFT;
 use iris_vtx::exit::ExitReason;
 use iris_vtx::fields::VmcsField;
 use iris_vtx::gpr::GprSet;
@@ -27,9 +28,9 @@ pub struct RecordConfig {
     /// Capture metrics (coverage, VMWRITEs, timing).
     pub store_metrics: bool,
     /// §IX extension: also record the guest memory areas the workload
-    /// touches (EPT-style dirty logging), producing *memory-augmented*
-    /// seeds whose replay does not diverge on guest-memory-dependent
-    /// handler paths.
+    /// touches (EPT-style dirty logging: the image of every frame an
+    /// exit dirtied), producing *memory-augmented* seeds whose replay
+    /// does not diverge on guest-memory-dependent handler paths.
     pub record_memory: bool,
 }
 
@@ -159,7 +160,9 @@ impl Recorder {
     ) -> RecordedTrace {
         hv.fuzzing_ctl.record_enabled = true;
         if self.config.record_memory {
-            hv.domains[domain as usize].memory.set_dirty_tracking(true);
+            hv.domains[domain as usize]
+                .memory
+                .set_page_dirty_tracking(true);
         }
         let mut runner = GuestRunner::new(domain);
         let mut hooks = RecordHooks::new();
@@ -168,9 +171,14 @@ impl Recorder {
             let start_tsc = hv.tsc.now();
             let mut outcome = runner.step(hv, &op, &mut hooks);
             if self.config.record_memory {
-                trace
-                    .memory
-                    .push(hv.domains[domain as usize].memory.drain_dirty());
+                // What an EPT dirty log records: the image of every
+                // frame the exit touched (a frame wiped since is cold
+                // again and has no image to carry).
+                let memory = &mut hv.domains[domain as usize].memory;
+                let pages = (memory.take_dirty_pages().into_iter())
+                    .filter_map(|gfn| Some((gfn << PAGE_SHIFT, memory.page(gfn)?.to_vec())))
+                    .collect();
+                trace.memory.push(pages);
             }
             let reason = outcome
                 .handled_reason
@@ -199,7 +207,9 @@ impl Recorder {
         }
         hv.fuzzing_ctl.record_enabled = false;
         if self.config.record_memory {
-            hv.domains[domain as usize].memory.set_dirty_tracking(false);
+            hv.domains[domain as usize]
+                .memory
+                .set_page_dirty_tracking(false);
         }
         trace
     }
@@ -268,6 +278,38 @@ mod tests {
         for s in &trace.seeds {
             assert!(s.payload_bytes() <= crate::seed::WORST_CASE_SEED_BYTES);
         }
+    }
+
+    #[test]
+    fn memory_log_carries_no_bytes_of_a_rejected_write() {
+        use iris_hv::hypervisor::ExitEvent;
+        let ram = 16u64 << 20;
+        let mut hv = Hypervisor::new();
+        let dom = hv.create_hvm_domain(ram);
+        // The guest's store starts in the last frame of RAM and runs
+        // off the end: the head lands, the tail is refused (BadGfn).
+        let mut op = GuestOp::new(ExitEvent::new(ExitReason::Cpuid));
+        op.setup.mem_writes.push((ram - 2, vec![1, 2, 3, 4]));
+        let recorder = Recorder {
+            config: RecordConfig {
+                record_memory: true,
+                ..RecordConfig::default()
+            },
+        };
+        let trace = recorder.record_workload(&mut hv, dom, "edge", [op]);
+
+        // One page image — the frame the write did reach — and nothing
+        // of the refused tail.
+        let [(gpa, image)] = trace.memory[0].as_slice() else {
+            panic!("one dirtied frame, got {:?}", trace.memory[0]);
+        };
+        assert_eq!(*gpa, ram - 0x1000);
+        assert_eq!(image.len(), 0x1000);
+        assert_eq!(image[0xffe..], [1, 2]);
+        // So the log replays without a rejected write of its own.
+        let mut dummy = iris_hv::mm::GuestMemory::new(ram);
+        assert_eq!(dummy.copy_to_guest(*gpa, image), Ok(()));
+        assert!(!hv.domains[dom as usize].memory.page_dirty_tracking());
     }
 
     #[test]

@@ -35,8 +35,12 @@ pub struct RecordedTrace {
     pub seeds: Vec<VmSeed>,
     /// One metrics record per exit (when metric storage was on).
     pub metrics: Vec<SeedMetrics>,
-    /// §IX extension: per-exit guest-memory writes (EPT dirty log),
-    /// empty unless `RecordConfig::record_memory` was enabled.
+    /// §IX extension: per exit, the `(gpa, bytes)` images of the guest
+    /// frames that exit dirtied — page-granular, what an EPT dirty log
+    /// records — applied verbatim before the seed on replay. Empty
+    /// unless `RecordConfig::record_memory` was enabled. Replay applies
+    /// entries as plain writes, so a trace carrying raw written ranges
+    /// (the older format) loads and replays too.
     #[serde(default)]
     pub memory: Vec<Vec<(u64, Vec<u8>)>>,
 }

@@ -16,7 +16,7 @@ use iris_fuzzer::guided::run_guided_shared_with;
 use iris_fuzzer::parallel::ParallelCampaign;
 use iris_fuzzer::target::{Backend, TargetFactory};
 use proptest::prelude::*;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -328,6 +328,36 @@ fn bad_submissions_and_version_skew_are_typed_rejections() {
         other => panic!("version skew must be a typed rejection, got {other:?}"),
     }
     server.stop();
+}
+
+/// The accept thread owns the listener. Both `stop` and a plain drop
+/// must make it exit and leave the port free, whichever address the
+/// listener was bound to — what any other way of waking that thread
+/// has to keep true.
+#[test]
+fn the_listener_closes_on_stop_and_on_drop() {
+    for listen in ["127.0.0.1:0", "0.0.0.0:0"] {
+        for stop in [true, false] {
+            let server = Server::start(ServeOptions {
+                listen: listen.to_owned(),
+                ..ServeOptions::default()
+            })
+            .expect("bind loopback");
+            let addr = server.addr();
+            if stop {
+                server.stop();
+            } else {
+                drop(server);
+            }
+            let rebound = (0..100).any(|_| {
+                TcpListener::bind(addr).is_ok() || {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    false
+                }
+            });
+            assert!(rebound, "{addr} still bound after stop={stop}");
+        }
+    }
 }
 
 /// Shared reference for the proptest cases — recording the trace and

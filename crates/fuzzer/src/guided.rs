@@ -29,11 +29,14 @@
 //! steals on it. Each slot **positions at its mutation base's
 //! state** — `s1` plus the base's seed path ([`corpus_paths`]) — so
 //! mutation resumes from where the promoted base left off instead of
-//! rebooting to `s1`; with a snapshot forest
-//! ([`crate::target::TargetFactory::forest`]) that positioning is an
-//! O(delta) restore of the base's pinned node, without one it is a
-//! root reset plus path replay — **state-identical by the forest
-//! law**, so the forest is a pure accelerator. At the **generation
+//! rebooting to `s1`. One walker does that, `position` (shared with
+//! the campaign's forest-mode workers): restore the deepest pinned
+//! node of the path that survives, else reset to `s1`; replay the
+//! rest; pin each step. With a snapshot forest
+//! ([`crate::target::TargetFactory::forest`]) that is an O(delta)
+//! restore of the base's pinned node; without one no pin ever exists
+//! and it is a root reset plus path replay — **state-identical by the
+//! forest law**, so the forest is a pure accelerator. At the **generation
 //! barrier** the outcomes merge in slot order against the
 //! generation-start coverage map: promotions append to the corpus in
 //! slot order, crash records fold into the crash corpus in slot
@@ -62,6 +65,7 @@ use iris_guest::workloads::Workload;
 use iris_hv::coverage::CoverageMap;
 use iris_vtx::exit::ExitReason;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Result of a guided run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -312,87 +316,81 @@ pub fn corpus_paths(
     Ok(paths)
 }
 
+/// Put `target` at the state `path` names — the state after replaying
+/// `seeds[path[0]], seeds[path[1]], ...` from `s1` — the one walker
+/// behind both drivers' pin caches ([`SlotContext`], and the campaign's
+/// per-workload prefix server, whose paths are `0..prefix` over the
+/// trace): restore the deepest prefix of `path` whose pin survives,
+/// replay the rest, and pin each step so later work restores in
+/// O(delta). `pins[i]` caches the node pinned after replaying a path
+/// that ends in `i`; every entry is a pure accelerator — a pin that was
+/// evicted, or a target without a forest (`reset_to` is `false`,
+/// `pin_state` is `None`), falls through to [`FuzzTarget::reset`] and a
+/// full replay: slower, never wrong.
+pub(crate) fn position<T: FuzzTarget>(
+    target: &mut T,
+    pins: &mut BTreeMap<usize, StateId>,
+    seeds: &[VmSeed],
+    path: &[usize],
+) {
+    let mut from = path.len();
+    while from > 0 {
+        let pin = path.get(from - 1).and_then(|last| pins.get(last));
+        if pin.is_some_and(|&id| target.reset_to(id)) {
+            break;
+        }
+        from -= 1;
+    }
+    if from == 0 {
+        // lint:allow(slot-reset-law) -- unconditional per call: every position() starts from a pinned state's restore or, when no pin survives (the empty path IS s1), from this reset; the branch selects the restore mechanism, not whether to reset
+        target.reset();
+    }
+    for &at in path.get(from..).unwrap_or_default() {
+        if let Some(seed) = seeds.get(at) {
+            let out = target.submit(seed);
+            debug_assert!(
+                out.crash.is_none(),
+                "path replay must be clean: {:?}",
+                out.crash
+            );
+        }
+        if let Some(id) = target.pin_state() {
+            pins.insert(at, id);
+        }
+    }
+}
+
 /// Per-worker slot execution state: one private booted target plus the
 /// worker's cache of pinned forest nodes (corpus index → [`StateId`]).
 ///
 /// [`SlotContext::run_slot`] executes one slot of a generation:
-/// position the target at the mutation base's state (the state reached
-/// by replaying the base's seed path from `s1` — see [`corpus_paths`]),
-/// submit the scheduled mutant, and report the outcome. The outcome is
-/// pure in `(corpus, paths, seen, rng_seed, slot)` — **exactly**, not
-/// empirically: positioning starts from an unconditional reset (or a
-/// forest restore, which is state-identical by the forest law), so a
-/// slot's outcome cannot depend on which other slots its worker
-/// happened to serve first. That independence is what the engine's
-/// partition law (byte-identical results for any `jobs`), the
-/// executor's re-lease law (a panicked slot re-runs identically on a
-/// fresh context), *and* the forest law (byte-identical results with
+/// `position` the target at the mutation base's state (the state
+/// reached by replaying the base's seed path from `s1` — see
+/// [`corpus_paths`]), submit the scheduled mutant, and report the
+/// outcome. The outcome is pure in `(corpus, paths, seen, rng_seed,
+/// slot)` — **exactly**, not empirically: positioning starts from an
+/// unconditional reset (or a forest restore, which is state-identical
+/// by the forest law), so a slot's outcome cannot depend on which other
+/// slots its worker happened to serve first. That independence is what
+/// the engine's partition law (byte-identical results for any `jobs`),
+/// the executor's re-lease law (a panicked slot re-runs identically on
+/// a fresh context), *and* the forest law (byte-identical results with
 /// the forest on or off, whatever was evicted) all rest on.
 #[derive(Debug)]
 pub struct SlotContext<T: FuzzTarget> {
-    target: T,
-    /// Whether the target has a live snapshot forest (probed once at
-    /// construction via `reset_to(ROOT)`).
-    forest: bool,
-    /// Pinned post-execution node per corpus index (`None` = never
-    /// pinned by this worker). A hit that fails to restore (evicted)
-    /// falls back to derive-and-re-pin.
-    nodes: Vec<Option<StateId>>,
+    pub(crate) target: T,
+    /// Pinned post-execution node per corpus index (absent = never
+    /// pinned by this worker), as [`position`] fills it.
+    pub(crate) pins: BTreeMap<usize, StateId>,
 }
 
 impl<T: FuzzTarget> SlotContext<T> {
-    /// Boot a private target and probe its forest support.
+    /// Boot a private target.
     pub fn new(mut target: T) -> Self {
         target.boot();
-        let forest = target.reset_to(StateId::ROOT);
         Self {
             target,
-            forest,
-            nodes: Vec::new(),
-        }
-    }
-
-    /// Position the target at the state `path` names (the state after
-    /// replaying `corpus[path[0]], corpus[path[1]], ...` from `s1`).
-    fn position(&mut self, corpus: &[VmSeed], path: &[usize]) {
-        if self.forest {
-            self.position_pinned(corpus, path);
-        } else {
-            // lint:allow(slot-reset-law) -- this reset is unconditional per slot: every position() starts from s1; the branch selects the restore mechanism (replay vs forest), not whether to reset
-            self.target.reset();
-            for &ci in path {
-                if let Some(seed) = corpus.get(ci) {
-                    let _ = self.target.submit(seed);
-                }
-            }
-        }
-    }
-
-    /// Forest positioning: restore the path's last pinned node in
-    /// O(delta), deriving (and re-pinning) it from the path prefix on a
-    /// cache miss or after eviction — slower, never wrong.
-    fn position_pinned(&mut self, corpus: &[VmSeed], path: &[usize]) {
-        let Some((&last, prefix)) = path.split_last() else {
-            // lint:allow(slot-reset-law) -- unconditional per slot: the empty path IS s1; reset here is the forest-mode root restore, not conditional slot state
-            self.target.reset();
-            return;
-        };
-        if let Some(&Some(id)) = self.nodes.get(last) {
-            if self.target.reset_to(id) {
-                return;
-            }
-        }
-        self.position_pinned(corpus, prefix);
-        if let Some(seed) = corpus.get(last) {
-            let _ = self.target.submit(seed);
-        }
-        if let Some(id) = self.target.pin_state() {
-            if self.nodes.len() <= last {
-                self.nodes.resize(last + 1, None);
-            }
-            if let Some(slot) = self.nodes.get_mut(last) {
-                *slot = Some(id);
-            }
+            pins: BTreeMap::new(),
         }
     }
 
@@ -412,7 +410,7 @@ impl<T: FuzzTarget> SlotContext<T> {
             .get(scheduled.base_index)
             .map(Vec::as_slice)
             .unwrap_or_default();
-        self.position(corpus, path);
+        position(&mut self.target, &mut self.pins, corpus, path);
         let out = self.target.submit(&scheduled.mutant);
         let crash = out.crash.map(|verdict| (verdict, scheduled.mutant.clone()));
         let discovery = (seen.new_lines_from(&out.coverage) > 0)

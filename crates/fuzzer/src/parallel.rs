@@ -31,7 +31,9 @@
 //!
 //! When the factory enables the snapshot forest
 //! ([`TargetFactory::forest`]), workers trade the per-chunk rebuild for
-//! a **long-lived target per workload** (a prefix server): positioning
+//! a **long-lived target per workload** (a prefix server — a
+//! [`SlotContext`], walked by the same `guided::position` as a guided slot's
+//! base): positioning
 //! at a test case's seed prefix restores the deepest pinned
 //! [`iris_core::forest::SnapshotForest`] node and replays only the
 //! remaining seeds — O(delta) instead of O(prefix) — and crash recovery
@@ -55,9 +57,9 @@ use crate::checkpoint::{CampaignCheckpoint, CheckpointMismatch, SessionError, CH
 use crate::corpus::Corpus;
 use crate::executor::{run_ordered, ExecutorError, Reorder, RunPolicy};
 use crate::failure::FailureStats;
+use crate::guided::{position, SlotContext};
 use crate::target::{BootPlan, FuzzTarget, IrisHvTarget, TargetFactory};
 use crate::testcase::{MutantRange, TestCase, DEFAULT_CHUNK};
-use iris_core::forest::StateId;
 use iris_core::trace::RecordedTrace;
 use iris_guest::workloads::Workload;
 use iris_hv::coverage::CoverageMap;
@@ -112,114 +114,28 @@ impl Default for CampaignReport {
     }
 }
 
-/// Forest-mode worker state for one workload: a long-lived target plus
-/// the pinned snapshot-forest node for each replayed seed-prefix
-/// length. Kept for the worker's whole run, so successive chunks over
-/// the same trace restore a pinned prefix instead of rebuilding the
-/// stack and replaying from scratch.
-struct PrefixServer<T> {
-    /// The long-lived target (built with a prefix-0 plan, so the forest
-    /// root is the trace's replay start state).
-    target: T,
-    /// `nodes[k]` pins the state after replaying `seeds[..k]`;
-    /// `nodes[0]` is the forest root. Every entry is a pure
-    /// accelerator: an evicted pin is a clean miss and the state is
-    /// re-derived by replaying from the deepest surviving ancestor.
-    nodes: Vec<Option<StateId>>,
-}
-
-impl<T: FuzzTarget> PrefixServer<T> {
-    /// Boot a freshly built target into a server (the target must come
-    /// from a prefix-0 plan, so the forest root is the state right
-    /// before `seeds[0]`).
-    fn new(mut target: T) -> PrefixServer<T> {
-        target.boot();
-        PrefixServer {
-            target,
-            nodes: vec![Some(StateId::ROOT)],
-        }
-    }
-
-    /// Run one chunk: position at the test case's seed prefix (pinned
-    /// node restore + remainder replay), then run the shared chunk core
-    /// with a `restore_s1` that re-positions the same way after a
-    /// crash. Byte-identical to [`run_mutant_range_with`], which boots
-    /// a fresh target to the same state.
-    fn run_chunk(
-        &mut self,
-        trace: &RecordedTrace,
-        testcase: &TestCase,
-        range: MutantRange,
-    ) -> ChunkOutput {
-        let Self { target, nodes } = self;
-        position(target, nodes, trace, testcase.seed_index);
-        run_mutant_range_on(
-            target,
-            &mut |t: &mut T| position(t, nodes, trace, testcase.seed_index),
-            trace,
-            testcase,
-            range,
-        )
-    }
-}
-
-/// Put `target` in the state right before `trace.seeds[prefix]`:
-/// restore the deepest surviving pinned ancestor and replay the rest,
-/// pinning each step so later work (crash recovery within this chunk,
-/// sibling test cases deeper in the same trace) restores in O(delta).
-/// The positioned state is byte-identical to a fresh
-/// [`BootPlan::for_test_case`] boot at `prefix` — a forest node's state
-/// is a pure function of the replayed prefix.
-///
-/// # Panics
-/// Panics if `prefix` is beyond the trace — a malformed plan, not a
-/// runtime condition.
-fn position<T: FuzzTarget>(
-    target: &mut T,
-    nodes: &mut Vec<Option<StateId>>,
+/// Run one chunk on a forest-mode worker's long-lived target for the
+/// test case's workload (booted from a prefix-0 plan, so the forest
+/// root is the state right before `seeds[0]`, and retained for the
+/// worker's whole run): [`position`] at the test case's seed prefix —
+/// pinned node restore + remainder replay instead of rebuilding the
+/// stack and replaying from scratch — then run the shared chunk core
+/// with a `restore_s1` that re-positions the same way after a crash.
+/// `server.pins[k]` pins the state after replaying `seeds[..=k]`.
+/// Byte-identical to [`run_mutant_range_with`], which boots a fresh
+/// target to the same state — a forest node's state is a pure function
+/// of the replayed prefix.
+fn run_chunk_pinned<T: FuzzTarget>(
+    server: &mut SlotContext<T>,
     trace: &RecordedTrace,
-    prefix: usize,
-) {
-    assert!(
-        prefix < trace.seeds.len(),
-        "seed prefix {prefix} beyond the trace's {} seeds",
-        trace.seeds.len()
-    );
-    if nodes.len() <= prefix {
-        nodes.resize(prefix + 1, None);
-    }
-    let mut from = prefix;
-    loop {
-        // lint:allow(panic-path-audit) -- nodes was resized to prefix+1 entries above and `from` only descends from prefix
-        if let Some(id) = nodes[from] {
-            if target.reset_to(id) {
-                break;
-            }
-            // Evicted under cap pressure (or no forest at all on this
-            // target): forget the stale pin and fall back one level.
-            // lint:allow(panic-path-audit) -- same bound as the read above
-            nodes[from] = None;
-        }
-        if from == 0 {
-            // The root itself: a plain reset *is* the prefix-0 state.
-            target.reset();
-            break;
-        }
-        from -= 1;
-    }
-    for k in from..prefix {
-        // lint:allow(panic-path-audit) -- k < prefix, asserted in range against trace.seeds above
-        let out = target.submit(&trace.seeds[k]);
-        debug_assert!(
-            out.crash.is_none(),
-            "prefix replay must be clean: {:?}",
-            out.crash
-        );
-        if let Some(id) = target.pin_state() {
-            // lint:allow(panic-path-audit) -- k + 1 <= prefix < nodes.len() after the resize above
-            nodes[k + 1] = Some(id);
-        }
-    }
+    testcase: &TestCase,
+    range: MutantRange,
+) -> ChunkOutput {
+    let SlotContext { target, pins } = server;
+    let prefix: Vec<usize> = (0..testcase.seed_index).collect();
+    let mut restore_s1 = |t: &mut T| position(t, pins, &trace.seeds, &prefix);
+    restore_s1(target);
+    run_mutant_range_on(target, &mut restore_s1, trace, testcase, range)
 }
 
 /// Progress through the chunks folded so far — **mutant-granular**, so
@@ -626,15 +542,13 @@ impl<F: TargetFactory> ParallelCampaign<F> {
                 self.jobs,
                 &options.policy,
                 BTreeMap::new,
-                |servers: &mut BTreeMap<Workload, PrefixServer<F::Target<'t>>>,
+                |servers: &mut BTreeMap<Workload, SlotContext<F::Target<'t>>>,
                  _,
                  &(tc, trace, range)| {
-                    servers
-                        .entry(tc.workload)
-                        .or_insert_with(|| {
-                            PrefixServer::new(factory.build(BootPlan::for_test_case(trace, 0)))
-                        })
-                        .run_chunk(trace, tc, range)
+                    let server = servers.entry(tc.workload).or_insert_with(|| {
+                        SlotContext::new(factory.build(BootPlan::for_test_case(trace, 0)))
+                    });
+                    run_chunk_pinned(server, trace, tc, range)
                 },
                 &mut sink,
             )

@@ -335,17 +335,16 @@ impl FuzzTarget for HvTarget<'_> {
     }
 
     fn reset(&mut self) {
+        // With a forest, `s1` is its root (never evicted). Without one,
+        // the `s1` image is restored: the whole stack if the SUT died —
+        // which covers the dummy VM — else the dummy VM alone.
+        if self.reset_to(StateId::ROOT) {
+            return;
+        }
         let st = self.state.as_mut().expect("boot() the target first");
-        let revived = st.revive();
-        let dummy = st.engine.domain as usize;
-        match &mut st.forest {
-            Some(forest) => {
-                let ok = forest.restore_to(&mut st.hv, st.engine.domain, StateId::ROOT);
-                debug_assert!(ok, "the forest root is never evicted");
-            }
-            // The whole-stack restore covered the dummy VM.
-            None if revived => {}
-            None => st.hv.domains[dummy].restore_from(&st.s1_hv.domains[dummy]),
+        if !st.revive() {
+            let dummy = st.engine.domain as usize;
+            st.hv.domains[dummy].restore_from(&st.s1_hv.domains[dummy]);
         }
     }
 

@@ -19,7 +19,7 @@ pub enum DomainKind {
 }
 
 /// One domain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Domain {
     /// Domain id (0 = Dom0).
     pub id: u16,
@@ -65,34 +65,104 @@ impl Domain {
     }
 
     /// Make this domain identical to `image` **in place**, keeping its
-    /// slot (`id`) and reusing its allocations.
-    ///
-    /// Every component is compared before it is written: the vCPU array
-    /// and guest memory diff at element/page granularity inside their
-    /// `clone_from` / [`GuestMemory::restore_from`] paths, and the EPT,
-    /// I/O bus, IRQ and platform-timer blocks are equality-checked here
-    /// and skipped when unchanged (replay rarely touches them). The cost
-    /// is therefore proportional to the state that diverged from the
-    /// image, and clean components never dirty cache lines — which also
-    /// keeps the snapshot forest's page-granular dirty sets small when
-    /// the two mechanisms are stacked.
+    /// slot (`id`) and reusing its allocations: [`Domain::restore_state`]
+    /// plus [`GuestMemory::restore_from`]. Both compare before they
+    /// write, so the cost is proportional to the state that diverged
+    /// from the image, and clean components never dirty cache lines —
+    /// which also keeps the snapshot forest's page-granular dirty sets
+    /// small when the two mechanisms are stacked.
     pub fn restore_from(&mut self, image: &Domain) {
-        self.kind = image.kind;
-        self.crashed.clone_from(&image.crashed);
-        self.vcpus.clone_from(&image.vcpus);
+        self.restore_state(image);
         self.memory.restore_from(&image.memory);
-        if self.ept != image.ept {
-            self.ept.clone_from(&image.ept);
+    }
+
+    /// Capture everything but the guest memory (left empty): the
+    /// non-memory half of a saved state, for [`Domain::same_state`] and
+    /// [`Domain::restore_state`] to read. (The memory half is saved
+    /// page by page, see [`GuestMemory::set_page`].)
+    ///
+    /// This, `same_state` and `restore_state` are the only places that
+    /// list what a domain is made of. Each destructures `Domain`
+    /// exhaustively, so a component added to the struct fails to compile
+    /// here until it is captured, compared and restored, instead of
+    /// leaking between mutants.
+    #[must_use]
+    pub fn clone_state(&self) -> Domain {
+        let Domain {
+            id,
+            kind,
+            vcpus,
+            memory,
+            ept,
+            iobus,
+            irq,
+            vpt,
+            crashed,
+        } = self;
+        Domain {
+            id: *id,
+            kind: *kind,
+            vcpus: vcpus.clone(),
+            memory: GuestMemory::new(memory.ram_bytes()),
+            ept: ept.clone(),
+            iobus: iobus.clone(),
+            irq: irq.clone(),
+            vpt: vpt.clone(),
+            crashed: crashed.clone(),
         }
-        if self.iobus != image.iobus {
-            self.iobus.clone_from(&image.iobus);
+    }
+
+    /// Whether everything but the slot id and the guest memory equals
+    /// `image`'s.
+    #[must_use]
+    pub fn same_state(&self, image: &Domain) -> bool {
+        let Domain {
+            id: _,
+            kind,
+            vcpus,
+            memory: _,
+            ept,
+            iobus,
+            irq,
+            vpt,
+            crashed,
+        } = self;
+        *kind == image.kind
+            && *vcpus == image.vcpus
+            && *ept == image.ept
+            && *iobus == image.iobus
+            && *irq == image.irq
+            && *vpt == image.vpt
+            && *crashed == image.crashed
+    }
+
+    /// Make everything but the slot id and the guest memory identical
+    /// to `image`'s, in place. Each component is compared before it is
+    /// written (replay rarely touches most of them).
+    pub fn restore_state(&mut self, image: &Domain) {
+        fn restore<T: PartialEq + Clone>(live: &mut T, image: &T) {
+            if live != image {
+                live.clone_from(image);
+            }
         }
-        if self.irq != image.irq {
-            self.irq.clone_from(&image.irq);
-        }
-        if self.vpt != image.vpt {
-            self.vpt.clone_from(&image.vpt);
-        }
+        let Domain {
+            id: _,
+            kind,
+            vcpus,
+            memory: _,
+            ept,
+            iobus,
+            irq,
+            vpt,
+            crashed,
+        } = self;
+        restore(kind, &image.kind);
+        restore(vcpus, &image.vcpus);
+        restore(ept, &image.ept);
+        restore(iobus, &image.iobus);
+        restore(irq, &image.irq);
+        restore(vpt, &image.vpt);
+        restore(crashed, &image.crashed);
     }
 
     /// Whether the domain is alive.

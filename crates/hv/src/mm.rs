@@ -38,24 +38,23 @@ impl std::error::Error for GuestMemError {}
 
 /// Sparse guest-physical memory for one domain.
 ///
-/// The two dirty trackers are instrumentation on the *live* memory, not
-/// part of its value: they are skipped by serde, ignored by `==`, and a
-/// clone — an image of the contents — starts with both off. An image's
-/// trackers would never be read: [`GuestMemory::restore_from`] keeps the
+/// The dirty set is instrumentation on the *live* memory, not part of
+/// its value: it is skipped by serde, ignored by `==`, and a clone — an
+/// image of the contents — starts with tracking off. An image's set
+/// would never be read: [`GuestMemory::restore_from`] marks the
 /// target's own.
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct GuestMemory {
     pages: BTreeMap<u64, Vec<u8>>,
     ram_pages: u64,
     /// EPT-style dirty tracking (§IX of the paper: record touched memory
-    /// via the EPT): when enabled, every `copy_to_guest` is logged.
-    #[serde(skip)]
-    dirty_log: Option<Vec<(u64, Vec<u8>)>>,
-    /// Page-granular dirty set for the snapshot forest: when enabled,
-    /// every mutation records the touched guest frame numbers, so a
-    /// copy-on-write delta capture only walks pages that could have
-    /// changed since the last [`GuestMemory::take_dirty_pages`] drain.
-    /// Ordered so delta captures iterate deterministically.
+    /// via the EPT): when enabled, every tracked write records the guest
+    /// frame it touched, until the next
+    /// [`GuestMemory::take_dirty_pages`] drain. The recorder drains it
+    /// per exit into the memory-augmented trace; the snapshot forest
+    /// drains it per capture, so a copy-on-write delta only walks pages
+    /// that could have changed. Ordered so both iterate
+    /// deterministically.
     #[serde(skip)]
     dirty_pages: Option<BTreeSet<u64>>,
 }
@@ -65,7 +64,6 @@ impl Clone for GuestMemory {
         Self {
             pages: self.pages.clone(),
             ram_pages: self.ram_pages,
-            dirty_log: None,
             dirty_pages: None,
         }
     }
@@ -87,7 +85,6 @@ impl GuestMemory {
         Self {
             pages: BTreeMap::new(),
             ram_pages: ram_bytes >> PAGE_SHIFT,
-            dirty_log: None,
             dirty_pages: None,
         }
     }
@@ -104,29 +101,10 @@ impl GuestMemory {
         self.pages.len()
     }
 
-    fn in_ram(&self, gfn: u64) -> bool {
-        gfn < self.ram_pages
-    }
-
-    /// Enable/disable EPT-style dirty logging (the §IX extension: record
-    /// the guest memory areas touched during workload execution).
-    pub fn set_dirty_tracking(&mut self, enabled: bool) {
-        self.dirty_log = if enabled { Some(Vec::new()) } else { None };
-    }
-
-    /// Drain the dirty log accumulated since the last drain.
-    #[must_use]
-    pub fn drain_dirty(&mut self) -> Vec<(u64, Vec<u8>)> {
-        match &mut self.dirty_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    /// Enable/disable page-granular dirty tracking (the snapshot
-    /// forest's write barrier). Enabling starts from an empty set: the
-    /// caller is expected to capture its reference state (the forest
-    /// root) first.
+    /// Enable/disable page-granular dirty tracking (the write barrier of
+    /// the §IX recorder and of the snapshot forest). Enabling starts
+    /// from an empty set: the caller is expected to capture its
+    /// reference state (the forest root) first.
     pub fn set_page_dirty_tracking(&mut self, enabled: bool) {
         self.dirty_pages = if enabled { Some(BTreeSet::new()) } else { None };
     }
@@ -135,10 +113,7 @@ impl GuestMemory {
     /// since tracking was enabled). Empty when tracking is off.
     #[must_use]
     pub fn take_dirty_pages(&mut self) -> BTreeSet<u64> {
-        match &mut self.dirty_pages {
-            Some(set) => std::mem::take(set),
-            None => BTreeSet::new(),
-        }
+        (self.dirty_pages.as_mut().map(std::mem::take)).unwrap_or_default()
     }
 
     /// Whether page-granular dirty tracking is currently enabled.
@@ -153,52 +128,59 @@ impl GuestMemory {
         self.pages.get(&gfn).map(Vec::as_slice)
     }
 
-    /// Overwrite (or populate) one whole page **without** marking it
-    /// dirty — the snapshot-forest restore path, which reconciles the
-    /// dirty set itself. `data` shorter than a page zero-fills the tail.
-    pub fn put_page(&mut self, gfn: u64, data: &[u8]) {
-        let page = self
-            .pages
-            .entry(gfn)
-            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize]);
-        let n = data.len().min(PAGE_SIZE as usize);
-        if let (Some(dst), Some(src)) = (page.get_mut(..n), data.get(..n)) {
-            dst.copy_from_slice(src);
-        }
-        if let Some(tail) = page.get_mut(n..) {
-            tail.fill(0);
+    /// Record that frame `gfn` may have changed since the last drain.
+    fn mark(&mut self, gfn: u64) {
+        if let Some(set) = &mut self.dirty_pages {
+            set.insert(gfn);
         }
     }
 
-    /// Depopulate one page **without** marking it dirty (forest restore
-    /// path, see [`GuestMemory::put_page`]).
-    pub fn drop_page(&mut self, gfn: u64) {
-        self.pages.remove(&gfn);
+    /// The one tracked write path: range-check the frame, mark it, and
+    /// hand out its page, populated on demand. Every guest or handler
+    /// write reaches `pages` through here, so none can skip the mark.
+    fn page_for_write(&mut self, gfn: u64) -> Result<&mut [u8], GuestMemError> {
+        if gfn >= self.ram_pages {
+            return Err(GuestMemError::BadGfn { gfn });
+        }
+        self.mark(gfn);
+        Ok(self
+            .pages
+            .entry(gfn)
+            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize]))
+    }
+
+    /// The one page-restore primitive: make frame `gfn` hold `image` (a
+    /// whole page as [`GuestMemory::page`] returns it; a shorter one is
+    /// zero-extended) or, for `None`, be cold — **without** marking it
+    /// dirty, since a restore reconciles the dirty set itself. Compares
+    /// before it writes: the memcmp on a clean page is read-only, so
+    /// the cost follows the pages that diverged. Returns whether the
+    /// frame changed.
+    pub fn set_page(&mut self, gfn: u64, image: Option<&[u8]>) -> bool {
+        let Some(image) = image else {
+            return self.pages.remove(&gfn).is_some();
+        };
+        if self.page(gfn) == Some(image) {
+            return false;
+        }
+        let page = self.pages.entry(gfn).or_default();
+        page.clear();
+        page.extend_from_slice(image.get(..PAGE_SIZE as usize).unwrap_or(image));
+        page.resize(PAGE_SIZE as usize, 0);
+        true
     }
 
     /// `copy_to_guest`: write `data` at guest-physical `gpa`, populating
     /// RAM pages on demand.
     ///
     /// # Errors
-    /// [`GuestMemError::BadGfn`] if the range leaves nominal RAM.
+    /// [`GuestMemError::BadGfn`] if the range leaves nominal RAM; the
+    /// frames before the bad one are written (and marked).
     pub fn copy_to_guest(&mut self, gpa: u64, data: &[u8]) -> Result<(), GuestMemError> {
-        if let Some(log) = &mut self.dirty_log {
-            log.push((gpa, data.to_vec()));
-        }
         let mut off = 0usize;
         while off < data.len() {
             let addr = gpa + off as u64;
-            let gfn = addr >> PAGE_SHIFT;
-            if !self.in_ram(gfn) {
-                return Err(GuestMemError::BadGfn { gfn });
-            }
-            if let Some(set) = &mut self.dirty_pages {
-                set.insert(gfn);
-            }
-            let page = self
-                .pages
-                .entry(gfn)
-                .or_insert_with(|| vec![0u8; PAGE_SIZE as usize]);
+            let page = self.page_for_write(addr >> PAGE_SHIFT)?;
             let page_off = (addr & (PAGE_SIZE - 1)) as usize;
             let n = (PAGE_SIZE as usize - page_off).min(data.len() - off);
             // lint:allow(panic-path-audit) -- page_off + n <= PAGE_SIZE and off + n <= data.len() by the min() above
@@ -246,54 +228,30 @@ impl GuestMemory {
 
     /// Drop every populated page (fresh domain).
     pub fn wipe(&mut self) {
-        if let Some(set) = &mut self.dirty_pages {
-            set.extend(self.pages.keys().copied());
+        for gfn in std::mem::take(&mut self.pages).into_keys() {
+            self.mark(gfn);
         }
-        self.pages.clear();
     }
 
     /// Make `self` identical to `src` while reusing the page allocations
-    /// already present: pages absent from `src` are dropped, shared pages
-    /// are overwritten in place, and only pages new in `src` allocate.
-    /// This is the O(dirty state) core of `Snapshot::restore_into` —
-    /// restoring a domain that diverged by a few writes costs a few page
-    /// copies, not a full domain rebuild.
+    /// already present: [`GuestMemory::set_page`] over the frames of
+    /// either side, so pages absent from `src` are dropped, shared pages
+    /// are compared and overwritten in place, and only pages new in
+    /// `src` allocate. This is the O(dirty state) core of
+    /// `Snapshot::restore_into` — restoring a domain that diverged by a
+    /// few writes costs a few page copies, not a full domain rebuild.
+    /// A frame the restore changed is touched-since-last-drain like any
+    /// other write, and is marked.
     pub fn restore_from(&mut self, src: &GuestMemory) {
         self.ram_pages = src.ram_pages;
-        // A restore rewrites frames, so from the forest's view they are
-        // touched-since-last-sync like any other write.
-        let mut touched = self.dirty_pages.as_mut();
-        let mut mark = |gfn: u64| {
-            if let Some(set) = &mut touched {
-                set.insert(gfn);
+        let stray: Vec<u64> = (self.pages.keys().copied())
+            .filter(|gfn| !src.pages.contains_key(gfn))
+            .collect();
+        let kept = (src.pages.iter()).map(|(gfn, page)| (*gfn, Some(page.as_slice())));
+        for (gfn, image) in stray.into_iter().map(|gfn| (gfn, None)).chain(kept) {
+            if self.set_page(gfn, image) {
+                self.mark(gfn);
             }
-        };
-        self.pages.retain(|gfn, _| {
-            let keep = src.pages.contains_key(gfn);
-            if !keep {
-                mark(*gfn);
-            }
-            keep
-        });
-        for (gfn, page) in &src.pages {
-            match self.pages.get_mut(gfn) {
-                // Compare before copying: the memcmp on clean pages is
-                // read-only (no cache lines dirtied) and keeps the cost
-                // proportional to the pages that actually diverged.
-                Some(existing) => {
-                    if existing != page {
-                        existing.copy_from_slice(page);
-                        mark(*gfn);
-                    }
-                }
-                None => {
-                    self.pages.insert(*gfn, page.clone());
-                    mark(*gfn);
-                }
-            }
-        }
-        if let Some(log) = &mut self.dirty_log {
-            log.clear();
         }
     }
 }
@@ -340,22 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_tracking_logs_writes() {
-        let mut m = GuestMemory::new(1 << 16);
-        m.write_u64(0, 1).unwrap(); // untracked
-        m.set_dirty_tracking(true);
-        m.write_u64(0x100, 2).unwrap();
-        m.copy_to_guest(0x200, b"xyz").unwrap();
-        let log = m.drain_dirty();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[1], (0x200, b"xyz".to_vec()));
-        assert!(m.drain_dirty().is_empty(), "drain resets");
-        m.set_dirty_tracking(false);
-        m.write_u64(0x300, 3).unwrap();
-        assert!(m.drain_dirty().is_empty());
-    }
-
-    #[test]
     fn page_dirty_tracking_records_touched_frames() {
         let mut m = GuestMemory::new(1 << 16);
         m.write_u64(0x100, 1).unwrap(); // untracked
@@ -384,17 +326,40 @@ mod tests {
     }
 
     #[test]
-    fn put_page_and_drop_page_bypass_dirty_marking() {
+    fn a_write_rejected_at_the_end_of_ram_marks_only_the_frames_it_wrote() {
+        let mut m = GuestMemory::new(0x2000); // 2 pages of RAM
+        m.set_page_dirty_tracking(true);
+        // Starts in the last frame, runs off the end: the head lands,
+        // the tail is refused.
+        assert_eq!(
+            m.copy_to_guest(0x1ffe, &[1, 2, 3, 4]),
+            Err(GuestMemError::BadGfn { gfn: 2 })
+        );
+        assert_eq!(m.take_dirty_pages().into_iter().collect::<Vec<_>>(), [1]);
+        assert_eq!(m.page(1).map(|p| &p[0xffe..]), Some(&[1u8, 2][..]));
+        assert!(m.page(2).is_none());
+        // Refused outright: nothing written, nothing marked.
+        assert!(m.copy_to_guest(0x2000, &[9]).is_err());
+        assert!(m.take_dirty_pages().is_empty());
+    }
+
+    #[test]
+    fn set_page_compares_before_it_writes_and_never_marks() {
         let mut m = GuestMemory::new(1 << 16);
         m.set_page_dirty_tracking(true);
-        m.put_page(4, &[7u8; 16]); // short data zero-fills the tail
+        assert!(m.set_page(4, Some(&[7u8; 16])), "cold -> populated");
+        // A short image zero-fills the tail.
         assert_eq!(m.read_u64(0x4000).unwrap(), 0x0707_0707_0707_0707);
         assert_eq!(m.read_u64(0x4010).unwrap(), 0);
-        m.drop_page(4);
+        let whole = m.page(4).unwrap().to_vec();
+        assert!(!m.set_page(4, Some(&whole)), "same bytes: no write");
+        assert!(m.set_page(4, Some(&[8u8; PAGE_SIZE as usize])));
+        assert!(m.set_page(4, None), "populated -> cold");
+        assert!(!m.set_page(4, None), "already cold");
         assert!(m.page(4).is_none());
         assert!(
             m.take_dirty_pages().is_empty(),
-            "forest restore path must not re-dirty frames"
+            "a restore reconciles the dirty set itself"
         );
     }
 
@@ -417,15 +382,14 @@ mod tests {
     #[test]
     fn a_clone_images_the_contents_not_the_trackers() {
         let mut m = GuestMemory::new(1 << 16);
-        m.set_dirty_tracking(true);
         m.set_page_dirty_tracking(true);
         m.write_u64(0x1000, 5).unwrap();
         let image = m.clone();
         assert_eq!(image, m, "equality is over contents");
         assert_eq!(image.read_u64(0x1000).unwrap(), 5);
         assert!(!image.page_dirty_tracking());
-        assert!(image.dirty_log.is_none());
-        // The live trackers are untouched by taking or restoring an image.
+        // The live tracker is untouched by taking an image, and a
+        // restore that changes nothing marks nothing.
         m.restore_from(&image);
         assert_eq!(m.take_dirty_pages().into_iter().collect::<Vec<_>>(), [1]);
     }

@@ -305,6 +305,65 @@ proptest! {
         let second = iris_vtx::entry_checks::check_guest_state(&v);
         prop_assert_eq!(first, second);
     }
+
+    /// The one dirty tracker is sound: over arbitrary sequences of the
+    /// tracked writers (`copy_to_guest`, `write_u64`, `wipe`,
+    /// `restore_from`) with drains and the untracked `set_page`
+    /// interleaved, every frame whose contents differ between two
+    /// drains is in the drained set, and `set_page` alone never adds to
+    /// it. Writes may run off the end of RAM (and are then refused part
+    /// way).
+    #[test]
+    fn dirty_tracker_misses_no_changed_frame(
+        ops in proptest::collection::vec((0u8..6, any::<u64>(), any::<u8>()), 0..48),
+    ) {
+        use iris_hv::mm::GuestMemory;
+        const PAGES: u64 = 6;
+        let span = (PAGES + 1) << 12; // one frame past RAM
+        let mut image = GuestMemory::new(PAGES << 12);
+        image.write_u64(0x1000, 1).expect("in RAM");
+        image.write_u64(0x4ff8, 2).expect("in RAM");
+        let mut live = GuestMemory::new(PAGES << 12);
+        live.write_u64(0x1008, 3).expect("in RAM"); // untracked prelude
+        live.set_page_dirty_tracking(true);
+        // The contents at the last drain, in step with `set_page`, and
+        // what the tracker has handed out since.
+        let mut at_drain = live.clone();
+        let mut drained = std::collections::BTreeSet::new();
+
+        for (op, arg, byte) in ops.into_iter().chain([(5, 0, 0)]) {
+            match op {
+                0 => {
+                    let data = vec![byte; (arg >> 32) as usize % 9000];
+                    let _ = live.copy_to_guest(arg % span, &data);
+                }
+                1 => {
+                    let _ = live.write_u64(arg % span, arg);
+                }
+                2 => live.wipe(),
+                3 => live.restore_from(&image),
+                4 => {
+                    let gfn = arg % (PAGES + 1);
+                    let page = (byte & 1 == 1).then(|| vec![byte; 0x1000]);
+                    drained.append(&mut live.take_dirty_pages());
+                    live.set_page(gfn, page.as_deref());
+                    at_drain.set_page(gfn, page.as_deref());
+                    prop_assert!(live.take_dirty_pages().is_empty(), "set_page marked {gfn}");
+                }
+                _ => {
+                    drained.append(&mut live.take_dirty_pages());
+                    for gfn in 0..=PAGES {
+                        prop_assert!(
+                            live.page(gfn) == at_drain.page(gfn) || drained.contains(&gfn),
+                            "frame {gfn} changed without being marked"
+                        );
+                    }
+                    drained.clear();
+                    at_drain = live.clone();
+                }
+            }
+        }
+    }
 }
 
 /// The recorded substrate the mutant-range partition property fuzzes
