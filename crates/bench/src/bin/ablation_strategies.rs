@@ -47,9 +47,9 @@ fn main() {
         for _ in 0..mutants {
             let m = mutate_with(&target, SeedArea::Vmcs, strat, Some(&donor), &mut rng);
             let out = engine.submit(&mut hv, &m);
-            for (b, l) in out.metrics.coverage.iter() {
+            for (b, _) in out.metrics.coverage.iter() {
                 if !baseline.contains(b) {
-                    discovered.hit(b, l);
+                    discovered.hit(b);
                 }
             }
             match &out.exit.crash {

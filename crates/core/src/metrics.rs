@@ -229,10 +229,10 @@ mod tests {
     use crate::trace::SeedMetrics;
     use iris_hv::coverage::{Block, CoverageMap};
 
-    fn m(reason: ExitReason, blocks: &[(Component, u16, u32)]) -> SeedMetrics {
+    fn m(reason: ExitReason, blocks: &[(Component, u16)]) -> SeedMetrics {
         let mut cov = CoverageMap::new();
-        for &(c, id, loc) in blocks {
-            cov.hit(Block::new(c, id), loc);
+        for &(c, id) in blocks {
+            cov.hit(Block::new(c, id));
         }
         SeedMetrics {
             reason,
@@ -249,15 +249,15 @@ mod tests {
         let mut rec = RecordedTrace::new("r");
         rec.metrics.push(m(
             ExitReason::Rdtsc,
-            &[(Component::Vmx, 1, 10), (Component::Emulate, 2, 40)],
+            &[(Component::Vmx, 1), (Component::Emulate, 2)], // 2 + 7 lines
         ));
         let mut rep = RecordedTrace::new("p");
         rep.metrics
-            .push(m(ExitReason::Rdtsc, &[(Component::Vmx, 1, 10)]));
+            .push(m(ExitReason::Rdtsc, &[(Component::Vmx, 1)]));
         let f = coverage_fitting(&rec, &rep);
-        assert_eq!(f.recorded_lines, 50);
-        assert_eq!(f.common_lines, 10);
-        assert!((f.fitting_percent - 20.0).abs() < 1e-9);
+        assert_eq!(f.recorded_lines, 9);
+        assert_eq!(f.common_lines, 2);
+        assert!((f.fitting_percent - 200.0 / 9.0).abs() < 1e-9);
     }
 
     #[test]
@@ -267,23 +267,22 @@ mod tests {
         // Seed 0: identical (skipped). Seed 1: small vlapic noise.
         // Seed 2: big emulate divergence.
         rec.metrics
-            .push(m(ExitReason::Rdtsc, &[(Component::Vmx, 1, 5)]));
+            .push(m(ExitReason::Rdtsc, &[(Component::Vmx, 1)]));
         rep.metrics
-            .push(m(ExitReason::Rdtsc, &[(Component::Vmx, 1, 5)]));
-        rec.metrics.push(m(
-            ExitReason::ExternalInterrupt,
-            &[(Component::Vlapic, 1, 4)],
-        ));
-        rep.metrics.push(m(ExitReason::ExternalInterrupt, &[]));
+            .push(m(ExitReason::Rdtsc, &[(Component::Vmx, 1)]));
         rec.metrics
-            .push(m(ExitReason::EptViolation, &[(Component::Emulate, 5, 45)]));
+            .push(m(ExitReason::ExternalInterrupt, &[(Component::Vlapic, 0)]));
+        rep.metrics.push(m(ExitReason::ExternalInterrupt, &[]));
+        // Emulate blocks 0..=8 weigh 43 lines, block 10 weighs 4.
+        let emulate: Vec<_> = (0..=8).map(|id| (Component::Emulate, id)).collect();
+        rec.metrics.push(m(ExitReason::EptViolation, &emulate));
         rep.metrics
-            .push(m(ExitReason::EptViolation, &[(Component::Emulate, 9, 13)]));
+            .push(m(ExitReason::EptViolation, &[(Component::Emulate, 10)]));
         let diffs = coverage_diffs(&rec, &rep);
         assert_eq!(diffs.len(), 2);
         let agg = diff_by_reason(&rec, &rep);
         assert_eq!(agg.range_by_reason["EXT. INT."], (4, 4));
-        assert_eq!(agg.range_by_reason["EPT VIOL."], (58, 58));
+        assert_eq!(agg.range_by_reason["EPT VIOL."], (47, 47));
         assert!((agg.large_diff_percent - 33.333).abs() < 0.01);
     }
 

@@ -163,7 +163,7 @@ pub enum Frame {
         /// slot positions its target at before submitting.
         lineage: Vec<(usize, bool)>,
         /// The generation-start coverage map (boxed: the dense bitmap
-        /// is ~3.5 KB and would dominate every `Frame`'s stack size).
+        /// is 448 bytes and would dominate every `Frame`'s stack size).
         seen: Box<CoverageMap>,
     },
     /// Coordinator → worker: a unit of work.

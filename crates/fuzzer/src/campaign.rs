@@ -152,9 +152,9 @@ pub fn run_mutant_range_on<T: FuzzTarget + ?Sized>(
         );
         let out = target.submit(&mutant);
         failures.record_kind(out.crash.as_ref().map(|v| v.kind));
-        for (b, l) in out.coverage.iter() {
+        for (b, _) in out.coverage.iter() {
             if !baseline.contains(b) {
-                discovered.hit(b, l);
+                discovered.hit(b);
             }
         }
         if let Some(verdict) = out.crash {

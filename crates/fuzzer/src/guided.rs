@@ -258,8 +258,8 @@ pub struct SlotOutcome {
     /// The mutant and its coverage, if it touched blocks beyond the
     /// generation-start map (a promotion candidate). Boxed: an outcome
     /// is moved half a dozen times between the slot and the barrier,
-    /// and a 3.5 KB map inline made every one of those moves — on every
-    /// slot, discovery or not — a quarter of a slot's cost.
+    /// and most slots discover nothing — they move a pointer, not a
+    /// seed and a coverage map.
     pub discovery: Option<Box<(VmSeed, CoverageMap)>>,
 }
 

@@ -197,7 +197,7 @@ pub struct CampaignEngine {
     order: Reorder<ChunkOutput>,
     /// The chunk outputs of the test case being assembled, in range
     /// order. Dropped as soon as the test case folds, so memory holds
-    /// one test case's chunks (each carries two ~3.5 KB coverage maps),
+    /// one test case's chunks (each carries two 448-byte coverage maps),
     /// never the plan's.
     pending: Vec<ChunkOutput>,
     report: CampaignReport,

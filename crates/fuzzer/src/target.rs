@@ -310,7 +310,7 @@ impl FuzzTarget for HvTarget<'_> {
     }
 
     // Inlined so the per-submission `SubmitOutcome` move (the coverage
-    // map is a ~3.5 KB value type) can be elided into the caller's slot
+    // map is a 448-byte value type) can be elided into the caller's slot
     // across the crate boundary — see the `direct` vs `target` arms of
     // the `replay_throughput` bench.
     #[inline]
@@ -645,6 +645,14 @@ mod tests {
 
     fn boot_trace(n: usize) -> RecordedTrace {
         record_trace(Workload::OsBoot, n, 42)
+    }
+
+    /// One of these is built, moved and dropped per submission, so its
+    /// size is a per-exec cost: the 448-byte hit bitmap, a crash verdict
+    /// and a cycle count — no per-block tables.
+    #[test]
+    fn a_submit_outcome_is_a_bitmap_a_verdict_and_a_count() {
+        assert_eq!(std::mem::size_of::<SubmitOutcome>(), 488);
     }
 
     #[test]

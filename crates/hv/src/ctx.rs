@@ -99,20 +99,20 @@ impl ExitCtx<'_> {
 
     /// `hvm_copy_from_guest_phys` with coverage attribution.
     pub fn copy_from_guest(&mut self, gpa: u64, buf: &mut [u8]) -> Result<(), GuestMemError> {
-        self.cov.hit(Component::Hvm, 0, 3);
+        self.cov.hit(Component::Hvm, 0);
         let r = self.memory.copy_from_guest(gpa, buf);
         if r.is_err() {
-            self.cov.hit(Component::Hvm, 1, 4);
+            self.cov.hit(Component::Hvm, 1);
         }
         r
     }
 
     /// `hvm_copy_to_guest_phys` with coverage attribution.
     pub fn copy_to_guest(&mut self, gpa: u64, data: &[u8]) -> Result<(), GuestMemError> {
-        self.cov.hit(Component::Hvm, 2, 3);
+        self.cov.hit(Component::Hvm, 2);
         let r = self.memory.copy_to_guest(gpa, data);
         if r.is_err() {
-            self.cov.hit(Component::Hvm, 3, 2);
+            self.cov.hit(Component::Hvm, 3);
         }
         r
     }
@@ -121,7 +121,7 @@ impl ExitCtx<'_> {
     /// (`hvm_inject_hw_exception`). A second exception while one is
     /// pending escalates to a double fault; a third is a triple fault.
     pub fn inject_exception(&mut self, vec: u8, error_code: Option<u32>) -> Option<Disposition> {
-        self.cov.hit(Component::Vmx, 200, 4);
+        self.cov.hit(Component::Vmx, 200);
         match self.vcpu.hvm.pending_event {
             None => {
                 self.vcpu.hvm.pending_event = Some((vec, error_code));
@@ -129,7 +129,7 @@ impl ExitCtx<'_> {
                 None
             }
             Some((vector::DF, _)) => {
-                self.cov.hit(Component::Vmx, 201, 3);
+                self.cov.hit(Component::Vmx, 201);
                 self.log
                     .push(self.tsc.now(), Level::Err, "triple fault".to_owned());
                 Some(Disposition::CrashDomain(
@@ -137,7 +137,7 @@ impl ExitCtx<'_> {
                 ))
             }
             Some(_) => {
-                self.cov.hit(Component::Vmx, 202, 3);
+                self.cov.hit(Component::Vmx, 202);
                 self.vcpu.hvm.pending_event = Some((vector::DF, Some(0)));
                 self.vcpu.hvm.injected_events += 1;
                 None
@@ -147,7 +147,7 @@ impl ExitCtx<'_> {
 
     /// Inject #GP(0) — the most common handler fault path.
     pub fn inject_gp(&mut self) -> Option<Disposition> {
-        self.cov.hit(Component::Vmx, 203, 2);
+        self.cov.hit(Component::Vmx, 203);
         self.inject_exception(vector::GP, Some(0))
     }
 }

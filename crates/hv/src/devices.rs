@@ -46,26 +46,26 @@ impl Pit {
     fn write(&mut self, port: u16, val: u8, cov: &mut CovSink<'_>) {
         match port {
             0x43 => {
-                cov!(self_sink(cov), Io, 10, 4);
+                cov!(self_sink(cov), Io, 10);
                 let ch = ((val >> 6) & 0x3) as usize;
                 if ch < 3 {
                     self.mode[ch] = (val >> 1) & 0x7;
                     self.latch_low[ch] = true;
-                    cov!(self_sink(cov), Io, 11, 3);
+                    cov!(self_sink(cov), Io, 11);
                 }
             }
             0x40..=0x42 => {
                 let ch = (port - 0x40) as usize;
                 if self.latch_low[ch] {
-                    cov!(self_sink(cov), Io, 12, 3);
+                    cov!(self_sink(cov), Io, 12);
                     self.reload[ch] = (self.reload[ch] & 0xff00) | u16::from(val);
                     self.latch_low[ch] = false;
                 } else {
-                    cov!(self_sink(cov), Io, 13, 3);
+                    cov!(self_sink(cov), Io, 13);
                     self.reload[ch] = (self.reload[ch] & 0x00ff) | (u16::from(val) << 8);
                     if ch == 0 {
                         self.programmings += 1;
-                        cov!(self_sink(cov), Io, 14, 2);
+                        cov!(self_sink(cov), Io, 14);
                     }
                 }
             }
@@ -76,14 +76,14 @@ impl Pit {
     fn read(&mut self, port: u16, tsc: u64, cov: &mut CovSink<'_>) -> u8 {
         match port {
             0x40..=0x42 => {
-                cov!(self_sink(cov), Io, 15, 4);
+                cov!(self_sink(cov), Io, 15);
                 // A PIT channel counts down at 1.193182 MHz; derive from TSC.
                 let ticks = tsc / 3017; // ≈ 3.6 GHz / 1.193 MHz
                 let reload = u64::from(self.reload[(port - 0x40) as usize].max(1));
                 (reload - (ticks % reload)) as u8
             }
             _ => {
-                cov!(self_sink(cov), Io, 16, 1);
+                cov!(self_sink(cov), Io, 16);
                 0xff
             }
         }
@@ -115,15 +115,15 @@ impl Rtc {
     fn write(&mut self, port: u16, val: u8, cov: &mut CovSink<'_>) {
         match port {
             0x70 => {
-                cov!(self_sink(cov), Io, 30, 2);
+                cov!(self_sink(cov), Io, 30);
                 self.index = val & 0x7f;
             }
             0x71 => {
-                cov!(self_sink(cov), Io, 31, 3);
+                cov!(self_sink(cov), Io, 31);
                 let idx = self.index as usize;
                 if idx >= 0x0e || matches!(idx, 0x0a | 0x0b) {
                     self.cmos[idx] = val;
-                    cov!(self_sink(cov), Io, 32, 2);
+                    cov!(self_sink(cov), Io, 32);
                 }
             }
             _ => {}
@@ -134,22 +134,22 @@ impl Rtc {
         match port {
             0x70 => 0xff,
             0x71 => {
-                cov!(self_sink(cov), Io, 33, 3);
+                cov!(self_sink(cov), Io, 33);
                 let idx = self.index as usize;
                 match idx {
                     // Seconds register derived from TSC for liveness.
                     0x00 => {
-                        cov!(self_sink(cov), Io, 34, 2);
+                        cov!(self_sink(cov), Io, 34);
                         ((tsc / 3_600_000_000) % 60) as u8
                     }
                     0x0a => {
-                        cov!(self_sink(cov), Io, 35, 2);
+                        cov!(self_sink(cov), Io, 35);
                         // UIP bit toggles; model as set briefly each "second".
                         let uip = u8::from((tsc / 3_600_000) % 1000 < 2) << 7;
                         self.cmos[idx] | uip
                     }
                     0x0c => {
-                        cov!(self_sink(cov), Io, 36, 2);
+                        cov!(self_sink(cov), Io, 36);
                         // Reading register C clears interrupt flags.
                         let v = self.cmos[idx];
                         self.cmos[idx] = 0;
@@ -185,31 +185,31 @@ impl Pic {
             0 => {
                 if val & 0x10 != 0 {
                     // ICW1: begin init sequence.
-                    cov!(self_sink(cov), Io, 50, 4);
+                    cov!(self_sink(cov), Io, 50);
                     self.init_state[c] = 1;
                 } else if val == 0x20 {
                     // Non-specific EOI.
-                    cov!(self_sink(cov), Io, 51, 2);
+                    cov!(self_sink(cov), Io, 51);
                 } else {
-                    cov!(self_sink(cov), Io, 52, 1);
+                    cov!(self_sink(cov), Io, 52);
                 }
             }
             _ => match self.init_state[c] {
                 1 => {
-                    cov!(self_sink(cov), Io, 53, 3);
+                    cov!(self_sink(cov), Io, 53);
                     self.vector_base[c] = val & 0xf8;
                     self.init_state[c] = 2;
                 }
                 2 => {
-                    cov!(self_sink(cov), Io, 54, 2);
+                    cov!(self_sink(cov), Io, 54);
                     self.init_state[c] = 3;
                 }
                 3 => {
-                    cov!(self_sink(cov), Io, 55, 2);
+                    cov!(self_sink(cov), Io, 55);
                     self.init_state[c] = 0;
                 }
                 _ => {
-                    cov!(self_sink(cov), Io, 56, 2);
+                    cov!(self_sink(cov), Io, 56);
                     self.imr[c] = val;
                 }
             },
@@ -217,7 +217,7 @@ impl Pic {
     }
 
     fn read(&mut self, port: u16, cov: &mut CovSink<'_>) -> u8 {
-        cov!(self_sink(cov), Io, 57, 2);
+        cov!(self_sink(cov), Io, 57);
         let c = Self::chip(port);
         if port & 1 == 1 {
             self.imr[c]
@@ -247,28 +247,28 @@ impl Uart {
     fn write(&mut self, port: u16, val: u8, cov: &mut CovSink<'_>) {
         match port & 0x7 {
             0 if self.dlab => {
-                cov!(self_sink(cov), Io, 70, 2);
+                cov!(self_sink(cov), Io, 70);
                 self.divisor = (self.divisor & 0xff00) | u16::from(val);
             }
             0 => {
-                cov!(self_sink(cov), Io, 71, 3);
+                cov!(self_sink(cov), Io, 71);
                 self.tx_log.push(val);
             }
             1 if self.dlab => {
-                cov!(self_sink(cov), Io, 72, 2);
+                cov!(self_sink(cov), Io, 72);
                 self.divisor = (self.divisor & 0x00ff) | (u16::from(val) << 8);
             }
             1 => {
-                cov!(self_sink(cov), Io, 73, 2);
+                cov!(self_sink(cov), Io, 73);
                 self.ier = val;
             }
             3 => {
-                cov!(self_sink(cov), Io, 74, 3);
+                cov!(self_sink(cov), Io, 74);
                 self.lcr = val;
                 self.dlab = val & 0x80 != 0;
             }
             _ => {
-                cov!(self_sink(cov), Io, 75, 1);
+                cov!(self_sink(cov), Io, 75);
             }
         }
     }
@@ -276,13 +276,13 @@ impl Uart {
     fn read(&mut self, port: u16, cov: &mut CovSink<'_>) -> u8 {
         match port & 0x7 {
             5 => {
-                cov!(self_sink(cov), Io, 76, 2);
+                cov!(self_sink(cov), Io, 76);
                 0x60 // THR empty — the console never backpressures
             }
             1 if !self.dlab => self.ier,
             3 => self.lcr,
             _ => {
-                cov!(self_sink(cov), Io, 77, 1);
+                cov!(self_sink(cov), Io, 77);
                 0
             }
         }
@@ -300,16 +300,16 @@ impl Ps2 {
     fn write(&mut self, port: u16, val: u8, cov: &mut CovSink<'_>) {
         match port {
             0x64 => {
-                cov!(self_sink(cov), Io, 90, 3);
+                cov!(self_sink(cov), Io, 90);
                 self.last_command = val;
                 if val == 0xaa {
                     // Controller self-test.
                     self.output = Some(0x55);
-                    cov!(self_sink(cov), Io, 91, 2);
+                    cov!(self_sink(cov), Io, 91);
                 }
             }
             0x60 => {
-                cov!(self_sink(cov), Io, 92, 2);
+                cov!(self_sink(cov), Io, 92);
             }
             _ => {}
         }
@@ -318,12 +318,12 @@ impl Ps2 {
     fn read(&mut self, port: u16, cov: &mut CovSink<'_>) -> u8 {
         match port {
             0x64 => {
-                cov!(self_sink(cov), Io, 93, 2);
+                cov!(self_sink(cov), Io, 93);
                 // Status: output buffer full iff we have data.
                 u8::from(self.output.is_some())
             }
             0x60 => {
-                cov!(self_sink(cov), Io, 94, 2);
+                cov!(self_sink(cov), Io, 94);
                 self.output.take().unwrap_or(0)
             }
             _ => 0xff,
@@ -341,34 +341,34 @@ pub struct PciCfg {
 impl PciCfg {
     fn write(&mut self, port: u16, val: u32, size: u8, cov: &mut CovSink<'_>) {
         if port == 0xcf8 && size == 4 {
-            cov!(self_sink(cov), Io, 110, 3);
+            cov!(self_sink(cov), Io, 110);
             self.address = val;
         } else {
-            cov!(self_sink(cov), Io, 111, 2);
+            cov!(self_sink(cov), Io, 111);
             // Config-data writes to our minimal bus are accepted and dropped.
         }
     }
 
     fn read(&mut self, port: u16, cov: &mut CovSink<'_>) -> u32 {
         if port == 0xcf8 {
-            cov!(self_sink(cov), Io, 112, 1);
+            cov!(self_sink(cov), Io, 112);
             return self.address;
         }
-        cov!(self_sink(cov), Io, 113, 4);
+        cov!(self_sink(cov), Io, 113);
         let bus = (self.address >> 16) & 0xff;
         let dev = (self.address >> 11) & 0x1f;
         let reg = self.address & 0xfc;
         // One emulated host bridge at 00:00.0 (vendor 8086, device 1237 —
         // the i440FX Xen's qemu-trad exposes); everything else is absent.
         if bus == 0 && dev == 0 {
-            cov!(self_sink(cov), Io, 114, 3);
+            cov!(self_sink(cov), Io, 114);
             match reg {
                 0x00 => 0x1237_8086,
                 0x08 => 0x0600_0002,
                 _ => 0,
             }
         } else {
-            cov!(self_sink(cov), Io, 115, 1);
+            cov!(self_sink(cov), Io, 115);
             0xffff_ffff
         }
     }
@@ -381,7 +381,7 @@ pub struct PmTimer;
 
 impl PmTimer {
     fn read(tsc: u64, cov: &mut CovSink<'_>) -> u32 {
-        cov!(self_sink(cov), Io, 135, 3);
+        cov!(self_sink(cov), Io, 135);
         // 3.6 GHz / 3.579545 MHz ≈ 1005.7
         ((tsc * 10 / 10057) & 0xff_ffff) as u32
     }
@@ -433,7 +433,7 @@ impl IoBus {
         tsc: u64,
         cov: &mut CovSink<'_>,
     ) -> IoResult {
-        cov!(self_sink(cov), Io, 0, 3); // bus dispatch
+        cov!(self_sink(cov), Io, 0); // bus dispatch
         let claimed = true;
         let out = match (port, direction) {
             (0x40..=0x43, IoDirection::Out) => {
@@ -468,12 +468,12 @@ impl IoBus {
             (0xcf8..=0xcff, IoDirection::In) => self.pci.read(port, cov),
             (0x80, IoDirection::Out) => {
                 // POST/debug port: a pure delay on real hardware.
-                cov!(self_sink(cov), Io, 130, 2);
+                cov!(self_sink(cov), Io, 130);
                 0
             }
             (0xb008, IoDirection::In) => PmTimer::read(tsc, cov),
             _ => {
-                cov!(self_sink(cov), Io, 1, 3);
+                cov!(self_sink(cov), Io, 1);
                 self.unclaimed_accesses += 1;
                 return IoResult {
                     value: u32::MAX >> (32 - 8 * u32::from(size.clamp(1, 4))),

@@ -68,57 +68,57 @@ fn reg_from_modrm(modrm: u8) -> Gpr {
 /// used as the guest-physical fetch address (what Xen's
 /// `hvm_fetch_from_guest_linear` resolves via the guest page tables).
 fn fetch_instruction(ctx: &mut ExitCtx<'_>) -> Result<[u8; 4], ()> {
-    ctx.cov.hit(Component::Emulate, 0, 5);
+    ctx.cov.hit(Component::Emulate, 0);
     let rip = ctx.vmread(VmcsField::GuestRip);
     let cs_base = ctx.vmread(VmcsField::GuestCsBase);
     let fetch_gpa = (cs_base.wrapping_add(rip)) & 0x3fff_ffff; // 1 GiB guests
     let mut bytes = [0u8; 4];
     match ctx.copy_from_guest(fetch_gpa, &mut bytes) {
         Ok(()) => {
-            ctx.cov.hit(Component::Emulate, 1, 4);
+            ctx.cov.hit(Component::Emulate, 1);
             Ok(bytes)
         }
         Err(_) => {
             // The replay-divergence path: cold dummy-VM memory.
-            ctx.cov.hit(Component::Emulate, 2, 7);
+            ctx.cov.hit(Component::Emulate, 2);
             Err(())
         }
     }
 }
 
 fn decode(bytes: [u8; 4], ctx: &mut ExitCtx<'_>) -> Option<Decoded> {
-    ctx.cov.hit(Component::Emulate, 3, 6);
+    ctx.cov.hit(Component::Emulate, 3);
     let (op, modrm_idx, base_len) = if bytes[0] == 0x48 || bytes[0] == 0x66 {
         // REX.W / operand-size prefix.
-        ctx.cov.hit(Component::Emulate, 4, 3);
+        ctx.cov.hit(Component::Emulate, 4);
         (bytes[1], 2usize, 3u64)
     } else {
         (bytes[0], 1usize, 2u64)
     };
     match op {
         0x89 => {
-            ctx.cov.hit(Component::Emulate, 5, 5);
+            ctx.cov.hit(Component::Emulate, 5);
             Some(Decoded::Store {
                 reg: reg_from_modrm(bytes[modrm_idx]),
                 len: base_len,
             })
         }
         0x8b => {
-            ctx.cov.hit(Component::Emulate, 6, 5);
+            ctx.cov.hit(Component::Emulate, 6);
             Some(Decoded::Load {
                 reg: reg_from_modrm(bytes[modrm_idx]),
                 len: base_len,
             })
         }
         0x0f if bytes[modrm_idx] == 0xb6 => {
-            ctx.cov.hit(Component::Emulate, 7, 4);
+            ctx.cov.hit(Component::Emulate, 7);
             Some(Decoded::LoadByte {
                 reg: reg_from_modrm(bytes[modrm_idx + 1]),
                 len: base_len + 1,
             })
         }
         _ => {
-            ctx.cov.hit(Component::Emulate, 8, 4);
+            ctx.cov.hit(Component::Emulate, 8);
             None
         }
     }
@@ -135,25 +135,25 @@ pub fn emulate_mmio(
     mut mmio_read: impl FnMut(&mut ExitCtx<'_>, u64) -> u64,
     mut mmio_write: impl FnMut(&mut ExitCtx<'_>, u64, u64),
 ) -> EmulOutcome {
-    ctx.cov.hit(Component::Emulate, 10, 4);
+    ctx.cov.hit(Component::Emulate, 10);
     let Ok(bytes) = fetch_instruction(ctx) else {
         return EmulOutcome::Unhandleable {
             why: "instruction fetch failed",
         };
     };
     let Some(decoded) = decode(bytes, ctx) else {
-        ctx.cov.hit(Component::Emulate, 11, 3);
+        ctx.cov.hit(Component::Emulate, 11);
         return EmulOutcome::Unhandleable {
             why: "opcode not handled",
         };
     };
     match decoded {
         Decoded::Store { reg, len } => {
-            ctx.cov.hit(Component::Emulate, 12, 6);
+            ctx.cov.hit(Component::Emulate, 12);
             if !write {
                 // Qualification said read but the instruction stores:
                 // inconsistent state the emulator rejects.
-                ctx.cov.hit(Component::Emulate, 13, 3);
+                ctx.cov.hit(Component::Emulate, 13);
                 return EmulOutcome::Unhandleable {
                     why: "access direction mismatch",
                 };
@@ -163,13 +163,13 @@ pub fn emulate_mmio(
             EmulOutcome::Done { len }
         }
         Decoded::Load { reg, len } => {
-            ctx.cov.hit(Component::Emulate, 14, 6);
+            ctx.cov.hit(Component::Emulate, 14);
             let v = mmio_read(ctx, gpa);
             ctx.vcpu.gprs.set32(reg, v as u32);
             EmulOutcome::Done { len }
         }
         Decoded::LoadByte { reg, len } => {
-            ctx.cov.hit(Component::Emulate, 15, 5);
+            ctx.cov.hit(Component::Emulate, 15);
             let v = mmio_read(ctx, gpa) & 0xff;
             ctx.vcpu.gprs.set(reg, v);
             EmulOutcome::Done { len }
@@ -189,7 +189,7 @@ pub fn emulate_string_io(
     count: u64,
     out: bool,
 ) -> (u64, EmulOutcome) {
-    ctx.cov.hit(Component::Emulate, 20, 6);
+    ctx.cov.hit(Component::Emulate, 20);
     debug_assert!(matches!(size, 1 | 2 | 4), "caller validates the size");
     let size = size.clamp(1, 4);
     // Xen's hvmemul processes string I/O in bounded chunks and re-enters
@@ -209,7 +209,7 @@ pub fn emulate_string_io(
                 .copy_from_guest(addr, &mut buf[..size as usize])
                 .is_err()
             {
-                ctx.cov.hit(Component::Emulate, 21, 7);
+                ctx.cov.hit(Component::Emulate, 21);
                 return (
                     done,
                     EmulOutcome::Unhandleable {
@@ -217,7 +217,7 @@ pub fn emulate_string_io(
                     },
                 );
             }
-            ctx.cov.hit(Component::Emulate, 22, 5);
+            ctx.cov.hit(Component::Emulate, 22);
             let v = u32::from_le_bytes(buf);
             let tsc = ctx.tsc.now();
             let _ = ctx.iobus.access(
@@ -229,7 +229,7 @@ pub fn emulate_string_io(
                 &mut ctx.cov,
             );
         } else {
-            ctx.cov.hit(Component::Emulate, 23, 5);
+            ctx.cov.hit(Component::Emulate, 23);
             let tsc = ctx.tsc.now();
             let r = ctx.iobus.access(
                 port,
@@ -241,7 +241,7 @@ pub fn emulate_string_io(
             );
             buf = r.value.to_le_bytes();
             if ctx.copy_to_guest(addr, &buf[..size as usize]).is_err() {
-                ctx.cov.hit(Component::Emulate, 24, 6);
+                ctx.cov.hit(Component::Emulate, 24);
                 return (
                     done,
                     EmulOutcome::Unhandleable {
@@ -253,7 +253,7 @@ pub fn emulate_string_io(
         addr += u64::from(size);
         done += 1;
     }
-    ctx.cov.hit(Component::Emulate, 25, 3);
+    ctx.cov.hit(Component::Emulate, 25);
     (done, EmulOutcome::Done { len: 2 })
 }
 

@@ -121,7 +121,7 @@ impl FaultInjection {
             ExitReason::Cpuid if self.cpuid_reserved_leaf => {
                 let leaf = ctx.vcpu.gprs.get32(Gpr::Rax);
                 if FAULT_LEAF_RANGE.contains(&leaf) {
-                    ctx.cov.hit(Component::Vmx, 240, 4);
+                    ctx.cov.hit(Component::Vmx, 240);
                     return Some(Disposition::CrashHypervisor(HypervisorCrashReason::BugOn {
                         component: "cpuid.c".to_owned(),
                         condition: format!(
@@ -133,7 +133,7 @@ impl FaultInjection {
             ExitReason::CrAccess if self.cr_qual_reserved_bits => {
                 let qual = ctx.vmread(VmcsField::ExitQualification);
                 if qual >> 32 != 0 {
-                    ctx.cov.hit(Component::Vmx, 241, 5);
+                    ctx.cov.hit(Component::Vmx, 241);
                     return Some(Disposition::CrashHypervisor(
                         HypervisorCrashReason::HostPageFault {
                             addr: qual,
@@ -145,7 +145,7 @@ impl FaultInjection {
             ExitReason::IoInstruction if self.io_dma_window => {
                 let qual = ctx.vmread(VmcsField::ExitQualification);
                 if qual >> 32 != 0 {
-                    ctx.cov.hit(Component::Vmx, 242, 3);
+                    ctx.cov.hit(Component::Vmx, 242);
                     return Some(Disposition::CrashDomain(DomainCrashReason::IoError {
                         detail: format!("planted: DMA window beyond bus (qual {qual:#x})"),
                     }));

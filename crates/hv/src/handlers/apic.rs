@@ -18,7 +18,7 @@ use iris_vtx::gpr::Gpr;
 
 /// Entry point for `APIC ACCESS` exits.
 pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 170, 5);
+    ctx.cov.hit(Component::Vmx, 170);
     let qual = ctx.vmread(VmcsField::ExitQualification);
     let offset = (qual & 0xfff) as u32;
     let access_type = (qual >> 12) & 0xf;
@@ -28,7 +28,7 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
             // (Xen decodes the instruction; our guests use MOV EAX-forms
             // for APIC reads, which the qualification-only fast path
             // handles).
-            ctx.cov.hit(Component::Vmx, 171, 4);
+            ctx.cov.hit(Component::Vmx, 171);
             let now = ctx.tsc.now();
             let v = ctx.vcpu.hvm.vlapic.read(offset, now, &mut ctx.cov);
             ctx.vcpu.gprs.set32(Gpr::Rax, v);
@@ -36,7 +36,7 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
         }
         1 => {
             // Linear write: data from RAX.
-            ctx.cov.hit(Component::Vmx, 172, 4);
+            ctx.cov.hit(Component::Vmx, 172);
             let v = ctx.vcpu.gprs.get32(Gpr::Rax);
             ctx.vcpu.hvm.vlapic.write(offset, v, &mut ctx.cov);
             Disposition::AdvanceAndResume
@@ -44,7 +44,7 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
         _ => {
             // Guest-physical / fetch accesses: route through the full
             // MMIO emulator (guest-memory dependent).
-            ctx.cov.hit(Component::Vmx, 173, 4);
+            ctx.cov.hit(Component::Vmx, 173);
             let apic_base = 0xfee0_0000u64;
             let write = access_type == 3 || access_type == 1;
             let outcome = crate::emulate::emulate_mmio(
@@ -68,7 +68,7 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
                     Disposition::Resume
                 }
                 crate::emulate::EmulOutcome::Unhandleable { .. } => {
-                    ctx.cov.hit(Component::Vmx, 174, 4);
+                    ctx.cov.hit(Component::Vmx, 174);
                     ctx.inject_exception(crate::ctx::vector::UD, None)
                         .unwrap_or(Disposition::Resume)
                 }

@@ -13,7 +13,7 @@ use iris_vtx::gpr::Gpr;
 
 /// Entry point for `CPUID` exits.
 pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Hvm, 80, 4);
+    ctx.cov.hit(Component::Hvm, 80);
     let leaf = ctx.vcpu.gprs.get32(Gpr::Rax);
     let subleaf = ctx.vcpu.gprs.get32(Gpr::Rcx);
     let (a, b, c, d) = cpuid_policy(ctx, leaf, subleaf);
@@ -27,12 +27,12 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
 fn cpuid_policy(ctx: &mut ExitCtx<'_>, leaf: u32, subleaf: u32) -> (u32, u32, u32, u32) {
     match leaf {
         0x0 => {
-            ctx.cov.hit(Component::Hvm, 81, 3);
+            ctx.cov.hit(Component::Hvm, 81);
             // Max leaf 0xd, "GenuineIntel".
             (0xd, 0x756e_6547, 0x6c65_746e, 0x4965_6e69)
         }
         0x1 => {
-            ctx.cov.hit(Component::Hvm, 82, 6);
+            ctx.cov.hit(Component::Hvm, 82);
             // Family 6 model 60 (Haswell, the paper's testbed), with the
             // hypervisor-present bit (ECX[31]) set and VMX masked out.
             let ecx = (1 << 31) | (1 << 23) | (1 << 19) | (1 << 0); // HV, POPCNT, SSE4.1, SSE3
@@ -40,11 +40,11 @@ fn cpuid_policy(ctx: &mut ExitCtx<'_>, leaf: u32, subleaf: u32) -> (u32, u32, u3
             (0x0003_06c3, 0x0010_0800, ecx, edx)
         }
         0x2 => {
-            ctx.cov.hit(Component::Hvm, 83, 2);
+            ctx.cov.hit(Component::Hvm, 83);
             (0x7636_3301, 0, 0, 0)
         }
         0x4 => {
-            ctx.cov.hit(Component::Hvm, 84, 4);
+            ctx.cov.hit(Component::Hvm, 84);
             match subleaf {
                 0 => (0x1c00_4121, 0x01c0_003f, 0x3f, 0),
                 1 => (0x1c00_4122, 0x01c0_003f, 0x3f, 0),
@@ -53,7 +53,7 @@ fn cpuid_policy(ctx: &mut ExitCtx<'_>, leaf: u32, subleaf: u32) -> (u32, u32, u3
             }
         }
         0x7 => {
-            ctx.cov.hit(Component::Hvm, 85, 3);
+            ctx.cov.hit(Component::Hvm, 85);
             if subleaf == 0 {
                 // SMAP, SMEP, FSGSBASE.
                 (0, (1 << 20) | (1 << 7) | (1 << 0), 0, 0)
@@ -62,7 +62,7 @@ fn cpuid_policy(ctx: &mut ExitCtx<'_>, leaf: u32, subleaf: u32) -> (u32, u32, u3
             }
         }
         0xb => {
-            ctx.cov.hit(Component::Hvm, 86, 3);
+            ctx.cov.hit(Component::Hvm, 86);
             // Topology: one thread, one core (the 1 vCPU pinning of §VI).
             match subleaf {
                 0 => (0, 1, 0x100, 0),
@@ -70,38 +70,38 @@ fn cpuid_policy(ctx: &mut ExitCtx<'_>, leaf: u32, subleaf: u32) -> (u32, u32, u3
             }
         }
         0xd => {
-            ctx.cov.hit(Component::Hvm, 87, 2);
+            ctx.cov.hit(Component::Hvm, 87);
             (0x7, 0x340, 0x340, 0)
         }
         0x4000_0000 => {
-            ctx.cov.hit(Component::Hvm, 88, 4);
+            ctx.cov.hit(Component::Hvm, 88);
             // "XenVMMXenVMM", max hypervisor leaf 0x40000002.
             (0x4000_0002, 0x566e_6558, 0x65584d4d, 0x4d4d_566e)
         }
         0x4000_0001 => {
-            ctx.cov.hit(Component::Hvm, 89, 3);
+            ctx.cov.hit(Component::Hvm, 89);
             // Xen version 4.16.
             ((4 << 16) | 16, 0, 0, 0)
         }
         0x4000_0002 => {
-            ctx.cov.hit(Component::Hvm, 90, 3);
+            ctx.cov.hit(Component::Hvm, 90);
             // Hypercall pages, MSR base.
             (1, 0x4000_0000, 0, 0)
         }
         0x8000_0000 => {
-            ctx.cov.hit(Component::Hvm, 91, 2);
+            ctx.cov.hit(Component::Hvm, 91);
             (0x8000_0008, 0, 0, 0)
         }
         0x8000_0001 => {
-            ctx.cov.hit(Component::Hvm, 92, 3);
+            ctx.cov.hit(Component::Hvm, 92);
             (0, 0, 1, (1 << 29) | (1 << 20)) // LM, NX
         }
         0x8000_0008 => {
-            ctx.cov.hit(Component::Hvm, 93, 2);
+            ctx.cov.hit(Component::Hvm, 93);
             (0x3027, 0, 0, 0) // 39/48 address bits
         }
         _ => {
-            ctx.cov.hit(Component::Hvm, 94, 3);
+            ctx.cov.hit(Component::Hvm, 94);
             // Out-of-range leaves return the highest basic leaf's data;
             // we return zeros like Xen's policy for unknown ranges.
             (0, 0, 0, 0)

@@ -28,7 +28,7 @@ pub const CR4_HOST_OWNED: u64 = cr4::VMXE;
 
 /// Entry point for `CR ACCESS` exits.
 pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 20, 5);
+    ctx.cov.hit(Component::Vmx, 20);
     let qual = CrAccessQual::decode(ctx.vmread(VmcsField::ExitQualification));
     match qual.access {
         CrAccessType::MovToCr => mov_to_cr(ctx, qual),
@@ -39,7 +39,7 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
 }
 
 fn mov_to_cr(ctx: &mut ExitCtx<'_>, qual: CrAccessQual) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 21, 4);
+    ctx.cov.hit(Component::Vmx, 21);
     let value = match qual.gpr {
         Some(g) => ctx.vcpu.gprs.get(g),
         None => ctx.vmread(VmcsField::GuestRsp),
@@ -49,12 +49,12 @@ fn mov_to_cr(ctx: &mut ExitCtx<'_>, qual: CrAccessQual) -> Disposition {
         3 => write_cr3(ctx, value),
         4 => write_cr4(ctx, value),
         8 => {
-            ctx.cov.hit(Component::Vmx, 22, 3);
+            ctx.cov.hit(Component::Vmx, 22);
             ctx.vcpu.hvm.vlapic.tpr = ((value & 0xf) << 4) as u32;
             Disposition::AdvanceAndResume
         }
         other => {
-            ctx.cov.hit(Component::Vmx, 23, 3);
+            ctx.cov.hit(Component::Vmx, 23);
             ctx.log.push(
                 ctx.tsc.now(),
                 crate::log::Level::Warning,
@@ -67,10 +67,10 @@ fn mov_to_cr(ctx: &mut ExitCtx<'_>, qual: CrAccessQual) -> Disposition {
 
 /// The Fig. 2 scenario: `mov cr0, eax` with PE being set.
 fn write_cr0(ctx: &mut ExitCtx<'_>, wanted: u64) -> Disposition {
-    ctx.cov.hit(Component::Hvm, 10, 6);
+    ctx.cov.hit(Component::Hvm, 10);
     // Xen's hvm_set_cr0: validate first.
     if !Cr0(wanted).is_valid_write() {
-        ctx.cov.hit(Component::Hvm, 11, 4);
+        ctx.cov.hit(Component::Hvm, 11);
         return ctx.inject_gp().unwrap_or(Disposition::AdvanceAndResume);
     }
     let old_view = ctx.vcpu.hvm.guest_cr[0];
@@ -80,17 +80,17 @@ fn write_cr0(ctx: &mut ExitCtx<'_>, wanted: u64) -> Disposition {
     // VMWRITEs (hvm_update_guest_cr0 → paging path).
     let pg_toggled = (old_view ^ wanted) & cr0::PG != 0;
     if pg_toggled {
-        ctx.cov.hit(Component::P2m, 10, 8);
+        ctx.cov.hit(Component::P2m, 10);
         if wanted & cr0::PG != 0 {
-            ctx.cov.hit(Component::P2m, 11, 5);
+            ctx.cov.hit(Component::P2m, 11);
             // Long-mode activation: PG=1 with EFER.LME set turns on LMA.
             let gefer = ctx.vmread(VmcsField::GuestIa32Efer);
             if gefer & efer::LME != 0 {
-                ctx.cov.hit(Component::Hvm, 12, 4);
+                ctx.cov.hit(Component::Hvm, 12);
                 ctx.vmwrite(VmcsField::GuestIa32Efer, gefer | efer::LMA);
             }
         } else {
-            ctx.cov.hit(Component::P2m, 12, 4);
+            ctx.cov.hit(Component::P2m, 12);
             let gefer = ctx.vmread(VmcsField::GuestIa32Efer);
             if gefer & efer::LMA != 0 {
                 ctx.vmwrite(VmcsField::GuestIa32Efer, gefer & !efer::LMA);
@@ -107,9 +107,9 @@ fn write_cr0(ctx: &mut ExitCtx<'_>, wanted: u64) -> Disposition {
     // Internal-variable update: the mode abstraction follows the guest's
     // *view* of CR0.
     ctx.vcpu.hvm.update_cr0(wanted);
-    ctx.cov.hit(Component::Vcpu, 0, 3);
+    ctx.cov.hit(Component::Vcpu, 0);
     if (old_view ^ wanted) & cr0::PE != 0 {
-        ctx.cov.hit(Component::Hvm, 13, 5);
+        ctx.cov.hit(Component::Hvm, 13);
         ctx.log.push(
             ctx.tsc.now(),
             crate::log::Level::Debug,
@@ -129,12 +129,12 @@ fn write_cr0(ctx: &mut ExitCtx<'_>, wanted: u64) -> Disposition {
 }
 
 fn write_cr3(ctx: &mut ExitCtx<'_>, value: u64) -> Disposition {
-    ctx.cov.hit(Component::Hvm, 14, 5);
+    ctx.cov.hit(Component::Hvm, 14);
     ctx.vcpu.hvm.guest_cr[3] = value;
     ctx.vmwrite(VmcsField::GuestCr3, value);
     // A CR3 load flushes the TLB — paging-structure bookkeeping — and
     // refreshes the PDPTEs under PAE paging.
-    ctx.cov.hit(Component::P2m, 13, 4);
+    ctx.cov.hit(Component::P2m, 13);
     if ctx.vcpu.hvm.guest_cr[4] & cr4::PAE != 0 {
         load_pdptrs(ctx);
     }
@@ -142,9 +142,9 @@ fn write_cr3(ctx: &mut ExitCtx<'_>, value: u64) -> Disposition {
 }
 
 fn write_cr4(ctx: &mut ExitCtx<'_>, wanted: u64) -> Disposition {
-    ctx.cov.hit(Component::Hvm, 15, 5);
+    ctx.cov.hit(Component::Hvm, 15);
     if !Cr4(wanted).is_valid_write() {
-        ctx.cov.hit(Component::Hvm, 16, 3);
+        ctx.cov.hit(Component::Hvm, 16);
         return ctx.inject_gp().unwrap_or(Disposition::AdvanceAndResume);
     }
     let mask = ctx.vmread(VmcsField::Cr4GuestHostMask);
@@ -156,7 +156,7 @@ fn write_cr4(ctx: &mut ExitCtx<'_>, wanted: u64) -> Disposition {
     let old = ctx.vcpu.hvm.guest_cr[4];
     ctx.vcpu.hvm.guest_cr[4] = wanted;
     if (old ^ wanted) & cr4::PAE != 0 {
-        ctx.cov.hit(Component::P2m, 14, 5);
+        ctx.cov.hit(Component::P2m, 14);
         if wanted & cr4::PAE != 0 {
             load_pdptrs(ctx);
         }
@@ -169,7 +169,7 @@ fn write_cr4(ctx: &mut ExitCtx<'_>, wanted: u64) -> Disposition {
 /// loads them from the guest's page-directory-pointer table whenever CR3
 /// or CR4.PAE changes.
 fn load_pdptrs(ctx: &mut ExitCtx<'_>) {
-    ctx.cov.hit(Component::P2m, 16, 6);
+    ctx.cov.hit(Component::P2m, 16);
     let cr3 = ctx.vcpu.hvm.guest_cr[3] & !0xfffu64;
     for (i, f) in [
         VmcsField::GuestPdpte0,
@@ -185,32 +185,32 @@ fn load_pdptrs(ctx: &mut ExitCtx<'_>) {
 }
 
 fn mov_from_cr(ctx: &mut ExitCtx<'_>, qual: CrAccessQual) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 24, 4);
+    ctx.cov.hit(Component::Vmx, 24);
     let value = match qual.cr {
         0 => {
-            ctx.cov.hit(Component::Vmx, 25, 3);
+            ctx.cov.hit(Component::Vmx, 25);
             let real = ctx.vmread(VmcsField::GuestCr0);
             let mask = ctx.vmread(VmcsField::Cr0GuestHostMask);
             let shadow = ctx.vmread(VmcsField::Cr0ReadShadow);
             guest_visible_cr(real, mask, shadow)
         }
         3 => {
-            ctx.cov.hit(Component::Vmx, 26, 2);
+            ctx.cov.hit(Component::Vmx, 26);
             ctx.vcpu.hvm.guest_cr[3]
         }
         4 => {
-            ctx.cov.hit(Component::Vmx, 27, 3);
+            ctx.cov.hit(Component::Vmx, 27);
             let real = ctx.vmread(VmcsField::GuestCr4);
             let mask = ctx.vmread(VmcsField::Cr4GuestHostMask);
             let shadow = ctx.vmread(VmcsField::Cr4ReadShadow);
             guest_visible_cr(real, mask, shadow)
         }
         8 => {
-            ctx.cov.hit(Component::Vmx, 28, 2);
+            ctx.cov.hit(Component::Vmx, 28);
             u64::from(ctx.vcpu.hvm.vlapic.tpr >> 4)
         }
         _ => {
-            ctx.cov.hit(Component::Vmx, 29, 2);
+            ctx.cov.hit(Component::Vmx, 29);
             return ctx.inject_gp().unwrap_or(Disposition::AdvanceAndResume);
         }
     };
@@ -221,7 +221,7 @@ fn mov_from_cr(ctx: &mut ExitCtx<'_>, qual: CrAccessQual) -> Disposition {
 }
 
 fn clts(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 30, 4);
+    ctx.cov.hit(Component::Vmx, 30);
     let shadow = ctx.vmread(VmcsField::Cr0ReadShadow) & !cr0::TS;
     ctx.vmwrite(VmcsField::Cr0ReadShadow, shadow);
     let hw = ctx.vmread(VmcsField::GuestCr0) & !cr0::TS;
@@ -231,7 +231,7 @@ fn clts(ctx: &mut ExitCtx<'_>) -> Disposition {
 }
 
 fn lmsw(ctx: &mut ExitCtx<'_>, source: u16) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 31, 5);
+    ctx.cov.hit(Component::Vmx, 31);
     let old = ctx.vmread(VmcsField::Cr0ReadShadow);
     // LMSW can set PE/MP/EM/TS but never clear PE.
     let low = (u64::from(source) & 0xf) | (old & cr0::PE);

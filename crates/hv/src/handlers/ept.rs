@@ -18,20 +18,20 @@ use iris_vtx::fields::VmcsField;
 
 /// Entry point for `EPT VIOLATION` exits.
 pub fn handle_violation(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::P2m, 20, 5);
+    ctx.cov.hit(Component::P2m, 20);
     let qual = EptQual::decode(ctx.vmread(VmcsField::ExitQualification));
     let gpa = ctx.vmread(VmcsField::GuestPhysicalAddress);
     let gfn = gpa >> PAGE_SHIFT;
 
     match ctx.ept.entry(gfn) {
         Some(e) if e.kind == PageKind::Mmio => {
-            ctx.cov.hit(Component::P2m, 21, 4);
+            ctx.cov.hit(Component::P2m, 21);
             handle_mmio(ctx, gpa, qual.write)
         }
         Some(_) => {
             // Present RAM entry but the access still violated: permission
             // fixup (log-dirty / write-protect style).
-            ctx.cov.hit(Component::P2m, 22, 5);
+            ctx.cov.hit(Component::P2m, 22);
             let host_pfn = gfn; // identity within the domain slot
             ctx.ept.map_ram(gfn, host_pfn, 1);
             Disposition::Resume
@@ -39,12 +39,12 @@ pub fn handle_violation(ctx: &mut ExitCtx<'_>) -> Disposition {
         None => {
             let ram_frames = ctx.memory.ram_bytes() >> PAGE_SHIFT;
             if gfn < ram_frames {
-                ctx.cov.hit(Component::P2m, 23, 6);
+                ctx.cov.hit(Component::P2m, 23);
                 // Populate-on-demand.
                 ctx.ept.map_ram(gfn, gfn, 1);
                 Disposition::Resume
             } else {
-                ctx.cov.hit(Component::P2m, 24, 4);
+                ctx.cov.hit(Component::P2m, 24);
                 ctx.log.push(
                     ctx.tsc.now(),
                     crate::log::Level::Err,
@@ -63,7 +63,7 @@ pub fn handle_violation(ctx: &mut ExitCtx<'_>) -> Disposition {
 /// drop) — matching Xen's default ioreq handling with no device model
 /// attached.
 fn handle_mmio(ctx: &mut ExitCtx<'_>, gpa: u64, write: bool) -> Disposition {
-    ctx.cov.hit(Component::P2m, 25, 4);
+    ctx.cov.hit(Component::P2m, 25);
     let apic_base = ctx
         .vcpu
         .hvm
@@ -81,7 +81,7 @@ fn handle_mmio(ctx: &mut ExitCtx<'_>, gpa: u64, write: bool) -> Disposition {
                 let now = ctx.tsc.now();
                 u64::from(ctx.vcpu.hvm.vlapic.read(off, now, &mut ctx.cov))
             } else {
-                ctx.cov.hit(Component::P2m, 26, 2);
+                ctx.cov.hit(Component::P2m, 26);
                 u64::MAX
             }
         },
@@ -90,13 +90,13 @@ fn handle_mmio(ctx: &mut ExitCtx<'_>, gpa: u64, write: bool) -> Disposition {
                 let off = (gpa & 0xfff) as u32;
                 ctx.vcpu.hvm.vlapic.write(off, v as u32, &mut ctx.cov);
             } else {
-                ctx.cov.hit(Component::P2m, 27, 2);
+                ctx.cov.hit(Component::P2m, 27);
             }
         },
     );
     match outcome {
         EmulOutcome::Done { len } => {
-            ctx.cov.hit(Component::P2m, 28, 3);
+            ctx.cov.hit(Component::P2m, 28);
             // The emulator completed the instruction: skip it manually.
             let rip = ctx.vmread(VmcsField::GuestRip);
             ctx.vmwrite(VmcsField::GuestRip, rip + len);
@@ -106,7 +106,7 @@ fn handle_mmio(ctx: &mut ExitCtx<'_>, gpa: u64, write: bool) -> Disposition {
             // Xen's hvm_emulate_one failure path: log and inject #UD so
             // the guest can die on its own terms (vs. crashing the domain
             // outright, which would make every replayed MMIO seed fatal).
-            ctx.cov.hit(Component::P2m, 29, 6);
+            ctx.cov.hit(Component::P2m, 29);
             ctx.log.push(
                 ctx.tsc.now(),
                 crate::log::Level::Warning,
@@ -120,17 +120,17 @@ fn handle_mmio(ctx: &mut ExitCtx<'_>, gpa: u64, write: bool) -> Disposition {
 
 /// Entry point for `EPT MISCONFIG` exits.
 pub fn handle_misconfig(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::P2m, 40, 5);
+    ctx.cov.hit(Component::P2m, 40);
     let gpa = ctx.vmread(VmcsField::GuestPhysicalAddress);
     let gfn = gpa >> PAGE_SHIFT;
     if ctx.ept.entry(gfn).is_some() {
         // Xen's ept_misconfig: recalculate the entry (memory-type change
         // propagation) and retry.
-        ctx.cov.hit(Component::P2m, 41, 6);
+        ctx.cov.hit(Component::P2m, 41);
         ctx.ept.map_ram(gfn, gfn, 1);
         Disposition::Resume
     } else {
-        ctx.cov.hit(Component::P2m, 42, 4);
+        ctx.cov.hit(Component::P2m, 42);
         Disposition::CrashDomain(DomainCrashReason::IoError {
             detail: format!("ept misconfig on absent gfn {gfn:#x}"),
         })

@@ -15,20 +15,20 @@ use iris_vtx::fields::VmcsField;
 
 /// Entry point for `EXTERNAL INTERRUPT` exits.
 pub fn handle_external(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 140, 4);
+    ctx.cov.hit(Component::Vmx, 140);
     // The vector arrives in the exit-interruption-information field.
     let info = ctx.vmread(VmcsField::VmExitIntrInfo);
     let vector = (info & 0xff) as u8;
     // do_IRQ: acknowledge at the host PIC/APIC and run the host handler.
-    ctx.cov.hit(Component::Irq, 10, 6);
+    ctx.cov.hit(Component::Irq, 10);
     if vector >= 0x20 {
-        ctx.cov.hit(Component::Irq, 11, 4);
+        ctx.cov.hit(Component::Irq, 11);
         // Host timer tick and friends tick the domain's virtual timers.
         let now = ctx.tsc.now();
         let vlapic = &mut ctx.vcpu.hvm.vlapic;
         ctx.vpt.update(now, ctx.irq, vlapic, &mut ctx.cov);
     } else {
-        ctx.cov.hit(Component::Irq, 12, 3);
+        ctx.cov.hit(Component::Irq, 12);
         ctx.log.push(
             ctx.tsc.now(),
             crate::log::Level::Warning,
@@ -42,7 +42,7 @@ pub fn handle_external(ctx: &mut ExitCtx<'_>) -> Disposition {
 
 /// Entry point for `INTERRUPT WINDOW` exits.
 pub fn handle_window(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 150, 4);
+    ctx.cov.hit(Component::Vmx, 150);
     // Close the window request.
     let ctl = ctx.vmread(VmcsField::CpuBasedVmExecControl);
     ctx.vmwrite(VmcsField::CpuBasedVmExecControl, ctl & !(1 << 2));
@@ -50,36 +50,36 @@ pub fn handle_window(ctx: &mut ExitCtx<'_>) -> Disposition {
 
     // Deliver the highest pending vLAPIC vector now.
     if let Some(vec) = ctx.vcpu.hvm.vlapic.ack_pending(&mut ctx.cov) {
-        ctx.cov.hit(Component::Vmx, 151, 4);
+        ctx.cov.hit(Component::Vmx, 151);
         ctx.vmwrite(
             VmcsField::VmEntryIntrInfoField,
             0x8000_0000 | u64::from(vec),
         );
     } else {
-        ctx.cov.hit(Component::Vmx, 152, 2);
+        ctx.cov.hit(Component::Vmx, 152);
     }
     Disposition::Resume
 }
 
 /// Entry point for exception/NMI exits (reason 0).
 pub fn handle_exception(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 160, 5);
+    ctx.cov.hit(Component::Vmx, 160);
     let info = ctx.vmread(VmcsField::VmExitIntrInfo);
     let vector = (info & 0xff) as u8;
     match vector {
         14 => {
-            ctx.cov.hit(Component::Vmx, 161, 5);
+            ctx.cov.hit(Component::Vmx, 161);
             // Guest #PF that we intercepted: reflect it back.
             let err = ctx.vmread(VmcsField::VmExitIntrErrorCode) as u32;
             ctx.inject_exception(14, Some(err))
                 .unwrap_or(Disposition::Resume)
         }
         6 => {
-            ctx.cov.hit(Component::Vmx, 162, 3);
+            ctx.cov.hit(Component::Vmx, 162);
             ctx.inject_exception(6, None).unwrap_or(Disposition::Resume)
         }
         _ => {
-            ctx.cov.hit(Component::Vmx, 163, 3);
+            ctx.cov.hit(Component::Vmx, 163);
             ctx.inject_exception(vector, None)
                 .unwrap_or(Disposition::Resume)
         }

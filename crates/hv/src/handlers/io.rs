@@ -17,7 +17,7 @@ use iris_vtx::gpr::Gpr;
 
 /// Entry point for `I/O INSTRUCTION` exits.
 pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 40, 5);
+    ctx.cov.hit(Component::Vmx, 40);
     let qual = IoQual::decode(ctx.vmread(VmcsField::ExitQualification));
 
     // Hardware only reports 1/2/4-byte accesses; the handler trusts that
@@ -26,7 +26,7 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
     // memory-safety bug the IRIS fuzzer can reach by flipping bits in
     // the qualification. Model it as the hypervisor crash it would be.
     if !matches!(qual.size, 1 | 2 | 4) {
-        ctx.cov.hit(Component::Vmx, 47, 3);
+        ctx.cov.hit(Component::Vmx, 47);
         return Disposition::CrashHypervisor(crate::crash::HypervisorCrashReason::HostPageFault {
             addr: u64::from(qual.port),
             context: format!("string I/O buffer overflow: element size {}", qual.size),
@@ -34,7 +34,7 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
     }
 
     if qual.string {
-        ctx.cov.hit(Component::Vmx, 41, 4);
+        ctx.cov.hit(Component::Vmx, 41);
         // Element count: REP uses RCX, which hardware mirrors into the
         // IO_RCX exit-info field (read through the hooks → in the seed).
         let count = if qual.rep {
@@ -46,7 +46,7 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
         let (done, outcome) = emulate_string_io(ctx, qual.port, qual.size, count, out);
         return match outcome {
             EmulOutcome::Done { .. } => {
-                ctx.cov.hit(Component::Vmx, 42, 3);
+                ctx.cov.hit(Component::Vmx, 42);
                 if qual.rep {
                     ctx.vcpu.gprs.set(Gpr::Rcx, 0);
                 }
@@ -55,7 +55,7 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
             EmulOutcome::Unhandleable { why } => {
                 // Xen retries string I/O that faults mid-way by re-entering
                 // the guest un-advanced; total failure injects #GP.
-                ctx.cov.hit(Component::Vmx, 43, 6);
+                ctx.cov.hit(Component::Vmx, 43);
                 ctx.log.push(
                     ctx.tsc.now(),
                     crate::log::Level::Warning,
@@ -70,11 +70,11 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
         };
     }
 
-    ctx.cov.hit(Component::Vmx, 44, 4);
+    ctx.cov.hit(Component::Vmx, 44);
     let tsc = ctx.tsc.now();
     match qual.direction {
         IoDirection::Out => {
-            ctx.cov.hit(Component::Vmx, 45, 3);
+            ctx.cov.hit(Component::Vmx, 45);
             let raw = ctx.vcpu.gprs.get32(Gpr::Rax);
             let value = raw & size_mask(qual.size);
             let _ = ctx.iobus.access(
@@ -87,7 +87,7 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
             );
         }
         IoDirection::In => {
-            ctx.cov.hit(Component::Vmx, 46, 3);
+            ctx.cov.hit(Component::Vmx, 46);
             let r = ctx
                 .iobus
                 .access(qual.port, IoDirection::In, qual.size, 0, tsc, &mut ctx.cov);

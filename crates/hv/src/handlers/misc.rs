@@ -19,12 +19,12 @@ use iris_vtx::segment::ar;
 
 /// `DR ACCESS` (MOV to/from debug register).
 pub fn handle_dr(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 180, 4);
+    ctx.cov.hit(Component::Vmx, 180);
     let qual = ctx.vmread(VmcsField::ExitQualification);
     let dr = (qual & 0x7) as u8;
     let write = qual & 0x10 == 0; // direction 0 = MOV to DR
     if dr == 4 || dr == 5 {
-        ctx.cov.hit(Component::Vmx, 181, 3);
+        ctx.cov.hit(Component::Vmx, 181);
         // DR4/5 alias DR6/7 only with CR4.DE clear; with DE set → #UD.
         if ctx.vcpu.hvm.guest_cr[4] & iris_vtx::cr::cr4::DE != 0 {
             return ctx
@@ -33,13 +33,13 @@ pub fn handle_dr(ctx: &mut ExitCtx<'_>) -> Disposition {
         }
     }
     if write {
-        ctx.cov.hit(Component::Vmx, 182, 3);
+        ctx.cov.hit(Component::Vmx, 182);
         if dr == 7 {
             let v = ctx.vcpu.gprs.get(Gpr::Rax);
             ctx.vmwrite(VmcsField::GuestDr7, v);
         }
     } else {
-        ctx.cov.hit(Component::Vmx, 183, 3);
+        ctx.cov.hit(Component::Vmx, 183);
         if dr == 7 {
             let v = ctx.vmread(VmcsField::GuestDr7);
             ctx.vcpu.gprs.set(Gpr::Rax, v);
@@ -53,30 +53,30 @@ pub fn handle_dr(ctx: &mut ExitCtx<'_>) -> Disposition {
 /// `WBINVD` / `INVD` — cache flushes; relevant with pass-through only,
 /// so mostly bookkeeping.
 pub fn handle_wbinvd(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 190, 4);
+    ctx.cov.hit(Component::Vmx, 190);
     // Xen: flush only when the domain has cache-incoherent pass-through;
     // otherwise a no-op with a trace record.
-    ctx.cov.hit(Component::Vmx, 191, 2);
+    ctx.cov.hit(Component::Vmx, 191);
     Disposition::AdvanceAndResume
 }
 
 /// `INVLPG` — single-entry TLB invalidation.
 pub fn handle_invlpg(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 195, 3);
+    ctx.cov.hit(Component::Vmx, 195);
     let _va = ctx.vmread(VmcsField::ExitQualification);
-    ctx.cov.hit(Component::P2m, 30, 3);
+    ctx.cov.hit(Component::P2m, 30);
     Disposition::AdvanceAndResume
 }
 
 /// `XSETBV` — XCR0 writes.
 pub fn handle_xsetbv(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 200 - 1, 4); // block 199
+    ctx.cov.hit(Component::Vmx, 199);
     let idx = ctx.vcpu.gprs.get32(Gpr::Rcx);
     let value =
         u64::from(ctx.vcpu.gprs.get32(Gpr::Rax)) | (u64::from(ctx.vcpu.gprs.get32(Gpr::Rdx)) << 32);
     // XCR0 must have bit 0 (x87) set; anything else is #GP.
     if idx != 0 || value & 1 == 0 {
-        ctx.cov.hit(Component::Vmx, 204, 3);
+        ctx.cov.hit(Component::Vmx, 204);
         return ctx.inject_gp().unwrap_or(Disposition::AdvanceAndResume);
     }
     Disposition::AdvanceAndResume
@@ -84,14 +84,14 @@ pub fn handle_xsetbv(ctx: &mut ExitCtx<'_>) -> Disposition {
 
 /// `PAUSE` — spin-loop hint (PLE).
 pub fn handle_pause(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 210, 3);
+    ctx.cov.hit(Component::Vmx, 210);
     // Pause-loop exiting: yield the pCPU. Single-vCPU domains just resume.
     Disposition::AdvanceAndResume
 }
 
 /// `GDTR/IDTR ACCESS` and `LDTR/TR ACCESS` (descriptor-table exiting).
 pub fn handle_desc_table(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 220, 5);
+    ctx.cov.hit(Component::Vmx, 220);
     // The guest is loading LDTR/TR or storing/loading GDTR/IDTR. For
     // loads we must read the descriptor from the guest GDT.
     let gdtr_base = ctx.vmread(VmcsField::GuestGdtrBase);
@@ -100,7 +100,7 @@ pub fn handle_desc_table(ctx: &mut ExitCtx<'_>) -> Disposition {
     let mut desc = [0u8; 8];
     match ctx.copy_from_guest(desc_gpa, &mut desc) {
         Ok(()) => {
-            ctx.cov.hit(Component::Vmx, 221, 6);
+            ctx.cov.hit(Component::Vmx, 221);
             let raw = u64::from_le_bytes(desc);
             // Decode base/limit/AR from the descriptor.
             let base = ((raw >> 16) & 0xff_ffff) | ((raw >> 32) & 0xff00_0000);
@@ -120,7 +120,7 @@ pub fn handle_desc_table(ctx: &mut ExitCtx<'_>) -> Disposition {
         }
         Err(_) => {
             // Replay path: the GDT lives in unrecorded guest memory.
-            ctx.cov.hit(Component::Vmx, 222, 7);
+            ctx.cov.hit(Component::Vmx, 222);
             ctx.log.push(
                 ctx.tsc.now(),
                 crate::log::Level::Warning,

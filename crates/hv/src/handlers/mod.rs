@@ -31,7 +31,7 @@ pub mod vmcall;
 /// a BUG — the hypervisor-crash path the fuzzer's VMCS mutations of the
 /// `VM_EXIT_REASON` field reach.
 pub fn dispatch(ctx: &mut ExitCtx<'_>, reason: ExitReason) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 10, 4);
+    ctx.cov.hit(Component::Vmx, 10);
     match reason {
         ExitReason::CrAccess => cr::handle(ctx),
         ExitReason::IoInstruction => io::handle(ctx),
@@ -55,7 +55,7 @@ pub fn dispatch(ctx: &mut ExitCtx<'_>, reason: ExitReason) -> Disposition {
         ExitReason::GdtrIdtrAccess | ExitReason::LdtrTrAccess => misc::handle_desc_table(ctx),
         ExitReason::PreemptionTimer => preempt::handle(ctx),
         ExitReason::TripleFault => {
-            ctx.cov.hit(Component::Vmx, 11, 3);
+            ctx.cov.hit(Component::Vmx, 11);
             Disposition::CrashDomain(crate::crash::DomainCrashReason::TripleFault)
         }
         ExitReason::ExceptionNmi => interrupt::handle_exception(ctx),
@@ -63,7 +63,7 @@ pub fn dispatch(ctx: &mut ExitCtx<'_>, reason: ExitReason) -> Disposition {
             // Xen: gdprintk + domain_crash for truly unexpected reasons,
             // BUG() for "can't happen" ones. Reasons the hypervisor never
             // enabled exiting for fall in the second class.
-            ctx.cov.hit(Component::Vmx, 12, 5);
+            ctx.cov.hit(Component::Vmx, 12);
             Disposition::CrashHypervisor(HypervisorCrashReason::UnhandledExit {
                 reason: other.number(),
             })

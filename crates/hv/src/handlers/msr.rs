@@ -16,32 +16,32 @@ use iris_vtx::msr::{index, MsrOutcome};
 
 /// Entry point for `MSR READ` (RDMSR) exits.
 pub fn handle_read(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Hvm, 50, 4);
+    ctx.cov.hit(Component::Hvm, 50);
     let msr = ctx.vcpu.gprs.get32(Gpr::Rcx);
     let value = match msr {
         index::IA32_TSC => {
-            ctx.cov.hit(Component::Hvm, 51, 3);
+            ctx.cov.hit(Component::Hvm, 51);
             let offset = ctx.vmread(VmcsField::TscOffset);
             ctx.tsc.now().wrapping_add(offset)
         }
         index::IA32_APIC_BASE => {
-            ctx.cov.hit(Component::Hvm, 52, 2);
+            ctx.cov.hit(Component::Hvm, 52);
             match ctx.vcpu.hvm.msrs.read(msr, 0) {
                 MsrOutcome::Ok(v) => v,
                 MsrOutcome::GpFault => return gp(ctx),
             }
         }
         index::IA32_EFER => {
-            ctx.cov.hit(Component::Hvm, 53, 2);
+            ctx.cov.hit(Component::Hvm, 53);
             // EFER reads come from the VMCS copy (LMA lives there).
             ctx.vmread(VmcsField::GuestIa32Efer)
         }
         _ => {
-            ctx.cov.hit(Component::Hvm, 54, 3);
+            ctx.cov.hit(Component::Hvm, 54);
             match ctx.vcpu.hvm.msrs.read(msr, ctx.tsc.now()) {
                 MsrOutcome::Ok(v) => v,
                 MsrOutcome::GpFault => {
-                    ctx.cov.hit(Component::Hvm, 55, 3);
+                    ctx.cov.hit(Component::Hvm, 55);
                     ctx.log.push(
                         ctx.tsc.now(),
                         crate::log::Level::Debug,
@@ -59,19 +59,19 @@ pub fn handle_read(ctx: &mut ExitCtx<'_>) -> Disposition {
 
 /// Entry point for `MSR WRITE` (WRMSR) exits.
 pub fn handle_write(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Hvm, 60, 4);
+    ctx.cov.hit(Component::Hvm, 60);
     let msr = ctx.vcpu.gprs.get32(Gpr::Rcx);
     let value =
         u64::from(ctx.vcpu.gprs.get32(Gpr::Rax)) | (u64::from(ctx.vcpu.gprs.get32(Gpr::Rdx)) << 32);
     match msr {
         index::IA32_TSC => {
-            ctx.cov.hit(Component::Hvm, 61, 4);
+            ctx.cov.hit(Component::Hvm, 61);
             // Guest TSC writes become a VMCS TSC-offset programming.
             let offset = value.wrapping_sub(ctx.tsc.now());
             ctx.vmwrite(VmcsField::TscOffset, offset);
         }
         index::IA32_EFER => {
-            ctx.cov.hit(Component::Hvm, 62, 4);
+            ctx.cov.hit(Component::Hvm, 62);
             match ctx.vcpu.hvm.msrs.write(msr, value) {
                 MsrOutcome::Ok(v) => {
                     // LMA is hardware-derived: LME together with the
@@ -86,51 +86,51 @@ pub fn handle_write(ctx: &mut ExitCtx<'_>) -> Disposition {
                     ctx.vmwrite(VmcsField::GuestIa32Efer, v | lma);
                 }
                 MsrOutcome::GpFault => {
-                    ctx.cov.hit(Component::Hvm, 63, 2);
+                    ctx.cov.hit(Component::Hvm, 63);
                     return gp(ctx);
                 }
             }
         }
         index::IA32_APIC_BASE => {
-            ctx.cov.hit(Component::Hvm, 64, 4);
+            ctx.cov.hit(Component::Hvm, 64);
             match ctx.vcpu.hvm.msrs.write(msr, value) {
                 MsrOutcome::Ok(_) => {
                     // Relocating the APIC page moves the MMIO mapping.
-                    ctx.cov.hit(Component::P2m, 15, 4);
+                    ctx.cov.hit(Component::P2m, 15);
                     ctx.ept.map_mmio(value >> iris_vtx::ept::PAGE_SHIFT);
                 }
                 MsrOutcome::GpFault => return gp(ctx),
             }
         }
         index::IA32_SYSENTER_CS => {
-            ctx.cov.hit(Component::Hvm, 65, 2);
+            ctx.cov.hit(Component::Hvm, 65);
             let _ = ctx.vcpu.hvm.msrs.write(msr, value);
             ctx.vmwrite(VmcsField::GuestSysenterCs, value);
         }
         index::IA32_SYSENTER_ESP => {
-            ctx.cov.hit(Component::Hvm, 66, 2);
+            ctx.cov.hit(Component::Hvm, 66);
             let _ = ctx.vcpu.hvm.msrs.write(msr, value);
             ctx.vmwrite(VmcsField::GuestSysenterEsp, value);
         }
         index::IA32_SYSENTER_EIP => {
-            ctx.cov.hit(Component::Hvm, 67, 2);
+            ctx.cov.hit(Component::Hvm, 67);
             let _ = ctx.vcpu.hvm.msrs.write(msr, value);
             ctx.vmwrite(VmcsField::GuestSysenterEip, value);
         }
         index::IA32_FS_BASE => {
-            ctx.cov.hit(Component::Hvm, 68, 2);
+            ctx.cov.hit(Component::Hvm, 68);
             let _ = ctx.vcpu.hvm.msrs.write(msr, value);
             ctx.vmwrite(VmcsField::GuestFsBase, value);
         }
         index::IA32_GS_BASE => {
-            ctx.cov.hit(Component::Hvm, 69, 2);
+            ctx.cov.hit(Component::Hvm, 69);
             let _ = ctx.vcpu.hvm.msrs.write(msr, value);
             ctx.vmwrite(VmcsField::GuestGsBase, value);
         }
         _ => {
-            ctx.cov.hit(Component::Hvm, 70, 3);
+            ctx.cov.hit(Component::Hvm, 70);
             if let MsrOutcome::GpFault = ctx.vcpu.hvm.msrs.write(msr, value) {
-                ctx.cov.hit(Component::Hvm, 71, 3);
+                ctx.cov.hit(Component::Hvm, 71);
                 ctx.log.push(
                     ctx.tsc.now(),
                     crate::log::Level::Debug,

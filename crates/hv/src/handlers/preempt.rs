@@ -18,21 +18,21 @@ use iris_vtx::fields::VmcsField;
 
 /// Entry point for `PREEMPTION TIMER` exits.
 pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 130, 4);
+    ctx.cov.hit(Component::Vmx, 130);
     // Reload the timer from the VMCS (the VM-entry load).
     let value = ctx.vmread(VmcsField::GuestPreemptionTimer) as u32;
     ctx.vcpu.preempt_timer.load(value);
 
     // Scheduler accounting: a timer exit means the vCPU consumed its
     // credit slice.
-    ctx.cov.hit(Component::Vcpu, 10, 4);
+    ctx.cov.hit(Component::Vcpu, 10);
 
     // Run the virtual-timer update like any other exit-path visit.
     let now = ctx.tsc.now();
     let vlapic = &mut ctx.vcpu.hvm.vlapic;
     ctx.vpt.update(now, ctx.irq, vlapic, &mut ctx.cov);
 
-    ctx.cov.hit(Component::Vmx, 131, 3);
+    ctx.cov.hit(Component::Vmx, 131);
     Disposition::Resume
 }
 

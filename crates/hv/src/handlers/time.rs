@@ -15,13 +15,13 @@ use iris_vtx::gpr::Gpr;
 
 /// Entry point for `RDTSC` (and `RDTSCP` when `with_aux`).
 pub fn handle_rdtsc(ctx: &mut ExitCtx<'_>, with_aux: bool) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 110, 4);
+    ctx.cov.hit(Component::Vmx, 110);
     let offset = ctx.vmread(VmcsField::TscOffset);
     let guest_tsc = ctx.tsc.now().wrapping_add(offset);
     ctx.vcpu.gprs.set32(Gpr::Rax, guest_tsc as u32);
     ctx.vcpu.gprs.set32(Gpr::Rdx, (guest_tsc >> 32) as u32);
     if with_aux {
-        ctx.cov.hit(Component::Vmx, 111, 2);
+        ctx.cov.hit(Component::Vmx, 111);
         let aux = ctx
             .vcpu
             .hvm
@@ -35,19 +35,19 @@ pub fn handle_rdtsc(ctx: &mut ExitCtx<'_>, with_aux: bool) -> Disposition {
 
 /// Entry point for `HLT` exits.
 pub fn handle_hlt(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Vmx, 120, 4);
+    ctx.cov.hit(Component::Vmx, 120);
     // RFLAGS.IF gates whether an interrupt can wake the guest at all;
     // HLT with IF=0 and nothing pending would hang forever → Xen treats
     // it as the guest shutting down.
     let rflags = ctx.vmread(VmcsField::GuestRflags);
     let if_set = rflags & (1 << 9) != 0;
     if ctx.vcpu.hvm.vlapic.highest_pending().is_some() {
-        ctx.cov.hit(Component::Vmx, 121, 3);
+        ctx.cov.hit(Component::Vmx, 121);
         // Interrupt already pending: fall straight through.
         return Disposition::AdvanceAndResume;
     }
     if !if_set {
-        ctx.cov.hit(Component::Vmx, 122, 4);
+        ctx.cov.hit(Component::Vmx, 122);
         ctx.log.push(
             ctx.tsc.now(),
             crate::log::Level::Warning,
@@ -58,7 +58,7 @@ pub fn handle_hlt(ctx: &mut ExitCtx<'_>) -> Disposition {
         );
         return Disposition::Halt; // scheduler treats as blocked forever
     }
-    ctx.cov.hit(Component::Vmx, 123, 3);
+    ctx.cov.hit(Component::Vmx, 123);
     Disposition::Halt
 }
 

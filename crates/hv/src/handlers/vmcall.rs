@@ -92,25 +92,25 @@ pub struct FuzzingCtl {
 
 /// Entry point for `VMCALL` exits.
 pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
-    ctx.cov.hit(Component::Hypercall, 0, 5);
+    ctx.cov.hit(Component::Hypercall, 0);
     let call = ctx.vcpu.gprs.get(Gpr::Rax);
     let a1 = ctx.vcpu.gprs.get(Gpr::Rdi);
     let a2 = ctx.vcpu.gprs.get(Gpr::Rsi);
     let ret = match call {
         nr::XEN_VERSION => {
-            ctx.cov.hit(Component::Hypercall, 10, 3);
+            ctx.cov.hit(Component::Hypercall, 10);
             // XENVER_version: (major << 16) | minor.
             (4u64 << 16) | 16
         }
         nr::CONSOLE_IO => {
-            ctx.cov.hit(Component::Hypercall, 20, 5);
+            ctx.cov.hit(Component::Hypercall, 20);
             // CONSOLEIO_write: a1=op(0), a2=count, arg3=buffer gpa (rdx).
             let count = a2.min(128) as usize;
             let gpa = ctx.vcpu.gprs.get(Gpr::Rdx);
             let mut buf = vec![0u8; count];
             match ctx.copy_from_guest(gpa, &mut buf) {
                 Ok(()) => {
-                    ctx.cov.hit(Component::Hypercall, 21, 4);
+                    ctx.cov.hit(Component::Hypercall, 21);
                     let text = String::from_utf8_lossy(&buf).into_owned();
                     ctx.log.push(
                         ctx.tsc.now(),
@@ -120,42 +120,42 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
                     count as u64
                 }
                 Err(_) => {
-                    ctx.cov.hit(Component::Hypercall, 22, 3);
+                    ctx.cov.hit(Component::Hypercall, 22);
                     EINVAL
                 }
             }
         }
         nr::SCHED_OP => {
-            ctx.cov.hit(Component::Hypercall, 30, 4);
+            ctx.cov.hit(Component::Hypercall, 30);
             match a1 {
                 0 => {
                     // SCHEDOP_yield.
-                    ctx.cov.hit(Component::Hypercall, 31, 2);
+                    ctx.cov.hit(Component::Hypercall, 31);
                     0
                 }
                 1 => {
                     // SCHEDOP_block: like HLT.
-                    ctx.cov.hit(Component::Hypercall, 32, 2);
+                    ctx.cov.hit(Component::Hypercall, 32);
                     ctx.vcpu.gprs.set(Gpr::Rax, 0);
                     return Disposition::Halt;
                 }
                 _ => {
-                    ctx.cov.hit(Component::Hypercall, 33, 2);
+                    ctx.cov.hit(Component::Hypercall, 33);
                     ENOSYS
                 }
             }
         }
         nr::MEMORY_OP => {
-            ctx.cov.hit(Component::Hypercall, 40, 4);
+            ctx.cov.hit(Component::Hypercall, 40);
             // XENMEM_maximum_ram_page and friends: return something sane.
             ctx.memory.ram_bytes() >> iris_vtx::ept::PAGE_SHIFT
         }
         nr::EVENT_CHANNEL_OP => {
-            ctx.cov.hit(Component::Hypercall, 45, 3);
+            ctx.cov.hit(Component::Hypercall, 45);
             0
         }
         nr::VCPU_OP => {
-            ctx.cov.hit(Component::Hypercall, 50, 3);
+            ctx.cov.hit(Component::Hypercall, 50);
             if a2 == u64::from(ctx.vcpu.id) {
                 0
             } else {
@@ -163,20 +163,20 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
             }
         }
         nr::GRANT_TABLE_OP | nr::HVM_OP => {
-            ctx.cov.hit(Component::Hypercall, 55, 3);
+            ctx.cov.hit(Component::Hypercall, 55);
             0
         }
         nr::VMCS_FUZZING => {
             // The IRIS manager interface. Privileged: only the control
             // domain may drive it.
-            ctx.cov.hit(Component::IrisFramework, 0, 5);
+            ctx.cov.hit(Component::IrisFramework, 0);
             if ctx.domain_id != 0 {
-                ctx.cov.hit(Component::IrisFramework, 1, 2);
+                ctx.cov.hit(Component::IrisFramework, 1);
                 EINVAL
             } else {
                 match FuzzingSubop::from_u64(a1) {
                     Some(_) => {
-                        ctx.cov.hit(Component::IrisFramework, 2, 3);
+                        ctx.cov.hit(Component::IrisFramework, 2);
                         0
                     }
                     None => EINVAL,
@@ -184,7 +184,7 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
             }
         }
         _ => {
-            ctx.cov.hit(Component::Hypercall, 60, 4);
+            ctx.cov.hit(Component::Hypercall, 60);
             // Campaigns run with the threshold at Warning; lazy push so
             // this debug line never allocates on the fuzzing hot path.
             ctx.log

@@ -251,16 +251,16 @@ impl Hypervisor {
         };
 
         // --- vmx_vmexit_handler prologue. --------------------------------
-        ctx.cov.hit(Component::Vmx, 0, 6);
+        ctx.cov.hit(Component::Vmx, 0);
         ctx.hooks.on_handler_entry(&ctx.vcpu.gprs);
-        ctx.cov.hit(Component::Vmx, 1, 2);
+        ctx.cov.hit(Component::Vmx, 1);
         let raw_reason = ctx.vmread(VmcsField::VmExitReason) as u16;
         let reason = ExitReason::from_number(raw_reason);
 
         // The mode/RIP consistency check of §VI-B.
         let rip = ctx.vmread(VmcsField::GuestRip);
         let mut disposition = if !ctx.vcpu.rip_valid_for_mode(rip) {
-            ctx.cov.hit(Component::Vmx, 2, 5);
+            ctx.cov.hit(Component::Vmx, 2);
             let mode = ctx.vcpu.hvm.mode;
             Disposition::CrashDomain(DomainCrashReason::BadRipForMode { mode, rip })
         } else {
@@ -272,7 +272,7 @@ impl Hypervisor {
                     None => handlers::dispatch(&mut ctx, r),
                 },
                 None => {
-                    ctx.cov.hit(Component::Vmx, 3, 4);
+                    ctx.cov.hit(Component::Vmx, 3);
                     Disposition::CrashHypervisor(HypervisorCrashReason::UnhandledExit {
                         reason: raw_reason,
                     })
@@ -302,9 +302,9 @@ impl Hypervisor {
             }
 
             // VM entry: the §26.3 checks guard semantic correctness.
-            ctx.cov.hit(Component::Vmx, 4, 3);
+            ctx.cov.hit(Component::Vmx, 4);
             if let Err(failure) = entry_checks::check_guest_state(&ctx.vcpu.vmcs) {
-                ctx.cov.hit(Component::Vmx, 5, 5);
+                ctx.cov.hit(Component::Vmx, 5);
                 let now = ctx.tsc.now();
                 ctx.log
                     .push_with(now, Level::Err, || format!("VM entry failure: {failure:?}"));

@@ -28,11 +28,11 @@ pub mod intr_info {
 
 /// Run the interrupt-assist pass. Returns the injected vector, if any.
 pub fn intr_assist(ctx: &mut ExitCtx<'_>) -> Option<u8> {
-    ctx.cov.hit(Component::Intr, 0, 4);
+    ctx.cov.hit(Component::Intr, 0);
 
     // 1. A pending exception from the handler wins.
     if let Some((vec, err)) = ctx.vcpu.hvm.pending_event.take() {
-        ctx.cov.hit(Component::Intr, 1, 5);
+        ctx.cov.hit(Component::Intr, 1);
         let mut info = intr_info::VALID | intr_info::TYPE_HW_EXCEPTION | u64::from(vec);
         if let Some(code) = err {
             info |= intr_info::ERROR_CODE;
@@ -45,7 +45,7 @@ pub fn intr_assist(ctx: &mut ExitCtx<'_>) -> Option<u8> {
     // 2. Virtual interrupts, gated by RFLAGS.IF and interruptibility.
     let pending = ctx.vcpu.hvm.vlapic.highest_pending();
     if pending.is_none() {
-        ctx.cov.hit(Component::Intr, 2, 2);
+        ctx.cov.hit(Component::Intr, 2);
         return None;
     }
     let rflags = ctx.vmread(VmcsField::GuestRflags);
@@ -54,7 +54,7 @@ pub fn intr_assist(ctx: &mut ExitCtx<'_>) -> Option<u8> {
     let blocked = interruptibility & 0x3 != 0; // STI/MOV-SS shadow
 
     if if_set && !blocked {
-        ctx.cov.hit(Component::Intr, 3, 5);
+        ctx.cov.hit(Component::Intr, 3);
         let vec = ctx
             .vcpu
             .hvm
@@ -68,9 +68,9 @@ pub fn intr_assist(ctx: &mut ExitCtx<'_>) -> Option<u8> {
         Some(vec)
     } else {
         // 3. Not interruptible: open an interrupt window.
-        ctx.cov.hit(Component::Intr, 4, 5);
+        ctx.cov.hit(Component::Intr, 4);
         if !ctx.vcpu.hvm.int_window_requested {
-            ctx.cov.hit(Component::Intr, 5, 3);
+            ctx.cov.hit(Component::Intr, 5);
             let ctl = ctx.vmread(VmcsField::CpuBasedVmExecControl);
             ctx.vmwrite(VmcsField::CpuBasedVmExecControl, ctl | (1 << 2));
             ctx.vcpu.hvm.int_window_requested = true;

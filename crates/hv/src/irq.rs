@@ -64,24 +64,24 @@ impl HvmIrq {
     /// Assert a GSI (`hvm_isa_irq_assert`): raise the line and, on a
     /// 0→1 edge, inject the routed vector into the vLAPIC.
     pub fn assert_gsi(&mut self, line: u8, vlapic: &mut Vlapic, cov: &mut CovSink<'_>) {
-        cov.hit(crate::coverage::Component::Irq, 0, 4);
+        cov.hit(crate::coverage::Component::Irq, 0);
         let idx = usize::from(line) % NR_GSIS;
         let was = self.gsi_assert_count[idx];
         self.gsi_assert_count[idx] = was.saturating_add(1);
         if was == 0 {
-            cov.hit(crate::coverage::Component::Irq, 1, 3);
+            cov.hit(crate::coverage::Component::Irq, 1);
             if vlapic.set_irq(self.gsi_vector[idx], cov) {
-                cov.hit(crate::coverage::Component::Irq, 2, 2);
+                cov.hit(crate::coverage::Component::Irq, 2);
                 self.delivered += 1;
             }
         } else {
-            cov.hit(crate::coverage::Component::Irq, 3, 2);
+            cov.hit(crate::coverage::Component::Irq, 3);
         }
     }
 
     /// Deassert a GSI (`hvm_isa_irq_deassert`).
     pub fn deassert_gsi(&mut self, line: u8, cov: &mut CovSink<'_>) {
-        cov.hit(crate::coverage::Component::Irq, 4, 3);
+        cov.hit(crate::coverage::Component::Irq, 4);
         let idx = usize::from(line) % NR_GSIS;
         self.gsi_assert_count[idx] = self.gsi_assert_count[idx].saturating_sub(1);
     }
@@ -94,7 +94,7 @@ impl HvmIrq {
 
     /// Reprogram a GSI's vector (IO-APIC redirection entry write).
     pub fn route(&mut self, line: u8, vector: u8, cov: &mut CovSink<'_>) {
-        cov.hit(crate::coverage::Component::Irq, 5, 3);
+        cov.hit(crate::coverage::Component::Irq, 5);
         self.gsi_vector[usize::from(line) % NR_GSIS] = vector;
     }
 }

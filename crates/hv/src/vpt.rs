@@ -95,20 +95,20 @@ impl Vpt {
         vlapic: &mut Vlapic,
         cov: &mut CovSink<'_>,
     ) -> u32 {
-        cov.hit(crate::coverage::Component::Vpt, 0, 3);
+        cov.hit(crate::coverage::Component::Vpt, 0);
         let mut fired = 0u32;
         for t in [&mut self.pit_timer, &mut self.rtc_timer] {
             if !t.enabled {
                 continue;
             }
-            cov.hit(crate::coverage::Component::Vpt, 1, 4);
+            cov.hit(crate::coverage::Component::Vpt, 1);
             while now >= t.next_deadline {
-                cov.hit(crate::coverage::Component::Vpt, 2, 5);
+                cov.hit(crate::coverage::Component::Vpt, 2);
                 t.pending_ticks = t.pending_ticks.saturating_add(1);
                 t.next_deadline = t.next_deadline.saturating_add(t.period_cycles);
             }
             if t.pending_ticks > 0 {
-                cov.hit(crate::coverage::Component::Vpt, 3, 4);
+                cov.hit(crate::coverage::Component::Vpt, 3);
                 // Missed-ticks policy: deliver one, fold the rest.
                 t.pending_ticks = 0;
                 irq.assert_gsi(t.irq_line, vlapic, cov);
@@ -117,7 +117,7 @@ impl Vpt {
             }
         }
         if fired > 0 {
-            cov.hit(crate::coverage::Component::Vpt, 4, 2);
+            cov.hit(crate::coverage::Component::Vpt, 4);
             self.ticks_delivered += u64::from(fired);
         }
         fired

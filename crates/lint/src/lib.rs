@@ -13,7 +13,8 @@
 //! This crate checks those laws statically on every commit. It is a
 //! self-contained, dependency-free static-analysis pass: a
 //! comment/string-aware line scanner ([`scan`]), a rule engine with
-//! per-file scoping and a reason-mandatory allowlist ([`rules`]), and
+//! per-file scoping and a reason-mandatory allowlist ([`rules`]), the
+//! one cross-file rule ([`cov`]), and
 //! `file:line:rule` diagnostics with text and `--json` report modes
 //! ([`report`]). The law → rule mapping and the allowlist policy are
 //! documented in `ANALYSIS.md` at the repository root.
@@ -30,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cov;
 pub mod report;
 pub mod rules;
 pub mod scan;
@@ -45,10 +47,18 @@ use std::path::{Path, PathBuf};
 ///
 /// This is the fixture-testing entry point: the workspace driver
 /// derives the rule set from the path via [`scoped_rules`] instead.
+///
+/// The cross-file `cov-block-law` treats the one file as the whole
+/// scope: its sites are checked against its own `BLOCK_LINES`.
 #[must_use]
 pub fn lint_source(rel: &str, src: &str, rule_set: &[Rule]) -> Vec<Diagnostic> {
     let lines = scan::scan(src);
-    rules::lint_lines(rel, &lines, rule_set)
+    let mut diags = rules::lint_lines(rel, &lines, rule_set);
+    if rule_set.contains(&Rule::CovBlockLaw) {
+        diags.extend(cov::check(&[(rel.to_string(), cov::collect(&lines))]));
+        diags.sort();
+    }
+    diags
 }
 
 /// Lint one in-memory source file with its path-derived rule set.
@@ -160,10 +170,15 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
 
     let mut findings = Vec::new();
     let mut waivers: BTreeMap<String, usize> = BTreeMap::new();
+    let mut cov_scope = Vec::new();
     for rel in &sources {
         let src = std::fs::read_to_string(root.join(rel))?;
         let lines = scan::scan(&src);
-        findings.extend(rules::lint_lines(rel, &lines, &scoped_rules(rel)));
+        let rule_set = scoped_rules(rel);
+        findings.extend(rules::lint_lines(rel, &lines, &rule_set));
+        if rule_set.contains(&Rule::CovBlockLaw) {
+            cov_scope.push((rel.clone(), cov::collect(&lines)));
+        }
         for rule in rules::waivers(&lines) {
             *waivers.entry(rule.to_string()).or_insert(0) += 1;
         }
@@ -181,6 +196,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
             }
         }
     }
+
+    findings.extend(cov::check(&cov_scope));
 
     for (pkg, state) in &packages {
         if let Some(root_file) = &state.root_file {
@@ -264,7 +281,9 @@ mod tests {
 
         let hv = scoped_rules("crates/hv/src/hypervisor.rs");
         assert!(hv.contains(&Rule::AmbientNondeterminism));
+        assert!(hv.contains(&Rule::CovBlockLaw));
         assert!(!hv.contains(&Rule::RngLaw));
+        assert!(!guided.contains(&Rule::CovBlockLaw));
 
         let vendor = scoped_rules("vendor/criterion/src/lib.rs");
         assert_eq!(vendor, vec![Rule::UnsafeAudit]);

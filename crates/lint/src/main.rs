@@ -21,7 +21,8 @@ OPTIONS:
 EXIT CODE: 0 clean, 1 findings, 2 usage or I/O error.
 
 Rules (see ANALYSIS.md): no-ambient-nondeterminism, rng-law,
-no-unordered-merge, unsafe-audit, panic-path-audit, slot-reset-law.
+no-unordered-merge, unsafe-audit, panic-path-audit, slot-reset-law,
+cov-block-law.
 Waive a single line with `// lint:allow(<rule>) -- <reason>`.
 ";
 

@@ -45,17 +45,22 @@ pub enum Rule {
     /// the PR-5 bug class (reset only on crash) made slot outcomes
     /// partition-dependent.
     SlotResetLaw,
+    /// Law 7: every coverage instrumentation site names a literal block
+    /// that `BLOCK_LINES` declares, and every declared block has a site.
+    /// Cross-file, so checked by [`crate::cov`] rather than line by line.
+    CovBlockLaw,
 }
 
 impl Rule {
     /// Every rule, in severity-stable report order.
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 7] = [
         Rule::AmbientNondeterminism,
         Rule::RngLaw,
         Rule::UnorderedMerge,
         Rule::UnsafeAudit,
         Rule::PanicPath,
         Rule::SlotResetLaw,
+        Rule::CovBlockLaw,
     ];
 
     /// The stable diagnostic / allowlist identifier.
@@ -68,6 +73,7 @@ impl Rule {
             Rule::UnsafeAudit => "unsafe-audit",
             Rule::PanicPath => "panic-path-audit",
             Rule::SlotResetLaw => "slot-reset-law",
+            Rule::CovBlockLaw => "cov-block-law",
         }
     }
 
@@ -182,6 +188,10 @@ pub fn scoped_rules(rel: &str) -> Vec<Rule> {
     }
     if RESET_SCOPE_FILES.contains(&rel) {
         rules.push(Rule::SlotResetLaw);
+    }
+    // The instrumented model: the block table and every site live here.
+    if rel.starts_with("crates/hv/src/") {
+        rules.push(Rule::CovBlockLaw);
     }
     rules
 }
@@ -479,6 +489,11 @@ pub fn lint_lines(rel: &str, lines: &[LineInfo], rules: &[Rule]) -> Vec<Diagnost
                         );
                     }
                 }
+                // Cross-file: `crate::cov::check` compares the table and
+                // the sites of every file in scope. Emitting nothing here
+                // also makes a `lint:allow` for this rule an unused one —
+                // the law takes no waivers.
+                Rule::CovBlockLaw => {}
             }
         }
     }

@@ -103,6 +103,56 @@ fn panic_path_fixtures() {
 }
 
 #[test]
+fn cov_block_law_fixtures() {
+    let bad = lint_fixture("cov_bad.rs", Rule::CovBlockLaw);
+    let found = |line: usize, needle: &str| {
+        bad.iter()
+            .any(|d| d.rule == "cov-block-law" && d.line == line && d.message.contains(needle))
+    };
+    // Rows: dead, zero-weight, alive only through a test.
+    assert!(found(10, "`Vmx/7`") && found(10, "dead row"), "{bad:?}");
+    assert!(found(12, "`Vmx/8`") && found(12, "zero lines"), "{bad:?}");
+    assert!(found(15, "`Io/5`") && found(15, "dead row"), "{bad:?}");
+    // Sites: undeclared, computed id, variable component, variable id,
+    // a leftover weight argument, a zero-weight block.
+    assert!(
+        found(23, "`Vmx/11`") && found(23, "does not declare"),
+        "{bad:?}"
+    );
+    assert!(found(25, "2 - 1") && found(25, "literal"), "{bad:?}");
+    assert!(found(27, "which") && found(27, "literal"), "{bad:?}");
+    assert!(found(28, "literal"), "{bad:?}");
+    assert!(found(30, "literal"), "{bad:?}");
+    assert!(
+        found(32, "`Vmx/8`") && found(32, "does not declare"),
+        "{bad:?}"
+    );
+    // The law takes no waivers: the allow is reported as unused and the
+    // site it sits on is still a finding.
+    assert!(found(35, "`Vmx/12`"), "{bad:?}");
+    assert!(
+        bad.iter()
+            .any(|d| d.rule == ALLOW_RULE_ID && d.line == 34 && d.message.contains("unused")),
+        "{bad:?}"
+    );
+    assert_eq!(bad.len(), 11, "{bad:?}");
+
+    let good = lint_fixture("cov_good.rs", Rule::CovBlockLaw);
+    assert!(good.is_empty(), "{good:?}");
+}
+
+#[test]
+fn cov_fixture_is_inert_outside_the_model() {
+    // The table and its sites live in `crates/hv/src/`; the same text
+    // anywhere else is not the model's instrumentation.
+    let bad = fixture("cov_bad.rs");
+    let diags = lint_source_scoped("crates/fuzzer/src/campaign.rs", &bad);
+    assert!(!rules_hit(&diags).contains(&"cov-block-law"), "{diags:?}");
+    let diags = lint_source_scoped("crates/hv/src/handlers/cr.rs", &bad);
+    assert!(rules_hit(&diags).contains(&"cov-block-law"), "{diags:?}");
+}
+
+#[test]
 fn pr5_regression_fixture_is_flagged() {
     // Linted as if it were guided.rs — the file whose PR-5 incarnation
     // carried this exact bug class. The scoped rule set must catch

@@ -2,7 +2,7 @@
 
 use iris_core::seed::{VmSeed, MAX_VMCS_OPS};
 use iris_fuzzer::mutation::{mutate, AppliedMutation, SeedArea};
-use iris_hv::coverage::{Block, Component, CoverageMap};
+use iris_hv::coverage::{Block, Component, CoverageMap, BLOCKS_PER_COMPONENT, BLOCK_LINES};
 use iris_vtx::cr::{Cr0, OperatingMode};
 use iris_vtx::exit::{CrAccessQual, EptQual, ExitReason, IoQual};
 use iris_vtx::fields::VmcsField;
@@ -11,6 +11,7 @@ use iris_vtx::vmcs::Vmcs;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 fn arb_field() -> impl Strategy<Value = VmcsField> {
@@ -39,6 +40,34 @@ fn arb_seed() -> impl Strategy<Value = VmSeed> {
             s.gprs = set;
             s
         })
+}
+
+/// Every block the build declares, in `(component, id)` order.
+fn declared_blocks() -> &'static [Block] {
+    static DECLARED: OnceLock<Vec<Block>> = OnceLock::new();
+    DECLARED.get_or_init(|| {
+        Component::ALL
+            .iter()
+            .flat_map(|&c| (0..BLOCKS_PER_COMPONENT as u16).map(move |id| Block::new(c, id)))
+            .filter(|&blk| table_lines(blk) != 0)
+            .collect()
+    })
+}
+
+fn arb_block() -> impl Strategy<Value = Block> {
+    (0..declared_blocks().len()).prop_map(|i| declared_blocks()[i])
+}
+
+/// The model's weight of a block: read straight off the table, not
+/// through `Block::lines`.
+fn table_lines(block: Block) -> u64 {
+    BLOCK_LINES[block.component.index()]
+        .get(usize::from(block.id))
+        .map_or(0, |&l| u64::from(l))
+}
+
+fn model_lines<'a>(blocks: impl IntoIterator<Item = &'a Block>) -> u64 {
+    blocks.into_iter().map(|&blk| table_lines(blk)).sum()
 }
 
 proptest! {
@@ -150,76 +179,91 @@ proptest! {
         prop_assert_eq!(VmcsField::from_compact_index(idx), Some(field));
     }
 
-    /// The dense bitmap CoverageMap matches a BTreeMap reference model:
-    /// `lines`, `merge`, `new_lines_from`, `symmetric_diff_lines`,
-    /// `contains`, per-component sums, and the serde round trip.
+    /// The dense bitmap CoverageMap matches a `BTreeSet<Block>` reference
+    /// model weighted by the build's table: `lines`, `contains`,
+    /// per-component sums, `new_lines_from`, `symmetric_diff_lines`,
+    /// `diff_lines_by_component`, `strip_framework`, the serde round trip,
+    /// and `merge` (the union, commutative and idempotent).
     #[test]
-    fn coverage_bitmap_matches_btreemap_model(
-        left in proptest::collection::vec((0usize..12, 0u16..256, 1u32..40), 0..60),
-        right in proptest::collection::vec((0usize..12, 0u16..256, 1u32..40), 0..60),
+    fn coverage_bitmap_matches_btreeset_model(
+        left in proptest::collection::vec(arb_block(), 0..60),
+        right in proptest::collection::vec(arb_block(), 0..60),
     ) {
-        use std::collections::BTreeMap;
-
-        let build = |hits: &[(usize, u16, u32)]| {
+        let build = |hits: &[Block]| {
             let mut map = CoverageMap::new();
-            let mut model: BTreeMap<Block, u64> = BTreeMap::new();
-            for &(c, id, loc) in hits {
-                let block = Block::new(Component::ALL[c], id);
-                map.hit(block, loc);
-                model.entry(block).or_insert(u64::from(loc)); // first weight wins
+            for &block in hits {
+                map.hit(block);
             }
-            (map, model)
+            (map, hits.iter().copied().collect::<BTreeSet<Block>>())
         };
-        let (mut a, model_a) = build(&left);
+        let (a, model_a) = build(&left);
         let (b, model_b) = build(&right);
 
-        let model_lines = |m: &BTreeMap<Block, u64>| m.values().sum::<u64>();
         prop_assert_eq!(a.lines(), model_lines(&model_a));
         prop_assert_eq!(a.block_count(), model_a.len());
         for &component in Component::ALL {
-            let per: u64 = model_a
-                .iter()
-                .filter(|(blk, _)| blk.component == component)
-                .map(|(_, l)| *l)
-                .sum();
+            let per = model_lines(model_a.iter().filter(|blk| blk.component == component));
             prop_assert_eq!(a.lines_in(component), per);
         }
-        for blk in model_b.keys() {
-            prop_assert_eq!(a.contains(*blk), model_a.contains_key(blk));
+        for blk in &model_b {
+            prop_assert_eq!(a.contains(*blk), model_a.contains(blk));
         }
 
-        let new_from_b: u64 = model_b
-            .iter()
-            .filter(|(blk, _)| !model_a.contains_key(blk))
-            .map(|(_, l)| *l)
-            .sum();
+        let new_from_b = model_lines(model_b.difference(&model_a));
+        let new_from_a = model_lines(model_a.difference(&model_b));
         prop_assert_eq!(a.new_lines_from(&b), new_from_b);
-        let new_from_a: u64 = model_a
-            .iter()
-            .filter(|(blk, _)| !model_b.contains_key(blk))
-            .map(|(_, l)| *l)
-            .sum();
         prop_assert_eq!(a.symmetric_diff_lines(&b), new_from_a + new_from_b);
 
-        // Serde round trip preserves the exact block/weight set.
+        // Fig. 7 clustering: lines only `a` has, per component, with no
+        // empty clusters.
+        let mut model_diff: BTreeMap<Component, u64> = BTreeMap::new();
+        for blk in model_a.difference(&model_b) {
+            *model_diff.entry(blk.component).or_insert(0) += table_lines(*blk);
+        }
+        prop_assert_eq!(a.diff_lines_by_component(&b), model_diff);
+
+        // Framework hits drop out as a whole component and nothing else.
+        let mut clean = a.clone();
+        clean.strip_framework();
+        let model_clean: BTreeSet<Block> = model_a
+            .iter()
+            .copied()
+            .filter(|blk| blk.component != Component::IrisFramework)
+            .collect();
+        prop_assert_eq!(&clean, &build(&model_clean.iter().copied().collect::<Vec<_>>()).0);
+        prop_assert_eq!(clean.lines(), model_lines(&model_clean));
+        prop_assert_eq!(&clean, &a.without_framework());
+
+        // Serde round trip preserves the exact block set, and writes each
+        // block beside its table weight.
         let json = serde_json::to_string(&a).expect("serializes");
         let back: CoverageMap = serde_json::from_str(&json).expect("parses");
         prop_assert_eq!(&back, &a);
+        let wire: Vec<(Block, u32)> = serde_json::from_str(&json).expect("a pair list");
+        let model_wire: Vec<(Block, u32)> =
+            model_a.iter().map(|&blk| (blk, table_lines(blk) as u32)).collect();
+        prop_assert_eq!(wire, model_wire);
 
-        // Merge matches the model union (first weight wins on collisions,
-        // matching the old BTreeMap entry().or_insert semantics).
-        let mut merged_model = model_a.clone();
-        for (blk, l) in &model_b {
-            merged_model.entry(*blk).or_insert(*l);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.lines(), model_lines(&merged_model));
-        prop_assert_eq!(a.block_count(), merged_model.len());
-        let pairs: Vec<(Block, u32)> = a.iter().collect();
-        prop_assert_eq!(pairs.len(), merged_model.len());
+        // Merge is the model union, whichever side folds into which, and
+        // folding again changes nothing.
+        let union: BTreeSet<Block> = model_a.union(&model_b).copied().collect();
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        prop_assert_eq!(&ab, &ba);
+        prop_assert_eq!(ab.lines(), model_lines(&union));
+        prop_assert_eq!(ab.lines(), a.lines() + new_from_b);
+        prop_assert_eq!(ab.block_count(), union.len());
+        let pairs: Vec<(Block, u32)> = ab.iter().collect();
+        prop_assert_eq!(pairs.iter().map(|&(blk, _)| blk).collect::<BTreeSet<_>>(), union);
         for (blk, l) in pairs {
-            prop_assert_eq!(merged_model.get(&blk), Some(&u64::from(l)));
+            prop_assert_eq!(u64::from(l), table_lines(blk));
         }
+        let once = ab.clone();
+        ab.merge(&b);
+        prop_assert_eq!(&ab, &once);
+        prop_assert_eq!(ab.new_lines_from(&b), 0);
     }
 
     /// Sharding a hit stream across N workers and folding the per-worker
@@ -228,19 +272,14 @@ proptest! {
     /// shard assignment and any fold order.
     #[test]
     fn sharded_coverage_merge_equals_sequential(
-        hits in proptest::collection::vec((0usize..12, 0u16..256), 0..80),
+        hits in proptest::collection::vec(arb_block(), 0..80),
         jobs in 1usize..8,
     ) {
         let mut sequential = CoverageMap::new();
         let mut shards = vec![CoverageMap::new(); jobs];
-        for (i, &(c, id)) in hits.iter().enumerate() {
-            let block = Block::new(Component::ALL[c], id);
-            // LOC weights are static per block in the real system (each
-            // `cov!` site always reports the same weight), so derive the
-            // weight from the block identity.
-            let loc = u32::from(id) % 39 + 1;
-            sequential.hit(block, loc);
-            shards[i % jobs].hit(block, loc);
+        for (i, &block) in hits.iter().enumerate() {
+            sequential.hit(block);
+            shards[i % jobs].hit(block);
         }
         prop_assert_eq!(&CoverageMap::merged(shards.iter()), &sequential);
         // Completion order must not matter to the aggregator.
@@ -250,14 +289,15 @@ proptest! {
     /// Coverage-map merge is monotone and idempotent; line counts never
     /// double-count blocks.
     #[test]
-    fn coverage_merge_monotone(hits in proptest::collection::vec((0u16..64, 1u32..20), 1..40)) {
+    fn coverage_merge_monotone(hits in proptest::collection::vec(arb_block(), 1..40)) {
+        let (left, right) = hits.split_at(hits.len() / 2);
         let mut a = CoverageMap::new();
-        for &(id, loc) in &hits[..hits.len() / 2] {
-            a.hit(Block::new(Component::Vmx, id), loc);
+        for &block in left {
+            a.hit(block);
         }
         let mut b = CoverageMap::new();
-        for &(id, loc) in &hits[hits.len() / 2..] {
-            b.hit(Block::new(Component::Vmx, id), loc);
+        for &block in right {
+            b.hit(block);
         }
         let before = a.lines();
         let gain = a.new_lines_from(&b);
@@ -268,6 +308,29 @@ proptest! {
         a.merge(&b);
         prop_assert_eq!(a.lines(), after);
         prop_assert_eq!(a.new_lines_from(&b), 0);
+    }
+
+    /// A persisted pair the build's table does not back — an undeclared
+    /// or out-of-range block, or a declared one at another weight — fails
+    /// the load with an error naming the block; it is never adopted.
+    #[test]
+    fn coverage_pairs_off_the_table_are_rejected(
+        good in proptest::collection::vec(arb_block(), 0..20),
+        component in 0..Component::ALL.len(),
+        id in 0u16..400,
+        lines in 0u32..300,
+    ) {
+        let hostile = Block::new(Component::ALL[component], id);
+        // Never the one weight that would make the pair genuine.
+        let lines = if u64::from(lines) == table_lines(hostile) { lines + 1 } else { lines };
+        let mut pairs: Vec<(Block, u32)> =
+            good.iter().map(|&blk| (blk, table_lines(blk) as u32)).collect();
+        pairs.push((hostile, lines));
+        let json = serde_json::to_string(&pairs).expect("serializes");
+        let err = serde_json::from_str::<CoverageMap>(&json)
+            .expect_err("a pair the table does not back must not load");
+        let named = format!("{:?}/{}", hostile.component, hostile.id);
+        prop_assert!(err.to_string().contains(&named), "{}", err);
     }
 
     /// A mutation flips exactly one bit in exactly one place, and the
