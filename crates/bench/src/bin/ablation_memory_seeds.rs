@@ -12,19 +12,13 @@ use iris_guest::workloads::Workload;
 use iris_hv::hypervisor::Hypervisor;
 
 fn run(workload: Workload, exits: usize, record_memory: bool) -> (f64, f64) {
-    let mut hv = Hypervisor::new();
-    let dom = hv.create_hvm_domain(64 << 20);
-    if workload != Workload::OsBoot {
-        fast_forward_boot(&mut hv, dom);
-    }
     let recorder = Recorder {
         config: RecordConfig {
             record_memory,
             ..RecordConfig::default()
         },
     };
-    let trace =
-        recorder.record_workload(&mut hv, dom, workload.label(), workload.generate(exits, 42));
+    let (_, trace) = recorder.record_fresh(workload, exits, 42, 64 << 20);
 
     let mut hv2 = Hypervisor::new();
     let dummy = hv2.create_hvm_domain(64 << 20);

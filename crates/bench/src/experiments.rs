@@ -20,19 +20,11 @@ use iris_vtx::exit::ExitReason;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
-/// Record `exits` of a workload on a fresh stack (booting the test VM
-/// first for non-boot workloads). Returns the hypervisor too, so callers
-/// can keep replaying on the same clock.
+/// Record `exits` of a workload on a fresh 64 MiB test VM — the size
+/// every table and figure of the evaluation is regenerated at.
 #[must_use]
 pub fn record_workload(workload: Workload, exits: usize, seed: u64) -> (Hypervisor, RecordedTrace) {
-    let mut hv = Hypervisor::new();
-    let dom = hv.create_hvm_domain(64 << 20);
-    if workload != Workload::OsBoot {
-        fast_forward_boot(&mut hv, dom);
-    }
-    let ops = workload.generate(exits, seed);
-    let trace = Recorder::new().record_workload(&mut hv, dom, workload.label(), ops);
-    (hv, trace)
+    Recorder::new().record_fresh(workload, exits, seed, 64 << 20)
 }
 
 /// Replay a recorded trace into a fresh dummy VM; returns the replay
@@ -343,20 +335,7 @@ pub fn fig10_overhead(workload: Workload, exits: usize, runs: usize, seed: u64) 
         }
 
         // With recording.
-        let (_, trace) = {
-            let mut hv = Hypervisor::new();
-            let dom = hv.create_hvm_domain(64 << 20);
-            if workload != Workload::OsBoot {
-                fast_forward_boot(&mut hv, dom);
-            }
-            let t = Recorder::new().record_workload(
-                &mut hv,
-                dom,
-                workload.label(),
-                workload.generate(exits, seed + r as u64),
-            );
-            (hv, t)
-        };
+        let (_, trace) = record_workload(workload, exits, seed + r as u64);
         for m in &trace.metrics {
             recorded
                 .entry(m.reason.figure_label().to_owned())

@@ -2,8 +2,10 @@
 //!
 //! One runner per table/figure of the paper's evaluation (§VI–§VII).
 //! The binaries under `src/bin/` print the same rows/series the paper
-//! reports and optionally emit JSON; the Criterion benches measure the
-//! real wall-clock performance of the reproduction itself.
+//! reports and optionally emit JSON. The reproduction's own speed is
+//! measured by `benchmark/` (its own workspace); the Criterion benches
+//! here are the single-operation microbenches and `scaling`, the
+//! worker-count axis `benchmark/` does not cover.
 //!
 //! | paper item | runner | binary |
 //! |---|---|---|
@@ -21,5 +23,4 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_json;
 pub mod experiments;

@@ -18,7 +18,7 @@ use args::{command, Command, Flag, Parsed};
 use iris_core::forest::ForestConfig;
 use iris_core::manager::{IrisManager, Mode};
 use iris_core::metrics;
-use iris_core::record::RecordConfig;
+use iris_core::record::{RecordConfig, Recorder};
 use iris_core::seed_db::SeedDb;
 use iris_core::trace::RecordedTrace;
 use iris_dist::backoff::BackoffPolicy;
@@ -492,16 +492,14 @@ fn cmd_replay(p: &Parsed) -> Result<String, CliError> {
 }
 
 fn cmd_fuzz(p: &Parsed) -> Result<String, CliError> {
-    let (mut mgr, w, exits, seed) = setup(p)?;
+    let (w, exits, seed) = trace_args(p)?;
     let mutants: usize = p.num("--mutants", 500)?;
     let area = match p.value("--area") {
         None | Some("vmcs") => SeedArea::Vmcs,
         Some("gpr") => SeedArea::Gpr,
         Some(other) => return Err(p.command.usage_error(format!("bad --area {other}"))),
     };
-    let ops = w.generate(exits, seed);
-    mgr.record(w.label(), ops, RecordConfig::default());
-    let trace = mgr.db.get(w.label()).expect("recorded").clone();
+    let (_, trace) = Recorder::new().record_fresh(w, exits, seed, 64 << 20);
 
     let reason = p.value("--reason");
     let wanted = |label: &str| reason.is_none_or(|r| label.eq_ignore_ascii_case(r));

@@ -10,7 +10,8 @@
 use crate::seed::VmSeed;
 use crate::trace::{RecordedTrace, SeedMetrics};
 use iris_guest::event::GuestOp;
-use iris_guest::runner::GuestRunner;
+use iris_guest::runner::{fast_forward_boot, GuestRunner};
+use iris_guest::workloads::Workload;
 use iris_hv::costs;
 use iris_hv::hooks::VmxHooks;
 use iris_hv::hypervisor::Hypervisor;
@@ -148,6 +149,33 @@ impl Recorder {
         }
     }
 
+    /// The one route from a trace's coordinates to the trace: build a
+    /// fresh hypervisor with one `ram_bytes` test VM, put it in the
+    /// post-boot state unless the workload *is* the boot (§VII-1's
+    /// `s0`), and record `exits` exits of `workload` generated from
+    /// `seed`. RAM size is a coordinate like the other three — the
+    /// `MEMORY_OP` hypercall of OS BOOT and MEM-BOUND returns the frame
+    /// count, which the seeds after it carry in RAX — so callers name
+    /// theirs. The hypervisor comes back for callers that keep its
+    /// clock or log.
+    #[must_use]
+    pub fn record_fresh(
+        &self,
+        workload: Workload,
+        exits: usize,
+        seed: u64,
+        ram_bytes: u64,
+    ) -> (Hypervisor, RecordedTrace) {
+        let mut hv = Hypervisor::new();
+        let dom = hv.create_hvm_domain(ram_bytes);
+        if workload != Workload::OsBoot {
+            fast_forward_boot(&mut hv, dom);
+        }
+        let ops = workload.generate(exits, seed);
+        let trace = self.record_workload(&mut hv, dom, workload.label(), ops);
+        (hv, trace)
+    }
+
     /// Record the execution of `ops` on `domain` (the test VM). Returns
     /// the trace of seeds + metrics, one per executed exit. Stops at a
     /// crash, like the real system would.
@@ -218,18 +246,9 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iris_guest::runner::fast_forward_boot;
-    use iris_guest::workloads::Workload;
 
     fn record(workload: Workload, n: usize) -> (Hypervisor, RecordedTrace) {
-        let mut hv = Hypervisor::new();
-        let dom = hv.create_hvm_domain(16 << 20);
-        if workload != Workload::OsBoot {
-            fast_forward_boot(&mut hv, dom);
-        }
-        let ops = workload.generate(n, 42);
-        let trace = Recorder::new().record_workload(&mut hv, dom, workload.label(), ops);
-        (hv, trace)
+        Recorder::new().record_fresh(workload, n, 42, 16 << 20)
     }
 
     #[test]

@@ -250,12 +250,7 @@ mod tests {
     use iris_guest::workloads::Workload;
 
     fn record_trace(w: Workload, n: usize) -> RecordedTrace {
-        let mut hv = Hypervisor::new();
-        let dom = hv.create_hvm_domain(16 << 20);
-        if w != Workload::OsBoot {
-            fast_forward_boot(&mut hv, dom);
-        }
-        Recorder::new().record_workload(&mut hv, dom, w.label(), w.generate(n, 42))
+        Recorder::new().record_fresh(w, n, 42, 16 << 20).1
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! and reconnect matching.
 
 use crate::DistError;
-use iris_core::manager::IrisManager;
-use iris_core::record::RecordConfig;
+use iris_core::record::Recorder;
 use iris_core::trace::RecordedTrace;
 use iris_fuzzer::checkpoint::{campaign_fingerprint, guided_fingerprint};
 use iris_fuzzer::guided::GuidedConfig;
@@ -81,20 +80,16 @@ impl JobSpec {
     }
 
     /// Re-record the spec's trace — deterministic in
-    /// `(workload, exits, seed)`, so every participant derives
-    /// identical bytes. `iris campaign` / `iris guided` record their
-    /// trace through this call too.
+    /// `(workload, exits, seed)` on the fleet's 64 MiB test VM, so every
+    /// participant derives identical bytes. `iris campaign` /
+    /// `iris guided` record their trace through this call too.
     ///
     /// # Errors
     /// [`DistError::Protocol`] on an unknown workload label.
     pub fn record_trace(&self) -> Result<RecordedTrace, DistError> {
-        let w = self.workload()?;
-        let mut mgr = IrisManager::new(64 << 20);
-        if w != Workload::OsBoot {
-            mgr.boot_test_vm();
-        }
-        let ops = w.generate(self.exits, self.seed);
-        Ok(mgr.record(w.label(), ops, RecordConfig::default()).clone())
+        let recorded =
+            Recorder::new().record_fresh(self.workload()?, self.exits, self.seed, 64 << 20);
+        Ok(recorded.1)
     }
 
     /// The deterministic campaign plan over `trace` (empty for guided
@@ -115,8 +110,8 @@ impl JobSpec {
     }
 
     /// The guided configuration the spec describes (scheduling seed =
-    /// trace seed, stock RAM sizing), which `iris guided` runs with too;
-    /// `None` for campaign jobs.
+    /// trace seed), which `iris guided` runs with too; `None` for
+    /// campaign jobs.
     #[must_use]
     pub fn guided_config(&self) -> Option<GuidedConfig> {
         match self.kind {
@@ -124,7 +119,6 @@ impl JobSpec {
                 budget,
                 rng_seed: self.seed,
                 generation,
-                ..GuidedConfig::default()
             }),
             JobKind::Campaign { .. } => None,
         }

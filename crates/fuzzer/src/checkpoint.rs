@@ -90,7 +90,9 @@ pub fn atomic_write_json(path: &Path, json: &[u8]) -> io::Result<()> {
 /// everything the byte-identical result depends on. `jobs` is
 /// deliberately absent — the shared engine's determinism law makes the
 /// result worker-count-independent, so a run may resume with a
-/// different worker count.
+/// different worker count. The `ram=` segment names the stock dummy-VM
+/// size every factory builds, which no option changes; dropping it
+/// would orphan the checkpoints already written.
 #[must_use]
 pub fn guided_fingerprint(
     target: &str,
@@ -103,7 +105,7 @@ pub fn guided_fingerprint(
         config.rng_seed,
         config.budget,
         config.generation.max(1),
-        config.ram_bytes
+        crate::campaign::DEFAULT_RAM_BYTES
     )
 }
 

@@ -100,8 +100,6 @@ pub struct GuidedConfig {
     pub budget: u64,
     /// RNG seed.
     pub rng_seed: u64,
-    /// Dummy-VM RAM.
-    pub ram_bytes: u64,
     /// Slots per generation of the shared-corpus engine (clamped to
     /// ≥ 1). Smaller generations fold
     /// discoveries back into the scheduling corpus sooner; larger ones
@@ -114,7 +112,6 @@ impl Default for GuidedConfig {
         Self {
             budget: 2_000,
             rng_seed: 42,
-            ram_bytes: 16 << 20,
             generation: 256,
         }
     }
@@ -854,8 +851,7 @@ mod tests {
     }
 
     fn run_guided_shared(trace: &RecordedTrace, config: GuidedConfig, jobs: usize) -> GuidedResult {
-        let factory = IrisHvTarget::with_ram(config.ram_bytes);
-        run_guided_shared_with(&factory, trace, config, jobs)
+        run_guided_shared_with(&IrisHvTarget::default(), trace, config, jobs)
     }
 
     #[test]

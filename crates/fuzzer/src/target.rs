@@ -23,8 +23,8 @@
 //!
 //! Drivers are **generic** over the factory, so the per-exit hot path is
 //! statically dispatched — the trait adds no per-exit cost over calling
-//! the replay engine directly (see PERFORMANCE.md and the `target` arm of
-//! the `replay_throughput` bench).
+//! the replay engine directly (PERFORMANCE.md §4: `core.replay.submit.ns`
+//! against `fuzzer.target.submit.ns` in `benchmark/`).
 //!
 //! Two backends ship in-tree, enumerated by [`Backend`]:
 //!
@@ -311,8 +311,8 @@ impl FuzzTarget for HvTarget<'_> {
 
     // Inlined so the per-submission `SubmitOutcome` move (the coverage
     // map is a 448-byte value type) can be elided into the caller's slot
-    // across the crate boundary — see the `direct` vs `target` arms of
-    // the `replay_throughput` bench.
+    // across the crate boundary — `core.replay.submit.ns` against
+    // `fuzzer.target.submit.ns` in `benchmark/`.
     #[inline]
     fn submit(&mut self, seed: &VmSeed) -> SubmitOutcome {
         let st = self.state.as_mut().expect("boot() the target first");
@@ -619,23 +619,15 @@ pub fn render_planted_fault_report(corpus: &Corpus) -> String {
     out
 }
 
-/// Record a workload trace on a throwaway stock stack — the recording
-/// half of the paper's pipeline, shared by tests, benches and examples.
-/// (Post-boot workloads record from the booted snapshot, like §VII-1's
-/// `s0`.)
+/// Record a workload trace on a test VM the size of the dummy VM the
+/// targets fuzz — the recording half of the paper's pipeline for tests,
+/// benches and examples.
 #[must_use]
 pub fn record_trace(workload: Workload, exits: usize, rng_seed: u64) -> RecordedTrace {
-    let mut hv = Hypervisor::new();
-    let dom = hv.create_hvm_domain(crate::campaign::DEFAULT_RAM_BYTES);
-    if workload != Workload::OsBoot {
-        fast_forward_boot(&mut hv, dom);
-    }
-    Recorder::new().record_workload(
-        &mut hv,
-        dom,
-        workload.label(),
-        workload.generate(exits, rng_seed),
-    )
+    let ram = crate::campaign::DEFAULT_RAM_BYTES;
+    Recorder::new()
+        .record_fresh(workload, exits, rng_seed, ram)
+        .1
 }
 
 #[cfg(test)]

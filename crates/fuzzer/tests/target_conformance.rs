@@ -409,7 +409,6 @@ fn guided_shared_reports_are_byte_identical_across_jobs() {
             budget: 250,
             generation: 48,
             rng_seed: 7,
-            ..GuidedConfig::default()
         };
         let reference = run_guided_shared_with(&factory, &trace, cfg, 1);
         assert!(
@@ -445,7 +444,6 @@ fn guided_shared_forest_reports_are_byte_identical_to_forest_off() {
             budget: 250,
             generation: 48,
             rng_seed: 7,
-            ..GuidedConfig::default()
         };
         let reference = run_guided_shared_with(&factory, &trace, cfg, 1);
         assert!(
@@ -524,7 +522,6 @@ fn forest_resume_interoperates_with_forest_off_checkpoints() {
             budget: 250,
             generation: 48,
             rng_seed: 7,
-            ..GuidedConfig::default()
         };
         let reference = run_guided_shared_with(&factory, &trace, cfg, 1);
         let baseline = serde_json::to_string(&reference).unwrap();
@@ -590,7 +587,6 @@ fn injected_worker_panics_leave_guided_results_byte_identical() {
             budget: 250,
             generation: 48,
             rng_seed: 7,
-            ..GuidedConfig::default()
         };
         let reference = run_guided_shared_with(&factory, &trace, cfg, 1);
         let baseline = serde_json::to_string(&reference).unwrap();
@@ -648,7 +644,6 @@ proptest! {
                 budget,
                 generation,
                 rng_seed,
-                ..GuidedConfig::default()
             };
             let reference = run_guided_shared_with(&factory, trace, cfg, 1);
             let sharded = run_guided_shared_with(&factory, trace, cfg, jobs);
@@ -784,7 +779,6 @@ proptest! {
                 budget,
                 generation,
                 rng_seed,
-                ..GuidedConfig::default()
             };
             let reference = run_guided_shared_with(&factory, trace, cfg, 1);
             let reference = serde_json::to_string(&reference).expect("serializes");
