@@ -21,12 +21,11 @@
 //! boundaries). The invariant under test is that the *report bytes*
 //! are independent of everything the proxy does.
 
+use crate::accept::Acceptor;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The chaos RNG law, mirroring `mutant_rng`: one independent,
@@ -140,13 +139,11 @@ impl Default for ChaosOptions {
     }
 }
 
-/// A running chaos proxy. Dropping it (or [`ChaosProxy::stop`]) shuts
-/// the accept loop down; relay threads notice within one poll tick.
+/// A running chaos proxy. Dropping it (or [`ChaosProxy::stop`]) closes
+/// the listener, ends every relayed connection and joins every thread
+/// that served one.
 pub struct ChaosProxy {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    connections: Arc<AtomicU64>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    conns: Acceptor,
 }
 
 impl ChaosProxy {
@@ -156,146 +153,87 @@ impl ChaosProxy {
     /// Socket bind/configuration failures.
     pub fn start(opts: ChaosOptions) -> io::Result<ChaosProxy> {
         let listener = TcpListener::bind(&opts.listen)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let connections = Arc::new(AtomicU64::new(0));
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_connections = Arc::clone(&connections);
-        let accept = std::thread::spawn(move || {
-            accept_loop(&listener, &opts, &accept_shutdown, &accept_connections);
-        });
-        Ok(ChaosProxy {
-            addr,
-            shutdown,
-            connections,
-            accept: Some(accept),
-        })
+        // A relay closes its connection without a last frame of its own,
+        // so there is no last write to bound.
+        let conns = Acceptor::spawn(listener, Duration::ZERO, move |client, conn_index| {
+            let plan = ConnPlan::derive(opts.seed, conn_index, opts.destructive_budget);
+            handle_conn(client, &opts.upstream, opts.seed, plan);
+            None
+        })?;
+        Ok(ChaosProxy { conns })
     }
 
     /// The bound address workers should connect to.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.conns.addr()
     }
 
     /// Connections accepted so far.
     #[must_use]
     pub fn connections(&self) -> u64 {
-        self.connections.load(Ordering::SeqCst)
+        self.conns.accepted()
     }
 
-    /// Stop accepting and wind the proxy down.
+    /// Stop accepting and wind the proxy down: every relayed connection
+    /// is cut and every thread joined before this returns.
     pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-    }
-}
-
-impl Drop for ChaosProxy {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    opts: &ChaosOptions,
-    shutdown: &Arc<AtomicBool>,
-    connections: &Arc<AtomicU64>,
-) {
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((client, _)) => {
-                let conn_index = connections.fetch_add(1, Ordering::SeqCst);
-                let plan = ConnPlan::derive(opts.seed, conn_index, opts.destructive_budget);
-                let upstream = opts.upstream.clone();
-                let seed = opts.seed;
-                let conn_shutdown = Arc::clone(shutdown);
-                std::thread::spawn(move || {
-                    handle_conn(client, &upstream, seed, plan, &conn_shutdown);
-                });
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
+        self.conns.stop();
     }
 }
 
 /// Kill both sides of a proxied connection. Idempotent; errors ignored
 /// (the peer may already be gone).
-fn kill(pair: &(TcpStream, TcpStream)) {
-    let _ = pair.0.shutdown(Shutdown::Both);
-    let _ = pair.1.shutdown(Shutdown::Both);
+fn kill(client: &TcpStream, up: &TcpStream) {
+    let _ = client.shutdown(Shutdown::Both);
+    let _ = up.shutdown(Shutdown::Both);
 }
 
-fn handle_conn(
-    client: TcpStream,
-    upstream: &str,
-    seed: u64,
-    plan: ConnPlan,
-    shutdown: &Arc<AtomicBool>,
-) {
+/// Relay one accepted connection until either side ends, a fault cuts
+/// it, or the proxy stops (which shuts `client` down under the relays).
+fn handle_conn(client: &TcpStream, upstream: &str, seed: u64, plan: ConnPlan) {
     let Ok(up) = TcpStream::connect(upstream) else {
         let _ = client.shutdown(Shutdown::Both);
         return;
     };
-    let _ = client.set_nodelay(true);
     let _ = up.set_nodelay(true);
-    let pair = Arc::new((client, up));
+    let up = &up;
     // Client→upstream carries the plan's destructive fault; the return
     // direction gets benign splits/delays from an independent stream
     // (a golden-ratio offset keeps the two directions uncorrelated).
-    let up_pair = Arc::clone(&pair);
-    let up_shutdown = Arc::clone(shutdown);
-    let up_thread = std::thread::spawn(move || {
-        let rng = chaos_rng(seed ^ 0x9e37_79b9_7f4a_7c15, plan.conn_index);
-        relay(&up_pair.0, &up_pair.1, &plan, plan.fault, rng, &up_shutdown);
-        kill(&up_pair);
+    // Whichever direction ends first kills both sockets, which ends the
+    // other's blocking read.
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let rng = chaos_rng(seed ^ 0x9e37_79b9_7f4a_7c15, plan.conn_index);
+            relay(client, up, &plan, plan.fault, rng);
+            kill(client, up);
+        });
+        let rng = chaos_rng(seed ^ 0x517c_c1b7_2722_0a95, plan.conn_index);
+        relay(up, client, &plan, None, rng);
+        kill(client, up);
     });
-    let rng = chaos_rng(seed ^ 0x517c_c1b7_2722_0a95, plan.conn_index);
-    relay(&pair.1, &pair.0, &plan, None, rng, shutdown);
-    kill(&pair);
-    let _ = up_thread.join();
 }
 
-/// Forward `src` to `dst` under the plan until EOF, error, fault
-/// trigger, or proxy shutdown.
+/// Forward `src` to `dst` under the plan until EOF, error, or fault
+/// trigger.
 fn relay(
     src: &TcpStream,
     dst: &TcpStream,
     plan: &ConnPlan,
     fault: Option<ConnFault>,
     mut rng: SmallRng,
-    shutdown: &Arc<AtomicBool>,
 ) {
-    let _ = src.set_read_timeout(Some(Duration::from_millis(50)));
     let mut src_ref = src;
     let mut buf = vec![0u8; 16 * 1024];
     let mut counter = FrameCounter::default();
     let mut forwarded: u64 = 0;
     let mut garbage_due = matches!(fault, Some(ConnFault::GarbagePrefix { .. }));
     loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
         let n = match src_ref.read(&mut buf) {
             Ok(0) => return,
             Ok(n) => n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue
-            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return,
         };
         let mut chunk: &[u8] = buf.get(..n).unwrap_or(&[]);

@@ -22,6 +22,7 @@
 //! the last boundary — same law, same artifacts, as the in-process
 //! `--checkpoint`/`--resume` flow.
 
+use crate::accept::Acceptor;
 use crate::job::{JobKind, JobSpec};
 use crate::lease::{LeaseTable, VoteOutcome};
 use crate::proto::{
@@ -56,8 +57,12 @@ use std::time::{Duration, Instant};
 /// Any value is byte-identical (the slot law); this only shapes load.
 const GUIDED_LEASE_SLOTS: u64 = 32;
 
-/// How long handler threads sleep between shutdown/lease polls.
+/// How long a handler thread waits on the state or its socket before
+/// re-checking shutdown, lease deadlines and worker silence.
 const TICK: Duration = Duration::from_millis(100);
+
+/// Why a quarantined worker's connection is closed.
+const QUARANTINED: &str = "this worker's results diverged from adjudicated truth";
 
 /// Completed-job results kept for submitters that have not collected
 /// them yet (a submitter that vanished mid-job leaves its entry behind;
@@ -104,7 +109,9 @@ pub struct ServeOptions {
     /// Slowloris defense: total wall time a peer may spend inside one
     /// frame (handshake or result) before its connection is dropped.
     /// Plain read timeouts cannot catch a byte-dripping peer — every
-    /// read succeeds — so this bounds the whole frame.
+    /// read succeeds — so this bounds the whole frame. The same bound
+    /// holds for taking a connection's last frame (a `JobDone`, a
+    /// terminal error): a peer that stops reading it is cut off.
     pub read_deadline_ms: u64,
 }
 
@@ -500,14 +507,13 @@ impl Shared {
 }
 
 /// A running coordinator. Dropping it (or calling [`Server::stop`])
-/// shuts the accept loop and every connection handler down; `stop`
-/// additionally joins the accept thread and flushes checkpoint writers,
-/// so a stopped server's on-disk checkpoint is its last fold boundary —
-/// exactly what `--resume` wants.
+/// closes the listener, ends every connection and joins every thread
+/// that served one; `stop` additionally flushes the checkpoint and
+/// progress writers, so a stopped server's on-disk checkpoint is its
+/// last fold boundary — exactly what `--resume` wants.
 pub struct Server {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    conns: Acceptor,
 }
 
 impl Server {
@@ -517,8 +523,6 @@ impl Server {
     /// Socket bind/configuration failures.
     pub fn start(opts: ServeOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(&opts.listen)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 next_job_id: 1,
@@ -547,19 +551,17 @@ impl Server {
             #[allow(clippy::disallowed_methods)]
             started: Instant::now(),
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::spawn(move || accept_loop(&accept_shared, &listener));
-        Ok(Server {
-            addr,
-            shared,
-            accept: Some(accept),
-        })
+        let conn_shared = Arc::clone(&shared);
+        let conns = Acceptor::spawn(listener, shared.read_deadline, move |stream, _| {
+            handle_connection(&conn_shared, stream)
+        })?;
+        Ok(Server { shared, conns })
     }
 
     /// The bound address (resolves `:0` to the ephemeral port).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.conns.addr()
     }
 
     /// Jobs completed since start.
@@ -585,11 +587,7 @@ impl Server {
     /// with `--resume` continues it), and checkpoint/progress writers
     /// flush. Returns the number of jobs completed.
     pub fn stop(mut self) -> u64 {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        self.shut_down();
         let (jobs, writers) = {
             let mut st = self.shared.lock();
             let mut writers: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
@@ -606,12 +604,25 @@ impl Server {
         }
         jobs
     }
+
+    /// Raise the shutdown flag, then end every connection and join its
+    /// thread. Idempotent.
+    fn shut_down(&mut self) {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Handlers check the flag under this lock before they wait,
+            // so notifying under it wakes every one of them now rather
+            // than at its next TICK.
+            let _st = self.shared.lock();
+            self.shared.cv.notify_all();
+        }
+        self.conns.stop();
+    }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
+        self.shut_down();
     }
 }
 
@@ -621,25 +632,13 @@ fn log_writer_result(what: &str, result: io::Result<u64>) {
     }
 }
 
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    loop {
-        if shared.down() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                let conn_shared = Arc::clone(shared);
-                std::thread::spawn(move || handle_connection(&conn_shared, stream));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
-        }
+/// A typed error frame — the last frame of a refused or dropped
+/// connection.
+fn error_frame(code: ErrorCode, detail: impl Into<String>) -> Frame {
+    Frame::Error {
+        code,
+        detail: detail.into(),
     }
-}
-
-fn send_error(stream: &mut TcpStream, code: ErrorCode, detail: String) {
-    let _ = write_frame(stream, &Frame::Error { code, detail });
 }
 
 /// Dispatch a fresh connection by its first frame: `Hello` is a worker,
@@ -648,44 +647,46 @@ fn send_error(stream: &mut TcpStream, code: ErrorCode, detail: String) {
 /// or oversized-frame connections cost one handler thread for at most
 /// `read_deadline_ms` and die without touching job state — the daemon
 /// itself never goes down with a connection.
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    match read_frame_within(&mut stream, shared.read_deadline) {
+///
+/// Returns the connection's last frame (a `JobDone` to a submitter, a
+/// terminal `Error`) for the handler set to write once this thread is
+/// parked again. The next connection may already be reserved against
+/// the thread by then, so that write gets `read_deadline_ms` too: a
+/// peer that stops reading it delays the next connection at most that
+/// long.
+fn handle_connection(shared: &Arc<Shared>, stream: &mut TcpStream) -> Option<Frame> {
+    match read_frame_within(stream, shared.read_deadline) {
         Ok(Frame::Hello {
             proto_version,
             job_fingerprint,
             target,
         }) => {
             if proto_version != PROTO_VERSION {
-                send_error(
-                    &mut stream,
+                return Some(error_frame(
                     ErrorCode::VersionMismatch,
                     format!("coordinator speaks v{PROTO_VERSION}, worker spoke v{proto_version}"),
-                );
-                return;
+                ));
             }
             let _ = job_fingerprint; // advisory: workers revalidate via Assign
-            handle_worker(shared, stream, &target);
+            handle_worker(shared, stream, &target)
         }
         Ok(Frame::Submit {
             proto_version,
             spec,
         }) => {
             if proto_version != PROTO_VERSION {
-                send_error(
-                    &mut stream,
+                return Some(error_frame(
                     ErrorCode::VersionMismatch,
                     format!("coordinator speaks v{PROTO_VERSION}, client spoke v{proto_version}"),
-                );
-                return;
+                ));
             }
-            handle_submit(shared, stream, spec);
+            handle_submit(shared, stream, spec)
         }
-        Ok(_) => send_error(
-            &mut stream,
+        Ok(_) => Some(error_frame(
             ErrorCode::Protocol,
-            "connections open with Hello (worker) or Submit (client)".to_owned(),
-        ),
-        Err(_) => {}
+            "connections open with Hello (worker) or Submit (client)",
+        )),
+        Err(_) => None,
     }
 }
 
@@ -845,42 +846,36 @@ fn record_finished(st: &mut State, id: u64, finished: FinishedJob) {
     st.jobs_completed += 1;
 }
 
-fn handle_submit(shared: &Arc<Shared>, mut stream: TcpStream, spec: JobSpec) {
+/// Serve a submitter: admit, prepare and install its job, stream
+/// progress, and return the `JobDone` (or a terminal `Error`) for the
+/// handler set to write.
+fn handle_submit(shared: &Arc<Shared>, stream: &mut TcpStream, spec: JobSpec) -> Option<Frame> {
     // Admission control FIRST — before the expensive prepare (trace
     // recording, baselines), so a submission flood is refused with a
     // typed Busy at the cost of one frame, not pinned preparation work.
     {
         let mut st = shared.lock();
         if shared.down() {
-            drop(st);
-            send_error(
-                &mut stream,
+            return Some(error_frame(
                 ErrorCode::Shutdown,
-                "coordinator is shutting down".to_owned(),
-            );
-            return;
+                "coordinator is shutting down",
+            ));
         }
         let waiting = st.queued;
         if (st.job.is_some() || waiting > 0) && waiting >= shared.max_queue {
-            drop(st);
-            send_error(
-                &mut stream,
+            return Some(error_frame(
                 ErrorCode::Busy { queued: waiting },
                 format!("submission queue is full ({waiting} waiting) — retry later"),
-            );
-            return;
+            ));
         }
         st.queued += 1;
     }
     let prepared = match prepare_job(shared, spec) {
         Ok(p) => p,
         Err((code, detail)) => {
-            {
-                let mut st = shared.lock();
-                st.queued = st.queued.saturating_sub(1);
-            }
-            send_error(&mut stream, code, detail);
-            return;
+            let mut st = shared.lock();
+            st.queued = st.queued.saturating_sub(1);
+            return Some(error_frame(code, detail));
         }
     };
     // Install the job (or its instant result), queueing behind any
@@ -890,13 +885,10 @@ fn handle_submit(shared: &Arc<Shared>, mut stream: TcpStream, spec: JobSpec) {
         loop {
             if shared.down() {
                 st.queued = st.queued.saturating_sub(1);
-                drop(st);
-                send_error(
-                    &mut stream,
+                return Some(error_frame(
                     ErrorCode::Shutdown,
-                    "coordinator is shutting down".to_owned(),
-                );
-                return;
+                    "coordinator is shutting down",
+                ));
             }
             if st.job.is_none() {
                 break;
@@ -918,79 +910,55 @@ fn handle_submit(shared: &Arc<Shared>, mut stream: TcpStream, spec: JobSpec) {
     };
     // Stream progress until the job completes.
     let _ = stream.set_read_timeout(None);
+    let job_done = |fin: FinishedJob| {
+        Some(Frame::JobDone {
+            job_id,
+            fingerprint: fin.fingerprint,
+            report: fin.report,
+        })
+    };
     let mut last = None;
     loop {
-        enum Outcome {
-            Done(FinishedJob),
-            Running(u64, u64, u64),
-            Down,
-        }
-        let outcome = {
+        let (done, total, folded) = {
             let mut st = shared.lock();
             if let Some(fin) = st.finished.remove(&job_id) {
-                Outcome::Done(fin)
-            } else if shared.down() {
-                Outcome::Down
-            } else {
-                st = shared.wait_tick(st);
-                if let Some(fin) = st.finished.remove(&job_id) {
-                    Outcome::Done(fin)
-                } else {
-                    match &st.job {
-                        Some(job) if job.id == job_id => {
-                            let (done, total, folded) = job.progress();
-                            Outcome::Running(done, total, folded)
-                        }
-                        _ if shared.down() => Outcome::Down,
-                        _ => continue,
-                    }
-                }
+                return job_done(fin);
+            }
+            if shared.down() {
+                return Some(error_frame(
+                    ErrorCode::Shutdown,
+                    "coordinator stopped before the job completed",
+                ));
+            }
+            st = shared.wait_tick(st);
+            if let Some(fin) = st.finished.remove(&job_id) {
+                return job_done(fin);
+            }
+            match &st.job {
+                Some(job) if job.id == job_id => job.progress(),
+                _ => continue,
             }
         };
-        match outcome {
-            Outcome::Done(fin) => {
-                let _ = write_frame(
-                    &mut stream,
-                    &Frame::JobDone {
-                        job_id,
-                        fingerprint: fin.fingerprint,
-                        report: fin.report,
-                    },
-                );
-                return;
-            }
-            Outcome::Down => {
-                send_error(
-                    &mut stream,
-                    ErrorCode::Shutdown,
-                    "coordinator stopped before the job completed".to_owned(),
-                );
-                return;
-            }
-            Outcome::Running(done, total, folded) => {
-                if last != Some((done, total, folded)) {
-                    last = Some((done, total, folded));
-                    if write_frame(
-                        &mut stream,
-                        &Frame::Progress {
-                            done,
-                            total,
-                            folded,
-                        },
-                    )
-                    .is_err()
-                    {
-                        // Submitter vanished; the job runs on and its
-                        // report waits in the finished backlog.
-                        return;
-                    }
-                }
+        if last != Some((done, total, folded)) {
+            last = Some((done, total, folded));
+            let progress = Frame::Progress {
+                done,
+                total,
+                folded,
+            };
+            if write_frame(stream, &progress).is_err() {
+                // Submitter vanished; the job runs on and its report
+                // waits in the finished backlog.
+                return None;
             }
         }
     }
 }
 
-fn handle_worker(shared: &Arc<Shared>, mut stream: TcpStream, target: &str) {
+/// Serve a worker: lease, await and fold results until the connection
+/// ends. Returns a terminal `Error` for the handler set to write, if the
+/// worker is being refused rather than lost.
+fn handle_worker(shared: &Arc<Shared>, stream: &mut TcpStream, target: &str) -> Option<Frame> {
     let holder = {
         let mut st = shared.lock();
         st.next_holder_id += 1;
@@ -1006,16 +974,10 @@ fn handle_worker(shared: &Arc<Shared>, mut stream: TcpStream, target: &str) {
             let mut st = shared.lock();
             loop {
                 if shared.down() {
-                    return;
+                    return None;
                 }
                 if st.quarantined.contains(&holder) {
-                    drop(st);
-                    send_error(
-                        &mut stream,
-                        ErrorCode::Quarantined,
-                        "this worker's results diverged from adjudicated truth".to_owned(),
-                    );
-                    return;
+                    return Some(error_frame(ErrorCode::Quarantined, QUARANTINED));
                 }
                 let active = st.job.as_ref().map(|j| j.id);
                 if conn_job != 0 && st.completed_through >= conn_job && active != Some(conn_job) {
@@ -1029,8 +991,8 @@ fn handle_worker(shared: &Arc<Shared>, mut stream: TcpStream, target: &str) {
                     conn_job = 0;
                     conn_epoch = None;
                     drop(st);
-                    if write_frame(&mut stream, &done).is_err() {
-                        return;
+                    if write_frame(stream, &done).is_err() {
+                        return None;
                     }
                     st = shared.lock();
                     continue;
@@ -1050,9 +1012,9 @@ fn handle_worker(shared: &Arc<Shared>, mut stream: TcpStream, target: &str) {
             }
         };
         for frame in &grant.frames {
-            if write_frame(&mut stream, frame).is_err() {
+            if write_frame(stream, frame).is_err() {
                 release_lease(shared, holder);
-                return;
+                return None;
             }
         }
         // Phase 2: await the result, renewing the lease on heartbeats
@@ -1066,7 +1028,7 @@ fn handle_worker(shared: &Arc<Shared>, mut stream: TcpStream, target: &str) {
         let mut last_heard = Instant::now();
         let silence_limit = Duration::from_millis(shared.lease_timeout_ms);
         loop {
-            match read_frame_polled(&mut stream, TICK, shared.read_deadline) {
+            match read_frame_polled(stream, TICK, shared.read_deadline) {
                 Ok(Frame::Heartbeat) => {
                     #[allow(clippy::disallowed_methods)]
                     {
@@ -1085,32 +1047,30 @@ fn handle_worker(shared: &Arc<Shared>, mut stream: TcpStream, target: &str) {
                 }) => {
                     if job_id != grant.job_id || range_start != grant.range.start {
                         release_lease(shared, holder);
-                        send_error(
-                            &mut stream,
+                        return Some(error_frame(
                             ErrorCode::Protocol,
-                            "result does not match the outstanding lease".to_owned(),
-                        );
-                        return;
+                            "result does not match the outstanding lease",
+                        ));
                     }
-                    if !apply_result(shared, &grant, holder, output, &mut stream) {
-                        return;
+                    if let Err(last) = apply_result(shared, &grant, holder, output) {
+                        return Some(last);
                     }
                     continue 'leases;
                 }
                 Err(e) if e.is_poll_timeout() => {
                     if shared.down() {
-                        return;
+                        return None;
                     }
                     if last_heard.elapsed() >= silence_limit {
                         // The worker went silent mid-lease: return its
                         // work to the pool and drop the connection.
                         release_lease(shared, holder);
-                        return;
+                        return None;
                     }
                 }
                 Ok(_) | Err(_) => {
                     release_lease(shared, holder);
-                    return;
+                    return None;
                 }
             }
         }
@@ -1147,27 +1107,25 @@ fn quarantine_holder(st: &mut State, job_id: u64, holder: u64, lease_index: usiz
 }
 
 /// Fold an accepted output under the (held) lock and finish the job if
-/// it completed. Returns false when the connection must close.
+/// it completed. `Err` carries the frame to close the connection with.
 fn fold_accepted(
     shared: &Arc<Shared>,
     mut st: MutexGuard<'_, State>,
     grant: &LeaseGrant,
     holder: u64,
     output: RangeOutput,
-    stream: &mut TcpStream,
-) -> bool {
+) -> Result<(), Frame> {
     let Some(job) = st.job.as_mut().filter(|j| j.id == grant.job_id) else {
         shared.cv.notify_all();
-        return true;
+        return Ok(());
     };
     let complete = match job.fold(grant.index, output) {
         Ok(complete) => complete,
         Err(detail) => {
             job.table.release_holder(holder);
             drop(st);
-            send_error(stream, ErrorCode::Protocol, detail);
             release_lease(shared, holder);
-            return false;
+            return Err(error_frame(ErrorCode::Protocol, detail));
         }
     };
     let after = match st.job.take_if(|_| complete) {
@@ -1184,7 +1142,7 @@ fn fold_accepted(
     for finish in after {
         finish();
     }
-    true
+    Ok(())
 }
 
 /// What a delivered result needs beyond the fast path: an adjudicating
@@ -1194,50 +1152,38 @@ struct Adjudication {
     reexecute: Reexecute,
 }
 
-/// Validate, vote, and fold (or adjudicate) a delivered result; returns
-/// false when the connection must close (protocol violation or a
-/// quarantined sender).
+/// Validate, vote, and fold (or adjudicate) a delivered result. `Err`
+/// carries the frame to close the connection with (a protocol violation
+/// or a quarantined sender).
 fn apply_result(
     shared: &Arc<Shared>,
     grant: &LeaseGrant,
     holder: u64,
     output: RangeOutput,
-    stream: &mut TcpStream,
-) -> bool {
-    let digest = match digest_output(&output) {
-        Ok(d) => d,
-        Err(e) => {
-            send_error(stream, ErrorCode::Protocol, e.to_string());
-            release_lease(shared, holder);
-            return false;
-        }
+) -> Result<(), Frame> {
+    let protocol_violation = |detail: String| {
+        release_lease(shared, holder);
+        error_frame(ErrorCode::Protocol, detail)
     };
+    let digest = digest_output(&output).map_err(|e| protocol_violation(e.to_string()))?;
     // Phase 1 (locked): structural validation, the distinctness vote,
     // and the digest quorum. The common path — quorum of one, no spot
     // check — folds right here and returns.
     let adjudication = {
         let mut st = shared.lock();
         if st.quarantined.contains(&holder) {
-            drop(st);
-            send_error(
-                stream,
-                ErrorCode::Quarantined,
-                "this worker's results diverged from adjudicated truth".to_owned(),
-            );
-            return false;
+            return Err(error_frame(ErrorCode::Quarantined, QUARANTINED));
         }
         let Some(job) = st.job.as_mut().filter(|j| j.id == grant.job_id) else {
             // The job completed without this result (a re-lease race):
             // drop the duplicate.
             shared.cv.notify_all();
-            return true;
+            return Ok(());
         };
         if let Err(detail) = job.validate_output(grant.index, &output) {
             job.table.release_holder(holder);
             drop(st);
-            send_error(stream, ErrorCode::Protocol, detail);
-            release_lease(shared, holder);
-            return false;
+            return Err(protocol_violation(detail));
         }
         if matches!(
             job.table.record_vote(grant.index, holder),
@@ -1246,19 +1192,19 @@ fn apply_result(
             // A re-lease race duplicate — byte-identical by the RNG
             // law, so dropping it is safe.
             shared.cv.notify_all();
-            return true;
+            return Ok(());
         }
         match job.verifier.submit(grant.index, holder, digest, output) {
             Submission::Pending { .. } => {
                 // Quorum open: the range stays out with other workers.
                 shared.cv.notify_all();
-                return true;
+                return Ok(());
             }
             Submission::Accepted(out) => {
                 let audit = shared.spot_check != 0
                     && spot_check_due(shared.spot_check, &job.fingerprint, grant.index as u64);
                 if !audit {
-                    return fold_accepted(shared, st, grant, holder, *out, stream);
+                    return fold_accepted(shared, st, grant, holder, *out);
                 }
                 match job.reexecute(grant.index) {
                     Some(reexecute) => Adjudication {
@@ -1269,7 +1215,7 @@ fn apply_result(
                         }],
                         reexecute,
                     },
-                    None => return fold_accepted(shared, st, grant, holder, *out, stream),
+                    None => return fold_accepted(shared, st, grant, holder, *out),
                 }
             }
             Submission::Divergent(candidates) => {
@@ -1278,13 +1224,9 @@ fn apply_result(
                     // as a protocol failure rather than guessing.
                     job.table.release_holder(holder);
                     drop(st);
-                    send_error(
-                        stream,
-                        ErrorCode::Protocol,
+                    return Err(protocol_violation(
                         "divergent result for an unknown lease".to_owned(),
-                    );
-                    release_lease(shared, holder);
-                    return false;
+                    ));
                 };
                 Adjudication {
                     candidates,
@@ -1297,14 +1239,7 @@ fn apply_result(
     // rare — only digest divergence or a sampled audit lands here — and
     // exact: the per-range RNG law makes the local bytes ground truth.
     let local = (adjudication.reexecute)(grant.range, grant.rng_seed);
-    let truth = match digest_output(&local) {
-        Ok(d) => d,
-        Err(e) => {
-            send_error(stream, ErrorCode::Protocol, e.to_string());
-            release_lease(shared, holder);
-            return false;
-        }
-    };
+    let truth = digest_output(&local).map_err(|e| protocol_violation(e.to_string()))?;
     let liars = disagreeing_holders(&adjudication.candidates, truth);
     // Phase 3 (locked): quarantine the disagreeing holders and fold the
     // locally verified output.
@@ -1314,7 +1249,7 @@ fn apply_result(
             // The job ended while we re-executed; nothing to fold, and
             // with it gone the votes are moot.
             shared.cv.notify_all();
-            return true;
+            return Ok(());
         }
         for &liar in &liars {
             quarantine_holder(
@@ -1334,19 +1269,188 @@ fn apply_result(
         }
         st
     };
-    let folded_ok = fold_accepted(shared, st, grant, holder, local, stream);
-    if !folded_ok {
-        return false;
-    }
+    fold_accepted(shared, st, grant, holder, local)?;
     if liars.contains(&holder) {
         // This very connection delivered a forged result: tell it, then
         // drop it. (Its vote already folded as the local truth.)
-        send_error(
-            stream,
-            ErrorCode::Quarantined,
-            "this worker's results diverged from adjudicated truth".to_owned(),
-        );
-        return false;
+        return Err(error_frame(ErrorCode::Quarantined, QUARANTINED));
     }
-    true
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::submit;
+    use crate::proto::read_frame;
+    use crate::worker::{run_worker, WorkerOptions};
+    use crate::DistError;
+    use std::net::{Ipv4Addr, SocketAddr};
+    use std::sync::mpsc;
+
+    fn campaign_spec(mutants: usize) -> JobSpec {
+        JobSpec {
+            target: "iris".to_owned(),
+            workload: "OS BOOT".to_owned(),
+            exits: 120,
+            seed: 42,
+            kind: JobKind::Campaign {
+                mutants,
+                chunk: mutants,
+            },
+        }
+    }
+
+    fn unknown_workload() -> JobSpec {
+        JobSpec {
+            workload: "NET-bound".to_owned(),
+            ..campaign_spec(2)
+        }
+    }
+
+    /// Run `body` on its own thread and wait for it under a generous
+    /// bound — a hang guard only; nothing here measures time.
+    fn within<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(body());
+        });
+        rx.recv_timeout(Duration::from_secs(120))
+            .unwrap_or_else(|e| panic!("{what} did not finish: {e}"))
+    }
+
+    /// Where a client reaches a server bound to `addr`.
+    fn reachable(addr: SocketAddr) -> SocketAddr {
+        SocketAddr::new(Ipv4Addr::LOCALHOST.into(), addr.port())
+    }
+
+    /// One worker and ten jobs submitted one after another, each job
+    /// followed by refused submissions (an unknown workload): the
+    /// worker's connection holds one handler thread for its lifetime and
+    /// every submission reuses one other. Two designs fail here without
+    /// a clock. A thread that parks only *after* writing a connection's
+    /// last frame (`JobDone`, or the typed refusal) is still busy when
+    /// the client's next connection arrives, and each such race grows
+    /// the set; the refusals make those races cheap to run by the
+    /// hundred. A dispatch that loads the idle count and decides later
+    /// can hand two connections to one parked thread: the worker's and
+    /// the first job's connections arrive together while the first
+    /// refusal's thread is parked, and whichever queues second is
+    /// stranded behind the other's lifetime — the hang guard fires.
+    #[test]
+    fn back_to_back_submits_reuse_one_handler_thread() {
+        static STOP: AtomicBool = AtomicBool::new(false);
+        let (spawned, reports) = within("back-to-back submits", || {
+            let server = Server::start(ServeOptions::default()).expect("bind loopback");
+            let addr = server.addr().to_string();
+            let refuse = || match submit(&addr, &unknown_workload(), |_, _, _| {}) {
+                Err(DistError::Remote {
+                    code: ErrorCode::BadSpec,
+                    ..
+                }) => {}
+                other => panic!("an unknown workload must be refused, got {other:?}"),
+            };
+            refuse();
+            let opts = WorkerOptions {
+                connect: addr.clone(),
+                heartbeat_ms: 200,
+                stop: Some(&STOP),
+                ..WorkerOptions::default()
+            };
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let worker_start = Arc::clone(&start);
+            let worker = std::thread::spawn(move || {
+                worker_start.wait();
+                run_worker(&opts)
+            });
+            start.wait();
+            let spec = campaign_spec(2);
+            let reports: BTreeSet<String> = (0..10)
+                .map(|_| {
+                    let report = submit(&addr, &spec, |_, _, _| {})
+                        .expect("job completes")
+                        .report;
+                    (0..20).for_each(|_| refuse());
+                    report
+                })
+                .collect();
+            let (spawned, _) = server.conns.thread_probe()();
+            STOP.store(true, Ordering::SeqCst);
+            assert_eq!(server.stop(), 10, "every job completed");
+            worker
+                .join()
+                .expect("worker does not panic")
+                .expect("worker exits cleanly once stopped");
+            (spawned, reports)
+        });
+        assert_eq!(reports.len(), 1, "the same spec reported different bytes");
+        assert!(
+            spawned <= 2,
+            "{spawned} handler threads for one worker and sequential submits"
+        );
+    }
+
+    /// Stop (or drop) a server while a worker holds a lease and a
+    /// submitter waits for its job.
+    fn stop_with_live_connections(listen: &'static str, stop: bool) {
+        let server = Server::start(ServeOptions {
+            listen: listen.to_owned(),
+            ..ServeOptions::default()
+        })
+        .expect("bind");
+        let addr = server.addr();
+        let target = reachable(addr);
+        let submitter = std::thread::spawn(move || {
+            submit(&target.to_string(), &campaign_spec(4), |_, _, _| {})
+        });
+        // A worker speaking the protocol by hand takes a lease and sits
+        // on it.
+        let mut worker = TcpStream::connect(target).expect("connect");
+        let hello = Frame::Hello {
+            proto_version: PROTO_VERSION,
+            job_fingerprint: String::new(),
+            target: "iris".to_owned(),
+        };
+        write_frame(&mut worker, &hello).expect("hello");
+        while !matches!(read_frame(&mut worker), Ok(Frame::Lease { .. })) {}
+        let threads = server.conns.thread_probe();
+        if stop {
+            server.stop();
+        } else {
+            drop(server);
+        }
+        let case = format!("{listen}, stop={stop}");
+        match read_frame(&mut worker) {
+            Err(DistError::Disconnected {
+                mid_frame: false, ..
+            }) => {}
+            other => panic!("{case}: the leased worker must read EOF, got {other:?}"),
+        }
+        match submitter.join().expect("submitter does not panic") {
+            Err(DistError::Remote {
+                code: ErrorCode::Shutdown,
+                ..
+            })
+            | Err(DistError::Disconnected { .. }) => {}
+            other => panic!("{case}: the submitter must see the shutdown, got {other:?}"),
+        }
+        assert_eq!(
+            threads().1,
+            0,
+            "{case}: a handler thread outlived the server"
+        );
+        drop(worker);
+        TcpListener::bind(addr).unwrap_or_else(|e| panic!("{case}: {addr} still bound: {e}"));
+    }
+
+    #[test]
+    fn stopping_with_live_connections_ends_them_and_joins_every_handler() {
+        for listen in ["127.0.0.1:0", "0.0.0.0:0"] {
+            for stop in [true, false] {
+                within("a stop with live connections", move || {
+                    stop_with_live_connections(listen, stop);
+                });
+            }
+        }
+    }
 }

@@ -40,10 +40,15 @@
 //! cross-checks untrusted worker results (`--redundancy K`, spot-check
 //! re-execution, quarantine); [`backoff`] is the workers' bounded
 //! exponential reconnect policy with deterministic jitter.
+//!
+//! The coordinator and the chaos proxy serve their listeners the same
+//! way: a blocking accept thread feeding a reused, joined set of
+//! connection threads (DISTRIBUTED.md "Connections and threads").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod accept;
 pub mod backoff;
 pub mod chaos;
 pub mod client;

@@ -5,6 +5,7 @@
 //! kill + `--resume` at arbitrary fold boundaries (DISTRIBUTED.md's
 //! re-lease and resume laws).
 
+use iris_dist::chaos::{ChaosOptions, ChaosProxy};
 use iris_dist::client::submit;
 use iris_dist::coordinator::{ServeOptions, Server};
 use iris_dist::job::{JobKind, JobSpec};
@@ -333,9 +334,19 @@ fn bad_submissions_and_version_skew_are_typed_rejections() {
 /// The accept thread owns the listener. Both `stop` and a plain drop
 /// must make it exit and leave the port free, whichever address the
 /// listener was bound to — what any other way of waking that thread
-/// has to keep true.
+/// has to keep true. The coordinator and the chaos proxy accept the
+/// same way, so both are held to it.
 #[test]
 fn the_listener_closes_on_stop_and_on_drop() {
+    let assert_rebinds = |addr, what: &str, stop: bool| {
+        let rebound = (0..100).any(|_| {
+            TcpListener::bind(addr).is_ok() || {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                false
+            }
+        });
+        assert!(rebound, "{what}: {addr} still bound after stop={stop}");
+    };
     for listen in ["127.0.0.1:0", "0.0.0.0:0"] {
         for stop in [true, false] {
             let server = Server::start(ServeOptions {
@@ -349,13 +360,21 @@ fn the_listener_closes_on_stop_and_on_drop() {
             } else {
                 drop(server);
             }
-            let rebound = (0..100).any(|_| {
-                TcpListener::bind(addr).is_ok() || {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    false
-                }
-            });
-            assert!(rebound, "{addr} still bound after stop={stop}");
+            assert_rebinds(addr, "coordinator", stop);
+
+            let proxy = ChaosProxy::start(ChaosOptions {
+                listen: listen.to_owned(),
+                upstream: "127.0.0.1:1".to_owned(),
+                ..ChaosOptions::default()
+            })
+            .expect("bind proxy");
+            let addr = proxy.addr();
+            if stop {
+                proxy.stop();
+            } else {
+                drop(proxy);
+            }
+            assert_rebinds(addr, "chaos proxy", stop);
         }
     }
 }

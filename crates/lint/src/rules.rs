@@ -133,7 +133,7 @@ const MERGE_FILES: [&str; 15] = [
 
 /// Executor worker closures and slot/range run functions: the modules
 /// where a panic silently burns the worker-restart budget.
-const PANIC_SCOPE_FILES: [&str; 12] = [
+const PANIC_SCOPE_FILES: [&str; 13] = [
     "crates/fuzzer/src/executor.rs",
     "crates/fuzzer/src/guided.rs",
     "crates/fuzzer/src/campaign.rs",
@@ -141,8 +141,11 @@ const PANIC_SCOPE_FILES: [&str; 12] = [
     "crates/fuzzer/src/checkpoint.rs",
     // A panic in the coordinator's fold/lease path poisons the daemon's
     // shared state and strands every connected worker — malformed
-    // remote input must surface as typed protocol errors instead.
+    // remote input must surface as typed protocol errors instead. The
+    // accept thread and handler set under it (and under the chaos
+    // proxy) serve every connection: a panic there stops the listener.
     "crates/dist/src/coordinator.rs",
+    "crates/dist/src/accept.rs",
     "crates/dist/src/lease.rs",
     // Hostile bytes reach the worker and client loops straight off the
     // network, and the chaos proxy's relay handles deliberately mangled

@@ -1,8 +1,11 @@
 //! # iris-suite — umbrella crate for the IRIS reproduction
 //!
 //! Re-exports the component crates and hosts the cross-crate integration
-//! tests (`tests/`) and the runnable examples (`examples/`). See
-//! `README.md` for the tour and `DESIGN.md` for the architecture.
+//! tests (`tests/`) and the runnable examples (`examples/`). The design
+//! is written up at the repository root: `DISTRIBUTED.md` (the
+//! coordinator/worker fleet), `PERFORMANCE.md` (where the time goes, and
+//! the measurements), `RELIABILITY.md` (fault tolerance and the
+//! determinism laws) and `ANALYSIS.md` (the `iris-lint` rules).
 
 #![forbid(unsafe_code)]
 
