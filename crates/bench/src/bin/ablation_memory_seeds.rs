@@ -5,28 +5,14 @@
 //! buffers, descriptor loads) that caps the baseline fitting.
 
 use iris_core::metrics;
-use iris_core::record::{RecordConfig, Recorder};
-use iris_core::replay::ReplayEngine;
-use iris_guest::runner::fast_forward_boot;
+use iris_core::record::Recorder;
+use iris_core::replay::replay_fresh;
 use iris_guest::workloads::Workload;
-use iris_hv::hypervisor::Hypervisor;
 
 fn run(workload: Workload, exits: usize, record_memory: bool) -> (f64, f64) {
-    let recorder = Recorder {
-        config: RecordConfig {
-            record_memory,
-            ..RecordConfig::default()
-        },
-    };
-    let (_, trace) = recorder.record_fresh(workload, exits, 42, 64 << 20);
-
-    let mut hv2 = Hypervisor::new();
-    let dummy = hv2.create_hvm_domain(64 << 20);
-    if workload != Workload::OsBoot {
-        fast_forward_boot(&mut hv2, dummy);
-    }
-    let mut engine = ReplayEngine::new(&mut hv2, dummy);
-    let replayed = engine.replay_trace(&mut hv2, &trace);
+    let (_, trace) = Recorder { record_memory }.record_fresh(workload, exits, 42, 64 << 20);
+    let warm = workload != Workload::OsBoot;
+    let (_, _, replayed, _) = replay_fresh(&trace, 64 << 20, warm);
     let fit = metrics::coverage_fitting(&trace, &replayed);
     let diffs = metrics::diff_by_reason(&trace, &replayed);
     (fit.fitting_percent, diffs.large_diff_percent)

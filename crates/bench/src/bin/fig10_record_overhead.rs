@@ -4,7 +4,7 @@
 use iris_bench::experiments::fig10_overhead;
 use iris_guest::workloads::Workload;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let exits: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -30,10 +30,7 @@ fn main() {
         println!();
         all.push((w.label(), f));
     }
-    std::fs::write(
-        "results/fig10.json",
-        serde_json::to_string_pretty(&all).expect("serialize"),
-    )
-    .ok();
-    println!("(JSON written to results/fig10.json)");
+    let path = iris_bench::write_json("results/fig10.json", &all)?;
+    println!("(JSON written to {})", path.display());
+    Ok(())
 }

@@ -6,7 +6,7 @@
 
 use iris_bench::experiments::fig4_timeline;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let bios: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(1_000);
     let kernel: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(51_000);
@@ -24,7 +24,7 @@ fn main() {
         let cells: Vec<String> = buckets.iter().map(|c| format!("{c:>5}")).collect();
         println!("{reason:<14} {}", cells.join(""));
     }
-    let json = serde_json::to_string_pretty(&f).expect("serialize");
-    std::fs::write("results/fig4.json", json).ok();
-    println!("\n(JSON written to results/fig4.json)");
+    let path = iris_bench::write_json("results/fig4.json", &f)?;
+    println!("\n(JSON written to {})", path.display());
+    Ok(())
 }

@@ -5,7 +5,7 @@ use iris_bench::experiments::fig5_distribution;
 use iris_guest::workloads::Workload;
 use iris_vtx::exit::ExitReason;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let exits: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -29,11 +29,10 @@ fn main() {
         }
         println!();
     }
-    std::fs::write(
+    let path = iris_bench::write_json(
         "results/fig5.json",
-        serde_json::to_string_pretty(&d.iter().map(|(w, h)| (w.label(), h)).collect::<Vec<_>>())
-            .expect("serialize"),
-    )
-    .ok();
-    println!("\n(JSON written to results/fig5.json)");
+        &d.iter().map(|(w, h)| (w.label(), h)).collect::<Vec<_>>(),
+    )?;
+    println!("\n(JSON written to {})", path.display());
+    Ok(())
 }

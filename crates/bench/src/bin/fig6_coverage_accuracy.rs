@@ -5,7 +5,7 @@
 use iris_bench::experiments::fig6_coverage;
 use iris_guest::workloads::Workload;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let exits: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -34,10 +34,7 @@ fn main() {
         println!("\n");
         all.push(f);
     }
-    std::fs::write(
-        "results/fig6.json",
-        serde_json::to_string_pretty(&all).expect("serialize"),
-    )
-    .ok();
-    println!("(JSON written to results/fig6.json)");
+    let path = iris_bench::write_json("results/fig6.json", &all)?;
+    println!("(JSON written to {})", path.display());
+    Ok(())
 }

@@ -5,7 +5,7 @@
 use iris_bench::experiments::fig7_diffs;
 use iris_guest::workloads::Workload;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let exits: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -24,10 +24,7 @@ fn main() {
         );
         all.push((w.label(), d));
     }
-    std::fs::write(
-        "results/fig7.json",
-        serde_json::to_string_pretty(&all).expect("serialize"),
-    )
-    .ok();
-    println!("(JSON written to results/fig7.json)");
+    let path = iris_bench::write_json("results/fig7.json", &all)?;
+    println!("(JSON written to {})", path.display());
+    Ok(())
 }

@@ -3,7 +3,7 @@
 
 use iris_bench::experiments::fig8_modes;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let exits: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -26,10 +26,7 @@ fn main() {
         print!("{}", m + 1);
     }
     println!();
-    std::fs::write(
-        "results/fig8.json",
-        serde_json::to_string_pretty(&f).expect("serialize"),
-    )
-    .ok();
-    println!("\n(JSON written to results/fig8.json)");
+    let path = iris_bench::write_json("results/fig8.json", &f)?;
+    println!("\n(JSON written to {})", path.display());
+    Ok(())
 }

@@ -5,7 +5,7 @@
 use iris_bench::experiments::fig9_efficiency;
 use iris_guest::workloads::Workload;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let exits: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -30,10 +30,7 @@ fn main() {
         "\nideal replay throughput: {:.0} exits/s (paper: ~50K)",
         all[0].ideal_exits_per_sec
     );
-    std::fs::write(
-        "results/fig9.json",
-        serde_json::to_string_pretty(&all).expect("serialize"),
-    )
-    .ok();
-    println!("(JSON written to results/fig9.json)");
+    let path = iris_bench::write_json("results/fig9.json", &all)?;
+    println!("(JSON written to {})", path.display());
+    Ok(())
 }

@@ -18,7 +18,7 @@ use iris_fuzzer::parallel::available_jobs;
 use iris_fuzzer::target::{render_planted_fault_report, Backend, TargetFactory};
 use iris_fuzzer::testcase::DEFAULT_CHUNK;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let exits: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -78,10 +78,7 @@ fn main() {
     if backend == Backend::Faulty {
         print!("{}", render_planted_fault_report(&report.corpus));
     }
-    std::fs::write(
-        "results/table1.json",
-        serde_json::to_string_pretty(&table).expect("serialize"),
-    )
-    .ok();
-    println!("\n(JSON written to results/table1.json)");
+    let path = iris_bench::write_json("results/table1.json", &table)?;
+    println!("\n(JSON written to {})", path.display());
+    Ok(())
 }

@@ -3,10 +3,9 @@
 //! Every runner is deterministic in its `(exits, seed)` inputs and
 //! returns structured data; the `src/bin/` regenerators render it.
 
-use iris_core::manager::{IrisManager, Mode};
 use iris_core::metrics::{self, DiffByReason, Efficiency};
-use iris_core::record::{RecordConfig, Recorder};
-use iris_core::replay::ReplayEngine;
+use iris_core::record::Recorder;
+use iris_core::replay::{replay_fresh, ReplayEngine};
 use iris_core::trace::RecordedTrace;
 use iris_fuzzer::parallel::{CampaignReport, ParallelCampaign};
 use iris_fuzzer::table1::Table1;
@@ -25,19 +24,6 @@ use std::collections::BTreeMap;
 #[must_use]
 pub fn record_workload(workload: Workload, exits: usize, seed: u64) -> (Hypervisor, RecordedTrace) {
     Recorder::new().record_fresh(workload, exits, seed, 64 << 20)
-}
-
-/// Replay a recorded trace into a fresh dummy VM; returns the replay
-/// trace and the replay wall time in ms.
-#[must_use]
-pub fn replay_trace(trace: &RecordedTrace) -> (RecordedTrace, f64) {
-    let mut hv = Hypervisor::new();
-    let dummy = hv.create_hvm_domain(64 << 20);
-    let mut engine = ReplayEngine::new(&mut hv, dummy);
-    let t0 = hv.tsc.now();
-    let replayed = engine.replay_trace(&mut hv, trace);
-    let ms = (hv.tsc.now() - t0) as f64 / 3.6e6;
-    (replayed, ms)
 }
 
 // ---------------------------------------------------------------------
@@ -127,21 +113,7 @@ pub struct Fig6 {
 #[must_use]
 pub fn fig6_coverage(workload: Workload, exits: usize, seed: u64) -> Fig6 {
     let (_, recorded) = record_workload(workload, exits, seed);
-    let (replayed, _) = if workload == Workload::OsBoot {
-        replay_trace(&recorded)
-    } else {
-        // Post-boot workloads replay on a dummy VM that replayed the
-        // boot first (the paper starts both sides from the same
-        // snapshot; see §VI-B).
-        let (_, boot) = record_workload(Workload::OsBoot, exits.min(1500), seed);
-        let mut hv = Hypervisor::new();
-        let dummy = hv.create_hvm_domain(64 << 20);
-        let mut engine = ReplayEngine::new(&mut hv, dummy);
-        engine.replay_trace(&mut hv, &boot);
-        let t0 = hv.tsc.now();
-        let rp = engine.replay_trace(&mut hv, &recorded);
-        (rp, (hv.tsc.now() - t0) as f64 / 3.6e6)
-    };
+    let (replayed, _) = replay_with_boot_prefix(workload, &recorded, exits, seed);
     let fit = metrics::coverage_fitting(&recorded, &replayed);
     Fig6 {
         workload: workload.label().to_owned(),
@@ -164,6 +136,10 @@ pub fn fig7_diffs(workload: Workload, exits: usize, seed: u64) -> DiffByReason {
     metrics::diff_by_reason(&recorded, &replayed)
 }
 
+/// Replay `recorded` on a cold 64 MiB dummy VM — after replaying the
+/// boot first, for a post-boot workload (the paper starts both sides
+/// from the same state; see §VI-B). Returns the replay trace and the
+/// replay time of `recorded` alone in ms.
 fn replay_with_boot_prefix(
     workload: Workload,
     recorded: &RecordedTrace,
@@ -171,13 +147,11 @@ fn replay_with_boot_prefix(
     seed: u64,
 ) -> (RecordedTrace, f64) {
     if workload == Workload::OsBoot {
-        replay_trace(recorded)
+        let (_, _, replayed, cycles) = replay_fresh(recorded, 64 << 20, false);
+        (replayed, cycles as f64 / 3.6e6)
     } else {
         let (_, boot) = record_workload(Workload::OsBoot, exits.min(1500), seed);
-        let mut hv = Hypervisor::new();
-        let dummy = hv.create_hvm_domain(64 << 20);
-        let mut engine = ReplayEngine::new(&mut hv, dummy);
-        engine.replay_trace(&mut hv, &boot);
+        let (mut hv, mut engine, _, _) = replay_fresh(&boot, 64 << 20, false);
         let t0 = hv.tsc.now();
         let rp = engine.replay_trace(&mut hv, recorded);
         (rp, (hv.tsc.now() - t0) as f64 / 3.6e6)
@@ -206,7 +180,7 @@ pub struct Fig8 {
 #[must_use]
 pub fn fig8_modes(exits: usize, seed: u64) -> Fig8 {
     let (_, recorded) = record_workload(Workload::OsBoot, exits, seed);
-    let (replayed, _) = replay_trace(&recorded);
+    let (_, _, replayed, _) = replay_fresh(&recorded, 64 << 20, false);
     let rec_modes = metrics::mode_ladder(&recorded);
     let rep_modes = metrics::mode_ladder(&replayed);
     let mut visited: Vec<OperatingMode> = Vec::new();
@@ -369,9 +343,7 @@ pub fn fig10_overhead(workload: Workload, exits: usize, runs: usize, seed: u64) 
 // Table I + §VI-B + §VI-D.
 // ---------------------------------------------------------------------
 
-/// Record the Table I workload traces — the shared input of both Table
-/// I entry points (keeping them on one recording path is what makes
-/// [`table1_parallel`] byte-identical to [`table1`]).
+/// Record the Table I workload traces.
 #[must_use]
 pub fn table1_traces(exits: usize, seed: u64) -> BTreeMap<Workload, RecordedTrace> {
     let mut traces = BTreeMap::new();
@@ -382,36 +354,11 @@ pub fn table1_traces(exits: usize, seed: u64) -> BTreeMap<Workload, RecordedTrac
     traces
 }
 
-/// Run Table I with the given mutant count per cell, sequentially —
-/// the paper's sweep: one worker, whole-cell chunks.
-#[must_use]
-pub fn table1(exits: usize, mutants: usize, seed: u64) -> (Table1, CampaignReport) {
-    table1_parallel(exits, mutants, seed, 1, usize::MAX)
-}
-
-/// Run Table I on the sharded executor with `jobs` workers stealing
-/// mutant ranges of `chunk` mutants. The cells (and the crash corpus)
-/// are byte-identical to [`table1`]'s for any `(jobs, chunk)`; only the
-/// wall clock changes.
-#[must_use]
-pub fn table1_parallel(
-    exits: usize,
-    mutants: usize,
-    seed: u64,
-    jobs: usize,
-    chunk: usize,
-) -> (Table1, CampaignReport) {
-    let traces = table1_traces(exits, seed);
-    Table1::run_parallel(
-        &ParallelCampaign::new(jobs).with_chunk(chunk),
-        &traces,
-        mutants,
-        seed,
-    )
-}
-
-/// [`table1_parallel`] against an explicit fuzz-target backend — e.g.
-/// `FaultyHvTarget` for a ground-truth detection run of the whole table.
+/// Run Table I against a fuzz-target backend — e.g. `FaultyHvTarget`
+/// for a ground-truth detection run of the whole table — on the sharded
+/// executor with `jobs` workers stealing mutant ranges of `chunk`
+/// mutants. The cells (and the crash corpus) are the same for any
+/// `(jobs, chunk)`; only the wall clock changes.
 #[must_use]
 pub fn table1_parallel_with<F: TargetFactory>(
     factory: F,
@@ -450,10 +397,7 @@ pub fn boot_state_experiment(workload: Workload, exits: usize, seed: u64) -> Boo
     let (_, boot) = record_workload(Workload::OsBoot, 1000, seed);
 
     // Cold: fresh dummy VM, no boot replay.
-    let mut hv = Hypervisor::new();
-    let dummy = hv.create_hvm_domain(16 << 20);
-    let mut engine = ReplayEngine::new(&mut hv, dummy);
-    let cold = engine.replay_trace(&mut hv, &trace);
+    let (hv, _, cold, _) = replay_fresh(&trace, 16 << 20, false);
     let msg = hv
         .log
         .grep("bad RIP")
@@ -462,11 +406,8 @@ pub fn boot_state_experiment(workload: Workload, exits: usize, seed: u64) -> Boo
         .unwrap_or_default();
 
     // Warm: boot replay first.
-    let mut hv2 = Hypervisor::new();
-    let dummy2 = hv2.create_hvm_domain(16 << 20);
-    let mut engine2 = ReplayEngine::new(&mut hv2, dummy2);
-    engine2.replay_trace(&mut hv2, &boot);
-    let warm = engine2.replay_trace(&mut hv2, &trace);
+    let (mut hv, mut engine, _, _) = replay_fresh(&boot, 16 << 20, false);
+    let warm = engine.replay_trace(&mut hv, &trace);
 
     BootStateExperiment {
         cold_completed: cold.metrics.iter().filter(|m| !m.crashed).count(),
@@ -511,32 +452,6 @@ pub fn seed_memory(exits: usize, seed: u64) -> SeedMemory {
         max_seed_bytes: max_bytes,
         prealloc_bytes: iris_core::seed::WORST_CASE_SEED_BYTES,
     }
-}
-
-/// Run a full record+replay accuracy/efficiency summary through the
-/// manager (used by the quickstart example and smoke tests).
-#[must_use]
-pub fn quick_summary(workload: Workload, exits: usize, seed: u64) -> String {
-    let mut mgr = IrisManager::new(64 << 20);
-    if workload != Workload::OsBoot {
-        mgr.boot_test_vm();
-    }
-    let ops = workload.generate(exits, seed);
-    mgr.record(workload.label(), ops, RecordConfig::default());
-    let recorded = mgr.db.get(workload.label()).expect("recorded").clone();
-    let t0 = mgr.hv.tsc.now();
-    let replayed = mgr.replay(workload.label(), Mode::ReplayWithMetrics, true);
-    let ms = (mgr.hv.tsc.now() - t0) as f64 / 3.6e6;
-    let fit = metrics::coverage_fitting(&recorded, &replayed);
-    let eff = metrics::efficiency(&recorded, ms);
-    format!(
-        "{}: fitting {:.1}%, real {:.1} ms vs replay {:.1} ms ({:.1}% decrease)",
-        workload.label(),
-        fit.fitting_percent,
-        eff.real_ms,
-        eff.replay_ms,
-        eff.decrease_percent
-    )
 }
 
 #[cfg(test)]

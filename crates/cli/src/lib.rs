@@ -16,9 +16,9 @@ mod args;
 
 use args::{command, Command, Flag, Parsed};
 use iris_core::forest::ForestConfig;
-use iris_core::manager::{IrisManager, Mode};
 use iris_core::metrics;
-use iris_core::record::{RecordConfig, Recorder};
+use iris_core::record::Recorder;
+use iris_core::replay::replay_fresh;
 use iris_core::seed_db::SeedDb;
 use iris_core::trace::RecordedTrace;
 use iris_dist::backoff::BackoffPolicy;
@@ -405,19 +405,9 @@ fn plural(n: u64) -> &'static str {
     }
 }
 
-fn setup(p: &Parsed) -> Result<(IrisManager, Workload, usize, u64), CliError> {
-    let (w, exits, seed) = trace_args(p)?;
-    let mut mgr = IrisManager::new(64 << 20);
-    if w != Workload::OsBoot {
-        mgr.boot_test_vm();
-    }
-    Ok((mgr, w, exits, seed))
-}
-
 fn cmd_record(p: &Parsed) -> Result<String, CliError> {
-    let (mut mgr, w, exits, seed) = setup(p)?;
-    let ops = w.generate(exits, seed);
-    let trace = mgr.record(w.label(), ops, RecordConfig::default());
+    let (w, exits, seed) = trace_args(p)?;
+    let (_, trace) = Recorder::new().record_fresh(w, exits, seed, 64 << 20);
     let total = trace.len().max(1);
     let mut out = format!(
         "recorded {} exits of {} ({} unique lines covered, {:.2} ms wall)\n",
@@ -436,33 +426,24 @@ fn cmd_record(p: &Parsed) -> Result<String, CliError> {
         ));
     }
     if let Some(path) = p.path("--out") {
-        let trace = mgr.db.get(w.label()).expect("just recorded");
-        SeedDb::save_json(trace, &path)?;
+        SeedDb::save_json(&trace, &path)?;
         out.push_str(&format!("trace written to {}\n", path.display()));
     }
     Ok(out)
 }
 
 fn cmd_replay(p: &Parsed) -> Result<String, CliError> {
-    let (mut mgr, w, exits, seed) = setup(p)?;
+    let (w, exits, seed) = trace_args(p)?;
     let cold = p.has("--cold");
-    let ops = w.generate(exits, seed);
-    mgr.record(
-        w.label(),
-        ops,
-        RecordConfig {
-            record_memory: p.has("--memory"),
-            ..RecordConfig::default()
-        },
-    );
-    let recorded = mgr.db.get(w.label()).expect("recorded").clone();
-
-    let t0 = mgr.hv.tsc.now();
-    let replayed = mgr.replay(w.label(), Mode::ReplayWithMetrics, !cold);
-    let replay_ms = (mgr.hv.tsc.now() - t0) as f64 / 3.6e6;
+    let recorder = Recorder {
+        record_memory: p.has("--memory"),
+    };
+    let (_, recorded) = recorder.record_fresh(w, exits, seed, 64 << 20);
+    let warm = !cold && w != Workload::OsBoot;
+    let (hv, _, replayed, cycles) = replay_fresh(&recorded, 64 << 20, warm);
 
     let fit = metrics::coverage_fitting(&recorded, &replayed);
-    let eff = metrics::efficiency(&recorded, replay_ms);
+    let eff = metrics::efficiency(&recorded, cycles as f64 / 3.6e6);
     let mut out = format!(
         "replayed {}/{} seeds of {}{}\n",
         replayed.metrics.len(),
@@ -479,8 +460,7 @@ fn cmd_replay(p: &Parsed) -> Result<String, CliError> {
         eff.real_ms, eff.replay_ms, eff.decrease_percent, eff.speedup, eff.replay_exits_per_sec
     ));
     if replayed.metrics.last().is_some_and(|m| m.crashed) {
-        let msg = mgr
-            .hv
+        let msg = hv
             .log
             .grep("bad RIP")
             .last()

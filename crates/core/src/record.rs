@@ -20,31 +20,6 @@ use iris_vtx::exit::ExitReason;
 use iris_vtx::fields::VmcsField;
 use iris_vtx::gpr::GprSet;
 
-/// What the recorder stores (§IV-C: *"the record mode can be configured
-/// to store VM seeds, metrics, or both"*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordConfig {
-    /// Capture VM seeds.
-    pub store_seeds: bool,
-    /// Capture metrics (coverage, VMWRITEs, timing).
-    pub store_metrics: bool,
-    /// §IX extension: also record the guest memory areas the workload
-    /// touches (EPT-style dirty logging: the image of every frame an
-    /// exit dirtied), producing *memory-augmented* seeds whose replay
-    /// does not diverge on guest-memory-dependent handler paths.
-    pub record_memory: bool,
-}
-
-impl Default for RecordConfig {
-    fn default() -> Self {
-        Self {
-            store_seeds: true,
-            store_metrics: true,
-            record_memory: false,
-        }
-    }
-}
-
 /// Per-exit capture state; implements the instrumentation callbacks.
 ///
 /// The capture buffers are pre-allocated to the paper's worst case
@@ -127,26 +102,21 @@ impl VmxHooks for RecordHooks {
     }
 }
 
-/// Drives recording sessions.
-#[derive(Debug)]
+/// Drives recording sessions. Every exit yields a seed and its metrics.
+#[derive(Debug, Default)]
 pub struct Recorder {
-    /// Configuration.
-    pub config: RecordConfig,
-}
-
-impl Default for Recorder {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// §IX extension: also record the guest memory areas the workload
+    /// touches (EPT-style dirty logging: the image of every frame an
+    /// exit dirtied), producing *memory-augmented* seeds whose replay
+    /// does not diverge on guest-memory-dependent handler paths.
+    pub record_memory: bool,
 }
 
 impl Recorder {
-    /// A recorder storing seeds and metrics.
+    /// A recorder of seeds and metrics, without the memory log.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            config: RecordConfig::default(),
-        }
+        Self::default()
     }
 
     /// The one route from a trace's coordinates to the trace: build a
@@ -187,7 +157,7 @@ impl Recorder {
         ops: I,
     ) -> RecordedTrace {
         hv.fuzzing_ctl.record_enabled = true;
-        if self.config.record_memory {
+        if self.record_memory {
             hv.domains[domain as usize]
                 .memory
                 .set_page_dirty_tracking(true);
@@ -198,7 +168,7 @@ impl Recorder {
         for op in ops {
             let start_tsc = hv.tsc.now();
             let mut outcome = runner.step(hv, &op, &mut hooks);
-            if self.config.record_memory {
+            if self.record_memory {
                 // What an EPT dirty log records: the image of every
                 // frame the exit touched (a frame wiped since is cold
                 // again and has no image to carry).
@@ -212,29 +182,25 @@ impl Recorder {
                 .handled_reason
                 .unwrap_or(ExitReason::PreemptionTimer);
             let (seed, writes) = hooks.drain(reason);
-            if self.config.store_seeds {
-                trace.seeds.push(seed);
-            }
-            if self.config.store_metrics {
-                // Move the per-exit map out of the outcome instead of
-                // copying it; the outcome is not used past this point.
-                let mut coverage = std::mem::take(&mut outcome.coverage);
-                coverage.strip_framework();
-                trace.metrics.push(SeedMetrics {
-                    reason,
-                    coverage,
-                    vmwrites: writes,
-                    handling_cycles: outcome.cycles,
-                    start_tsc,
-                    crashed: outcome.crash.is_some(),
-                });
-            }
+            trace.seeds.push(seed);
+            // Move the per-exit map out of the outcome instead of
+            // copying it; the outcome is not used past this point.
+            let mut coverage = std::mem::take(&mut outcome.coverage);
+            coverage.strip_framework();
+            trace.metrics.push(SeedMetrics {
+                reason,
+                coverage,
+                vmwrites: writes,
+                handling_cycles: outcome.cycles,
+                start_tsc,
+                crashed: outcome.crash.is_some(),
+            });
             if outcome.crash.is_some() {
                 break;
             }
         }
         hv.fuzzing_ctl.record_enabled = false;
-        if self.config.record_memory {
+        if self.record_memory {
             hv.domains[domain as usize]
                 .memory
                 .set_page_dirty_tracking(false);
@@ -310,10 +276,7 @@ mod tests {
         let mut op = GuestOp::new(ExitEvent::new(ExitReason::Cpuid));
         op.setup.mem_writes.push((ram - 2, vec![1, 2, 3, 4]));
         let recorder = Recorder {
-            config: RecordConfig {
-                record_memory: true,
-                ..RecordConfig::default()
-            },
+            record_memory: true,
         };
         let trace = recorder.record_workload(&mut hv, dom, "edge", [op]);
 

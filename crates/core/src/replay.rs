@@ -15,9 +15,12 @@
 //! 4. triggers the preemption-timer exit and lets the full pipeline —
 //!    dispatch on the (interposed) recorded reason, handler, interrupt
 //!    assist, **VM-entry checks** — run normally.
+//!
+//! A whole trace is replayed onto a fresh dummy VM by [`replay_fresh`].
 
 use crate::seed::{VmSeed, MAX_VMCS_OPS};
 use crate::trace::{RecordedTrace, SeedMetrics};
+use iris_guest::runner::fast_forward_boot;
 use iris_hv::costs;
 use iris_hv::hooks::VmxHooks;
 use iris_hv::hypervisor::{ExitEvent, ExitOutcome, Hypervisor};
@@ -242,11 +245,36 @@ impl ReplayEngine {
     }
 }
 
+/// The one route from a recorded trace to its replay, the mirror of
+/// [`crate::record::Recorder::record_fresh`]: build a fresh hypervisor
+/// with one `ram_bytes` dummy VM, fast-forward its boot when `warm` (the
+/// state a post-boot trace was recorded from; §VI-B's cold dummy VM is
+/// `warm = false`), and replay `trace` through it. Returns the stack —
+/// the hypervisor for its console log, the engine for further
+/// submissions — with the replay-side trace and the TSC cycles the
+/// replay took.
+#[must_use]
+pub fn replay_fresh(
+    trace: &RecordedTrace,
+    ram_bytes: u64,
+    warm: bool,
+) -> (Hypervisor, ReplayEngine, RecordedTrace, u64) {
+    let mut hv = Hypervisor::new();
+    let dummy = hv.create_hvm_domain(ram_bytes);
+    if warm {
+        fast_forward_boot(&mut hv, dummy);
+    }
+    let mut engine = ReplayEngine::new(&mut hv, dummy);
+    let t0 = hv.tsc.now();
+    let replayed = engine.replay_trace(&mut hv, trace);
+    let cycles = hv.tsc.now() - t0;
+    (hv, engine, replayed, cycles)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::Recorder;
-    use iris_guest::runner::fast_forward_boot;
     use iris_guest::workloads::Workload;
 
     fn record_trace(w: Workload, n: usize) -> RecordedTrace {
@@ -256,11 +284,7 @@ mod tests {
     #[test]
     fn replayed_seed_steers_dispatch_to_recorded_reason() {
         let trace = record_trace(Workload::CpuBound, 20);
-        let mut hv = Hypervisor::new();
-        let dummy = hv.create_hvm_domain(16 << 20);
-        fast_forward_boot(&mut hv, dummy);
-        let mut engine = ReplayEngine::new(&mut hv, dummy);
-        let replayed = engine.replay_trace(&mut hv, &trace);
+        let (_, _, replayed, _) = replay_fresh(&trace, 16 << 20, true);
         assert_eq!(replayed.metrics.len(), 20);
         for (r, m) in trace.metrics.iter().zip(&replayed.metrics) {
             assert_eq!(r.reason, m.reason, "replay followed the seed's reason");
@@ -270,10 +294,7 @@ mod tests {
     #[test]
     fn os_boot_replay_reaches_high_coverage_fitting() {
         let trace = record_trace(Workload::OsBoot, 800);
-        let mut hv = Hypervisor::new();
-        let dummy = hv.create_hvm_domain(16 << 20);
-        let mut engine = ReplayEngine::new(&mut hv, dummy);
-        let replayed = engine.replay_trace(&mut hv, &trace);
+        let (_, _, replayed, _) = replay_fresh(&trace, 16 << 20, false);
         assert_eq!(replayed.metrics.len(), 800, "no crash during boot replay");
         let rec = trace.total_coverage().lines() as f64;
         let rep = replayed.total_coverage().lines() as f64;
@@ -286,12 +307,9 @@ mod tests {
         // An exact size counter, not a timing: what a snapshot copies and
         // a restore compares is this many runs, whatever the RAM size.
         let trace = record_trace(Workload::OsBoot, 300);
-        let mut hv = Hypervisor::new();
-        let dummy = hv.create_hvm_domain(16 << 20);
-        let mut engine = ReplayEngine::new(&mut hv, dummy);
-        let replayed = engine.replay_trace(&mut hv, &trace);
+        let (hv, engine, replayed, _) = replay_fresh(&trace, 16 << 20, false);
         assert_eq!(replayed.metrics.len(), 300, "no crash during boot replay");
-        let runs = hv.domains[dummy as usize].ept.runs();
+        let runs = hv.domains[engine.domain as usize].ept.runs();
         assert!(runs <= 16, "dummy VM EPT holds {runs} runs after OS BOOT");
     }
 
@@ -301,11 +319,8 @@ mod tests {
         // abstraction up the ladder — that is what makes the §VI-B
         // experiment work.
         let trace = record_trace(Workload::OsBoot, 400);
-        let mut hv = Hypervisor::new();
-        let dummy = hv.create_hvm_domain(16 << 20);
-        let mut engine = ReplayEngine::new(&mut hv, dummy);
-        engine.replay_trace(&mut hv, &trace);
-        let mode = hv.domains[dummy as usize].vcpus[0].hvm.mode;
+        let (hv, engine, _, _) = replay_fresh(&trace, 16 << 20, false);
+        let mode = hv.domains[engine.domain as usize].vcpus[0].hvm.mode;
         assert!(
             mode >= iris_vtx::cr::OperatingMode::Mode3,
             "dummy VM mode after boot replay: {mode:?}"
@@ -317,13 +332,26 @@ mod tests {
         // §VI-B: replaying post-boot seeds from a VM state without
         // booting the OS crashes the dummy VM.
         let trace = record_trace(Workload::CpuBound, 50);
-        let mut hv = Hypervisor::new();
-        let dummy = hv.create_hvm_domain(16 << 20);
-        let mut engine = ReplayEngine::new(&mut hv, dummy);
-        let replayed = engine.replay_trace(&mut hv, &trace);
+        let (hv, _, replayed, _) = replay_fresh(&trace, 16 << 20, false);
         assert!(replayed.metrics.len() < 50, "crashed early");
         assert!(replayed.metrics.last().unwrap().crashed);
         assert!(hv.log.grep("for mode 0").count() >= 1, "Xen's log message");
+    }
+
+    #[test]
+    fn warm_replay_completes_and_cold_post_boot_replay_crashes() {
+        // A post-boot trace replays in full on a dummy VM fast-forwarded
+        // to the state it was recorded from, and crashes a cold one.
+        let trace = Recorder::new()
+            .record_fresh(Workload::CpuBound, 50, 1, 16 << 20)
+            .1;
+        let (_, _, warm, _) = replay_fresh(&trace, 16 << 20, true);
+        assert_eq!(warm.metrics.len(), 50);
+        assert!(!warm.metrics.last().unwrap().crashed);
+        let (hv, _, cold, _) = replay_fresh(&trace, 16 << 20, false);
+        assert!(cold.metrics.len() < 50);
+        let line = hv.log.grep("bad RIP").last().expect("a crash line");
+        assert!(line.message.contains("for mode 0"), "{}", line.message);
     }
 
     #[test]
@@ -333,10 +361,7 @@ mod tests {
         let boot = record_trace(Workload::OsBoot, 400);
         for w in [Workload::CpuBound, Workload::Idle] {
             let trace = record_trace(w, 50);
-            let mut hv = Hypervisor::new();
-            let dummy = hv.create_hvm_domain(16 << 20);
-            let mut engine = ReplayEngine::new(&mut hv, dummy);
-            engine.replay_trace(&mut hv, &boot);
+            let (mut hv, mut engine, _, _) = replay_fresh(&boot, 16 << 20, false);
             let replayed = engine.replay_trace(&mut hv, &trace);
             assert_eq!(replayed.metrics.len(), 50, "{w:?} completed");
             assert!(!replayed.metrics.last().unwrap().crashed);
@@ -382,13 +407,8 @@ mod tests {
     fn replay_is_faster_than_real_execution() {
         let trace = record_trace(Workload::Idle, 200);
         let real_ms = trace.wall_time_ms();
-        let mut hv = Hypervisor::new();
-        let dummy = hv.create_hvm_domain(16 << 20);
-        fast_forward_boot(&mut hv, dummy);
-        let mut engine = ReplayEngine::new(&mut hv, dummy);
-        let t0 = hv.tsc.now();
-        engine.replay_trace(&mut hv, &trace);
-        let replay_ms = (hv.tsc.now() - t0) as f64 / 3.6e6;
+        let (_, _, _, cycles) = replay_fresh(&trace, 16 << 20, true);
+        let replay_ms = cycles as f64 / 3.6e6;
         assert!(
             replay_ms * 20.0 < real_ms,
             "IDLE: replay {replay_ms:.1}ms vs real {real_ms:.1}ms"

@@ -1,13 +1,10 @@
-//! The VM-seed database (the `VM seed DB` box of the paper's Fig. 3).
-//!
-//! Stores recorded traces keyed by label, with two persistence formats:
-//! the compact 10-byte-record binary codec for seeds (the paper's wire
-//! format) and JSON for full traces including metrics.
+//! The VM-seed database's file formats (the `VM seed DB` box of the
+//! paper's Fig. 3): the compact 10-byte-record binary codec for seeds
+//! (the paper's wire format) and JSON for full traces including metrics.
 
 use crate::seed::VmSeed;
 use crate::trace::RecordedTrace;
 use bytes::{Buf, BufMut, BytesMut};
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
@@ -18,47 +15,11 @@ fn at_path(path: &Path, e: io::Error) -> io::Error {
     io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
-/// In-memory seed store with file persistence.
-#[derive(Debug, Default)]
-pub struct SeedDb {
-    traces: BTreeMap<String, RecordedTrace>,
-}
+/// The seed-database codecs; one trace per file.
+#[derive(Debug)]
+pub struct SeedDb;
 
 impl SeedDb {
-    /// Empty database.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert (or replace) a trace under its label.
-    pub fn insert(&mut self, trace: RecordedTrace) {
-        self.traces.insert(trace.label.clone(), trace);
-    }
-
-    /// Fetch a trace by label.
-    #[must_use]
-    pub fn get(&self, label: &str) -> Option<&RecordedTrace> {
-        self.traces.get(label)
-    }
-
-    /// Labels in the database.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.traces.keys().map(String::as_str)
-    }
-
-    /// Number of stored traces.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.traces.len()
-    }
-
-    /// Whether the database is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.traces.is_empty()
-    }
-
     /// Serialize one trace's seeds to the compact binary format:
     /// `count (u32 LE)` then length-prefixed encoded seeds.
     #[must_use]
@@ -138,15 +99,6 @@ mod tests {
             t.seeds.push(s);
         }
         t
-    }
-
-    #[test]
-    fn insert_and_get() {
-        let mut db = SeedDb::new();
-        db.insert(sample_trace());
-        assert_eq!(db.len(), 1);
-        assert_eq!(db.get("sample").unwrap().seeds.len(), 5);
-        assert_eq!(db.labels().collect::<Vec<_>>(), vec!["sample"]);
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //!
 //! §IV-B: *"IRIS allows reverting the test VM snapshot saved at the start
 //! of recording, and using it as a starting point from which replaying VM
-//! seeds via the dummy VM"* — and §VI-B uses the same snapshot to unbias
-//! the accuracy comparison. A snapshot captures the full domain (vCPU,
-//! VMCS, memory, devices, EPT) and can be reverted into any domain slot.
+//! seeds via the dummy VM"*. Here that starting point is rebuilt rather
+//! than copied: [`crate::replay::replay_fresh`] fast-forwards a fresh
+//! dummy VM to the post-boot state the recording started from, and
+//! replays byte-identically to a reverted snapshot. A snapshot captures
+//! the full domain (vCPU, VMCS, memory, devices, EPT) and can be
+//! restored into any domain slot.
 
 use iris_hv::domain::Domain;
 use iris_hv::hypervisor::Hypervisor;
@@ -32,17 +35,12 @@ impl Snapshot {
 
     /// The one restore entry point: make the target domain slot
     /// identical to the snapshot **in place**, reusing the slot's
-    /// existing allocations. (There used to be a separate `revert_into`
-    /// alias; the snapshot forest made the distinction load-bearing, so
-    /// the API now has exactly this method — "revert" and "restore" are
-    /// the same operation. Usually the target is the slot the snapshot
-    /// came from, but the replay flow restores the *test VM* image into
-    /// the *dummy VM* slot to start both sides from the same state; the
-    /// slot keeps its own domain id.)
+    /// existing allocations. The target is usually the slot the snapshot
+    /// came from; restored into another slot, the copy keeps that slot's
+    /// domain id.
     ///
     /// The cost is that of [`Domain::restore_from`]: proportional to
-    /// the state that diverged since the snapshot, which is what lets a
-    /// replay flow revert per crash instead of rebuilding per test case.
+    /// the state that diverged since the snapshot, not to the RAM size.
     pub fn restore_into(&self, hv: &mut Hypervisor, domain_id: u16) {
         hv.domains[domain_id as usize].restore_from(&self.domain);
     }

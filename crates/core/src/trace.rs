@@ -33,12 +33,12 @@ pub struct RecordedTrace {
     pub label: String,
     /// One seed per exit.
     pub seeds: Vec<VmSeed>,
-    /// One metrics record per exit (when metric storage was on).
+    /// One metrics record per exit (none for bare binary seeds).
     pub metrics: Vec<SeedMetrics>,
     /// §IX extension: per exit, the `(gpa, bytes)` images of the guest
     /// frames that exit dirtied — page-granular, what an EPT dirty log
     /// records — applied verbatim before the seed on replay. Empty
-    /// unless `RecordConfig::record_memory` was enabled. Replay applies
+    /// unless `Recorder::record_memory` was set. Replay applies
     /// entries as plain writes, so a trace carrying raw written ranges
     /// (the older format) loads and replays too.
     #[serde(default)]

@@ -136,22 +136,13 @@ impl Hypervisor {
         id
     }
 
-    /// Destroy a DomU (frees the slot for rebuilds; Dom0 is permanent).
+    /// Destroy a DomU (Dom0 is permanent).
     pub fn destroy_domain(&mut self, id: u16) {
         if id == 0 {
             return;
         }
         if let Some(d) = self.domains.get_mut(id as usize) {
             d.crash(DomainCrashReason::TripleFault);
-        }
-    }
-
-    /// Rebuild a crashed DomU in place (the fuzzer's reset-the-test-VM).
-    pub fn rebuild_domain(&mut self, id: u16, ram_bytes: u64) {
-        if let Some(slot) = self.domains.get_mut(id as usize) {
-            let mut dom = Domain::new(id, DomainKind::Hvm, ram_bytes);
-            handlers::cr::init_cr_state(&mut dom.vcpus[0]);
-            *slot = dom;
         }
     }
 
@@ -475,17 +466,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn rebuild_resurrects_a_crashed_domain() {
-        let (mut hv, id) = hv_with_domu();
-        hv.domains[id as usize].crash(DomainCrashReason::TripleFault);
-        assert!(!hv.domains[id as usize].is_alive());
-        hv.rebuild_domain(id, 16 << 20);
-        assert!(hv.domains[id as usize].is_alive());
-        let out = hv.vm_exit(id, &ExitEvent::new(ExitReason::Cpuid), &mut NoHooks);
-        assert!(out.crash.is_none());
     }
 
     #[test]

@@ -9,21 +9,13 @@
 
 use iris_core::metrics;
 use iris_core::record::Recorder;
-use iris_core::replay::ReplayEngine;
-use iris_guest::runner::fast_forward_boot;
+use iris_core::replay::replay_fresh;
 use iris_guest::workloads::Workload;
-use iris_hv::hypervisor::Hypervisor;
 
 fn main() {
     // --- Record an OS boot on the test VM. ---------------------------
-    let mut hv = Hypervisor::new();
-    let test_vm = hv.create_hvm_domain(64 << 20);
-    let boot = Recorder::new().record_workload(
-        &mut hv,
-        test_vm,
-        "OS BOOT",
-        Workload::OsBoot.generate(2000, 42),
-    );
+    let recorder = Recorder::new();
+    let (_, boot) = recorder.record_fresh(Workload::OsBoot, 2000, 42, 64 << 20);
     let ladder = metrics::mode_ladder(&boot);
     let mut seen = Vec::new();
     for m in &ladder {
@@ -41,21 +33,10 @@ fn main() {
     );
 
     // --- Record a post-boot CPU-bound slice. --------------------------
-    let mut hv2 = Hypervisor::new();
-    let d2 = hv2.create_hvm_domain(64 << 20);
-    fast_forward_boot(&mut hv2, d2);
-    let cpu = Recorder::new().record_workload(
-        &mut hv2,
-        d2,
-        "CPU-bound",
-        Workload::CpuBound.generate(300, 42),
-    );
+    let (_, cpu) = recorder.record_fresh(Workload::CpuBound, 300, 42, 64 << 20);
 
     // --- Cold replay: fresh dummy VM, no boot seeds. -------------------
-    let mut cold_hv = Hypervisor::new();
-    let cold_dummy = cold_hv.create_hvm_domain(64 << 20);
-    let mut cold_engine = ReplayEngine::new(&mut cold_hv, cold_dummy);
-    let cold = cold_engine.replay_trace(&mut cold_hv, &cpu);
+    let (cold_hv, _, cold, _) = replay_fresh(&cpu, 64 << 20, false);
     let crash_line = cold_hv
         .log
         .grep("bad RIP")
@@ -69,13 +50,11 @@ fn main() {
     );
 
     // --- Warm replay: boot seeds first, then the same CPU seeds. -------
-    let mut warm_hv = Hypervisor::new();
-    let warm_dummy = warm_hv.create_hvm_domain(64 << 20);
-    let mut warm_engine = ReplayEngine::new(&mut warm_hv, warm_dummy);
-    warm_engine.replay_trace(&mut warm_hv, &boot);
+    let (mut warm_hv, mut warm_engine, _, _) = replay_fresh(&boot, 64 << 20, false);
+    let dummy = &warm_hv.domains[warm_engine.domain as usize];
     println!(
         "dummy VM mode after boot replay: {:?}",
-        warm_hv.domains[warm_dummy as usize].vcpus[0].hvm.mode
+        dummy.vcpus[0].hvm.mode
     );
     let warm = warm_engine.replay_trace(&mut warm_hv, &cpu);
     println!(

@@ -5,20 +5,15 @@
 //! cargo run --example quickstart
 //! ```
 
-use iris_core::manager::{IrisManager, Mode};
 use iris_core::metrics;
-use iris_core::record::RecordConfig;
+use iris_core::record::Recorder;
+use iris_core::replay::replay_fresh;
 use iris_guest::workloads::Workload;
 
 fn main() {
-    // A hypervisor with a test VM and a dummy VM (the Fig. 3 deployment).
-    let mut mgr = IrisManager::new(64 << 20);
-    mgr.boot_test_vm(); // CPU-bound runs post-boot
-
-    // Record 2000 exits of the CPU-bound workload on the test VM.
-    let ops = Workload::CpuBound.generate(2000, 42);
-    mgr.record("CPU-bound", ops, RecordConfig::default());
-    let recorded = mgr.db.get("CPU-bound").expect("just recorded").clone();
+    // Record 2000 exits of the CPU-bound workload on a fresh 64 MiB test
+    // VM, fast-forwarded past the boot (CPU-bound runs post-boot).
+    let (_, recorded) = Recorder::new().record_fresh(Workload::CpuBound, 2000, 42, 64 << 20);
     println!(
         "recorded {} seeds, {} unique lines, {:.1} ms of guest wall time",
         recorded.len(),
@@ -26,11 +21,10 @@ fn main() {
         recorded.wall_time_ms()
     );
 
-    // Replay them as-is through the dummy VM (reverting to the snapshot
-    // taken at record start, so both sides begin from the same state).
-    let t0 = mgr.hv.tsc.now();
-    let replayed = mgr.replay("CPU-bound", Mode::ReplayWithMetrics, true);
-    let replay_ms = (mgr.hv.tsc.now() - t0) as f64 / 3.6e6;
+    // Replay them as-is through a dummy VM fast-forwarded to the same
+    // post-boot state, so both sides begin from the same state.
+    let (_, _, replayed, cycles) = replay_fresh(&recorded, 64 << 20, true);
+    let replay_ms = cycles as f64 / 3.6e6;
 
     // Accuracy: coverage fitting (paper Fig. 6: 92.1% for CPU-bound).
     let fit = metrics::coverage_fitting(&recorded, &replayed);

@@ -1,9 +1,9 @@
 //! Cross-crate integration: the full IRIS pipeline from workload
 //! generation through recording, persistence, replay, and fuzzing.
 
-use iris_core::manager::{IrisManager, Mode};
 use iris_core::metrics;
-use iris_core::record::RecordConfig;
+use iris_core::record::Recorder;
+use iris_core::replay::{replay_fresh, ReplayEngine};
 use iris_core::seed_db::SeedDb;
 use iris_fuzzer::campaign::run_test_case_with;
 use iris_fuzzer::corpus::Corpus;
@@ -11,14 +11,14 @@ use iris_fuzzer::mutation::SeedArea;
 use iris_fuzzer::target::IrisHvTarget;
 use iris_fuzzer::testcase::TestCase;
 use iris_guest::workloads::Workload;
+use iris_hv::hypervisor::Hypervisor;
 use iris_vtx::exit::ExitReason;
+
+const RAM: u64 = 32 << 20;
 
 #[test]
 fn record_persist_reload_replay() {
-    let mut mgr = IrisManager::new(32 << 20);
-    let ops = Workload::OsBoot.generate(400, 42);
-    mgr.record("OS BOOT", ops, RecordConfig::default());
-    let recorded = mgr.db.get("OS BOOT").unwrap().clone();
+    let (_, recorded) = Recorder::new().record_fresh(Workload::OsBoot, 400, 42, RAM);
 
     // Persist seeds in the binary wire format, reload, and replay the
     // reloaded copy — the DB round trip must not change behavior.
@@ -29,8 +29,7 @@ fn record_persist_reload_replay() {
     let reloaded = SeedDb::load_seeds_binary("OS BOOT", &path).unwrap();
     assert_eq!(reloaded.seeds, recorded.seeds);
 
-    mgr.db.insert(reloaded);
-    let replayed = mgr.replay("OS BOOT", Mode::ReplayWithMetrics, false);
+    let (_, _, replayed, _) = replay_fresh(&reloaded, RAM, false);
     assert_eq!(replayed.metrics.len(), 400);
     let fit = metrics::coverage_fitting(&recorded, &replayed);
     assert!(
@@ -44,29 +43,20 @@ fn record_persist_reload_replay() {
 #[test]
 fn all_five_workloads_record_and_replay() {
     for w in Workload::ALL {
-        let mut mgr = IrisManager::new(32 << 20);
-        if w != Workload::OsBoot {
-            mgr.boot_test_vm();
-        }
-        let ops = w.generate(150, 9);
-        mgr.record(w.label(), ops, RecordConfig::default());
-        let replayed = mgr.replay(w.label(), Mode::ReplayWithMetrics, true);
+        let (_, recorded) = Recorder::new().record_fresh(w, 150, 9, RAM);
+        let (_, _, replayed, _) = replay_fresh(&recorded, RAM, w != Workload::OsBoot);
         assert_eq!(replayed.metrics.len(), 150, "{w:?} replay completed");
         assert!(
             !replayed.metrics.last().unwrap().crashed,
-            "{w:?} replay must not crash with baseline revert"
+            "{w:?} replay must not crash from the recording's start state"
         );
     }
 }
 
 #[test]
 fn replayed_seeds_follow_recorded_reasons_exactly() {
-    let mut mgr = IrisManager::new(32 << 20);
-    mgr.boot_test_vm();
-    let ops = Workload::IoBound.generate(200, 5);
-    mgr.record("IO-bound", ops, RecordConfig::default());
-    let recorded = mgr.db.get("IO-bound").unwrap().clone();
-    let replayed = mgr.replay("IO-bound", Mode::ReplayWithMetrics, true);
+    let (_, recorded) = Recorder::new().record_fresh(Workload::IoBound, 200, 5, RAM);
+    let (_, _, replayed, _) = replay_fresh(&recorded, RAM, true);
     for (r, p) in recorded.metrics.iter().zip(&replayed.metrics) {
         assert_eq!(r.reason, p.reason);
     }
@@ -76,10 +66,7 @@ fn replayed_seeds_follow_recorded_reasons_exactly() {
 fn fuzzing_on_top_of_replayed_state() {
     // The complete §VII loop: record, pick a target, replay-to-state,
     // mutate, observe.
-    let mut mgr = IrisManager::new(32 << 20);
-    let ops = Workload::OsBoot.generate(200, 42);
-    mgr.record("OS BOOT", ops, RecordConfig::default());
-    let trace = mgr.db.get("OS BOOT").unwrap().clone();
+    let (_, trace) = Recorder::new().record_fresh(Workload::OsBoot, 200, 42, RAM);
 
     let idx = trace
         .seeds
@@ -105,10 +92,8 @@ fn fuzzing_on_top_of_replayed_state() {
     // Crash corpus entries replay deterministically: resubmit one and
     // observe a crash again.
     if let Some(record) = corpus.crashes.first() {
-        let mut mgr2 = IrisManager::new(32 << 20);
-        mgr2.db.insert(trace.clone());
-        mgr2.replay("OS BOOT", Mode::Replay, false);
-        let out = mgr2.submit_crafted(&record.seed);
+        let (mut hv, mut engine, _, _) = replay_fresh(&trace, RAM, false);
+        let out = engine.submit(&mut hv, &record.seed);
         assert!(out.exit.crash.is_some(), "saved crash seed must reproduce");
     }
 }
@@ -116,18 +101,20 @@ fn fuzzing_on_top_of_replayed_state() {
 #[test]
 fn hypervisor_crash_stops_the_world_and_is_classified() {
     use iris_core::seed::VmSeed;
-    let mut mgr = IrisManager::new(32 << 20);
+    let mut hv = Hypervisor::new();
+    let dummy = hv.create_hvm_domain(RAM);
+    let mut engine = ReplayEngine::new(&mut hv, dummy);
     // Craft a seed whose (read-only) exit-reason field names an exit the
     // hypervisor never configured: the dispatch BUGs.
     let mut evil = VmSeed::new(ExitReason::Cpuid);
     evil.push_read(VmcsField_VM_EXIT_REASON(), 11); // GETSEC
-    let out = mgr.submit_crafted(&evil);
+    let out = engine.submit(&mut hv, &evil);
     assert!(matches!(
         out.exit.crash,
         Some(iris_hv::crash::Crash::Hypervisor(_))
     ));
-    assert!(!mgr.hv.is_alive());
-    assert!(mgr.hv.log.grep("FATAL").count() > 0);
+    assert!(!hv.is_alive());
+    assert!(hv.log.grep("FATAL").count() > 0);
 }
 
 // Small helper so the test reads like the seed the fuzzer would build.

@@ -1,7 +1,8 @@
 //! The paper's headline claims, asserted as integration tests at reduced
 //! scale. Each test names the section/figure it checks. The full-scale
-//! numbers live in EXPERIMENTS.md (regenerated by the `iris-bench`
-//! binaries).
+//! numbers are regenerated by the `iris-bench` binaries
+//! (`crates/bench/src/bin/`, one per table or figure), which print them
+//! and write them to `results/<name>.json`.
 
 use iris_bench::experiments::{
     boot_state_experiment, fig5_distribution, fig6_coverage, fig8_modes, fig9_efficiency,

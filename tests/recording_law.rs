@@ -1,12 +1,10 @@
 //! The recording law: a trace is a function of its coordinates —
 //! `(workload, exits, seed, RAM)` — and of nothing else. Every route the
 //! libraries offer from coordinates to a trace is
-//! `Recorder::record_fresh` at that route's RAM size, and the paper's
-//! two-VM manager deployment records the same bytes as one fresh VM.
+//! `Recorder::record_fresh` at that route's RAM size.
 
 use iris_bench::experiments::record_workload;
-use iris_core::manager::IrisManager;
-use iris_core::record::{RecordConfig, Recorder};
+use iris_core::record::Recorder;
 use iris_core::trace::RecordedTrace;
 use iris_dist::job::{JobKind, JobSpec};
 use iris_fuzzer::target::record_trace;
@@ -47,13 +45,6 @@ fn every_route_records_the_trace_of_its_coordinates() {
             assert_eq!(large, bytes(&job), "{cell}: JobSpec");
             let (_, experiment) = record_workload(w, exits, seed);
             assert_eq!(large, bytes(&experiment), "{cell}: experiments");
-            let mut manager = IrisManager::new(64 * MIB);
-            if w != Workload::OsBoot {
-                manager.boot_test_vm();
-            }
-            let managed =
-                manager.record(w.label(), w.generate(exits, seed), RecordConfig::default());
-            assert_eq!(large, bytes(managed), "{cell}: IrisManager");
         }
     }
 }
