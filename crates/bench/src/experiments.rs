@@ -1,21 +1,27 @@
 //! Experiment runners regenerating the paper's tables and figures.
 //!
 //! Every runner is deterministic in its `(exits, seed)` inputs and
-//! returns structured data; the `src/bin/` regenerators render it.
+//! returns structured data; the rows of [`crate::paper::PAPER`] render
+//! and check it.
 
 use iris_core::metrics::{self, DiffByReason, Efficiency};
 use iris_core::record::Recorder;
 use iris_core::replay::{replay_fresh, ReplayEngine};
+use iris_core::seed::VmSeed;
 use iris_core::trace::RecordedTrace;
-use iris_fuzzer::parallel::{CampaignReport, ParallelCampaign};
-use iris_fuzzer::table1::Table1;
-use iris_fuzzer::target::TargetFactory;
+use iris_fuzzer::mutation::SeedArea;
+use iris_fuzzer::parallel::{available_jobs, CampaignReport, ParallelCampaign};
+use iris_fuzzer::strategies::{mutate_with, Strategy};
+use iris_fuzzer::table1::{Table1, TABLE1_WORKLOADS};
 use iris_guest::runner::{fast_forward_boot, GuestRunner};
 use iris_guest::workloads::{os_boot, Workload};
+use iris_hv::coverage::CoverageMap;
 use iris_hv::hooks::NoHooks;
 use iris_hv::hypervisor::Hypervisor;
 use iris_vtx::cr::OperatingMode;
 use iris_vtx::exit::ExitReason;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -225,26 +231,20 @@ pub struct Fig9 {
 pub fn fig9_efficiency(workload: Workload, exits: usize, seed: u64) -> Fig9 {
     let (_, recorded) = record_workload(workload, exits, seed);
     let (replayed, replay_ms) = replay_with_boot_prefix(workload, &recorded, exits, seed);
-
-    // Real-VM cumulative wall time: start-to-start deltas include the
-    // guest-local burn.
-    let base = recorded.metrics.first().map_or(0, |m| m.start_tsc);
-    let real_vm_ms: Vec<f64> = recorded
-        .metrics
-        .iter()
-        .map(|m| (m.start_tsc + m.handling_cycles - base) as f64 / 3.6e6)
-        .collect();
-    let rbase = replayed.metrics.first().map_or(0, |m| m.start_tsc);
-    let iris_vm_ms: Vec<f64> = replayed
-        .metrics
-        .iter()
-        .map(|m| (m.start_tsc + m.handling_cycles - rbase) as f64 / 3.6e6)
-        .collect();
-
+    // Cumulative wall time: start-to-start deltas include the guest-local
+    // burn.
+    let cumulative_ms = |trace: &RecordedTrace| {
+        let base = trace.metrics.first().map_or(0, |m| m.start_tsc);
+        trace
+            .metrics
+            .iter()
+            .map(|m| (m.start_tsc + m.handling_cycles - base) as f64 / 3.6e6)
+            .collect()
+    };
     Fig9 {
         workload: workload.label().to_owned(),
-        real_vm_ms,
-        iris_vm_ms,
+        real_vm_ms: cumulative_ms(&recorded),
+        iris_vm_ms: cumulative_ms(&replayed),
         efficiency: metrics::efficiency(&recorded, replay_ms),
         ideal_exits_per_sec: ideal_replay_throughput(exits.min(2000)),
     }
@@ -319,13 +319,9 @@ pub fn fig10_overhead(workload: Workload, exits: usize, runs: usize, seed: u64) 
         }
     }
 
-    let median = |v: &mut Vec<u64>| -> f64 {
+    let median = |v: &mut Vec<u64>| {
         v.sort_unstable();
-        if v.is_empty() {
-            0.0
-        } else {
-            v[v.len() / 2] as f64 / 3600.0 // cycles → µs
-        }
+        v.get(v.len() / 2).map_or(0.0, |&c| c as f64 / 3600.0) // cycles → µs
     };
     let mut medians_us = BTreeMap::new();
     for (label, mut p) in plain {
@@ -343,38 +339,18 @@ pub fn fig10_overhead(workload: Workload, exits: usize, runs: usize, seed: u64) 
 // Table I + §VI-B + §VI-D.
 // ---------------------------------------------------------------------
 
-/// Record the Table I workload traces.
+/// Run Table I on the stock backend: the sharded executor with one
+/// worker per available CPU, stealing default-sized mutant ranges. The
+/// cells (and the crash corpus) are the same for any worker count; only
+/// the wall clock changes.
 #[must_use]
-pub fn table1_traces(exits: usize, seed: u64) -> BTreeMap<Workload, RecordedTrace> {
-    let mut traces = BTreeMap::new();
-    for w in iris_fuzzer::table1::TABLE1_WORKLOADS {
-        let (_, t) = record_workload(*w, exits, seed);
-        traces.insert(*w, t);
-    }
-    traces
-}
-
-/// Run Table I against a fuzz-target backend — e.g. `FaultyHvTarget`
-/// for a ground-truth detection run of the whole table — on the sharded
-/// executor with `jobs` workers stealing mutant ranges of `chunk`
-/// mutants. The cells (and the crash corpus) are the same for any
-/// `(jobs, chunk)`; only the wall clock changes.
-#[must_use]
-pub fn table1_parallel_with<F: TargetFactory>(
-    factory: F,
-    exits: usize,
-    mutants: usize,
-    seed: u64,
-    jobs: usize,
-    chunk: usize,
-) -> (Table1, CampaignReport) {
-    let traces = table1_traces(exits, seed);
-    Table1::run_parallel(
-        &ParallelCampaign::with_factory(jobs, factory).with_chunk(chunk),
-        &traces,
-        mutants,
-        seed,
-    )
+pub fn table1(exits: usize, mutants: usize, seed: u64) -> (Table1, CampaignReport) {
+    let traces = TABLE1_WORKLOADS
+        .iter()
+        .map(|&w| (w, record_workload(w, exits, seed).1))
+        .collect();
+    let campaign = ParallelCampaign::new(available_jobs());
+    Table1::run_parallel(&campaign, &traces, mutants, seed)
 }
 
 /// §VI-B boot-state experiment result.
@@ -433,93 +409,133 @@ pub struct SeedMemory {
 /// Run the §VI-D seed-size measurement across all workloads.
 #[must_use]
 pub fn seed_memory(exits: usize, seed: u64) -> SeedMemory {
-    let mut max_ops = 0usize;
-    let mut sum_ops = 0usize;
-    let mut count = 0usize;
-    let mut max_bytes = 0usize;
-    for w in Workload::ALL {
-        let (_, t) = record_workload(w, exits, seed);
-        for s in &t.seeds {
-            max_ops = max_ops.max(s.reads.len());
-            sum_ops += s.reads.len();
-            max_bytes = max_bytes.max(s.payload_bytes());
-            count += 1;
-        }
-    }
+    let seeds: Vec<VmSeed> = Workload::ALL
+        .into_iter()
+        .flat_map(|w| record_workload(w, exits, seed).1.seeds)
+        .collect();
+    let ops = seeds.iter().map(|s| s.reads.len());
     SeedMemory {
-        max_vmcs_ops: max_ops,
-        mean_vmcs_ops: sum_ops as f64 / count as f64,
-        max_seed_bytes: max_bytes,
+        max_vmcs_ops: ops.clone().max().unwrap_or(0),
+        mean_vmcs_ops: ops.sum::<usize>() as f64 / seeds.len() as f64,
+        max_seed_bytes: seeds.iter().map(VmSeed::payload_bytes).max().unwrap_or(0),
         prealloc_bytes: iris_core::seed::WORST_CASE_SEED_BYTES,
     }
 }
 
+// ---------------------------------------------------------------------
+// §IX ablations — memory-augmented seeds, mutation strategies.
+// ---------------------------------------------------------------------
+
+/// One workload of the §IX memory ablation: each pair is (plain seeds,
+/// seeds carrying the guest memory they touched).
+#[derive(Debug, Clone, Serialize)]
+pub struct MemoryAblation {
+    /// Workload label.
+    pub workload: String,
+    /// Coverage fitting (%).
+    pub fitting_percent: (f64, f64),
+    /// Share of seeds diverging by more than 30 LOC (%).
+    pub large_diff_percent: (f64, f64),
+}
+
+/// Run the §IX memory ablation for one workload: record with and
+/// without EPT-style dirty logging and replay each trace on a fresh
+/// dummy VM, which receives the recorded memory before each seed.
+#[must_use]
+pub fn memory_ablation(workload: Workload, exits: usize, seed: u64) -> MemoryAblation {
+    let run = |record_memory| {
+        let (_, trace) = Recorder { record_memory }.record_fresh(workload, exits, seed, 64 << 20);
+        let (_, _, replayed, _) = replay_fresh(&trace, 64 << 20, workload != Workload::OsBoot);
+        (
+            metrics::coverage_fitting(&trace, &replayed).fitting_percent,
+            metrics::diff_by_reason(&trace, &replayed).large_diff_percent,
+        )
+    };
+    let (plain, mem) = (run(false), run(true));
+    MemoryAblation {
+        workload: workload.label().to_owned(),
+        fitting_percent: (plain.0, mem.0),
+        large_diff_percent: (plain.1, mem.1),
+    }
+}
+
+/// One strategy's yield in the §IX strategy ablation.
+#[derive(Debug, Clone, Serialize)]
+pub struct StrategyYield {
+    /// Strategy label.
+    pub strategy: String,
+    /// Lines covered by some mutant but not by the unmutated seed.
+    pub new_lines: u64,
+    /// Mutants that crashed the VM.
+    pub vm_crashes: u64,
+    /// Mutants that crashed the hypervisor.
+    pub hv_crashes: u64,
+}
+
+/// Run the §IX strategy ablation: `mutants` VMCS mutants per strategy
+/// of the first CR ACCESS seed of an `exits`-exit OS BOOT trace, each
+/// submitted where the recording submitted the seed (the dummy VM is
+/// re-positioned after every crash).
+#[must_use]
+pub fn strategy_ablation(exits: usize, mutants: usize, seed: u64) -> Vec<StrategyYield> {
+    let (_, trace) = record_workload(Workload::OsBoot, exits, seed);
+    let idx = trace
+        .seeds
+        .iter()
+        .position(|s| s.reason == ExitReason::CrAccess)
+        .expect("an OS BOOT trace has a CR ACCESS seed");
+    let target = &trace.seeds[idx];
+    let donor = &trace.seeds[(idx + 7) % trace.seeds.len()];
+    let positioned = || {
+        let mut hv = Hypervisor::new();
+        let dummy = hv.create_hvm_domain(16 << 20);
+        let mut engine = ReplayEngine::new(&mut hv, dummy);
+        for s in &trace.seeds[..idx] {
+            let _ = engine.submit(&mut hv, s);
+        }
+        (hv, engine)
+    };
+    let run = |strategy: Strategy| {
+        let (mut hv, mut engine) = positioned();
+        let baseline = engine.submit(&mut hv, target).metrics.coverage;
+        let mut discovered = CoverageMap::new();
+        let (mut vm_crashes, mut hv_crashes) = (0, 0);
+        let mut rng = SmallRng::seed_from_u64(7);
+        for _ in 0..mutants {
+            let m = mutate_with(target, SeedArea::Vmcs, strategy, Some(donor), &mut rng);
+            let out = engine.submit(&mut hv, &m);
+            for (b, _) in out.metrics.coverage.iter() {
+                if !baseline.contains(b) {
+                    discovered.hit(b);
+                }
+            }
+            match &out.exit.crash {
+                Some(c) if c.is_hypervisor() => hv_crashes += 1,
+                Some(_) => vm_crashes += 1,
+                None => continue,
+            }
+            (hv, engine) = positioned();
+        }
+        StrategyYield {
+            strategy: strategy.label().to_owned(),
+            new_lines: discovered.lines(),
+            vm_crashes,
+            hv_crashes,
+        }
+    };
+    Strategy::ALL.into_iter().map(run).collect()
+}
+
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn fig4_buckets_cover_all_exits() {
-        let f = fig4_timeline(200, 300, 50, 1);
-        assert_eq!(f.total_exits, 500);
-        let sum: usize = f.buckets.values().flatten().sum();
-        assert_eq!(sum, 500);
-        // BIOS prefix is I/O-heavy: the I/O row dominates early buckets.
-        let io = &f.buckets["I/O INST."];
-        assert!(io[0] > 25);
-    }
-
-    #[test]
-    fn fig5_probabilities_sum_to_one() {
-        let d = fig5_distribution(400, 2);
-        for (w, hist) in &d {
-            let sum: f64 = hist.values().sum();
-            assert!((sum - 1.0).abs() < 1e-9, "{w:?} sums to {sum}");
-        }
-        assert!(d[&Workload::CpuBound]["RDTSC"] > 0.7);
-        assert!(d[&Workload::OsBoot]["I/O INST."] > 0.3);
-    }
-
-    #[test]
-    fn fig6_curves_are_monotone_and_fit() {
-        let f = fig6_coverage(Workload::OsBoot, 400, 3);
-        assert!(f.recording.windows(2).all(|w| w[0] <= w[1]));
-        assert!(f.replaying.windows(2).all(|w| w[0] <= w[1]));
-        assert!(f.fitting_percent > 80.0, "fitting {}", f.fitting_percent);
-    }
-
-    #[test]
-    fn fig8_visits_the_ladder_and_fits_writes() {
-        let f = fig8_modes(600, 4);
-        assert!(f.modes_visited.len() >= 4, "visited {:?}", f.modes_visited);
-        assert!(f.modes_visited.contains(&"Mode1".to_owned()));
-        assert!(
-            f.vmwrite_fitting_percent > 99.0,
-            "VMWRITE fitting {}",
-            f.vmwrite_fitting_percent
-        );
-    }
-
-    #[test]
-    fn fig9_idle_speedup_is_large() {
-        let f = fig9_efficiency(Workload::Idle, 150, 5);
-        assert!(f.efficiency.speedup > 20.0, "{:?}", f.efficiency);
-        assert!(f.ideal_exits_per_sec > 30_000.0);
-    }
-
-    #[test]
-    fn boot_state_experiment_matches_paper() {
-        let e = boot_state_experiment(Workload::CpuBound, 40, 6);
-        assert!(e.cold_completed < e.total);
-        assert!(e.cold_crash_message.contains("for mode 0"));
-        assert_eq!(e.warm_completed, e.total);
-    }
-
-    #[test]
-    fn seed_memory_within_prealloc() {
-        let m = seed_memory(150, 7);
-        assert!(m.max_vmcs_ops <= 32);
-        assert!(m.max_seed_bytes <= m.prealloc_bytes);
-        assert_eq!(m.prealloc_bytes, 470);
+    // Each runner holds its row's claims at the row's size and seed.
+    crate::paper_tests! {
+        fig4_buckets_cover_all_exits: "fig4";
+        fig5_probabilities_sum_to_one: "fig5";
+        fig6_curves_are_monotone_and_fit: "fig6";
+        fig8_visits_the_ladder_and_fits_writes: "fig8";
+        fig9_idle_speedup_is_large: "fig9";
+        boot_state_experiment_matches_paper: "boot_state";
+        seed_memory_within_prealloc: "seed_memory";
     }
 }

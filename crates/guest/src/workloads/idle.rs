@@ -66,7 +66,7 @@ mod tests {
         let burn: u64 = ops.iter().map(|o| o.burn_cycles).sum();
         assert!(wait > 50 * burn);
         // Calibration target: ~62.6 s at 3.6 GHz → ~225 G cycles. Accept
-        // a broad band; `fig9_replay_efficiency` prints the measured value.
+        // a broad band; `iris-experiments fig9` prints the measured value.
         let total_secs = (wait + burn) as f64 / 3.6e9;
         assert!(
             (40.0..90.0).contains(&total_secs),
