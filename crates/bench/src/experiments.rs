@@ -5,7 +5,7 @@
 //! and check it.
 
 use iris_core::metrics::{self, DiffByReason, Efficiency};
-use iris_core::record::Recorder;
+use iris_core::record::{Recorder, RECORD_RAM_BYTES};
 use iris_core::replay::{replay_fresh, ReplayEngine};
 use iris_core::seed::VmSeed;
 use iris_core::trace::RecordedTrace;
@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 /// every table and figure of the evaluation is regenerated at.
 #[must_use]
 pub fn record_workload(workload: Workload, exits: usize, seed: u64) -> (Hypervisor, RecordedTrace) {
-    Recorder::new().record_fresh(workload, exits, seed, 64 << 20)
+    Recorder::new().record_fresh(workload, exits, seed, RECORD_RAM_BYTES)
 }
 
 // ---------------------------------------------------------------------
@@ -153,11 +153,11 @@ fn replay_with_boot_prefix(
     seed: u64,
 ) -> (RecordedTrace, f64) {
     if workload == Workload::OsBoot {
-        let (_, _, replayed, cycles) = replay_fresh(recorded, 64 << 20, false);
+        let (_, _, replayed, cycles) = replay_fresh(recorded, RECORD_RAM_BYTES, false);
         (replayed, cycles as f64 / 3.6e6)
     } else {
         let (_, boot) = record_workload(Workload::OsBoot, exits.min(1500), seed);
-        let (mut hv, mut engine, _, _) = replay_fresh(&boot, 64 << 20, false);
+        let (mut hv, mut engine, _, _) = replay_fresh(&boot, RECORD_RAM_BYTES, false);
         let t0 = hv.tsc.now();
         let rp = engine.replay_trace(&mut hv, recorded);
         (rp, (hv.tsc.now() - t0) as f64 / 3.6e6)
@@ -186,7 +186,7 @@ pub struct Fig8 {
 #[must_use]
 pub fn fig8_modes(exits: usize, seed: u64) -> Fig8 {
     let (_, recorded) = record_workload(Workload::OsBoot, exits, seed);
-    let (_, _, replayed, _) = replay_fresh(&recorded, 64 << 20, false);
+    let (_, _, replayed, _) = replay_fresh(&recorded, RECORD_RAM_BYTES, false);
     let rec_modes = metrics::mode_ladder(&recorded);
     let rep_modes = metrics::mode_ladder(&replayed);
     let mut visited: Vec<OperatingMode> = Vec::new();
@@ -444,8 +444,10 @@ pub struct MemoryAblation {
 #[must_use]
 pub fn memory_ablation(workload: Workload, exits: usize, seed: u64) -> MemoryAblation {
     let run = |record_memory| {
-        let (_, trace) = Recorder { record_memory }.record_fresh(workload, exits, seed, 64 << 20);
-        let (_, _, replayed, _) = replay_fresh(&trace, 64 << 20, workload != Workload::OsBoot);
+        let (_, trace) =
+            Recorder { record_memory }.record_fresh(workload, exits, seed, RECORD_RAM_BYTES);
+        let (_, _, replayed, _) =
+            replay_fresh(&trace, RECORD_RAM_BYTES, workload != Workload::OsBoot);
         (
             metrics::coverage_fitting(&trace, &replayed).fitting_percent,
             metrics::diff_by_reason(&trace, &replayed).large_diff_percent,

@@ -17,7 +17,7 @@ mod args;
 use args::{command, Command, Flag, Parsed};
 use iris_core::forest::ForestConfig;
 use iris_core::metrics;
-use iris_core::record::Recorder;
+use iris_core::record::{Recorder, RECORD_RAM_BYTES};
 use iris_core::replay::replay_fresh;
 use iris_core::seed_db::SeedDb;
 use iris_core::trace::RecordedTrace;
@@ -407,7 +407,7 @@ fn plural(n: u64) -> &'static str {
 
 fn cmd_record(p: &Parsed) -> Result<String, CliError> {
     let (w, exits, seed) = trace_args(p)?;
-    let (_, trace) = Recorder::new().record_fresh(w, exits, seed, 64 << 20);
+    let (_, trace) = Recorder::new().record_fresh(w, exits, seed, RECORD_RAM_BYTES);
     let total = trace.len().max(1);
     let mut out = format!(
         "recorded {} exits of {} ({} unique lines covered, {:.2} ms wall)\n",
@@ -438,9 +438,9 @@ fn cmd_replay(p: &Parsed) -> Result<String, CliError> {
     let recorder = Recorder {
         record_memory: p.has("--memory"),
     };
-    let (_, recorded) = recorder.record_fresh(w, exits, seed, 64 << 20);
+    let (_, recorded) = recorder.record_fresh(w, exits, seed, RECORD_RAM_BYTES);
     let warm = !cold && w != Workload::OsBoot;
-    let (hv, _, replayed, cycles) = replay_fresh(&recorded, 64 << 20, warm);
+    let (hv, _, replayed, cycles) = replay_fresh(&recorded, RECORD_RAM_BYTES, warm);
 
     let fit = metrics::coverage_fitting(&recorded, &replayed);
     let eff = metrics::efficiency(&recorded, cycles as f64 / 3.6e6);
@@ -479,7 +479,7 @@ fn cmd_fuzz(p: &Parsed) -> Result<String, CliError> {
         Some("gpr") => SeedArea::Gpr,
         Some(other) => return Err(p.command.usage_error(format!("bad --area {other}"))),
     };
-    let (_, trace) = Recorder::new().record_fresh(w, exits, seed, 64 << 20);
+    let (_, trace) = Recorder::new().record_fresh(w, exits, seed, RECORD_RAM_BYTES);
 
     let reason = p.value("--reason");
     let wanted = |label: &str| reason.is_none_or(|r| label.eq_ignore_ascii_case(r));

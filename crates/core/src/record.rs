@@ -20,6 +20,13 @@ use iris_vtx::exit::ExitReason;
 use iris_vtx::fields::VmcsField;
 use iris_vtx::gpr::GprSet;
 
+/// The test VM's RAM for every trace the CLI, the fleet, the paper
+/// experiments and the examples record, and for the stack
+/// [`crate::replay::replay_fresh`] replays those traces on. RAM is a
+/// trace coordinate ([`Recorder::record_fresh`]), so this one name is
+/// the one place it is chosen.
+pub const RECORD_RAM_BYTES: u64 = 64 << 20;
+
 /// Per-exit capture state; implements the instrumentation callbacks.
 ///
 /// The capture buffers are pre-allocated to the paper's worst case

@@ -12,7 +12,7 @@
 //! and reconnect matching.
 
 use crate::DistError;
-use iris_core::record::Recorder;
+use iris_core::record::{Recorder, RECORD_RAM_BYTES};
 use iris_core::trace::RecordedTrace;
 use iris_fuzzer::checkpoint::{campaign_fingerprint, guided_fingerprint};
 use iris_fuzzer::guided::GuidedConfig;
@@ -80,7 +80,7 @@ impl JobSpec {
     }
 
     /// Re-record the spec's trace — deterministic in
-    /// `(workload, exits, seed)` on the fleet's 64 MiB test VM, so every
+    /// `(workload, exits, seed)` on a [`RECORD_RAM_BYTES`] test VM, so every
     /// participant derives identical bytes. `iris campaign` /
     /// `iris guided` record their trace through this call too.
     ///
@@ -88,7 +88,7 @@ impl JobSpec {
     /// [`DistError::Protocol`] on an unknown workload label.
     pub fn record_trace(&self) -> Result<RecordedTrace, DistError> {
         let recorded =
-            Recorder::new().record_fresh(self.workload()?, self.exits, self.seed, 64 << 20);
+            Recorder::new().record_fresh(self.workload()?, self.exits, self.seed, RECORD_RAM_BYTES);
         Ok(recorded.1)
     }
 

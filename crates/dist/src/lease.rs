@@ -10,10 +10,11 @@
 //! redundancy; a holder never gets the same entry twice (its vote, or
 //! its outstanding lease, excludes it), which is what makes K votes K
 //! *distinct* workers. Expiry is passive: nothing scans the table on a
-//! timer; an expired lease is pruned at the next claim, and the
-//! connection handler that owned it drops the dead socket on its own
-//! read timeout. Re-leasing is semantically free — the per-range RNG
-//! law makes the re-execution byte-identical (RELIABILITY.md §1,
+//! timer; an expired lease is pruned at the next claim. The coordinator's
+//! state machine closes a silent worker's connection at the first `Tick`
+//! a lease timeout after its last frame, and that connection's `Closed`
+//! returns its leases. Re-leasing is semantically free — the per-range
+//! RNG law makes the re-execution byte-identical (RELIABILITY.md §1,
 //! DISTRIBUTED.md).
 //!
 //! Time is an explicit `now_ms` parameter rather than an ambient clock

@@ -27,7 +27,9 @@
 //!   ranges lost to worker death, folds [`proto::RangeOutput`]s through
 //!   the existing in-process merge, checkpoints at fold/generation
 //!   boundaries via `iris_fuzzer::checkpoint`, and streams progress to
-//!   submitters.
+//!   submitters. Every one of those decisions is made by a pure state
+//!   machine (`machine.rs`, `Coordinator::on(conn, event, now_ms)`);
+//!   the daemon is the I/O loop around it.
 //! * [`worker`] / [`client`] — `iris worker` builds a private target
 //!   per lease via `TargetFactory` and runs the existing
 //!   `run_mutant_range_with`/`run_slot` cores; `iris submit` delivers a
@@ -55,6 +57,7 @@ pub mod client;
 pub mod coordinator;
 pub mod job;
 pub mod lease;
+mod machine;
 pub mod proto;
 pub mod verify;
 pub mod worker;

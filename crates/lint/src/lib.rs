@@ -290,5 +290,21 @@ mod tests {
 
         let cli = scoped_rules("crates/cli/src/lib.rs");
         assert_eq!(cli, vec![Rule::UnsafeAudit]);
+
+        // The coordinator's state machine carries every law of the fold
+        // it drives; its I/O loop reads the clock, so it stays outside
+        // the deterministic core.
+        let machine = scoped_rules("crates/dist/src/machine.rs");
+        for rule in [
+            Rule::AmbientNondeterminism,
+            Rule::UnorderedMerge,
+            Rule::PanicPath,
+        ] {
+            assert!(machine.contains(&rule), "machine.rs lacks {}", rule.id());
+        }
+        assert!(!machine.contains(&Rule::RngLaw));
+        let coordinator = scoped_rules("crates/dist/src/coordinator.rs");
+        assert!(!coordinator.contains(&Rule::AmbientNondeterminism));
+        assert!(coordinator.contains(&Rule::PanicPath));
     }
 }

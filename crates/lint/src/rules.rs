@@ -90,7 +90,7 @@ pub const ALLOW_RULE_ID: &str = "lint-allow";
 /// The deterministic core: modules whose outputs must be a pure
 /// function of their inputs for the jobs × chunk byte-identity
 /// guarantee to hold.
-const DET_CORE_FILES: [&str; 7] = [
+const DET_CORE_FILES: [&str; 8] = [
     "crates/fuzzer/src/campaign.rs",
     "crates/fuzzer/src/guided.rs",
     "crates/fuzzer/src/executor.rs",
@@ -98,11 +98,14 @@ const DET_CORE_FILES: [&str; 7] = [
     "crates/fuzzer/src/strategies.rs",
     "crates/fuzzer/src/parallel.rs",
     "crates/fuzzer/src/checkpoint.rs",
+    // The coordinator's state machine: its only time is the `now_ms`
+    // the I/O loop hands it, so a schedule replays exactly under test.
+    "crates/dist/src/machine.rs",
 ];
 
 /// Aggregation / merge modules: anywhere worker outputs are folded
 /// into a report, iteration order is part of the byte-identity law.
-const MERGE_FILES: [&str; 15] = [
+const MERGE_FILES: [&str; 16] = [
     "crates/fuzzer/src/parallel.rs",
     "crates/fuzzer/src/executor.rs",
     "crates/fuzzer/src/guided.rs",
@@ -115,6 +118,7 @@ const MERGE_FILES: [&str; 15] = [
     // arbitrary network order; its fold and lease bookkeeping carry the
     // same ordered-iteration obligation as the in-process merge.
     "crates/dist/src/coordinator.rs",
+    "crates/dist/src/machine.rs",
     "crates/dist/src/lease.rs",
     // Workers execute the ranges the fold consumes, the client relays
     // the folded report, and the chaos proxy sits on the wire between
@@ -133,7 +137,7 @@ const MERGE_FILES: [&str; 15] = [
 
 /// Executor worker closures and slot/range run functions: the modules
 /// where a panic silently burns the worker-restart budget.
-const PANIC_SCOPE_FILES: [&str; 13] = [
+const PANIC_SCOPE_FILES: [&str; 14] = [
     "crates/fuzzer/src/executor.rs",
     "crates/fuzzer/src/guided.rs",
     "crates/fuzzer/src/campaign.rs",
@@ -145,6 +149,7 @@ const PANIC_SCOPE_FILES: [&str; 13] = [
     // accept thread and handler set under it (and under the chaos
     // proxy) serve every connection: a panic there stops the listener.
     "crates/dist/src/coordinator.rs",
+    "crates/dist/src/machine.rs",
     "crates/dist/src/accept.rs",
     "crates/dist/src/lease.rs",
     // Hostile bytes reach the worker and client loops straight off the

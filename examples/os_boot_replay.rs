@@ -8,14 +8,14 @@
 //! ```
 
 use iris_core::metrics;
-use iris_core::record::Recorder;
+use iris_core::record::{Recorder, RECORD_RAM_BYTES};
 use iris_core::replay::replay_fresh;
 use iris_guest::workloads::Workload;
 
 fn main() {
     // --- Record an OS boot on the test VM. ---------------------------
     let recorder = Recorder::new();
-    let (_, boot) = recorder.record_fresh(Workload::OsBoot, 2000, 42, 64 << 20);
+    let (_, boot) = recorder.record_fresh(Workload::OsBoot, 2000, 42, RECORD_RAM_BYTES);
     let ladder = metrics::mode_ladder(&boot);
     let mut seen = Vec::new();
     for m in &ladder {
@@ -33,10 +33,10 @@ fn main() {
     );
 
     // --- Record a post-boot CPU-bound slice. --------------------------
-    let (_, cpu) = recorder.record_fresh(Workload::CpuBound, 300, 42, 64 << 20);
+    let (_, cpu) = recorder.record_fresh(Workload::CpuBound, 300, 42, RECORD_RAM_BYTES);
 
     // --- Cold replay: fresh dummy VM, no boot seeds. -------------------
-    let (cold_hv, _, cold, _) = replay_fresh(&cpu, 64 << 20, false);
+    let (cold_hv, _, cold, _) = replay_fresh(&cpu, RECORD_RAM_BYTES, false);
     let crash_line = cold_hv
         .log
         .grep("bad RIP")
@@ -50,7 +50,7 @@ fn main() {
     );
 
     // --- Warm replay: boot seeds first, then the same CPU seeds. -------
-    let (mut warm_hv, mut warm_engine, _, _) = replay_fresh(&boot, 64 << 20, false);
+    let (mut warm_hv, mut warm_engine, _, _) = replay_fresh(&boot, RECORD_RAM_BYTES, false);
     let dummy = &warm_hv.domains[warm_engine.domain as usize];
     println!(
         "dummy VM mode after boot replay: {:?}",

@@ -6,14 +6,15 @@
 //! ```
 
 use iris_core::metrics;
-use iris_core::record::Recorder;
+use iris_core::record::{Recorder, RECORD_RAM_BYTES};
 use iris_core::replay::replay_fresh;
 use iris_guest::workloads::Workload;
 
 fn main() {
     // Record 2000 exits of the CPU-bound workload on a fresh 64 MiB test
     // VM, fast-forwarded past the boot (CPU-bound runs post-boot).
-    let (_, recorded) = Recorder::new().record_fresh(Workload::CpuBound, 2000, 42, 64 << 20);
+    let (_, recorded) =
+        Recorder::new().record_fresh(Workload::CpuBound, 2000, 42, RECORD_RAM_BYTES);
     println!(
         "recorded {} seeds, {} unique lines, {:.1} ms of guest wall time",
         recorded.len(),
@@ -23,7 +24,7 @@ fn main() {
 
     // Replay them as-is through a dummy VM fast-forwarded to the same
     // post-boot state, so both sides begin from the same state.
-    let (_, _, replayed, cycles) = replay_fresh(&recorded, 64 << 20, true);
+    let (_, _, replayed, cycles) = replay_fresh(&recorded, RECORD_RAM_BYTES, true);
     let replay_ms = cycles as f64 / 3.6e6;
 
     // Accuracy: coverage fitting (paper Fig. 6: 92.1% for CPU-bound).
