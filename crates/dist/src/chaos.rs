@@ -25,8 +25,14 @@ use crate::accept::Acceptor;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+/// How long a relay waits for each upstream address to accept its
+/// connection. Unbounded, a connect to an unresponsive upstream would
+/// wait out the OS's SYN retries (about two minutes on Linux), and
+/// [`ChaosProxy::stop`], which joins the relay, with it.
+const UPSTREAM_CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The chaos RNG law, mirroring `mutant_rng`: one independent,
 /// replayable stream per connection index.
@@ -192,7 +198,9 @@ fn kill(client: &TcpStream, up: &TcpStream) {
 /// Relay one accepted connection until either side ends, a fault cuts
 /// it, or the proxy stops (which shuts `client` down under the relays).
 fn handle_conn(client: &TcpStream, upstream: &str, seed: u64, plan: ConnPlan) {
-    let Ok(up) = TcpStream::connect(upstream) else {
+    let mut addrs = upstream.to_socket_addrs().into_iter().flatten();
+    let connect = |addr| TcpStream::connect_timeout(&addr, UPSTREAM_CONNECT_TIMEOUT).ok();
+    let Some(up) = addrs.find_map(connect) else {
         let _ = client.shutdown(Shutdown::Both);
         return;
     };
@@ -425,5 +433,48 @@ mod tests {
         }
         drop(conn);
         proxy.stop();
+    }
+
+    /// Stopping the proxy while a relay connects to an upstream that
+    /// never answers returns within the connect bound, not after the
+    /// OS's SYN retries. The upstream is a listener that never accepts,
+    /// with its accept queue filled until connects to it time out:
+    /// from then on the kernel drops its SYNs unanswered.
+    #[test]
+    fn stopping_during_an_unanswered_upstream_connect_returns_promptly() {
+        let (done, stopped) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = upstream.local_addr().unwrap();
+            let mut queued = Vec::new();
+            let full = loop {
+                match TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+                    Ok(stream) => queued.push(stream),
+                    Err(e) => break e,
+                }
+            };
+            assert_eq!(full.kind(), io::ErrorKind::TimedOut, "{full}");
+            let proxy = ChaosProxy::start(ChaosOptions {
+                upstream: addr.to_string(),
+                destructive_budget: 0,
+                ..ChaosOptions::default()
+            })
+            .unwrap();
+            let _client = TcpStream::connect(proxy.addr()).unwrap();
+            while proxy.connections() == 0 {
+                std::thread::yield_now();
+            }
+            #[allow(clippy::disallowed_methods)] // test-local stopwatch
+            let t0 = std::time::Instant::now();
+            proxy.stop();
+            let _ = done.send(t0.elapsed());
+            drop((upstream, queued));
+        });
+        // A hang guard only: an unbounded connect holds `stop` for about
+        // two minutes.
+        let took = stopped
+            .recv_timeout(Duration::from_secs(30))
+            .expect("stop waited out the upstream connect");
+        assert!(took < Duration::from_secs(10), "stop took {took:?}");
     }
 }

@@ -9,10 +9,8 @@
 
 use crate::accept::Acceptor;
 use crate::job::{JobKind, JobSpec};
-use crate::lease::LeaseTable;
 use crate::machine::{Action, Coordinator, Event, Job, JobBody, Snapshot};
 use crate::proto::{read_frame_polled, read_frame_within, write_frame, ErrorCode, Frame};
-use crate::verify::Verifier;
 use iris_fuzzer::checkpoint::{
     load_if_present, CampaignCheckpoint, CheckpointMismatch, GuidedCheckpoint, JsonWriter,
 };
@@ -402,8 +400,8 @@ pub(crate) fn prepare(resume: Option<&Path>, spec: JobSpec) -> Result<Job, (Erro
             let body = if corpus0.is_empty() {
                 JobBody::Empty
             } else {
-                let load = GuidedCheckpoint::load;
-                JobBody::guided(resume_or_fresh(resume, &fingerprint, load, build)?)
+                let engine = resume_or_fresh(resume, &fingerprint, GuidedCheckpoint::load, build)?;
+                JobBody::Guided(Box::new(engine))
             };
             (fingerprint, body)
         }
@@ -414,8 +412,6 @@ pub(crate) fn prepare(resume: Option<&Path>, spec: JobSpec) -> Result<Job, (Erro
         spec,
         backend,
         trace,
-        table: LeaseTable::new(0, 1),
-        verifier: Verifier::new(1),
         body,
     })
 }

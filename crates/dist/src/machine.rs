@@ -10,23 +10,20 @@
 //! event moves [`Coordinator::changes`], the loop wakes every waiting
 //! connection and each answers [`Event::Ready`]. A connection whose
 //! actions hold no `Wait`, `Close`, `Prepare` or `Reexecute` owes a
-//! result, so the loop reads its next frame. Results fold through the
-//! in-process engines ([`CampaignEngine::fold`],
-//! [`SharedEngine::fold_generation`]) in fold order: reports match
-//! `--jobs 1` byte for byte.
+//! result, so the loop reads its next frame. The active job's
+//! [`LeaseTable`] is its ledger: leases, votes and accepted results.
+//! What it accepts drains in lease order through the in-process engines
+//! ([`CampaignEngine::fold`], [`SharedEngine::fold_generation`]):
+//! reports match `--jobs 1` byte for byte.
 
 use crate::coordinator::{ServeEvent, ServeOptions, ServeProgress};
 use crate::job::JobSpec;
-use crate::lease::{LeaseTable, VoteOutcome};
+use crate::lease::{LeaseTable, Vote};
 use crate::proto::{ErrorCode, Frame, LeaseKind, LeaseRange, RangeOutput, PROTO_VERSION};
-use crate::verify::{
-    digest_output, disagreeing_holders, execute_range, spot_check_due, Candidate, ExecDetail,
-    Submission, Verifier,
-};
+use crate::verify::{digest_output, execute_range, spot_check_due, ExecDetail};
 use iris_core::trace::RecordedTrace;
 use iris_fuzzer::checkpoint::{CampaignCheckpoint, GuidedCheckpoint};
-use iris_fuzzer::executor::Reorder;
-use iris_fuzzer::guided::{GuidedResult, SharedEngine, SlotOutcome};
+use iris_fuzzer::guided::{GuidedResult, SharedEngine};
 use iris_fuzzer::parallel::CampaignEngine;
 use iris_fuzzer::target::Backend;
 use serde::Serialize;
@@ -103,37 +100,16 @@ pub(crate) type Reexecution = Box<dyn FnOnce() -> RangeOutput + Send>;
 
 pub(crate) enum JobBody {
     Campaign(Box<CampaignEngine>),
-    Guided(Box<GuidedJob>),
+    /// The wire protocol's epoch is the engine's completed-generation
+    /// count.
+    Guided(Box<SharedEngine>),
     /// A guided trace with an empty corpus: nothing to lease, and the
     /// derived zero result as its report, as in the in-process drivers.
     Empty,
 }
 
-pub(crate) struct GuidedJob {
-    engine: SharedEngine,
-    /// Generation counter — the wire protocol's epoch.
-    epoch: u64,
-    /// Completed leases' outcomes, ordered by lease index — slot order
-    /// by construction — into `generation` for the barrier.
-    order: Reorder<Vec<SlotOutcome>>,
-    generation: Vec<SlotOutcome>,
-}
-
-impl JobBody {
-    pub(crate) fn guided(engine: SharedEngine) -> Self {
-        let (epoch, order, generation) = (0, Reorder::default(), Vec::new());
-        let job = GuidedJob {
-            engine,
-            epoch,
-            order,
-            generation,
-        };
-        JobBody::Guided(Box::new(job))
-    }
-}
-
 /// A job. The loop prepares it outside the lock; the machine gives it
-/// its id and leases when it installs it.
+/// its id, and opens its ledger, when it installs it.
 pub(crate) struct Job {
     pub(crate) id: u64,
     pub(crate) fingerprint: String,
@@ -141,11 +117,6 @@ pub(crate) struct Job {
     /// For adjudicating re-execution.
     pub(crate) backend: Backend,
     pub(crate) trace: RecordedTrace,
-    /// Leases over the campaign's chunks, or the frozen generation's slot
-    /// sub-ranges. When every one is done, the job is.
-    pub(crate) table: LeaseTable,
-    /// Digest quorum over the same lease indices.
-    pub(crate) verifier: Verifier,
     pub(crate) body: JobBody,
 }
 
@@ -159,7 +130,7 @@ struct Grant {
 
 #[derive(Default)]
 struct Worker {
-    /// Connection-scoped identity in the lease table and the verifier.
+    /// Connection-scoped identity in the ledger.
     holder: u64,
     target: String,
     /// The job last assigned here (0: none), its fingerprint, and the
@@ -168,8 +139,8 @@ struct Worker {
     fingerprint: String,
     epoch: Option<u64>,
     lease: Option<Grant>,
-    /// A delivered result being re-executed, with its candidates.
-    verdict: Option<(Grant, Vec<Candidate>)>,
+    /// The lease whose result is being re-executed.
+    verdict: Option<Grant>,
     /// When the worker last sent a frame or was handed a lease.
     heard_ms: u64,
 }
@@ -199,6 +170,10 @@ pub(crate) struct Coordinator {
     next_job_id: u64,
     next_holder_id: u64,
     job: Option<Job>,
+    /// The active job's ledger over its current work list: every chunk
+    /// of a campaign, or the guided generation's slot sub-ranges. When
+    /// it is all done, so is the job (or, guided, the generation).
+    table: LeaseTable,
     /// Prepared jobs waiting behind the active one, oldest first.
     queue: VecDeque<Job>,
     /// Finished jobs' `JobDone` frames, until their submitters collect.
@@ -283,11 +258,10 @@ impl Coordinator {
             }
             Event::Closed => {
                 // The one place a connection's leases return to the pool.
-                if let (Some(Peer::Worker(w)), Some(job)) =
-                    (self.conns.remove(&conn), &mut self.job)
-                {
-                    job.table.release_holder(w.holder);
-                    self.changes += 1;
+                if let Some(Peer::Worker(w)) = self.conns.remove(&conn) {
+                    if self.table.release_holder(w.holder) > 0 {
+                        self.changes += 1;
+                    }
                 }
             }
         }
@@ -323,9 +297,9 @@ impl Coordinator {
             Frame::Heartbeat if !open => {
                 if let Some(Peer::Worker(w)) = self.conns.get_mut(&conn) {
                     w.heard_ms = self.now_ms;
-                    let owed = self.job.as_mut().zip(w.lease.as_ref());
-                    if let Some((job, g)) = owed.filter(|(job, g)| job.id == g.job_id) {
-                        job.table.renew(g.index, w.holder, self.now_ms);
+                    // Renews only a lease this holder holds in this ledger.
+                    if let Some(g) = &w.lease {
+                        self.table.renew(g.index, w.holder, self.now_ms);
                     }
                 }
             }
@@ -364,7 +338,7 @@ impl Coordinator {
     /// resumed checkpoint, an empty guided corpus) is filed at once.
     fn advance(&mut self) {
         loop {
-            if let Some(job) = self.job.take_if(|job| job.table.all_done()) {
+            if let Some(job) = self.job.take_if(|_| self.table.all_done()) {
                 let report = job.report_json();
                 let report = report.unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
                 let (job_id, fingerprint) = (job.id, job.fingerprint);
@@ -382,14 +356,23 @@ impl Coordinator {
             if self.job.is_some() {
                 return;
             }
-            let Some(mut job) = self.queue.pop_front() else {
+            let Some(job) = self.queue.pop_front() else {
                 return;
             };
             self.changes += 1;
-            job.table = LeaseTable::with_redundancy(0, self.lease_timeout_ms, self.redundancy);
-            job.verifier = Verifier::new(self.redundancy);
-            job.open_leases();
             self.job = Some(job);
+            self.open_ledger();
+        }
+    }
+
+    /// Open the active job's ledger over its current work list; the
+    /// spot-check law picks the entries to audit.
+    fn open_ledger(&mut self) {
+        if let Some(job) = &self.job {
+            let (rate, fingerprint) = (self.spot_check, &job.fingerprint);
+            let audit = |index: usize| spot_check_due(rate, fingerprint, index as u64);
+            let (timeout_ms, redundancy) = (self.lease_timeout_ms, self.redundancy);
+            self.table = LeaseTable::open(job.leases(), timeout_ms, redundancy, audit);
         }
     }
 
@@ -414,8 +397,8 @@ impl Coordinator {
                     }));
                     (w.job, w.epoch) = (0, None);
                 }
-                let job = self.job.as_mut().filter(|j| j.spec.target == w.target);
-                if !job.is_some_and(|job| job.lease_to(w, self.now_ms, out)) {
+                let job = self.job.as_ref().filter(|j| j.spec.target == w.target);
+                if !job.is_some_and(|job| job.lease_to(&mut self.table, w, self.now_ms, out)) {
                     out.push(Action::Wait);
                 }
             }
@@ -458,7 +441,7 @@ impl Coordinator {
         if self.quarantined.contains(&holder) {
             return self.refuse(ErrorCode::Quarantined, QUARANTINED);
         }
-        let Some(job) = self.job.as_mut().filter(|job| job.still_leases(&grant)) else {
+        let Some(job) = self.job.as_ref().filter(|job| job.still_leases(&grant)) else {
             // The job completed, or its guided generation moved on,
             // without this result (a re-lease race): drop the duplicate.
             return self.ready(conn);
@@ -466,57 +449,45 @@ impl Coordinator {
         if !job.fits(&grant, &output) {
             return self.refuse(ErrorCode::Protocol, "result does not match its lease");
         }
-        if job.table.record_vote(grant.index, holder) == VoteOutcome::Duplicate {
-            return self.ready(conn);
-        }
-        let audit = spot_check_due(self.spot_check, &job.fingerprint, grant.index as u64);
-        let candidates = match job.verifier.submit(grant.index, holder, digest, output) {
-            // Quorum open: the range stays out with other workers.
-            Submission::Pending { .. } => return self.ready(conn),
-            Submission::Accepted(output) if !audit => return self.fold(conn, &grant, *output),
-            Submission::Accepted(output) => vec![Candidate {
-                digest,
-                holders: vec![holder],
-                output: *output,
-            }],
-            Submission::Divergent(candidates) => candidates,
-        };
-        // A split quorum or an audit: re-execute the range — rare, and
-        // exact by the per-range RNG law.
-        let Some(reexecution) = job.reexecution(&grant) else {
-            return self.refuse(ErrorCode::Protocol, "divergent result for an unknown lease");
-        };
-        if let Some(Peer::Worker(w)) = self.conns.get_mut(&conn) {
-            w.verdict = Some((grant, candidates));
-            self.out.push(Action::Reexecute(reexecution));
+        match self.table.vote(grant.index, holder, digest, output) {
+            // A duplicate, or a quorum still open: the range stays out
+            // with other workers.
+            Vote::Duplicate | Vote::Pending => self.ready(conn),
+            Vote::Accepted => self.fold(conn),
+            // A split quorum or an audit: re-execute the range — rare,
+            // and exact by the per-range RNG law.
+            Vote::Adjudicate => {
+                let Some(reexecution) = job.reexecution(&grant) else {
+                    return self
+                        .refuse(ErrorCode::Protocol, "divergent result for an unknown lease");
+                };
+                if let Some(Peer::Worker(w)) = self.conns.get_mut(&conn) {
+                    w.verdict = Some(grant);
+                    self.out.push(Action::Reexecute(reexecution));
+                }
+            }
         }
     }
 
-    /// Quarantine the holders whose digest disagrees with the local truth
-    /// (void their votes, record and snapshot the typed event), then
-    /// fold the truth.
+    /// Decide the lease on the local truth: quarantine the holders whose
+    /// digest disagrees with it (the ledger voids their votes; record and
+    /// snapshot the typed event), then fold.
     fn adjudicated(&mut self, conn: u64, local: RangeOutput) {
         self.changes += 1;
         let verdict = match self.conns.get_mut(&conn) {
             Some(Peer::Worker(w)) => w.verdict.take(),
             _ => None,
         };
-        let (Some((grant, candidates)), Ok(truth)) = (verdict, digest_output(&local)) else {
+        let (Some(grant), Ok(truth)) = (verdict, digest_output(&local)) else {
             return self.refuse(ErrorCode::Protocol, "nothing to adjudicate");
         };
-        let Some(job) = self.job.as_mut().filter(|j| j.id == grant.job_id) else {
-            // The job ended while the range re-executed: nothing to
-            // fold, and with it gone the votes are moot.
+        let live = self.job.as_ref().is_some_and(|j| j.still_leases(&grant));
+        if !live {
+            // The job or its generation ended while the range
+            // re-executed: nothing to decide, and the votes are moot.
             return self.ready(conn);
-        };
-        let liars = disagreeing_holders(&candidates, truth);
-        for &holder in &liars {
-            job.table.disqualify(holder);
-            job.verifier.disqualify(holder);
         }
-        for holder in liars {
-            let claimed = candidates.iter().find(|c| c.holders.contains(&holder));
-            let claimed = claimed.map_or(0, |c| c.digest);
+        for (holder, claimed) in self.table.adjudicate(grant.index, truth, local) {
             let detail = format!(
                 "result digest {claimed:#018x} diverged from adjudicated truth {truth:#018x}"
             );
@@ -531,15 +502,19 @@ impl Coordinator {
             self.out.extend(self.progress_snapshot());
         }
         // A sender among them is refused by `ready` after the fold.
-        self.fold(conn, &grant, local);
+        self.fold(conn);
     }
 
-    /// Fold an accepted output, then answer the connection as idle.
-    fn fold(&mut self, conn: u64, grant: &Grant, output: RangeOutput) {
-        if let Some(job) = self.job.as_mut().filter(|j| j.id == grant.job_id) {
-            match job.fold(grant.index, output, self.checkpoint) {
+    /// Fold what the ledger accepted, opening the next guided generation
+    /// at its barrier, then answer the connection as idle.
+    fn fold(&mut self, conn: u64) {
+        if let Some(job) = self.job.as_mut() {
+            match job.fold(&mut self.table, self.checkpoint) {
                 Err(detail) => return self.refuse(ErrorCode::Protocol, detail),
                 Ok(checkpoint) => self.out.extend(checkpoint.map(Action::Persist)),
+            }
+            if matches!(job.body, JobBody::Guided(_)) && self.table.all_done() {
+                self.open_ledger();
             }
             self.out.extend(self.progress_snapshot());
             self.advance();
@@ -570,30 +545,25 @@ impl Job {
                 let p = engine.progress();
                 (p.mutants_done, p.mutants_total, p.results_folded as u64)
             }
-            JobBody::Guided(g) => {
-                let p = g.engine.progress();
-                (p.executed, p.budget, g.epoch)
+            JobBody::Guided(engine) => {
+                let p = engine.progress();
+                (p.executed, p.budget, p.generation as u64)
             }
             JobBody::Empty => (0, 0, 0),
         }
     }
 
-    /// Open leases over the body's work list: every outstanding chunk of
-    /// a campaign, or the next guided generation in slot sub-ranges.
-    fn open_leases(&mut self) {
-        let len = match &mut self.body {
+    /// Leases over the body's work list: every outstanding chunk of a
+    /// campaign, or the next guided generation in slot sub-ranges.
+    fn leases(&self) -> usize {
+        match &self.body {
             JobBody::Campaign(engine) => engine.chunks().len(),
-            JobBody::Guided(g) => {
-                g.order = Reorder::default();
-                let slots = g.engine.batch().map_or(0, |batch| batch.len);
+            JobBody::Guided(engine) => {
+                let slots = engine.batch().map_or(0, |batch| batch.len);
                 slots.div_ceil(GUIDED_LEASE_SLOTS) as usize
             }
             JobBody::Empty => 0,
-        };
-        // Lease indices restart with the work list; so does the quorum
-        // bookkeeping (the barrier guarantees nothing was pending).
-        self.table = self.table.renewed(len);
-        self.verifier = Verifier::new(self.verifier.redundancy());
+        }
     }
 
     /// Lease `index` as the wire describes it: kind, range, seed, epoch.
@@ -609,14 +579,15 @@ impl Job {
                 let kind = LeaseKind::CampaignChunk { testcase_index };
                 Some((kind, wire, rng_seed, 0))
             }
-            JobBody::Guided(g) => {
+            JobBody::Guided(engine) => {
                 // The frozen batch, cut every GUIDED_LEASE_SLOTS slots.
-                let batch = g.engine.batch()?;
+                let batch = engine.batch()?;
                 let offset = (index as u64).checked_mul(GUIDED_LEASE_SLOTS)?;
                 let rest = batch.len.checked_sub(offset).filter(|&rest| rest > 0)?;
                 let (start, len) = (batch.start + offset, rest.min(GUIDED_LEASE_SLOTS));
                 let (kind, wire) = (LeaseKind::GuidedSlotRange, LeaseRange { start, len });
-                Some((kind, wire, g.engine.rng_seed(), g.epoch))
+                let epoch = engine.progress().generation as u64;
+                Some((kind, wire, engine.rng_seed(), epoch))
             }
             JobBody::Empty => None,
         }
@@ -629,8 +600,14 @@ impl Job {
 
     /// Claim a lease for worker `w` and stage its frames: `Assign` for a
     /// new job, `Epoch` for a new guided generation, then the `Lease`.
-    fn lease_to(&mut self, w: &mut Worker, now_ms: u64, out: &mut Vec<Action>) -> bool {
-        let Some(index) = self.table.claim(w.holder, now_ms) else {
+    fn lease_to(
+        &self,
+        table: &mut LeaseTable,
+        w: &mut Worker,
+        now_ms: u64,
+        out: &mut Vec<Action>,
+    ) -> bool {
+        let Some(index) = table.claim(w.holder, now_ms) else {
             return false;
         };
         let Some((kind, range, rng_seed, epoch)) = self.lease(index) else {
@@ -646,14 +623,14 @@ impl Job {
                 spec,
             }));
         }
-        if let JobBody::Guided(g) = &self.body {
+        if let JobBody::Guided(engine) = &self.body {
             if w.epoch != Some(epoch) {
                 out.push(Action::Send(Frame::Epoch {
                     job_id,
                     epoch,
-                    promoted: g.engine.promoted().to_vec(),
-                    lineage: g.engine.lineage().to_vec(),
-                    seen: Box::new(g.engine.seen().clone()),
+                    promoted: engine.promoted().to_vec(),
+                    lineage: engine.lineage().to_vec(),
+                    seen: Box::new(engine.seen().clone()),
                 }));
             }
         }
@@ -687,42 +664,43 @@ impl Job {
         }
     }
 
-    /// Fold one result through the body's engine (a guided run at its
-    /// generation barrier, opening the next generation); the checkpoint
-    /// when one is wanted and a fold boundary passed.
+    /// Fold what `table` accepted through the body's engine: campaign
+    /// chunks as they drain, a guided generation whole at its barrier.
+    /// The checkpoint when one is wanted and a fold boundary passed.
     fn fold(
         &mut self,
-        index: usize,
-        output: RangeOutput,
+        table: &mut LeaseTable,
         checkpoint: bool,
     ) -> Result<Option<Snapshot>, String> {
-        if !self.table.complete(index) {
-            return Ok(None);
-        }
-        match (&mut self.body, output) {
-            (JobBody::Campaign(engine), RangeOutput::Campaign(chunk)) => {
+        let mismatch = || "result does not match its lease".to_owned();
+        match &mut self.body {
+            JobBody::Campaign(engine) => {
                 let folded = engine.report().results.len();
-                engine.fold(index, *chunk).map_err(|e| e.to_string())?;
+                for (index, output) in table.drain() {
+                    let RangeOutput::Campaign(chunk) = output else {
+                        return Err(mismatch());
+                    };
+                    engine.fold(index, *chunk).map_err(|e| e.to_string())?;
+                }
                 let boundary = checkpoint && engine.report().results.len() > folded;
                 let cp = boundary.then(|| Box::new(engine.checkpoint(&self.fingerprint)));
                 Ok(cp.map(Snapshot::Campaign))
             }
-            (JobBody::Guided(g), RangeOutput::Guided(outcomes)) => {
-                let g = &mut **g;
-                g.order
-                    .push(index, outcomes, |_, outs| g.generation.extend(outs));
-                if !self.table.all_done() {
-                    return Ok(None);
+            // The generation barrier: every lease of the batch is in,
+            // and drains in slot order.
+            JobBody::Guided(engine) if table.all_done() => {
+                let mut generation = Vec::new();
+                for (_, output) in table.drain() {
+                    let RangeOutput::Guided(outcomes) = output else {
+                        return Err(mismatch());
+                    };
+                    generation.extend(outcomes);
                 }
-                // The generation barrier: every lease of the batch is
-                // in, and `generation` holds them in slot order.
-                g.engine.fold_generation(std::mem::take(&mut g.generation));
-                g.epoch += 1;
-                let cp = checkpoint.then(|| Box::new(g.engine.checkpoint(&self.fingerprint)));
-                self.open_leases();
+                engine.fold_generation(generation);
+                let cp = checkpoint.then(|| Box::new(engine.checkpoint(&self.fingerprint)));
                 Ok(cp.map(Snapshot::Guided))
             }
-            _ => Err("result does not match its lease".to_owned()),
+            JobBody::Guided(_) | JobBody::Empty => Ok(None),
         }
     }
 
@@ -739,10 +717,10 @@ impl Job {
                     execute_range(&backend, &trace, &detail, range, rng_seed)
                 })
             }
-            JobBody::Guided(g) => {
-                let corpus = g.engine.corpus().to_vec();
-                let paths = g.engine.paths().to_vec();
-                let seen = g.engine.seen().clone();
+            JobBody::Guided(engine) => {
+                let corpus = engine.corpus().to_vec();
+                let paths = engine.paths().to_vec();
+                let seen = engine.seen().clone();
                 Box::new(move || {
                     let (corpus, paths, seen) = (&corpus, &paths, &seen);
                     let detail = ExecDetail::Guided {
@@ -763,7 +741,7 @@ impl Job {
     fn report_json(&self) -> Result<String, serde_json::Error> {
         match &self.body {
             JobBody::Campaign(engine) => serde_json::to_string_pretty(engine.report()),
-            JobBody::Guided(g) => serde_json::to_string_pretty(&g.engine.result()),
+            JobBody::Guided(engine) => serde_json::to_string_pretty(&engine.result()),
             JobBody::Empty => serde_json::to_string_pretty(&GuidedResult::default()),
         }
     }
@@ -774,7 +752,6 @@ mod tests {
     use super::*;
     use crate::coordinator::prepare;
     use crate::job::JobKind;
-    use crate::lease::SlotState;
     use iris_core::seed::VmSeed;
     use iris_fuzzer::guided::{corpus_paths, initial_corpus, run_guided_shared_with};
     use iris_fuzzer::parallel::ParallelCampaign;
@@ -895,7 +872,7 @@ mod tests {
         }
 
         fn table(&self) -> &LeaseTable {
-            &self.machine.job.as_ref().expect("a job is active").table
+            &self.machine.table
         }
     }
 
@@ -1097,11 +1074,7 @@ mod tests {
                 Action::Persist(Snapshot::Progress(p)) if quarantined(&p.events))),
             "the quarantine must reach the progress artifact: {verdict:?}"
         );
-        assert_eq!(
-            sim.table().state(0),
-            Some(SlotState::Done),
-            "the truth folded"
-        );
+        assert!(sim.table().is_decided(0), "the truth folded");
     }
 
     /// Admission control runs before any preparation work: a submission
@@ -1138,21 +1111,12 @@ mod tests {
         let first = lease(&sim.hello(1));
         let second = lease(&sim.hello(2));
         assert!(sim.on(1, Event::Closed).is_empty());
-        assert_eq!(sim.table().state(0), Some(SlotState::Pending));
-        assert!(matches!(
-            sim.table().state(1),
-            Some(SlotState::Leased { holder: 2, .. })
-        ));
+        assert!(sim.table().leases(0).is_empty());
+        assert!(matches!(sim.table().leases(1), [(2, _)]));
         assert_eq!(lease(&sim.hello(3)), first, "the closed worker's range");
         let third = lease(&sim.hello(4));
         assert_ne!(third, second, "the live worker keeps its lease");
-        assert_eq!(
-            sim.table().state(2),
-            Some(SlotState::Leased {
-                holder: 4,
-                deadline_ms: 10_000
-            })
-        );
+        assert_eq!(sim.table().leases(2), [(4, 10_000)]);
     }
 
     /// A guided result from an earlier generation is a stale duplicate,

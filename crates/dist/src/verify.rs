@@ -1,5 +1,6 @@
-//! Untrusted-worker result validation: content digests, redundancy
-//! quorums, and coordinator-side re-execution.
+//! Untrusted-worker result validation: content digests, the spot-check
+//! sample, and the one range execution behind workers and the
+//! coordinator's re-execution.
 //!
 //! The paper's determinism laws make every lease a pure function of its
 //! spec — which turns trust into arithmetic. A worker's `ChunkDone` is
@@ -10,8 +11,10 @@
 //! itself (cheap: one range, not the job) — the local digest is ground
 //! truth by the per-range RNG law — and quarantines every worker whose
 //! digest disagrees with it. Independently, a deterministic sample of
-//! accepted ranges is spot-checked the same way, so even `--redundancy
-//! 1` fleets get probabilistic byzantine detection.
+//! ranges is spot-checked the same way, so even `--redundancy 1` fleets
+//! get probabilistic byzantine detection. The votes, grouped by digest
+//! into [`Candidate`]s, live in the job's ledger
+//! ([`crate::lease::LeaseTable`]), which decides each quorum.
 //!
 //! Nothing here consults a clock or ambient randomness: the spot-check
 //! sample is a pure function of `(fingerprint, lease index, rate)`, so
@@ -26,7 +29,6 @@ use iris_fuzzer::guided::{SlotContext, SlotOutcome};
 use iris_fuzzer::target::{Backend, BootPlan, TargetFactory};
 use iris_fuzzer::testcase::{MutantRange, TestCase};
 use iris_hv::coverage::CoverageMap;
-use std::collections::BTreeMap;
 
 /// FNV-1a 64-bit over `bytes` — the workspace's dependency-free content
 /// digest. Not cryptographic: it defends against wrong results and bit
@@ -68,9 +70,9 @@ pub fn spot_check_due(rate: u64, fingerprint: &str, index: u64) -> bool {
     fnv1a_64(&bytes).is_multiple_of(rate)
 }
 
-/// One distinct result for a slot: who vouched for this digest, and the
-/// first delivered copy of the output (duplicate-digest deliveries are
-/// not stored twice).
+/// One distinct result for a lease entry: who vouched for this digest,
+/// and the first delivered copy of the output (duplicate-digest
+/// deliveries are not stored twice).
 #[derive(Debug)]
 pub struct Candidate {
     /// The content digest all these holders produced.
@@ -79,120 +81,6 @@ pub struct Candidate {
     pub holders: Vec<u64>,
     /// The output behind the digest.
     pub output: RangeOutput,
-}
-
-/// What a vote did to its slot's quorum.
-#[derive(Debug)]
-pub enum Submission {
-    /// Quorum not yet reached; the slot stays leased out.
-    Pending {
-        /// Votes in so far.
-        votes: u32,
-    },
-    /// All `redundancy` digests agree: fold this output.
-    Accepted(Box<RangeOutput>),
-    /// Digests diverged: re-execute locally and quarantine the workers
-    /// whose digest disagrees with the verified one.
-    Divergent(Vec<Candidate>),
-}
-
-/// Per-job vote bookkeeping for `--redundancy K`: collects `(holder,
-/// digest, output)` votes per lease index and reports when a quorum
-/// agrees or splits. Ordered map — iteration and memory stay
-/// deterministic like every other fold structure.
-#[derive(Debug)]
-pub struct Verifier {
-    redundancy: u32,
-    pending: BTreeMap<usize, Vec<Candidate>>,
-}
-
-impl Verifier {
-    /// A verifier requiring `redundancy` matching digests per slot
-    /// (clamped to at least 1).
-    #[must_use]
-    pub fn new(redundancy: u32) -> Self {
-        Self {
-            redundancy: redundancy.max(1),
-            pending: BTreeMap::new(),
-        }
-    }
-
-    /// The quorum size.
-    #[must_use]
-    pub fn redundancy(&self) -> u32 {
-        self.redundancy
-    }
-
-    /// Record `holder`'s result for slot `index`. The caller (the lease
-    /// table) guarantees one vote per holder per slot. On quorum the
-    /// slot's votes are consumed.
-    pub fn submit(
-        &mut self,
-        index: usize,
-        holder: u64,
-        digest: u64,
-        output: RangeOutput,
-    ) -> Submission {
-        let candidates = self.pending.entry(index).or_default();
-        match candidates.iter_mut().find(|c| c.digest == digest) {
-            Some(c) => c.holders.push(holder),
-            None => candidates.push(Candidate {
-                digest,
-                holders: vec![holder],
-                output,
-            }),
-        }
-        let votes = candidates.iter().map(|c| c.holders.len()).sum::<usize>();
-        if (votes as u32) < self.redundancy {
-            return Submission::Pending {
-                votes: votes as u32,
-            };
-        }
-        let mut candidates = self.pending.remove(&index).unwrap_or_default();
-        if candidates.len() == 1 {
-            match candidates.pop() {
-                Some(c) => Submission::Accepted(Box::new(c.output)),
-                None => Submission::Pending { votes: 0 },
-            }
-        } else {
-            Submission::Divergent(candidates)
-        }
-    }
-
-    /// Drop every pending vote `holder` cast (quarantine): other slots
-    /// it voted on must reopen their quorum. Empty candidate lists are
-    /// pruned.
-    pub fn disqualify(&mut self, holder: u64) {
-        for candidates in self.pending.values_mut() {
-            for c in candidates.iter_mut() {
-                c.holders.retain(|&h| h != holder);
-            }
-            candidates.retain(|c| !c.holders.is_empty());
-        }
-        self.pending.retain(|_, candidates| !candidates.is_empty());
-    }
-
-    /// Votes currently pending for `index` (test/introspection).
-    #[must_use]
-    pub fn votes(&self, index: usize) -> u32 {
-        self.pending.get(&index).map_or(0, |c| {
-            c.iter().map(|c| c.holders.len()).sum::<usize>() as u32
-        })
-    }
-}
-
-/// The holders among `candidates` whose digest disagrees with the
-/// locally verified `truth` — the quarantine set after an adjudicating
-/// re-execution.
-#[must_use]
-pub fn disagreeing_holders(candidates: &[Candidate], truth: u64) -> Vec<u64> {
-    let mut out = Vec::new();
-    for c in candidates {
-        if c.digest != truth {
-            out.extend_from_slice(&c.holders);
-        }
-    }
-    out
 }
 
 /// What a range execution needs beyond the trace: the campaign test
@@ -259,6 +147,7 @@ pub fn execute_range(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lease::{LeaseTable, Vote};
     use iris_fuzzer::campaign::ChunkOutput;
 
     fn sample_output(tag: u64) -> RangeOutput {
@@ -302,54 +191,48 @@ mod tests {
         assert!(hits > 0 && hits < 256, "rate 8 hit {hits}/256");
     }
 
+    /// A ledger of `len` entries, each decided by two votes.
+    fn quorum_of_two(len: usize) -> LeaseTable {
+        LeaseTable::open(len, 1_000, 2, |_| false)
+    }
+
     #[test]
     fn unanimous_quorum_accepts_the_output() {
-        let mut v = Verifier::new(2);
+        let mut t = quorum_of_two(1);
         let d = digest_output(&sample_output(1)).unwrap();
-        assert!(matches!(
-            v.submit(0, 11, d, sample_output(1)),
-            Submission::Pending { votes: 1 }
-        ));
-        match v.submit(0, 12, d, sample_output(1)) {
-            Submission::Accepted(out) => assert_eq!(*out, sample_output(1)),
-            other => panic!("expected acceptance, got {other:?}"),
-        }
-        assert_eq!(v.votes(0), 0, "quorum consumed the slot's votes");
+        assert_eq!(t.vote(0, 11, d, sample_output(1)), Vote::Pending);
+        assert_eq!(t.vote(0, 12, d, sample_output(1)), Vote::Accepted);
+        let accepted: Vec<_> = t.drain().collect();
+        assert_eq!(accepted, [(0, sample_output(1))]);
+        assert_eq!(t.drain().count(), 0, "quorum consumed the slot's votes");
     }
 
     #[test]
     fn split_quorum_is_divergent_and_names_the_minority() {
-        let mut v = Verifier::new(2);
         let good = digest_output(&sample_output(1)).unwrap();
         let bad = digest_output(&sample_output(2)).unwrap();
-        let _ = v.submit(3, 11, good, sample_output(1));
-        match v.submit(3, 66, bad, sample_output(2)) {
-            Submission::Divergent(cands) => {
-                assert_eq!(cands.len(), 2);
-                assert_eq!(disagreeing_holders(&cands, good), vec![66]);
-                assert_eq!(disagreeing_holders(&cands, bad), vec![11]);
-                // Truth matching neither quarantines both.
-                assert_eq!(disagreeing_holders(&cands, 0), vec![11, 66]);
-            }
-            other => panic!("expected divergence, got {other:?}"),
+        for (truth, liars) in [
+            (good, vec![(66, bad)]),
+            (bad, vec![(11, good)]),
+            // Truth matching neither quarantines both.
+            (0, vec![(11, good), (66, bad)]),
+        ] {
+            let mut t = quorum_of_two(4);
+            assert_eq!(t.vote(3, 11, good, sample_output(1)), Vote::Pending);
+            assert_eq!(t.vote(3, 66, bad, sample_output(2)), Vote::Adjudicate);
+            assert_eq!(t.adjudicate(3, truth, sample_output(1)), liars);
         }
     }
 
     #[test]
     fn disqualification_reopens_pending_quorums() {
-        let mut v = Verifier::new(2);
+        let mut t = quorum_of_two(2);
         let d = digest_output(&sample_output(1)).unwrap();
-        let _ = v.submit(0, 11, d, sample_output(1));
-        let _ = v.submit(1, 11, d, sample_output(1));
-        assert_eq!(v.votes(0), 1);
-        v.disqualify(11);
-        assert_eq!(v.votes(0), 0);
-        assert_eq!(v.votes(1), 0);
+        assert_eq!(t.vote(0, 11, d, sample_output(1)), Vote::Pending);
+        assert_eq!(t.vote(1, 11, d, sample_output(1)), Vote::Pending);
+        assert_eq!(t.disqualify(11), 2, "both pending votes are voided");
         // The slot is votable again and completes with honest workers.
-        let _ = v.submit(0, 12, d, sample_output(1));
-        assert!(matches!(
-            v.submit(0, 13, d, sample_output(1)),
-            Submission::Accepted(_)
-        ));
+        assert_eq!(t.vote(0, 12, d, sample_output(1)), Vote::Pending);
+        assert_eq!(t.vote(0, 13, d, sample_output(1)), Vote::Accepted);
     }
 }

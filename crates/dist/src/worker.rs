@@ -349,12 +349,12 @@ fn serve_frames(
                     // the lease. The coordinator re-leases the range.
                     return Ok(Served::FaultInjected);
                 }
-                let leased = validate_lease(j, &kind, range, rng_seed, epoch)
-                    .and_then(|()| {
-                        heartbeats
-                            .during_lease(|| compute_lease(backend, j, &kind, range, rng_seed))
-                    })
-                    .and_then(|computed| computed);
+                // The same core the coordinator's adjudicating
+                // re-execution runs, on a private target stack.
+                let leased = validate_lease(j, &kind, range, rng_seed, epoch).and_then(|detail| {
+                    let run = || execute_range(&backend, &j.trace, &detail, range, rng_seed);
+                    heartbeats.during_lease(run)
+                });
                 let mut output = match leased {
                     Ok(out) => out,
                     Err(e) if is_fatal(&e) => return Err(e),
@@ -533,13 +533,15 @@ impl Heartbeats {
     }
 }
 
-fn validate_lease(
-    job: &WorkerJob,
+/// Check a lease against the locally derived job, and return what
+/// [`execute_range`] runs it on.
+fn validate_lease<'a>(
+    job: &'a WorkerJob,
     kind: &LeaseKind,
     range: LeaseRange,
     rng_seed: u64,
     epoch: u64,
-) -> Result<(), DistError> {
+) -> Result<ExecDetail<'a>, DistError> {
     match *kind {
         LeaseKind::CampaignChunk { testcase_index } => {
             let Some(tc) = job.plan.get(testcase_index) else {
@@ -561,7 +563,7 @@ fn validate_lease(
                     tc.mutants
                 )));
             }
-            Ok(())
+            Ok(ExecDetail::Campaign(tc))
         }
         LeaseKind::GuidedSlotRange => {
             if job.epoch != Some(epoch) {
@@ -575,45 +577,12 @@ fn validate_lease(
                     "guided lease with an empty scheduling corpus".to_owned(),
                 ));
             }
-            Ok(())
-        }
-    }
-}
-
-/// The actual range execution — [`execute_range`], the same core the
-/// coordinator's adjudicating re-execution runs, on a private target
-/// stack.
-fn compute_lease(
-    backend: Backend,
-    job: &WorkerJob,
-    kind: &LeaseKind,
-    range: LeaseRange,
-    rng_seed: u64,
-) -> Result<RangeOutput, DistError> {
-    match *kind {
-        LeaseKind::CampaignChunk { testcase_index } => {
-            let Some(tc) = job.plan.get(testcase_index) else {
-                return Err(DistError::Protocol("lease outran the plan".to_owned()));
-            };
-            Ok(execute_range(
-                &backend,
-                &job.trace,
-                &ExecDetail::Campaign(tc),
-                range,
-                rng_seed,
-            ))
-        }
-        LeaseKind::GuidedSlotRange => Ok(execute_range(
-            &backend,
-            &job.trace,
-            &ExecDetail::Guided {
+            Ok(ExecDetail::Guided {
                 corpus: &job.epoch_corpus,
                 paths: &job.epoch_paths,
                 seen: &job.epoch_seen,
-            },
-            range,
-            rng_seed,
-        )),
+            })
+        }
     }
 }
 

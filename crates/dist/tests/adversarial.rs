@@ -20,7 +20,7 @@ use iris_fuzzer::checkpoint::{
     CampaignCheckpoint, CheckpointMismatch, GuidedCheckpoint, SessionError, CHECKPOINT_VERSION,
 };
 use iris_fuzzer::executor::RunPolicy;
-use iris_fuzzer::guided::{run_guided_shared_session, SharedRunOptions};
+use iris_fuzzer::guided::{run_guided_shared_session, run_guided_shared_with, SharedRunOptions};
 use iris_fuzzer::parallel::{CampaignRunOptions, ParallelCampaign};
 use iris_fuzzer::target::{Backend, TargetFactory};
 use std::io::{Read, Write};
@@ -223,6 +223,49 @@ fn redundancy_two_quarantines_byzantine_worker_and_preserves_bytes() {
         summaries.iter().all(|s| s.chunks_done > 0),
         "honest workers must have carried the job: {summaries:?}"
     );
+}
+
+#[test]
+fn redundancy_two_quarantines_a_byzantine_worker_on_a_guided_job() {
+    // The guided twin of the campaign case above: a generation's slot
+    // ranges need two agreeing digests each, the byzantine worker's
+    // shifted outcomes split a quorum, and the generation barrier folds
+    // only what the coordinator accepted or re-executed itself. The
+    // liar is quarantined exactly once — its other pending votes are
+    // voided with it, so no second adjudication names it again.
+    let spec = JobSpec {
+        kind: JobKind::Guided {
+            budget: 256,
+            generation: 64,
+        },
+        ..campaign_spec("iris", 1, 1)
+    };
+    let trace = spec.record_trace().expect("known workload");
+    let config = spec.guided_config().expect("guided spec");
+    let reference = run_guided_shared_with(&Backend::Iris, &trace, config, 1);
+    let reference = serde_json::to_string_pretty(&reference).expect("result serializes");
+
+    let server = Server::start(ServeOptions {
+        redundancy: 2,
+        ..ServeOptions::default()
+    })
+    .expect("bind loopback");
+    let addr = server.addr().to_string();
+    let fleet = Fleet::spawn(&addr, "iris", vec![None, None, Some(0)]);
+    let outcome = submit(&addr, &spec, |_, _, _| {}).expect("submission completes");
+    fleet.join();
+    let events = server.events();
+    server.stop();
+
+    assert_eq!(
+        outcome.report, reference,
+        "a quarantined byzantine worker changed the guided report bytes"
+    );
+    let quarantines = events
+        .iter()
+        .filter(|e| matches!(e, ServeEvent::WorkerQuarantined { .. }))
+        .count();
+    assert_eq!(quarantines, 1, "one liar, one quarantine: {events:?}");
 }
 
 #[test]

@@ -83,7 +83,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 
 /// Marker prefix carried by every panic [`FaultPlan`] injects, so test
 /// harnesses (and [`quiet_injected_faults`]) can tell planted faults
@@ -131,10 +131,8 @@ impl FaultPlan {
     /// Panic the first time item `index` is claimed; later re-claims
     /// of the same index run clean.
     #[must_use]
-    pub fn panic_once_at(mut self, index: usize) -> Self {
-        // lint:allow(panic-path-audit) -- builder holds &mut self: the lock is
-        // uncontended and cannot have been poisoned before the run starts
-        self.once.get_mut().expect("fault plan lock").insert(index);
+    pub fn panic_once_at(self, index: usize) -> Self {
+        lock(&self.once).insert(index);
         self
     }
 
@@ -150,22 +148,15 @@ impl FaultPlan {
     /// across all workers of one run in claim order), regardless of
     /// which item that claim drew.
     #[must_use]
-    pub fn panic_at_claim(mut self, ordinal: u64) -> Self {
-        self.claims
-            .get_mut()
-            // lint:allow(panic-path-audit) -- builder holds &mut self: the lock is
-            // uncontended and cannot have been poisoned before the run starts
-            .expect("fault plan lock")
-            .insert(ordinal);
+    pub fn panic_at_claim(self, ordinal: u64) -> Self {
+        lock(&self.claims).insert(ordinal);
         self
     }
 
     /// Called by the executor after each claim, before the item runs;
     /// panics if a trigger fires.
     pub fn trip(&self, index: usize, claim_ordinal: u64) {
-        // lint:allow(panic-path-audit) -- trip() holds the lock only for this
-        // remove; no injected panic can fire while it is held, so no poisoning
-        if self.once.lock().expect("fault plan lock").remove(&index) {
+        if lock(&self.once).remove(&index) {
             // lint:allow(panic-path-audit) -- deliberate: FaultPlan exists to
             // inject worker panics and exercise the production recovery path
             panic!("{INJECTED_FAULT}: one-shot panic at item {index} (claim {claim_ordinal})");
@@ -175,14 +166,7 @@ impl FaultPlan {
             // inject worker panics and exercise the production recovery path
             panic!("{INJECTED_FAULT}: persistent panic at item {index} (claim {claim_ordinal})");
         }
-        if self
-            .claims
-            .lock()
-            // lint:allow(panic-path-audit) -- trip() holds the lock only for this
-            // remove; no injected panic can fire while it is held, so no poisoning
-            .expect("fault plan lock")
-            .remove(&claim_ordinal)
-        {
+        if lock(&self.claims).remove(&claim_ordinal) {
             // lint:allow(panic-path-audit) -- deliberate: FaultPlan exists to
             // inject worker panics and exercise the production recovery path
             panic!("{INJECTED_FAULT}: panic at claim {claim_ordinal} (item {index})");
@@ -352,33 +336,33 @@ impl FaultState {
         if self.released.load(Ordering::Acquire) == 0 {
             return None;
         }
-        // lint:allow(panic-path-audit) -- lock guards a bare Vec pop; no user
-        // code runs under it, so it cannot be poisoned
-        let mut releases = self.releases.lock().expect("re-lease lock");
+        let mut releases = lock(&self.releases);
         let index = releases.pop();
         self.released.store(releases.len(), Ordering::Release);
         index
     }
 
     fn push_release(&self, index: usize) {
-        // lint:allow(panic-path-audit) -- lock guards a bare Vec push; no user
-        // code runs under it, so it cannot be poisoned
-        let mut releases = self.releases.lock().expect("re-lease lock");
+        let mut releases = lock(&self.releases);
         releases.push(index);
         self.released.store(releases.len(), Ordering::Release);
     }
 
     /// Collect every index that was claimed but never delivered.
     fn lost_indices(&self) -> Vec<usize> {
-        // lint:allow(panic-path-audit) -- both locks guard bare Vec clones; no
-        // user code runs under them, so they cannot be poisoned
-        let mut lost: Vec<usize> = self.lost.lock().expect("lost lock").clone();
-        // lint:allow(panic-path-audit) -- both locks guard bare Vec clones; no
-        // user code runs under them, so they cannot be poisoned
-        lost.extend(self.releases.lock().expect("re-lease lock").iter().copied());
+        let mut lost: Vec<usize> = lock(&self.lost).clone();
+        lost.extend(lock(&self.releases).iter().copied());
         lost.sort_unstable();
         lost
     }
+}
+
+/// Lock `mutex` whether or not it is poisoned: every lock here guards
+/// plain data (a `Vec`, a `String`, a `BTreeSet`), and no code panics
+/// while holding one — [`FaultPlan::trip`] panics only after its lock is
+/// released.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -392,9 +376,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// The index-reorder buffer every ordered fold shares: outputs arrive
 /// tagged with their index in any order, and leave in index order —
 /// eagerly when the next index arrives, parked while a gap is open.
-/// [`run_ordered`]'s aggregator, [`crate::parallel::CampaignEngine`]
-/// and the `crates/dist` coordinator's generation barrier all order
-/// through this one type.
+/// [`run_ordered`]'s aggregator and [`crate::parallel::CampaignEngine`]
+/// order through this one type.
 #[derive(Debug)]
 pub struct Reorder<R> {
     /// Outputs that ran ahead of a gap, keyed by index.
@@ -417,7 +400,7 @@ impl<R> Reorder<R> {
     /// Accept `out` for `index` and hand every output that is now
     /// next-in-order to `deliver`, in index order. Each index must be
     /// pushed at most once (callers deduplicate — the executor by
-    /// construction, the coordinator through its lease table).
+    /// construction, the coordinator through its ledger).
     pub fn push(&mut self, index: usize, out: R, mut deliver: impl FnMut(usize, R)) {
         debug_assert!(index >= self.next, "index {index} was already delivered");
         if index != self.next {
@@ -559,13 +542,11 @@ impl<T, B, W> Run<'_, T, B, W> {
             // item is recovered as soon as any worker is free.
             let index = match faults.pop_release() {
                 Some(index) => index,
-                None => {
-                    let index = self.cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= items.len() {
-                        break;
-                    }
-                    index
-                }
+                None => self.cursor.fetch_add(1, Ordering::Relaxed),
+            };
+            // Past the end of the list: the cursor has drained it.
+            let Some(item) = items.get(index) else {
+                break;
             };
             let ordinal = faults.claim_ordinal.fetch_add(1, Ordering::Relaxed);
             // The lazy context build shares the panic scope with `work`:
@@ -576,9 +557,7 @@ impl<T, B, W> Run<'_, T, B, W> {
                     plan.trip(index, ordinal);
                 }
                 let ctx = ctx.get_or_insert_with(self.worker_ctx);
-                // lint:allow(panic-path-audit) -- index comes from the claim
-                // cursor or the re-lease list, both bounded by items.len()
-                (self.work)(ctx, index, &items[index])
+                (self.work)(ctx, index, item)
             }));
             match attempt {
                 Ok(out) => {
@@ -591,10 +570,7 @@ impl<T, B, W> Run<'_, T, B, W> {
                     // rebuilds a fresh one (the worker "respawns" in
                     // place).
                     ctx = None;
-                    // lint:allow(panic-path-audit) -- lock guards a bare String
-                    // store; no user code runs under it, so it cannot be poisoned
-                    *faults.last_panic.lock().expect("last panic lock") =
-                        panic_message(payload.as_ref());
+                    *lock(&faults.last_panic) = panic_message(payload.as_ref());
                     drop(payload);
                     let panics = faults.panics.fetch_add(1, Ordering::AcqRel) + 1;
                     if panics > self.budget {
@@ -602,9 +578,7 @@ impl<T, B, W> Run<'_, T, B, W> {
                         // no racing worker can rescue it: budget
                         // exhaustion must surface deterministically.
                         faults.poisoned.store(true, Ordering::Release);
-                        // lint:allow(panic-path-audit) -- lock guards a bare Vec
-                        // push; no user code runs under it, so no poisoning
-                        faults.lost.lock().expect("lost lock").push(index);
+                        lock(&faults.lost).push(index);
                         break;
                     }
                     faults.push_release(index);
@@ -625,9 +599,7 @@ impl<T, B, W> Run<'_, T, B, W> {
                 budget: self.budget,
                 panics: faults.panics.load(Ordering::Acquire),
                 lost: faults.lost_indices(),
-                // lint:allow(panic-path-audit) -- lock guards a bare String clone;
-                // no user code runs under it, so it cannot be poisoned
-                last_panic: faults.last_panic.lock().expect("last panic lock").clone(),
+                last_panic: lock(&faults.last_panic).clone(),
             });
         }
         Err(ExecutorError::Interrupted {
