@@ -32,7 +32,7 @@ use iris_fuzzer::checkpoint::{
     atomic_write_json, load_if_present, CampaignCheckpoint, GuidedCheckpoint, JsonWriter,
     SessionError,
 };
-use iris_fuzzer::corpus::{Corpus, CorpusWriter};
+use iris_fuzzer::corpus::Corpus;
 use iris_fuzzer::executor::{run_ordered, RunPolicy};
 use iris_fuzzer::guided::{
     run_guided_shared_session, run_guided_shared_with, GuidedConfig, GuidedResult, SharedRunOptions,
@@ -564,7 +564,7 @@ struct DurableRun<C> {
     resume: Option<PathBuf>,
     resume_note: String,
     json: Option<PathBuf>,
-    corpus: Option<(PathBuf, CorpusWriter)>,
+    corpus: Option<(PathBuf, JsonWriter<Corpus>)>,
     checkpoint: Option<(PathBuf, JsonWriter<C>)>,
     /// Crashes in the corpus snapshot persisted last.
     corpus_observed: u64,
@@ -597,7 +597,7 @@ impl<C: Serialize + Send + 'static> DurableRun<C> {
             resume,
             resume_note,
             json: p.path("--json"),
-            corpus: corpus.map(|at| (at.clone(), CorpusWriter::spawn(at))),
+            corpus: corpus.map(|at| (at.clone(), JsonWriter::spawn(at))),
             checkpoint: checkpoint.map(|at| (at.clone(), JsonWriter::spawn(at))),
             corpus_observed: 0,
             show_progress: std::io::stderr().is_terminal(),

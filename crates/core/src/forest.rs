@@ -143,12 +143,6 @@ impl SnapshotForest {
         id == StateId::ROOT || self.nodes.contains_key(&id.0)
     }
 
-    /// Number of delta nodes currently held (root excluded).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The configured node cap.
     #[must_use]
     pub fn cap(&self) -> usize {
@@ -466,7 +460,10 @@ mod tests {
         write(&mut hv, dom, 0x3000, 3);
         let c = forest.take_delta(&mut hv, dom);
         forest.evict_excess(&[c]);
-        assert_eq!(forest.node_count(), 2);
+        assert!(
+            forest.contains(b) && forest.contains(c),
+            "the cap's two nodes"
+        );
         assert!(!forest.contains(a), "LRU internal node collapsed");
 
         // b inherited a's page delta; c's own overwrite still wins.

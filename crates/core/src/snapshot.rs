@@ -44,12 +44,6 @@ impl Snapshot {
     pub fn restore_into(&self, hv: &mut Hypervisor, domain_id: u16) {
         hv.domains[domain_id as usize].restore_from(&self.domain);
     }
-
-    /// The captured domain's id.
-    #[must_use]
-    pub fn source_domain(&self) -> u16 {
-        self.domain.id
-    }
 }
 
 #[cfg(test)]
@@ -80,8 +74,7 @@ mod tests {
         assert_eq!(
             hv.domains[dom as usize].vcpus[0]
                 .vmcs
-                .read(VmcsField::GuestRip)
-                .unwrap(),
+                .read(VmcsField::GuestRip),
             0x1234
         );
         let mut buf = [0u8; 5];

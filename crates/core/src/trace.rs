@@ -91,20 +91,6 @@ impl RecordedTrace {
         acc
     }
 
-    /// Cumulative handling time (ms) after each exit — the y-axis of the
-    /// Fig. 9 series.
-    #[must_use]
-    pub fn cumulative_time_ms(&self) -> Vec<f64> {
-        let mut acc = 0u64;
-        self.metrics
-            .iter()
-            .map(|m| {
-                acc += m.handling_cycles;
-                acc as f64 / 3.6e6 // cycles → ms at 3.6 GHz
-            })
-            .collect()
-    }
-
     /// Wall-clock duration from first exit start to last exit end, in ms
     /// (includes guest-local time between exits — the *Real VM* series).
     #[must_use]
@@ -182,8 +168,6 @@ mod tests {
         t.metrics.push(metrics_with(&[], 3_600_000, 0)); // 1ms handling
         t.metrics.push(metrics_with(&[], 3_600_000, 36_000_000)); // starts at 10ms
         assert!((t.wall_time_ms() - 11.0).abs() < 1e-6);
-        // Handling-only time is 2ms.
-        assert!((t.cumulative_time_ms().last().unwrap() - 2.0).abs() < 1e-6);
     }
 
     #[test]

@@ -397,13 +397,8 @@ pub(crate) fn prepare(resume: Option<&Path>, spec: JobSpec) -> Result<Job, (Erro
                     Ok(SharedEngine::fresh(&trace, config, baseline))
                 }
             };
-            let body = if corpus0.is_empty() {
-                JobBody::Empty
-            } else {
-                let engine = resume_or_fresh(resume, &fingerprint, GuidedCheckpoint::load, build)?;
-                JobBody::Guided(Box::new(engine))
-            };
-            (fingerprint, body)
+            let engine = resume_or_fresh(resume, &fingerprint, GuidedCheckpoint::load, build)?;
+            (fingerprint, JobBody::Guided(Box::new(engine)))
         }
     };
     Ok(Job {

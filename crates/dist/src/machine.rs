@@ -23,7 +23,7 @@ use crate::proto::{ErrorCode, Frame, LeaseKind, LeaseRange, RangeOutput, PROTO_V
 use crate::verify::{digest_output, execute_range, spot_check_due, ExecDetail};
 use iris_core::trace::RecordedTrace;
 use iris_fuzzer::checkpoint::{CampaignCheckpoint, GuidedCheckpoint};
-use iris_fuzzer::guided::{GuidedResult, SharedEngine};
+use iris_fuzzer::guided::SharedEngine;
 use iris_fuzzer::parallel::CampaignEngine;
 use iris_fuzzer::target::Backend;
 use serde::Serialize;
@@ -103,9 +103,6 @@ pub(crate) enum JobBody {
     /// The wire protocol's epoch is the engine's completed-generation
     /// count.
     Guided(Box<SharedEngine>),
-    /// A guided trace with an empty corpus: nothing to lease, and the
-    /// derived zero result as its report, as in the in-process drivers.
-    Empty,
 }
 
 /// A job. The loop prepares it outside the lock; the machine gives it
@@ -549,7 +546,6 @@ impl Job {
                 let p = engine.progress();
                 (p.executed, p.budget, p.generation as u64)
             }
-            JobBody::Empty => (0, 0, 0),
         }
     }
 
@@ -562,7 +558,6 @@ impl Job {
                 let slots = engine.batch().map_or(0, |batch| batch.len);
                 slots.div_ceil(GUIDED_LEASE_SLOTS) as usize
             }
-            JobBody::Empty => 0,
         }
     }
 
@@ -589,7 +584,6 @@ impl Job {
                 let epoch = engine.progress().generation as u64;
                 Some((kind, wire, engine.rng_seed(), epoch))
             }
-            JobBody::Empty => None,
         }
     }
 
@@ -700,7 +694,7 @@ impl Job {
                 let cp = checkpoint.then(|| Box::new(engine.checkpoint(&self.fingerprint)));
                 Ok(cp.map(Snapshot::Guided))
             }
-            JobBody::Guided(_) | JobBody::Empty => Ok(None),
+            JobBody::Guided(_) => Ok(None),
         }
     }
 
@@ -731,7 +725,6 @@ impl Job {
                     execute_range(&backend, &trace, &detail, range, rng_seed)
                 })
             }
-            JobBody::Empty => return None,
         };
         Some(run)
     }
@@ -742,7 +735,6 @@ impl Job {
         match &self.body {
             JobBody::Campaign(engine) => serde_json::to_string_pretty(engine.report()),
             JobBody::Guided(engine) => serde_json::to_string_pretty(&engine.result()),
-            JobBody::Empty => serde_json::to_string_pretty(&GuidedResult::default()),
         }
     }
 }
@@ -753,7 +745,7 @@ mod tests {
     use crate::coordinator::prepare;
     use crate::job::JobKind;
     use iris_core::seed::VmSeed;
-    use iris_fuzzer::guided::{corpus_paths, initial_corpus, run_guided_shared_with};
+    use iris_fuzzer::guided::{corpus_paths, initial_corpus, run_guided_shared_with, GuidedResult};
     use iris_fuzzer::parallel::ParallelCampaign;
     use iris_fuzzer::testcase::TestCase;
     use iris_hv::coverage::CoverageMap;
@@ -1117,6 +1109,46 @@ mod tests {
         let third = lease(&sim.hello(4));
         assert_ne!(third, second, "the live worker keeps its lease");
         assert_eq!(sim.table().leases(2), [(4, 10_000)]);
+    }
+
+    /// A guided job over a trace with no seeds has nothing to lease: the
+    /// coordinator files it as soon as it is installed, and its report is
+    /// the default result's bytes, as the in-process engine's is.
+    #[test]
+    fn a_guided_job_without_seeds_is_filed_at_once_as_the_default_result() {
+        let spec = JobSpec {
+            exits: 0,
+            kind: JobKind::Guided {
+                budget: 64,
+                generation: 32,
+            },
+            ..spec()
+        };
+        let trace = spec.record_trace().expect("OS BOOT records");
+        assert!(trace.seeds.is_empty());
+        let config = spec.guided_config().expect("a guided spec");
+        let zero = serde_json::to_string_pretty(&GuidedResult::default()).expect("serializes");
+        let in_process = run_guided_shared_with(&Backend::Iris, &trace, config, 1);
+        let in_process = serde_json::to_string_pretty(&in_process).expect("serializes");
+        assert_eq!(in_process, zero);
+
+        let mut machine = Coordinator::new(&ServeOptions::default());
+        let submit = Frame::Submit {
+            proto_version: PROTO_VERSION,
+            spec: spec.clone(),
+        };
+        assert!(matches!(
+            machine.on(0, Event::Peer(submit), 0).as_slice(),
+            [Action::Prepare(_)]
+        ));
+        match machine
+            .on(0, Event::Prepared(prepare(None, spec)), 0)
+            .as_slice()
+        {
+            [Action::Close(Some(Frame::JobDone { report, .. }))] => assert_eq!(*report, zero),
+            other => panic!("the submitter must collect its report at once, got {other:?}"),
+        }
+        assert_eq!(machine.jobs_completed, 1);
     }
 
     /// A guided result from an earlier generation is a stale duplicate,

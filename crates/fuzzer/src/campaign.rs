@@ -271,7 +271,7 @@ pub fn run_test_case_with<F: TargetFactory>(
 mod tests {
     use super::*;
     use crate::mutation::SeedArea;
-    use crate::target::{record_trace, FaultyHvTarget, IrisHvTarget};
+    use crate::target::{record_trace, Backend, IrisHvTarget};
     use crate::testcase::TestCase;
     use iris_guest::workloads::Workload;
     use iris_vtx::exit::ExitReason;
@@ -436,7 +436,7 @@ mod tests {
             ..TestCase::new(Workload::OsBoot, idx, ExitReason::Cpuid, SeedArea::Gpr, 4)
         };
         let mut corpus = Corpus::new();
-        let (r, _) = run_test_case_with(&FaultyHvTarget::default(), &mut corpus, &trace, &tc);
+        let (r, _) = run_test_case_with(&Backend::Faulty, &mut corpus, &trace, &tc);
         assert!(
             r.failures.hv_crashes > 0,
             "planted CPUID bug must fire under GPR mutation: {:?}",

@@ -32,8 +32,8 @@
 //! loading validates both the format version and the fingerprint, so
 //! a checkpoint can only resume the run it belongs to.
 //!
-//! The [`JsonWriter`] at the bottom is the background persistence
-//! loop shared with [`crate::corpus::CorpusWriter`]: snapshots are
+//! The [`JsonWriter`] at the bottom is the one background persistence
+//! loop, for checkpoints and crash corpora alike: snapshots are
 //! enqueued without blocking the engine, coalesced (newest wins), and
 //! every I/O error is collected and surfaced joined at the end.
 
@@ -425,30 +425,26 @@ impl CampaignCheckpoint {
 /// [`io::ErrorKind`]; each message already carries its path (see
 /// [`annotate`]).
 pub(crate) fn join_write_errors(mut errors: Vec<io::Error>) -> Option<io::Error> {
-    match errors.len() {
-        0 => None,
-        1 => Some(errors.remove(0)),
-        _ => {
-            // lint:allow(panic-path-audit) -- the surrounding match arm guarantees errors.len() >= 2
-            let kind = errors[0].kind();
-            let joined = errors
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("; ");
-            Some(io::Error::new(
-                kind,
-                format!("{} write errors: {joined}", errors.len()),
-            ))
-        }
+    let kind = errors.first()?.kind();
+    if errors.len() == 1 {
+        return errors.pop();
     }
+    let joined = errors
+        .iter()
+        .map(std::string::ToString::to_string)
+        .collect::<Vec<_>>()
+        .join("; ");
+    Some(io::Error::new(
+        kind,
+        format!("{} write errors: {joined}", errors.len()),
+    ))
 }
 
 /// Background JSON persistence: a dedicated writer thread that
 /// serializes and atomically saves snapshots of any `Serialize` state
 /// off the engine's aggregator thread, so long runs never pause on
-/// JSON I/O. The engine behind [`crate::corpus::CorpusWriter`] and the
-/// CLI's `--checkpoint` writer.
+/// JSON I/O. The CLI's `--corpus` (a `JsonWriter<Corpus>`) and
+/// `--checkpoint` writers.
 ///
 /// * [`JsonWriter::persist`] enqueues a snapshot and returns
 ///   immediately (the channel is unbounded — the caller never
@@ -468,8 +464,8 @@ pub(crate) fn join_write_errors(mut errors: Vec<io::Error>) -> Option<io::Error>
 /// still drains and writes pending snapshots, but errors are lost.
 #[derive(Debug)]
 pub struct JsonWriter<T> {
-    tx: Option<std::sync::mpsc::Sender<T>>,
-    handle: Option<std::thread::JoinHandle<(u64, Vec<io::Error>)>>,
+    tx: std::sync::mpsc::Sender<T>,
+    handle: std::thread::JoinHandle<(u64, Vec<io::Error>)>,
     path: PathBuf,
 }
 
@@ -500,22 +496,16 @@ impl<T: Serialize + Send + 'static> JsonWriter<T> {
             }
             (saves, errors)
         });
-        Self {
-            tx: Some(tx),
-            handle: Some(handle),
-            path,
-        }
+        Self { tx, handle, path }
     }
 
     /// Enqueue a snapshot for persistence. Non-blocking; serialization
     /// and I/O happen on the writer thread.
     pub fn persist(&self, snapshot: T) {
-        if let Some(tx) = &self.tx {
-            // A send can only fail if the writer thread died, and the
-            // writer only exits when the channel closes — unreachable
-            // while `tx` lives, so losing the snapshot here is fine.
-            let _ = tx.send(snapshot);
-        }
+        // A send can only fail if the writer thread died, and the writer
+        // only exits when the channel closes — unreachable while `tx`
+        // lives, so losing the snapshot here is fine.
+        let _ = self.tx.send(snapshot);
     }
 
     /// Close the channel, wait for every outstanding write, and surface
@@ -526,18 +516,13 @@ impl<T: Serialize + Send + 'static> JsonWriter<T> {
     /// # Errors
     /// The joined write/serialization errors, or an error reporting a
     /// panicked writer thread.
-    pub fn finish(mut self) -> io::Result<u64> {
-        drop(self.tx.take());
-        let Ok((saves, errors)) = self
-            .handle
-            .take()
-            // lint:allow(panic-path-audit) -- finish consumes self, and handle is Some from construction until here
-            .expect("finish consumes the writer")
-            .join()
-        else {
+    pub fn finish(self) -> io::Result<u64> {
+        let Self { tx, handle, path } = self;
+        drop(tx);
+        let Ok((saves, errors)) = handle.join() else {
             return Err(io::Error::other(format!(
                 "background JSON writer for {} panicked",
-                self.path.display()
+                path.display()
             )));
         };
         match join_write_errors(errors) {
@@ -730,5 +715,36 @@ mod tests {
             err.to_string().contains("iris-no-such-dir"),
             "path context missing: {err}"
         );
+    }
+
+    #[test]
+    fn json_writer_keeps_writing_after_an_error() {
+        // A write error does not latch: each later snapshot is still
+        // attempted, and every error surfaces joined at finish.
+        let dir = std::env::temp_dir().join("iris-json-writer-late-dir");
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("w.json");
+        let writer = JsonWriter::<Vec<u32>>::spawn(path.clone());
+        writer.persist(vec![1]); // fails: the parent dir is missing
+        std::thread::sleep(std::time::Duration::from_millis(500));
+        std::fs::create_dir_all(&dir).unwrap();
+        writer.persist(vec![1, 2]);
+        let err = writer.finish().unwrap_err();
+        assert!(
+            err.to_string().contains("w.json"),
+            "path context missing: {err}"
+        );
+        let on_disk: Vec<u32> = serde_json::from_slice(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(on_disk, vec![1, 2], "the later snapshot landed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn json_writer_with_no_snapshots_is_a_clean_no_op() {
+        let p = std::env::temp_dir().join("iris-json-writer-noop.json");
+        std::fs::remove_file(&p).ok();
+        let writer = JsonWriter::<Vec<u32>>::spawn(p.clone());
+        assert_eq!(writer.finish().unwrap(), 0);
+        assert!(!p.exists(), "nothing persisted, nothing written");
     }
 }

@@ -185,57 +185,6 @@ impl Corpus {
 
 pub(crate) use crate::checkpoint::annotate;
 
-/// Background corpus persistence: a dedicated writer thread that
-/// serializes and saves corpus snapshots off the campaign's aggregator
-/// thread, so long campaigns never pause on JSON I/O. A thin wrapper
-/// over the shared [`crate::checkpoint::JsonWriter`] loop:
-///
-/// * [`CorpusWriter::persist`] enqueues a snapshot and returns
-///   immediately (the channel is unbounded — the aggregator never
-///   blocks);
-/// * the writer coalesces: when snapshots arrive faster than the disk
-///   can absorb them, only the **newest** pending snapshot is written
-///   (each snapshot is cumulative, so intermediates carry no extra
-///   information);
-/// * every write keeps the atomic `.tmp`-sibling + rename semantics
-///   ([`crate::checkpoint::atomic_write_json`]) — an interrupted
-///   campaign never leaves a torn corpus;
-/// * **every** write error is collected — later snapshots are still
-///   attempted — and surfaced joined, each with its path, by
-///   [`CorpusWriter::finish`]; a panicking writer thread surfaces as
-///   an error there too instead of re-panicking.
-///
-/// Dropping the writer without calling `finish` detaches the thread: it
-/// still drains and writes pending snapshots, but errors are lost.
-#[derive(Debug)]
-pub struct CorpusWriter {
-    inner: crate::checkpoint::JsonWriter<Corpus>,
-}
-
-impl CorpusWriter {
-    /// Spawn the writer thread; every snapshot is saved to `path`.
-    #[must_use]
-    pub fn spawn(path: std::path::PathBuf) -> Self {
-        Self {
-            inner: crate::checkpoint::JsonWriter::spawn(path),
-        }
-    }
-
-    /// Enqueue a snapshot for persistence. Non-blocking; serialization
-    /// and I/O happen on the writer thread.
-    pub fn persist(&self, snapshot: Corpus) {
-        self.inner.persist(snapshot);
-    }
-
-    /// Close the channel, wait for every outstanding write, and surface
-    /// **all** collected errors, joined (each carries its path).
-    /// Returns the number of snapshots actually written (coalesced
-    /// snapshots count once).
-    pub fn finish(self) -> io::Result<u64> {
-        self.inner.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,75 +366,6 @@ mod tests {
         }
         let json = serde_json::to_string(&modern).unwrap();
         assert_eq!(serde_json::from_str::<Corpus>(&json).unwrap(), modern);
-    }
-
-    #[test]
-    fn corpus_writer_persists_the_newest_snapshot_atomically() {
-        let p = std::env::temp_dir().join("iris-corpus-writer-test.json");
-        let tmp = std::env::temp_dir().join("iris-corpus-writer-test.json.tmp");
-        std::fs::remove_file(&p).ok();
-
-        let writer = CorpusWriter::spawn(p.clone());
-        let mut c = Corpus::new();
-        c.push(record(FailureKind::VmCrash));
-        writer.persist(c.clone());
-        c.push(record(FailureKind::HypervisorCrash));
-        writer.persist(c.clone());
-        let saves = writer.finish().unwrap();
-        assert!(saves >= 1, "at least one snapshot must reach disk");
-        assert!(!tmp.exists(), "atomic-save semantics preserved");
-        // Whatever got coalesced, the final state on disk is the newest.
-        assert_eq!(Corpus::load(&p).unwrap(), c);
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn corpus_writer_surfaces_write_errors_at_finish() {
-        let unwritable = std::env::temp_dir()
-            .join("iris-no-such-dir")
-            .join("corpus.json");
-        let writer = CorpusWriter::spawn(unwritable);
-        writer.persist(Corpus::new());
-        writer.persist(Corpus::new());
-        let err = writer.finish().unwrap_err();
-        assert!(
-            err.to_string().contains("iris-no-such-dir"),
-            "path context missing: {err}"
-        );
-    }
-
-    #[test]
-    fn corpus_writer_keeps_writing_after_an_error() {
-        // The old behavior latched the first error and skipped every
-        // later snapshot; now each snapshot is attempted and all
-        // errors surface joined at finish.
-        let dir = std::env::temp_dir().join("iris-corpus-writer-late-dir");
-        std::fs::remove_dir_all(&dir).ok();
-        let path = dir.join("corpus.json");
-        let writer = CorpusWriter::spawn(path.clone());
-        writer.persist(Corpus::new()); // fails: the parent dir is missing
-        std::thread::sleep(std::time::Duration::from_millis(500));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut c = Corpus::new();
-        c.push(record(FailureKind::VmCrash));
-        writer.persist(c.clone());
-        let err = writer.finish().unwrap_err();
-        assert!(
-            err.to_string().contains("corpus.json"),
-            "path context missing: {err}"
-        );
-        // The error did not latch-skip the later snapshot.
-        assert_eq!(Corpus::load(&path).unwrap(), c);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corpus_writer_with_no_snapshots_is_a_clean_no_op() {
-        let p = std::env::temp_dir().join("iris-corpus-writer-noop.json");
-        std::fs::remove_file(&p).ok();
-        let writer = CorpusWriter::spawn(p.clone());
-        assert_eq!(writer.finish().unwrap(), 0);
-        assert!(!p.exists(), "nothing persisted, nothing written");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! * [`target`] — the pluggable [`FuzzTarget`]/[`TargetFactory`] API:
 //!   the SUT lifecycle (boot to `s1`, submit, reset) behind a trait,
-//!   with the stock ([`IrisHvTarget`]) and fault-injection
-//!   ([`FaultyHvTarget`]) backends registered under [`Backend`].
+//!   with the stock ([`Backend::Iris`]) and fault-injection
+//!   ([`Backend::Faulty`]) backends registered under [`Backend`].
 //! * [`mutation`] — the bit-flip rules over the two seed areas.
 //! * [`strategies`] — extended greybox mutations (havoc, arith,
 //!   interesting values, splice) per the paper's §IX future work.
@@ -45,7 +45,7 @@
 //! let trace = record_trace(Workload::OsBoot, 80, 42);
 //! let idx = trace.seeds.iter().position(|s| s.reason == ExitReason::CrAccess).unwrap();
 //!
-//! let factory = IrisHvTarget::default(); // or FaultyHvTarget, or your own
+//! let factory = IrisHvTarget::default(); // or Backend::Faulty, or your own
 //! let mut target = factory.build(BootPlan::for_test_case(&trace, idx));
 //! target.boot();
 //! let baseline = target.submit(&trace.seeds[idx]);
@@ -100,6 +100,6 @@ pub use strategies::{mutate_with, Strategy};
 pub use table1::Table1;
 pub use target::{
     detect_planted_faults, record_trace, render_planted_fault_report, Backend, BootPlan,
-    CrashVerdict, FaultyHvTarget, FuzzTarget, HvTarget, IrisHvTarget, SubmitOutcome, TargetFactory,
+    CrashVerdict, FuzzTarget, HvTarget, IrisHvTarget, SubmitOutcome, TargetFactory,
 };
 pub use testcase::TestCase;

@@ -28,8 +28,9 @@
 //!
 //! Two backends ship in-tree, enumerated by [`Backend`]:
 //!
-//! * [`IrisHvTarget`] — the stock hypervisor model;
-//! * [`FaultyHvTarget`] — the same hypervisor built with
+//! * [`Backend::Iris`] — the stock hypervisor model (also built by
+//!   [`IrisHvTarget`], which sizes the dummy VM);
+//! * [`Backend::Faulty`] — the same hypervisor built with
 //!   [`FaultInjection::planted`] defects, giving Table I campaigns a
 //!   ground truth: [`detect_planted_faults`] states exactly which known
 //!   bugs a crash corpus found.
@@ -392,9 +393,8 @@ impl IrisHvTarget {
     }
 }
 
-/// The shared constructor both in-tree factories (and [`Backend`]) use:
-/// an un-booted [`HvTarget`] over the given plan, sizing, and fault
-/// configuration.
+/// The shared constructor every in-tree factory uses: an un-booted
+/// [`HvTarget`] over the given plan, sizing, and fault configuration.
 fn build_hv_target(plan: BootPlan<'_>, ram_bytes: u64, faults: FaultInjection) -> HvTarget<'_> {
     HvTarget {
         plan,
@@ -413,50 +413,11 @@ impl TargetFactory for IrisHvTarget {
     }
 
     fn name(&self) -> &'static str {
-        "iris"
+        Backend::Iris.name()
     }
 
     fn description(&self) -> &'static str {
-        "stock hypervisor model (the paper's SUT)"
-    }
-}
-
-/// Factory for the fault-injection backend (registry name `faulty`):
-/// the same hypervisor with [`FaultInjection::planted`] defects, so
-/// campaigns have known bugs to detect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultyHvTarget {
-    /// Guest RAM for the dummy domain.
-    pub ram_bytes: u64,
-}
-
-impl Default for FaultyHvTarget {
-    fn default() -> Self {
-        Self::with_ram(crate::campaign::DEFAULT_RAM_BYTES)
-    }
-}
-
-impl FaultyHvTarget {
-    /// A factory with explicit dummy-VM sizing.
-    #[must_use]
-    pub fn with_ram(ram_bytes: u64) -> Self {
-        Self { ram_bytes }
-    }
-}
-
-impl TargetFactory for FaultyHvTarget {
-    type Target<'t> = HvTarget<'t>;
-
-    fn build<'t>(&self, plan: BootPlan<'t>) -> HvTarget<'t> {
-        build_hv_target(plan, self.ram_bytes, FaultInjection::planted())
-    }
-
-    fn name(&self) -> &'static str {
-        "faulty"
-    }
-
-    fn description(&self) -> &'static str {
-        "fault-injection build with planted handler bugs (ground-truth detection)"
+        Backend::Iris.description()
     }
 }
 
@@ -476,9 +437,11 @@ impl TargetFactory for FaultyHvTarget {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// [`IrisHvTarget`].
+    /// The stock hypervisor model (registry name `iris`).
     Iris,
-    /// [`FaultyHvTarget`].
+    /// The fault-injection build (registry name `faulty`): the same
+    /// hypervisor with [`FaultInjection::planted`] defects, so campaigns
+    /// have known bugs to detect.
     Faulty,
 }
 
@@ -491,29 +454,36 @@ impl Backend {
     pub fn parse(name: &str) -> Option<Backend> {
         Backend::ALL.iter().copied().find(|b| b.name() == name)
     }
+
+    /// The defects this backend's hypervisor is built with.
+    fn faults(self) -> FaultInjection {
+        match self {
+            Backend::Iris => FaultInjection::NONE,
+            Backend::Faulty => FaultInjection::planted(),
+        }
+    }
 }
 
 impl TargetFactory for Backend {
     type Target<'t> = HvTarget<'t>;
 
     fn build<'t>(&self, plan: BootPlan<'t>) -> HvTarget<'t> {
-        match self {
-            Backend::Iris => IrisHvTarget::default().build(plan),
-            Backend::Faulty => FaultyHvTarget::default().build(plan),
-        }
+        build_hv_target(plan, crate::campaign::DEFAULT_RAM_BYTES, self.faults())
     }
 
     fn name(&self) -> &'static str {
         match self {
-            Backend::Iris => IrisHvTarget::default().name(),
-            Backend::Faulty => FaultyHvTarget::default().name(),
+            Backend::Iris => "iris",
+            Backend::Faulty => "faulty",
         }
     }
 
     fn description(&self) -> &'static str {
         match self {
-            Backend::Iris => IrisHvTarget::default().description(),
-            Backend::Faulty => FaultyHvTarget::default().description(),
+            Backend::Iris => "stock hypervisor model (the paper's SUT)",
+            Backend::Faulty => {
+                "fault-injection build with planted handler bugs (ground-truth detection)"
+            }
         }
     }
 }
@@ -556,11 +526,7 @@ impl TargetFactory for ConfiguredBackend {
     type Target<'t> = HvTarget<'t>;
 
     fn build<'t>(&self, plan: BootPlan<'t>) -> HvTarget<'t> {
-        let faults = match self.backend {
-            Backend::Iris => FaultInjection::NONE,
-            Backend::Faulty => FaultInjection::planted(),
-        };
-        let mut target = build_hv_target(plan, self.ram_bytes, faults);
+        let mut target = build_hv_target(plan, self.ram_bytes, self.backend.faults());
         target.forest_cfg = self.forest;
         target
     }
@@ -705,8 +671,8 @@ mod tests {
     #[test]
     fn faulty_backend_is_clean_on_recorded_seeds() {
         let trace = boot_trace(100);
-        let factory = FaultyHvTarget::default();
-        let mut target = factory.build(BootPlan::for_test_case(&trace, trace.seeds.len() - 1));
+        let mut target =
+            Backend::Faulty.build(BootPlan::for_test_case(&trace, trace.seeds.len() - 1));
         target.boot(); // replays the whole prefix with debug asserts on
         let out = target.submit(&trace.seeds[trace.seeds.len() - 1]);
         assert!(

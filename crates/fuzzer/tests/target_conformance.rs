@@ -17,8 +17,7 @@ use iris_fuzzer::guided::{
 use iris_fuzzer::mutation::SeedArea;
 use iris_fuzzer::parallel::ParallelCampaign;
 use iris_fuzzer::target::{
-    record_trace, Backend, BootPlan, ConfiguredBackend, FaultyHvTarget, FuzzTarget, IrisHvTarget,
-    TargetFactory,
+    record_trace, Backend, BootPlan, ConfiguredBackend, FuzzTarget, IrisHvTarget, TargetFactory,
 };
 use iris_fuzzer::testcase::TestCase;
 use iris_guest::workloads::Workload;
@@ -38,7 +37,7 @@ macro_rules! for_every_backend {
                     $body
                 }
                 Backend::Faulty => {
-                    let $factory = FaultyHvTarget::default();
+                    let $factory = Backend::Faulty;
                     $body
                 }
             }
@@ -870,8 +869,7 @@ fn planted_faults_fire_only_on_the_faulty_backend() {
         },
     ];
 
-    let faulty =
-        ParallelCampaign::with_factory(2, FaultyHvTarget::default()).run_trace(&trace, &plan);
+    let faulty = ParallelCampaign::with_factory(2, Backend::Faulty).run_trace(&trace, &plan);
     let detections = iris_fuzzer::target::detect_planted_faults(&faulty.corpus);
     for (fault, hit) in &detections {
         assert!(

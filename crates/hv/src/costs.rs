@@ -2,7 +2,9 @@
 //!
 //! These calibrate the virtual-TSC time model against the paper's testbed
 //! (Intel Xeon i7-4790 @ 3.6 GHz, Xen 4.16). They shape *inputs* to the
-//! experiments; all reported outputs are measured. See `DESIGN.md` §4.
+//! experiments; all reported outputs are measured. The `fig9` row of
+//! `iris_bench::paper::PAPER` checks the calibration against the paper's
+//! ideal replay throughput.
 //!
 //! The anchor is the paper's *ideal replay throughput*: 5000 empty
 //! preemption-timer exits in ~0.1 s ≈ 350 M cycles ⇒ ~72 K cycles per

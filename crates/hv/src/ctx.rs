@@ -78,7 +78,7 @@ impl ExitCtx<'_> {
     /// Instrumented `vmread()`: the value the handler observes may be
     /// substituted by the hooks (IRIS replay of read-only fields).
     pub fn vmread(&mut self, field: VmcsField) -> u64 {
-        let real = self.vcpu.vmcs.read(field).unwrap_or(0);
+        let real = self.vcpu.vmcs.read(field);
         self.hooks.on_vmread(field, real)
     }
 
@@ -163,7 +163,7 @@ pub(crate) mod tests {
     /// Build a throwaway context over owned parts; returns the closure's
     /// result. Shared by other modules' tests.
     pub(crate) fn with_ctx<R>(f: impl FnOnce(&mut ExitCtx<'_>) -> R) -> R {
-        let mut vcpu = HvVcpu::new(0, 0x10000);
+        let mut vcpu = HvVcpu::new(0);
         let mut memory = GuestMemory::new(1 << 20);
         let mut ept = Ept::new();
         ept.map_ram(0, 0, 256);

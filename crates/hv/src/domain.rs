@@ -54,7 +54,7 @@ impl Domain {
         Self {
             id,
             kind,
-            vcpus: vec![HvVcpu::new(0, 0x10000 + (u64::from(id) << 16))],
+            vcpus: vec![HvVcpu::new(0)],
             memory: GuestMemory::new(ram_bytes),
             ept,
             iobus: IoBus::new(),

@@ -285,11 +285,11 @@ mod tests {
             assert_eq!(ctx.vcpu.hvm.mode, OperatingMode::Mode2);
             // Read shadow carries the guest's view.
             assert_eq!(
-                ctx.vcpu.vmcs.read(VmcsField::Cr0ReadShadow).unwrap(),
+                ctx.vcpu.vmcs.read(VmcsField::Cr0ReadShadow),
                 cr0::PE | cr0::ET
             );
             // Hardware CR0 keeps the host-owned bits.
-            let hw = ctx.vcpu.vmcs.read(VmcsField::GuestCr0).unwrap();
+            let hw = ctx.vcpu.vmcs.read(VmcsField::GuestCr0);
             assert_ne!(hw & cr0::NE, 0);
             // Console notes the transition.
             assert_eq!(ctx.log.grep("entering protected mode").count(), 1);
@@ -367,7 +367,7 @@ mod tests {
                 .encode(),
             );
             handle(ctx);
-            let e = ctx.vcpu.vmcs.read(VmcsField::GuestIa32Efer).unwrap();
+            let e = ctx.vcpu.vmcs.read(VmcsField::GuestIa32Efer);
             assert_ne!(e & efer::LMA, 0);
             assert_eq!(ctx.vcpu.hvm.mode, OperatingMode::Mode3);
         });
@@ -387,7 +387,7 @@ mod tests {
                 },
             );
             assert_eq!(ctx.vcpu.hvm.guest_cr[3], 0x1234000);
-            assert_eq!(ctx.vcpu.vmcs.read(VmcsField::GuestCr3).unwrap(), 0x1234000);
+            assert_eq!(ctx.vcpu.vmcs.read(VmcsField::GuestCr3), 0x1234000);
         });
     }
 
@@ -409,10 +409,7 @@ mod tests {
                 .encode(),
             );
             handle(ctx);
-            assert_eq!(
-                ctx.vcpu.vmcs.read(VmcsField::Cr0ReadShadow).unwrap() & cr0::TS,
-                0
-            );
+            assert_eq!(ctx.vcpu.vmcs.read(VmcsField::Cr0ReadShadow) & cr0::TS, 0);
         });
     }
 

@@ -187,7 +187,7 @@ mod tests {
             assert_eq!(d, Disposition::Resume);
             assert!(ctx.vcpu.hvm.vlapic.enabled());
             // RIP advanced past the 2-byte MOV.
-            assert_eq!(ctx.vcpu.vmcs.read(VmcsField::GuestRip).unwrap(), 0x1002);
+            assert_eq!(ctx.vcpu.vmcs.read(VmcsField::GuestRip), 0x1002);
         });
     }
 

@@ -130,15 +130,11 @@ mod tests {
             assert_eq!(handle_window(ctx), Disposition::Resume);
             assert!(!ctx.vcpu.hvm.int_window_requested);
             assert_eq!(
-                ctx.vcpu.vmcs.read(VmcsField::VmEntryIntrInfoField).unwrap(),
+                ctx.vcpu.vmcs.read(VmcsField::VmEntryIntrInfoField),
                 0x8000_0055
             );
             assert_eq!(
-                ctx.vcpu
-                    .vmcs
-                    .read(VmcsField::CpuBasedVmExecControl)
-                    .unwrap()
-                    & (1 << 2),
+                ctx.vcpu.vmcs.read(VmcsField::CpuBasedVmExecControl) & (1 << 2),
                 0
             );
         });

@@ -142,7 +142,7 @@ mod tests {
             ctx.vcpu.gprs.set(Gpr::Rax, 0x455);
             ctx.vcpu.vmcs.hw_write(VmcsField::ExitQualification, 7); // MOV to DR7
             handle_dr(ctx);
-            assert_eq!(ctx.vcpu.vmcs.read(VmcsField::GuestDr7).unwrap(), 0x455);
+            assert_eq!(ctx.vcpu.vmcs.read(VmcsField::GuestDr7), 0x455);
             ctx.vcpu.gprs.set(Gpr::Rax, 0);
             ctx.vcpu
                 .vmcs
@@ -191,10 +191,7 @@ mod tests {
             ctx.vcpu.gprs.set(Gpr::Rax, 0); // selector 0 → first descriptor
             let d = handle_desc_table(ctx);
             assert_eq!(d, Disposition::AdvanceAndResume);
-            assert_eq!(
-                ctx.vcpu.vmcs.read(VmcsField::GuestLdtrBase).unwrap(),
-                0x1000
-            );
+            assert_eq!(ctx.vcpu.vmcs.read(VmcsField::GuestLdtrBase), 0x1000);
         });
     }
 

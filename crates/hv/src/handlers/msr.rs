@@ -179,7 +179,7 @@ mod tests {
         with_ctx(|ctx| {
             ctx.tsc.advance(10_000);
             wrmsr(ctx, index::IA32_TSC, 4_000);
-            let off = ctx.vcpu.vmcs.read(VmcsField::TscOffset).unwrap();
+            let off = ctx.vcpu.vmcs.read(VmcsField::TscOffset);
             assert_eq!(off, 4_000u64.wrapping_sub(10_000));
             assert_eq!(rdmsr(ctx, index::IA32_TSC), 4_000);
         });
@@ -203,7 +203,7 @@ mod tests {
                 iris_vtx::cr::cr0::PE | iris_vtx::cr::cr0::PG | iris_vtx::cr::cr0::ET,
             );
             wrmsr(ctx, index::IA32_EFER, iris_vtx::cr::efer::LME);
-            let e = ctx.vcpu.vmcs.read(VmcsField::GuestIa32Efer).unwrap();
+            let e = ctx.vcpu.vmcs.read(VmcsField::GuestIa32Efer);
             assert_ne!(e & iris_vtx::cr::efer::LME, 0);
             assert_ne!(e & iris_vtx::cr::efer::LMA, 0);
             // Without hardware PG, LMA stays clear.
@@ -211,7 +211,7 @@ mod tests {
                 .vmcs
                 .hw_write(VmcsField::GuestCr0, iris_vtx::cr::cr0::ET);
             wrmsr(ctx, index::IA32_EFER, iris_vtx::cr::efer::LME);
-            let e = ctx.vcpu.vmcs.read(VmcsField::GuestIa32Efer).unwrap();
+            let e = ctx.vcpu.vmcs.read(VmcsField::GuestIa32Efer);
             assert_eq!(e & iris_vtx::cr::efer::LMA, 0);
         });
     }
@@ -230,10 +230,7 @@ mod tests {
     fn sysenter_writes_mirror_into_vmcs() {
         with_ctx(|ctx| {
             wrmsr(ctx, index::IA32_SYSENTER_EIP, 0xc000_1000);
-            assert_eq!(
-                ctx.vcpu.vmcs.read(VmcsField::GuestSysenterEip).unwrap(),
-                0xc000_1000
-            );
+            assert_eq!(ctx.vcpu.vmcs.read(VmcsField::GuestSysenterEip), 0xc000_1000);
         });
     }
 }

@@ -136,16 +136,6 @@ impl Hypervisor {
         id
     }
 
-    /// Destroy a DomU (Dom0 is permanent).
-    pub fn destroy_domain(&mut self, id: u16) {
-        if id == 0 {
-            return;
-        }
-        if let Some(d) = self.domains.get_mut(id as usize) {
-            d.crash(DomainCrashReason::TripleFault);
-        }
-    }
-
     /// Make the whole system identical to `image` **in place**: every
     /// domain via [`Domain::restore_from`] (so the cost follows the state
     /// that diverged, not the RAM size), then the globals. This is how a
@@ -389,15 +379,13 @@ mod tests {
         let (mut hv, id) = hv_with_domu();
         let rip0 = hv.domains[id as usize].vcpus[0]
             .vmcs
-            .read(VmcsField::GuestRip)
-            .unwrap();
+            .read(VmcsField::GuestRip);
         let mut ev = ExitEvent::new(ExitReason::Rdtsc);
         ev.instruction_len = 2;
         hv.vm_exit(id, &ev, &mut NoHooks);
         let rip1 = hv.domains[id as usize].vcpus[0]
             .vmcs
-            .read(VmcsField::GuestRip)
-            .unwrap();
+            .read(VmcsField::GuestRip);
         assert_eq!(rip1, rip0 + 2);
     }
 

@@ -91,7 +91,7 @@ mod tests {
         with_ctx(|ctx| {
             ctx.vcpu.hvm.pending_event = Some((vector::GP, Some(0)));
             assert_eq!(intr_assist(ctx), Some(vector::GP));
-            let info = ctx.vcpu.vmcs.read(VmcsField::VmEntryIntrInfoField).unwrap();
+            let info = ctx.vcpu.vmcs.read(VmcsField::VmEntryIntrInfoField);
             assert_eq!(
                 info,
                 intr_info::VALID
@@ -122,11 +122,7 @@ mod tests {
             ctx.vcpu.vmcs.hw_write(VmcsField::GuestRflags, 0x2); // IF clear
             assert_eq!(intr_assist(ctx), None);
             assert!(ctx.vcpu.hvm.int_window_requested);
-            let ctl = ctx
-                .vcpu
-                .vmcs
-                .read(VmcsField::CpuBasedVmExecControl)
-                .unwrap();
+            let ctl = ctx.vcpu.vmcs.read(VmcsField::CpuBasedVmExecControl);
             assert_ne!(ctl & (1 << 2), 0);
             // Second pass does not re-arm.
             assert_eq!(intr_assist(ctx), None);

@@ -97,8 +97,8 @@ impl HvVcpu {
     /// A fresh vCPU with a real-mode guest state at the reset vector,
     /// ready to pass VM-entry checks.
     #[must_use]
-    pub fn new(id: u32, vmcs_addr: u64) -> Self {
-        let mut vmcs = Vmcs::new(vmcs_addr);
+    pub fn new(id: u32) -> Self {
+        let mut vmcs = Vmcs::new();
         entry_checks::init_real_mode_guest_state(&mut vmcs);
         let hvm = HvmVcpu {
             vlapic: Vlapic::new(id),
@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn fresh_vcpu_is_real_mode_and_entry_valid() {
-        let v = HvVcpu::new(0, 0x10000);
+        let v = HvVcpu::new(0);
         assert_eq!(v.hvm.mode, OperatingMode::Mode1);
         assert!(v.is_runnable());
         assert_eq!(entry_checks::check_guest_state(&v.vmcs), Ok(()));
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn cr0_update_moves_the_mode_abstraction() {
-        let mut v = HvVcpu::new(0, 0x10000);
+        let mut v = HvVcpu::new(0);
         v.hvm.update_cr0(cr0::ET | cr0::PE);
         assert_eq!(v.hvm.mode, OperatingMode::Mode2);
         v.hvm.update_cr0(cr0::ET | cr0::PE | cr0::PG | cr0::AM);
@@ -166,7 +166,7 @@ mod tests {
     fn bad_rip_for_mode_0_scenario() {
         // The §VI-B cold-replay crash: a protected-mode kernel RIP on a
         // vCPU whose abstraction still says real mode.
-        let v = HvVcpu::new(0, 0x10000);
+        let v = HvVcpu::new(0);
         assert!(v.rip_valid_for_mode(0xfff0));
         assert!(v.rip_valid_for_mode(0x10_ffef));
         assert!(!v.rip_valid_for_mode(0xffff_ffff_8100_0000));
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn protected_unpaged_mode_is_4g_bounded() {
-        let mut v = HvVcpu::new(0, 0x10000);
+        let mut v = HvVcpu::new(0);
         v.hvm.update_cr0(cr0::ET | cr0::PE);
         assert!(v.rip_valid_for_mode(0x00c0_ffee));
         assert!(!v.rip_valid_for_mode(0x1_0000_0000));

@@ -49,12 +49,6 @@ impl PeriodicTime {
         self.next_deadline = now.saturating_add(period_cycles);
         self.pending_ticks = 0;
     }
-
-    /// Disarm.
-    pub fn disarm(&mut self) {
-        self.enabled = false;
-        self.pending_ticks = 0;
-    }
 }
 
 /// Per-domain virtual platform timer state.

@@ -241,13 +241,6 @@ pub fn guest_visible_cr(real: u64, mask: u64, shadow: u64) -> u64 {
     (shadow & mask) | (real & !mask)
 }
 
-/// Compose the value the hardware CR takes when the guest writes `wanted`,
-/// with host-owned bits forced to the host's `real` values.
-#[must_use]
-pub fn effective_cr_write(wanted: u64, mask: u64, host_bits: u64) -> u64 {
-    (host_bits & mask) | (wanted & !mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,10 +312,6 @@ mod tests {
         let seen = guest_visible_cr(real, mask, shadow);
         assert_eq!(seen & cr0::PE, 0, "guest sees shadow PE=0");
         assert_eq!(seen & cr0::NE, cr0::NE, "guest sees real unmasked bits");
-
-        // Guest writes PE=1; host forces its own host-owned bits.
-        let eff = effective_cr_write(cr0::PE, mask, real);
-        assert_eq!(eff & cr0::PE, cr0::PE);
     }
 
     #[test]

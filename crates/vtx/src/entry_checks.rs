@@ -67,7 +67,7 @@ pub type EntryCheckResult = Result<(), EntryCheckFailure>;
 /// segments, then RIP, then the link pointer / activity state.
 /// The first failing check wins — hardware reports a single failure.
 pub fn check_guest_state(vmcs: &Vmcs) -> EntryCheckResult {
-    let get = |f: VmcsField| vmcs.read(f).unwrap_or(0);
+    let get = |f: VmcsField| vmcs.read(f);
 
     // --- CR0 / CR4 / EFER (§26.3.1.1) -------------------------------
     let gcr0 = get(VmcsField::GuestCr0);
@@ -288,7 +288,7 @@ mod tests {
     use super::*;
 
     fn valid_vmcs() -> Vmcs {
-        let mut v = Vmcs::new(0x4000);
+        let mut v = Vmcs::new();
         init_real_mode_guest_state(&mut v);
         v
     }

@@ -138,12 +138,6 @@ impl GprSet {
     pub fn copy_from(&mut self, other: &GprSet) {
         self.regs = other.regs;
     }
-
-    /// Raw access for codecs.
-    #[must_use]
-    pub fn as_array(&self) -> &[u64; Gpr::COUNT] {
-        &self.regs
-    }
 }
 
 impl From<[u64; Gpr::COUNT]> for GprSet {

@@ -4,13 +4,9 @@
 //! the parts of Intel VT-x that the IRIS framework (and the Xen-shaped
 //! hypervisor in `iris-hv`) interact with:
 //!
-//! * the **VMCS** — region layout, the launch-state machine
-//!   (*Inactive / Active-Current-Clear / Active-Current-Launched*), and the
+//! * the **VMCS** — the field store `VMREAD`/`VMWRITE` reach, and the
 //!   field encoding space (width classes, access classes, areas) —
 //!   [`vmcs`], [`fields`];
-//! * the **VMX instruction set** — `VMXON`, `VMCLEAR`, `VMPTRLD`,
-//!   `VMLAUNCH`, `VMRESUME`, `VMREAD`, `VMWRITE` with the SDM's
-//!   *VMsucceed / VMfailValid(n) / VMfailInvalid* semantics — [`instr`];
 //! * **VM exits** — the basic exit reason numbering of SDM Appendix C and
 //!   the exit-qualification encodings for control-register accesses, I/O
 //!   instructions and EPT violations — [`exit`];
@@ -24,18 +20,19 @@
 //!   — [`segment`], [`msr`], [`ept`], [`preemption`], [`tsc`].
 //!
 //! Everything is deterministic and purely in-memory: no `/dev/kvm`, no real
-//! VMX. See `DESIGN.md` §1 for the substitution argument.
+//! VMX. The model starts at the VM-exit boundary, where IRIS interposes
+//! (§V): no path executes `VMXON`, `VMPTRLD`, `VMLAUNCH` or `VMRESUME`,
+//! so none is modelled.
 //!
 //! ## Quick example
 //!
 //! ```
 //! use iris_vtx::fields::VmcsField;
-//! use iris_vtx::vmcs::{LaunchState, Vmcs};
+//! use iris_vtx::vmcs::Vmcs;
 //!
-//! let mut vmcs = Vmcs::new(0x1000);
+//! let mut vmcs = Vmcs::new();
 //! vmcs.write(VmcsField::GuestRip, 0xfff0).unwrap();
-//! assert_eq!(vmcs.read(VmcsField::GuestRip).unwrap(), 0xfff0);
-//! assert_eq!(vmcs.launch_state(), LaunchState::Clear);
+//! assert_eq!(vmcs.read(VmcsField::GuestRip), 0xfff0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,7 +44,6 @@ pub mod ept;
 pub mod exit;
 pub mod fields;
 pub mod gpr;
-pub mod instr;
 pub mod msr;
 pub mod preemption;
 pub mod segment;
@@ -58,6 +54,5 @@ pub use cr::{Cr0, Cr4, OperatingMode};
 pub use exit::ExitReason;
 pub use fields::VmcsField;
 pub use gpr::{Gpr, GprSet};
-pub use instr::{VmxInstructionError, VmxPort, VmxResult};
 pub use tsc::VirtualTsc;
 pub use vmcs::Vmcs;

@@ -50,21 +50,6 @@ impl PreemptionTimer {
         }
     }
 
-    /// An armed timer that will fire after `value` timer ticks.
-    #[must_use]
-    pub fn armed(value: u32) -> Self {
-        Self {
-            enabled: true,
-            value,
-        }
-    }
-
-    /// Whether the pin-based control activates the timer.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Current counter value.
     #[must_use]
     pub fn value(&self) -> u32 {
@@ -107,6 +92,14 @@ impl PreemptionTimer {
 mod tests {
     use super::*;
 
+    /// An enabled timer loaded with `value` ticks.
+    fn armed(value: u32) -> PreemptionTimer {
+        let mut t = PreemptionTimer::disabled();
+        t.set_enabled(true);
+        t.load(value);
+        t
+    }
+
     #[test]
     fn disabled_timer_never_fires() {
         let mut t = PreemptionTimer::disabled();
@@ -116,7 +109,7 @@ mod tests {
     #[test]
     fn zero_value_fires_immediately() {
         // The IRIS replay configuration: no guest instruction executes.
-        let mut t = PreemptionTimer::armed(0);
+        let mut t = armed(0);
         assert_eq!(
             t.run(1_000_000),
             TimerOutcome::Fired {
@@ -127,7 +120,7 @@ mod tests {
 
     #[test]
     fn countdown_rate_is_tsc_shifted() {
-        let mut t = PreemptionTimer::armed(100);
+        let mut t = armed(100);
         // 10 ticks worth of cycles: 10 << RATE_SHIFT.
         assert_eq!(t.run(10 << RATE_SHIFT), TimerOutcome::Running(90));
         // Now run long enough to fire: fires after 90 ticks.
@@ -148,7 +141,7 @@ mod tests {
 
     #[test]
     fn reload_rearms() {
-        let mut t = PreemptionTimer::armed(0);
+        let mut t = armed(0);
         let _ = t.run(0);
         t.load(50);
         assert_eq!(t.value(), 50);

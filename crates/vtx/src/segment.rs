@@ -17,8 +17,6 @@ pub mod ar {
     pub const DPL_SHIFT: u32 = 5;
     /// Present (bit 7).
     pub const P: u32 = 1 << 7;
-    /// Available for system software (bit 12).
-    pub const AVL: u32 = 1 << 12;
     /// 64-bit code segment (bit 13).
     pub const L: u32 = 1 << 13;
     /// Default operation size (bit 14).
@@ -93,17 +91,6 @@ impl Segment {
         }
     }
 
-    /// A flat 32-bit protected-mode code segment.
-    #[must_use]
-    pub fn flat_code32(selector: u16) -> Self {
-        Segment {
-            selector,
-            base: 0,
-            limit: 0xffff_ffff,
-            ar: ar::TYPE_CODE_ER_A | ar::S | ar::P | ar::DB | ar::G,
-        }
-    }
-
     /// A flat 64-bit code segment.
     #[must_use]
     pub fn flat_code64(selector: u16) -> Self {
@@ -112,17 +99,6 @@ impl Segment {
             base: 0,
             limit: 0xffff_ffff,
             ar: ar::TYPE_CODE_ER_A | ar::S | ar::P | ar::L | ar::G,
-        }
-    }
-
-    /// A flat data segment.
-    #[must_use]
-    pub fn flat_data(selector: u16) -> Self {
-        Segment {
-            selector,
-            base: 0,
-            limit: 0xffff_ffff,
-            ar: ar::TYPE_DATA_RW_A | ar::S | ar::P | ar::DB | ar::G,
         }
     }
 
@@ -148,18 +124,6 @@ impl Segment {
         }
     }
 
-    /// Whether the VMX "unusable" bit is set.
-    #[must_use]
-    pub fn is_unusable(&self) -> bool {
-        self.ar & ar::UNUSABLE != 0
-    }
-
-    /// Descriptor privilege level from the AR byte.
-    #[must_use]
-    pub fn dpl(&self) -> u8 {
-        ((self.ar >> ar::DPL_SHIFT) & 0x3) as u8
-    }
-
     /// Present bit.
     #[must_use]
     pub fn present(&self) -> bool {
@@ -173,33 +137,6 @@ impl Segment {
     }
 }
 
-/// A descriptor-table register (GDTR/IDTR).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct DescriptorTable {
-    /// Linear base address.
-    pub base: u64,
-    /// Table limit in bytes.
-    pub limit: u16,
-}
-
-impl DescriptorTable {
-    /// Number of 8-byte descriptors the table holds.
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        (usize::from(self.limit) + 1) / 8
-    }
-
-    /// Linear address of descriptor `index`, or `None` past the limit.
-    #[must_use]
-    pub fn descriptor_addr(&self, index: u16) -> Option<u64> {
-        let off = u64::from(index) * 8;
-        if off + 7 > u64::from(self.limit) {
-            return None;
-        }
-        Some(self.base + off)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,15 +147,16 @@ mod tests {
         assert_eq!(s.base, 0xf0000);
         assert_eq!(s.limit, 0xffff);
         assert!(s.present());
-        assert!(!s.is_unusable());
+        assert_eq!(s.ar & ar::UNUSABLE, 0);
     }
 
     #[test]
     fn flat_segments_cover_4g() {
-        assert_eq!(Segment::flat_code32(0x8).limit, 0xffff_ffff);
-        assert!(Segment::flat_code32(0x8).is_code());
-        assert!(!Segment::flat_data(0x10).is_code());
-        assert!(Segment::flat_code64(0x8).ar & ar::L != 0);
+        let code = Segment::flat_code64(0x8);
+        assert_eq!(code.limit, 0xffff_ffff);
+        assert!(code.is_code());
+        assert!(code.ar & ar::L != 0);
+        assert!(!Segment::real_mode(0x10).is_code());
     }
 
     #[test]
@@ -230,25 +168,8 @@ mod tests {
 
     #[test]
     fn unusable_flag() {
-        assert!(Segment::unusable().is_unusable());
-    }
-
-    #[test]
-    fn dpl_extraction() {
-        let mut s = Segment::flat_code32(0x8);
-        s.ar |= 3 << ar::DPL_SHIFT;
-        assert_eq!(s.dpl(), 3);
-    }
-
-    #[test]
-    fn descriptor_table_addressing() {
-        let gdt = DescriptorTable {
-            base: 0x1000,
-            limit: 23, // three descriptors
-        };
-        assert_eq!(gdt.entries(), 3);
-        assert_eq!(gdt.descriptor_addr(0), Some(0x1000));
-        assert_eq!(gdt.descriptor_addr(2), Some(0x1010));
-        assert_eq!(gdt.descriptor_addr(3), None);
+        let s = Segment::unusable();
+        assert_eq!(s.ar, ar::UNUSABLE);
+        assert!(!s.present());
     }
 }

@@ -67,36 +67,10 @@ impl VirtualTsc {
         Duration::new(secs, nanos)
     }
 
-    /// Convert a duration to cycles at this TSC's frequency.
-    #[must_use]
-    pub fn duration_to_cycles(&self, d: Duration) -> u64 {
-        let nanos = d.as_nanos();
-        (nanos * self.hz as u128 / 1_000_000_000) as u64
-    }
-
     /// Elapsed time since cycle 0.
     #[must_use]
     pub fn elapsed(&self) -> Duration {
         self.cycles_to_duration(self.cycles)
-    }
-}
-
-/// A span measured on the virtual TSC — the model's `RDTSC`-delta idiom
-/// (the paper: *"the temporal metric can be retrieved using instructions to
-/// get CPU-cycles counters"*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CycleSpan {
-    /// TSC value at the start of the span.
-    pub start: u64,
-    /// TSC value at the end of the span.
-    pub end: u64,
-}
-
-impl CycleSpan {
-    /// Cycles elapsed in the span.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.end.saturating_sub(self.start)
     }
 }
 
@@ -121,13 +95,9 @@ mod tests {
     #[test]
     fn cycle_duration_conversion_round_trips() {
         let t = VirtualTsc::new();
-        // 3.6e9 cycles == 1 second
+        // 3.6e9 cycles == 1 second, 3.6e6 == 1 ms
         assert_eq!(t.cycles_to_duration(TESTBED_HZ), Duration::from_secs(1));
-        assert_eq!(t.duration_to_cycles(Duration::from_secs(1)), TESTBED_HZ);
-        // 1 ms
-        let ms = t.duration_to_cycles(Duration::from_millis(1));
-        assert_eq!(ms, 3_600_000);
-        assert_eq!(t.cycles_to_duration(ms), Duration::from_millis(1));
+        assert_eq!(t.cycles_to_duration(3_600_000), Duration::from_millis(1));
     }
 
     #[test]
@@ -139,14 +109,6 @@ mod tests {
         let total = per_exit * 5000;
         let d = t.cycles_to_duration(total);
         assert_eq!(d, Duration::from_millis(100));
-    }
-
-    #[test]
-    fn span_cycles() {
-        let s = CycleSpan { start: 10, end: 35 };
-        assert_eq!(s.cycles(), 25);
-        let backwards = CycleSpan { start: 35, end: 10 };
-        assert_eq!(backwards.cycles(), 0);
     }
 
     #[test]

@@ -1,37 +1,15 @@
 //! The Virtual Machine Control Structure.
 //!
-//! A [`Vmcs`] models one VMCS region: its revision identifier, its
-//! launch-state machine (*Clear* vs *Launched* — SDM Vol. 3C §24.1), and
-//! the field store. Field access goes through [`Vmcs::read`] /
-//! [`Vmcs::write`], which enforce width truncation and the read-only rule
-//! for VM-exit information fields; the "first eight bytes" (revision id +
-//! abort indicator) are ordinary memory, as in the SDM.
-//!
-//! The *Active / Current* tracking lives in [`crate::instr::VmxPort`],
-//! because it is a property of the logical processor (which VMCS is
-//! current), not of the region itself.
+//! A [`Vmcs`] models the field store of one VMCS. Field access goes
+//! through [`Vmcs::read`] / [`Vmcs::write`], which enforce width
+//! truncation and the read-only rule for VM-exit information fields.
 
 use crate::fields::{FieldArea, VmcsField, FIELD_COUNT};
 use serde::{Deserialize, Serialize};
 
-/// Launch state of a VMCS (SDM Vol. 3C §24.11.3).
-///
-/// `VMLAUNCH` requires `Clear`; `VMRESUME` requires `Launched`;
-/// `VMCLEAR` resets to `Clear`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LaunchState {
-    /// The VMCS has been `VMCLEAR`ed and not yet launched.
-    Clear,
-    /// A `VMLAUNCH` has completed on this VMCS.
-    Launched,
-}
-
 /// Errors from direct VMCS field access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmcsAccessError {
-    /// The encoding does not name a field supported by this model
-    /// (a real CPU reports VM-instruction error 12).
-    UnsupportedField(u32),
     /// `VMWRITE` attempted on a read-only (VM-exit information) field
     /// (VM-instruction error 13).
     ReadOnlyField(VmcsField),
@@ -40,9 +18,6 @@ pub enum VmcsAccessError {
 impl std::fmt::Display for VmcsAccessError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::UnsupportedField(enc) => {
-                write!(f, "unsupported VMCS component encoding {enc:#x}")
-            }
             Self::ReadOnlyField(field) => {
                 write!(f, "VMWRITE to read-only VMCS component {field:?}")
             }
@@ -52,13 +27,9 @@ impl std::fmt::Display for VmcsAccessError {
 
 impl std::error::Error for VmcsAccessError {}
 
-/// The VMCS revision identifier our virtual CPU reports in
-/// `IA32_VMX_BASIC`. Arbitrary but stable.
-pub const VMCS_REVISION_ID: u32 = 0x0000_4952; // "IR"
-
 const PRESENT_WORDS: usize = FIELD_COUNT.div_ceil(64);
 
-/// One VMCS region.
+/// One VMCS.
 ///
 /// Cloning a `Vmcs` clones the full field store — this is what IRIS
 /// snapshots rely on (`iris_core::snapshot`).
@@ -69,14 +40,14 @@ const PRESENT_WORDS: usize = FIELD_COUNT.div_ceil(64);
 /// plain `memcpy`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vmcs {
-    /// Guest-physical address of the backing region; identifies the VMCS
-    /// to `VMPTRLD`/`VMCLEAR` and must be 4 KiB-aligned.
-    addr: u64,
-    revision_id: u32,
-    abort_indicator: u32,
-    launch_state: LaunchState,
     values: [u64; FIELD_COUNT],
     present: [u64; PRESENT_WORDS],
+}
+
+impl Default for Vmcs {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Serialize for Vmcs {
@@ -87,22 +58,10 @@ impl Serialize for Vmcs {
             .chain(self.area_fields(FieldArea::Control))
             .chain(self.area_fields(FieldArea::ExitInfo))
             .collect();
-        serde::Value::Map(vec![
-            (serde::Value::Str("addr".to_owned()), self.addr.to_value()),
-            (
-                serde::Value::Str("revision_id".to_owned()),
-                self.revision_id.to_value(),
-            ),
-            (
-                serde::Value::Str("abort_indicator".to_owned()),
-                self.abort_indicator.to_value(),
-            ),
-            (
-                serde::Value::Str("launch_state".to_owned()),
-                self.launch_state.to_value(),
-            ),
-            (serde::Value::Str("fields".to_owned()), fields.to_value()),
-        ])
+        serde::Value::Map(vec![(
+            serde::Value::Str("fields".to_owned()),
+            fields.to_value(),
+        )])
     }
 }
 
@@ -111,19 +70,10 @@ impl Deserialize for Vmcs {
         let entries = v
             .as_map()
             .ok_or_else(|| serde::Error::msg("expected map for Vmcs"))?;
-        let get = |key: &str| {
-            serde::value::map_get(entries, key)
-                .ok_or_else(|| serde::Error::msg(format!("missing Vmcs field {key}")))
-        };
-        let mut vmcs = Vmcs {
-            addr: u64::from_value(get("addr")?)?,
-            revision_id: u32::from_value(get("revision_id")?)?,
-            abort_indicator: u32::from_value(get("abort_indicator")?)?,
-            launch_state: LaunchState::from_value(get("launch_state")?)?,
-            values: [0; FIELD_COUNT],
-            present: [0; PRESENT_WORDS],
-        };
-        for (field, value) in Vec::<(VmcsField, u64)>::from_value(get("fields")?)? {
+        let fields = serde::value::map_get(entries, "fields")
+            .ok_or_else(|| serde::Error::msg("missing Vmcs field fields"))?;
+        let mut vmcs = Vmcs::new();
+        for (field, value) in Vec::<(VmcsField, u64)>::from_value(fields)? {
             vmcs.hw_write(field, value);
         }
         Ok(vmcs)
@@ -131,88 +81,20 @@ impl Deserialize for Vmcs {
 }
 
 impl Vmcs {
-    /// Create a VMCS region at the given (4 KiB-aligned) address with the
-    /// processor's revision id, in the `Clear` launch state, all fields
-    /// zero.
-    ///
-    /// # Panics
-    /// Panics if `addr` is not 4 KiB-aligned, mirroring the architectural
-    /// requirement that software must respect before `VMPTRLD`.
+    /// A VMCS with all fields zero, like freshly cleared VMCS memory.
     #[must_use]
-    pub fn new(addr: u64) -> Self {
-        assert_eq!(addr & 0xfff, 0, "VMCS region must be 4KiB-aligned");
+    pub fn new() -> Self {
         Self {
-            addr,
-            revision_id: VMCS_REVISION_ID,
-            abort_indicator: 0,
-            launch_state: LaunchState::Clear,
             values: [0; FIELD_COUNT],
             present: [0; PRESENT_WORDS],
         }
     }
 
-    /// Region address (identity for `VMPTRLD`).
+    /// Read a field. Unset fields read as zero.
+    #[inline]
     #[must_use]
-    pub fn addr(&self) -> u64 {
-        self.addr
-    }
-
-    /// Revision identifier in the first four bytes of the region.
-    #[must_use]
-    pub fn revision_id(&self) -> u32 {
-        self.revision_id
-    }
-
-    /// Corrupt the revision id (used by fuzzing tests to exercise
-    /// `VMPTRLD` failure paths).
-    pub fn set_revision_id(&mut self, id: u32) {
-        self.revision_id = id;
-    }
-
-    /// VMX-abort indicator (second four bytes of the region).
-    #[must_use]
-    pub fn abort_indicator(&self) -> u32 {
-        self.abort_indicator
-    }
-
-    /// Record a VMX abort.
-    pub fn set_abort_indicator(&mut self, code: u32) {
-        self.abort_indicator = code;
-    }
-
-    /// Current launch state.
-    #[must_use]
-    pub fn launch_state(&self) -> LaunchState {
-        self.launch_state
-    }
-
-    /// `VMCLEAR` effect on the region: launch state becomes `Clear`.
-    /// Field contents are preserved (the architectural VMCLEAR writes any
-    /// cached state back to memory; it does not zero the region).
-    pub fn clear(&mut self) {
-        self.launch_state = LaunchState::Clear;
-    }
-
-    /// Mark launched (performed by a successful `VMLAUNCH`).
-    pub fn mark_launched(&mut self) {
-        self.launch_state = LaunchState::Launched;
-    }
-
-    /// Read a field. Unset fields read as zero, like freshly cleared
-    /// VMCS memory.
-    ///
-    /// # Errors
-    /// Never fails for fields in [`VmcsField`]; the `Result` mirrors the
-    /// instruction-level interface where unsupported encodings fail.
-    pub fn read(&self, field: VmcsField) -> Result<u64, VmcsAccessError> {
-        Ok(self.values[field.index() as usize])
-    }
-
-    /// Read by raw encoding, failing like `VMREAD` does on unsupported
-    /// components.
-    pub fn read_encoding(&self, enc: u32) -> Result<u64, VmcsAccessError> {
-        let field = VmcsField::from_encoding(enc).ok_or(VmcsAccessError::UnsupportedField(enc))?;
-        self.read(field)
+    pub fn read(&self, field: VmcsField) -> u64 {
+        self.values[field.index() as usize]
     }
 
     /// Write a field, truncating to the field width.
@@ -229,12 +111,6 @@ impl Vmcs {
         Ok(())
     }
 
-    /// Write by raw encoding (`VMWRITE` semantics).
-    pub fn write_encoding(&mut self, enc: u32, value: u64) -> Result<(), VmcsAccessError> {
-        let field = VmcsField::from_encoding(enc).ok_or(VmcsAccessError::UnsupportedField(enc))?;
-        self.write(field, value)
-    }
-
     /// Hardware-internal write: used by the VM-exit microcode path to fill
     /// VM-exit information fields and save guest state. Not reachable from
     /// `VMWRITE`.
@@ -243,12 +119,6 @@ impl Vmcs {
         let idx = field.index() as usize;
         self.values[idx] = value & field.value_mask();
         self.present[idx / 64] |= 1u64 << (idx % 64);
-    }
-
-    /// Number of distinct fields ever written (diagnostics).
-    #[must_use]
-    pub fn populated_fields(&self) -> usize {
-        self.present.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Iterate written `(field, value)` pairs of a given area, in encoding
@@ -279,75 +149,45 @@ mod tests {
 
     #[test]
     fn new_vmcs_is_clear_and_zeroed() {
-        let v = Vmcs::new(0x7000);
-        assert_eq!(v.launch_state(), LaunchState::Clear);
-        assert_eq!(v.read(VmcsField::GuestRip).unwrap(), 0);
-        assert_eq!(v.populated_fields(), 0);
-        assert_eq!(v.revision_id(), VMCS_REVISION_ID);
-    }
-
-    #[test]
-    #[should_panic(expected = "4KiB-aligned")]
-    fn misaligned_region_panics() {
-        let _ = Vmcs::new(0x7001);
+        let v = Vmcs::new();
+        assert_eq!(v.read(VmcsField::GuestRip), 0);
+        for area in [FieldArea::GuestState, FieldArea::ExitInfo] {
+            assert_eq!(v.area_fields(area).count(), 0);
+        }
     }
 
     #[test]
     fn write_read_round_trip_with_width_truncation() {
-        let mut v = Vmcs::new(0);
+        let mut v = Vmcs::new();
         v.write(VmcsField::GuestCsSelector, 0x12345).unwrap();
-        assert_eq!(v.read(VmcsField::GuestCsSelector).unwrap(), 0x2345);
+        assert_eq!(v.read(VmcsField::GuestCsSelector), 0x2345);
         v.write(VmcsField::GuestCsLimit, 0x1_0000_0001).unwrap();
-        assert_eq!(v.read(VmcsField::GuestCsLimit).unwrap(), 1);
+        assert_eq!(v.read(VmcsField::GuestCsLimit), 1);
         v.write(VmcsField::GuestRip, u64::MAX).unwrap();
-        assert_eq!(v.read(VmcsField::GuestRip).unwrap(), u64::MAX);
+        assert_eq!(v.read(VmcsField::GuestRip), u64::MAX);
     }
 
     #[test]
     fn vmwrite_to_read_only_field_fails() {
-        let mut v = Vmcs::new(0);
+        let mut v = Vmcs::new();
         let err = v.write(VmcsField::VmExitReason, 1).unwrap_err();
         assert_eq!(err, VmcsAccessError::ReadOnlyField(VmcsField::VmExitReason));
         // ... but the hardware path can fill it.
         v.hw_write(VmcsField::VmExitReason, 28);
-        assert_eq!(v.read(VmcsField::VmExitReason).unwrap(), 28);
-    }
-
-    #[test]
-    fn encoding_access_rejects_unknown_components() {
-        let mut v = Vmcs::new(0);
-        assert!(matches!(
-            v.read_encoding(0xffff),
-            Err(VmcsAccessError::UnsupportedField(0xffff))
-        ));
-        assert!(matches!(
-            v.write_encoding(0xffff, 0),
-            Err(VmcsAccessError::UnsupportedField(0xffff))
-        ));
-    }
-
-    #[test]
-    fn clear_resets_launch_state_but_not_fields() {
-        let mut v = Vmcs::new(0);
-        v.write(VmcsField::GuestRip, 0x1234).unwrap();
-        v.mark_launched();
-        assert_eq!(v.launch_state(), LaunchState::Launched);
-        v.clear();
-        assert_eq!(v.launch_state(), LaunchState::Clear);
-        assert_eq!(v.read(VmcsField::GuestRip).unwrap(), 0x1234);
+        assert_eq!(v.read(VmcsField::VmExitReason), 28);
     }
 
     #[test]
     fn architectural_defaults() {
-        let mut v = Vmcs::new(0);
+        let mut v = Vmcs::new();
         v.init_architectural_defaults();
-        assert_eq!(v.read(VmcsField::VmcsLinkPointer).unwrap(), u64::MAX);
-        assert_eq!(v.read(VmcsField::GuestRflags).unwrap() & 0x2, 0x2);
+        assert_eq!(v.read(VmcsField::VmcsLinkPointer), u64::MAX);
+        assert_eq!(v.read(VmcsField::GuestRflags) & 0x2, 0x2);
     }
 
     #[test]
     fn area_iteration_filters() {
-        let mut v = Vmcs::new(0);
+        let mut v = Vmcs::new();
         v.write(VmcsField::GuestRip, 1).unwrap();
         v.write(VmcsField::HostRip, 2).unwrap();
         v.hw_write(VmcsField::VmExitReason, 3);
@@ -355,5 +195,14 @@ mod tests {
         assert_eq!(guest, vec![(VmcsField::GuestRip, 1)]);
         let info: Vec<_> = v.area_fields(FieldArea::ExitInfo).collect();
         assert_eq!(info, vec![(VmcsField::VmExitReason, 3)]);
+    }
+
+    #[test]
+    fn serde_round_trips_the_field_store() {
+        let mut v = Vmcs::new();
+        v.init_architectural_defaults();
+        v.hw_write(VmcsField::VmExitReason, 30);
+        let back = Vmcs::from_value(&v.to_value()).unwrap();
+        assert_eq!(back, v);
     }
 }

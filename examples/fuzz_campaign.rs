@@ -11,9 +11,7 @@
 use iris_fuzzer::failure::FailureKind;
 use iris_fuzzer::mutation::SeedArea;
 use iris_fuzzer::parallel::ParallelCampaign;
-use iris_fuzzer::target::{
-    record_trace, render_planted_fault_report, FaultyHvTarget, TargetFactory,
-};
+use iris_fuzzer::target::{record_trace, render_planted_fault_report, Backend, TargetFactory};
 use iris_fuzzer::testcase::TestCase;
 use iris_guest::workloads::Workload;
 use iris_vtx::exit::ExitReason;
@@ -77,7 +75,7 @@ fn main() {
 
     // Same plan, same driver, different backend: the faulty build has a
     // ground truth, so the report can say what the fuzzer *found*.
-    let faulty = FaultyHvTarget::default();
+    let faulty = Backend::Faulty;
     let faulty_report = ParallelCampaign::with_factory(1, faulty).run_trace(&trace, &plan);
     println!(
         "\nsame plan against `{}` ({}):",

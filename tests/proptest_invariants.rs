@@ -88,19 +88,19 @@ proptest! {
     /// observe bits a field cannot hold.
     #[test]
     fn vmcs_width_truncation(field in arb_field(), value in any::<u64>()) {
-        let mut v = Vmcs::new(0x1000);
+        let mut v = Vmcs::new();
         v.hw_write(field, value);
-        let read = v.read(field).unwrap();
+        let read = v.read(field);
         prop_assert_eq!(read, value & field.value_mask());
         v.hw_write(field, read);
-        prop_assert_eq!(v.read(field).unwrap(), read);
+        prop_assert_eq!(v.read(field), read);
     }
 
     /// Read-only classification matches the architectural area encoding
     /// and VMWRITE honours it.
     #[test]
     fn vmcs_read_only_rejection(field in arb_field(), value in any::<u64>()) {
-        let mut v = Vmcs::new(0x1000);
+        let mut v = Vmcs::new();
         let result = v.write(field, value);
         prop_assert_eq!(result.is_err(), field.is_read_only());
     }
@@ -359,7 +359,7 @@ proptest! {
     /// verdict (determinism matters for replay).
     #[test]
     fn entry_checks_deterministic(rip in any::<u64>(), rflags in any::<u64>(), cr0 in any::<u64>()) {
-        let mut v = Vmcs::new(0x2000);
+        let mut v = Vmcs::new();
         iris_vtx::entry_checks::init_real_mode_guest_state(&mut v);
         v.hw_write(VmcsField::GuestRip, rip);
         v.hw_write(VmcsField::GuestRflags, rflags);
