@@ -188,6 +188,7 @@ pub(crate) use crate::checkpoint::annotate;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::JsonWriter;
     use crate::mutation::SeedArea;
     use iris_guest::workloads::Workload;
     use iris_vtx::exit::ExitReason;
@@ -366,6 +367,45 @@ mod tests {
         }
         let json = serde_json::to_string(&modern).unwrap();
         assert_eq!(serde_json::from_str::<Corpus>(&json).unwrap(), modern);
+    }
+
+    // The campaign's corpus writer is a `JsonWriter<Corpus>`; these pin
+    // that what it writes loads back as a corpus, and that its errors
+    // name the corpus path.
+
+    #[test]
+    fn corpus_writer_persists_the_newest_snapshot_atomically() {
+        let p = std::env::temp_dir().join("iris-corpus-writer-test.json");
+        let tmp = std::env::temp_dir().join("iris-corpus-writer-test.json.tmp");
+        std::fs::remove_file(&p).ok();
+
+        let writer = JsonWriter::<Corpus>::spawn(p.clone());
+        let mut c = Corpus::new();
+        c.push(record(FailureKind::VmCrash));
+        writer.persist(c.clone());
+        c.push(record(FailureKind::HypervisorCrash));
+        writer.persist(c.clone());
+        let saves = writer.finish().unwrap();
+        assert!(saves >= 1, "at least one snapshot must reach disk");
+        assert!(!tmp.exists(), "atomic-save semantics preserved");
+        // Whatever got coalesced, the final state on disk is the newest.
+        assert_eq!(Corpus::load(&p).unwrap(), c);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn corpus_writer_surfaces_write_errors_at_finish() {
+        let unwritable = std::env::temp_dir()
+            .join("iris-no-such-dir")
+            .join("corpus.json");
+        let writer = JsonWriter::<Corpus>::spawn(unwritable);
+        writer.persist(Corpus::new());
+        writer.persist(Corpus::new());
+        let err = writer.finish().unwrap_err();
+        assert!(
+            err.to_string().contains("iris-no-such-dir"),
+            "path context missing: {err}"
+        );
     }
 
     #[test]
