@@ -9,6 +9,7 @@ use iris_core::record::{Recorder, RECORD_RAM_BYTES};
 use iris_core::replay::{replay_fresh, ReplayEngine};
 use iris_core::seed::VmSeed;
 use iris_core::trace::RecordedTrace;
+use iris_fuzzer::campaign::DEFAULT_RAM_BYTES;
 use iris_fuzzer::mutation::SeedArea;
 use iris_fuzzer::parallel::{available_jobs, CampaignReport, ParallelCampaign};
 use iris_fuzzer::strategies::{mutate_with, Strategy};
@@ -255,7 +256,7 @@ pub fn fig9_efficiency(workload: Workload, exits: usize, seed: u64) -> Fig9 {
 #[must_use]
 pub fn ideal_replay_throughput(exits: usize) -> f64 {
     let mut hv = Hypervisor::new();
-    let dummy = hv.create_hvm_domain(16 << 20);
+    let dummy = hv.create_hvm_domain(DEFAULT_RAM_BYTES);
     let _engine = ReplayEngine::new(&mut hv, dummy);
     let t0 = hv.tsc.now();
     for _ in 0..exits {
@@ -292,7 +293,7 @@ pub fn fig10_overhead(workload: Workload, exits: usize, runs: usize, seed: u64) 
 
         // Without recording.
         let mut hv = Hypervisor::new();
-        let dom = hv.create_hvm_domain(64 << 20);
+        let dom = hv.create_hvm_domain(RECORD_RAM_BYTES);
         if workload != Workload::OsBoot {
             fast_forward_boot(&mut hv, dom);
         }
@@ -373,7 +374,7 @@ pub fn boot_state_experiment(workload: Workload, exits: usize, seed: u64) -> Boo
     let (_, boot) = record_workload(Workload::OsBoot, 1000, seed);
 
     // Cold: fresh dummy VM, no boot replay.
-    let (hv, _, cold, _) = replay_fresh(&trace, 16 << 20, false);
+    let (hv, _, cold, _) = replay_fresh(&trace, DEFAULT_RAM_BYTES, false);
     let msg = hv
         .log
         .grep("bad RIP")
@@ -382,7 +383,7 @@ pub fn boot_state_experiment(workload: Workload, exits: usize, seed: u64) -> Boo
         .unwrap_or_default();
 
     // Warm: boot replay first.
-    let (mut hv, mut engine, _, _) = replay_fresh(&boot, 16 << 20, false);
+    let (mut hv, mut engine, _, _) = replay_fresh(&boot, DEFAULT_RAM_BYTES, false);
     let warm = engine.replay_trace(&mut hv, &trace);
 
     BootStateExperiment {
@@ -490,7 +491,7 @@ pub fn strategy_ablation(exits: usize, mutants: usize, seed: u64) -> Vec<Strateg
     let donor = &trace.seeds[(idx + 7) % trace.seeds.len()];
     let positioned = || {
         let mut hv = Hypervisor::new();
-        let dummy = hv.create_hvm_domain(16 << 20);
+        let dummy = hv.create_hvm_domain(DEFAULT_RAM_BYTES);
         let mut engine = ReplayEngine::new(&mut hv, dummy);
         for s in &trace.seeds[..idx] {
             let _ = engine.submit(&mut hv, s);

@@ -1017,7 +1017,7 @@ fn cmd_worker(p: &Parsed) -> Result<String, CliError> {
     let defaults = WorkerOptions::default();
     let opts = WorkerOptions {
         connect: p.required("--connect").to_owned(),
-        target: target(p)?.name().to_owned(),
+        target: target(p)?,
         once: p.has("--once"),
         heartbeat_ms: p.num("--heartbeat-ms", defaults.heartbeat_ms)?,
         backoff: BackoffPolicy {

@@ -32,9 +32,10 @@
 //!   the daemon is the I/O loop around it.
 //! * [`worker`] / [`client`] — `iris worker` builds a private target
 //!   per lease via `TargetFactory` and runs the existing
-//!   `run_mutant_range_with`/`run_slot` cores; `iris submit` delivers a
-//!   spec and receives the final report, byte-identical to
-//!   `iris campaign|guided --jobs 1`.
+//!   `run_mutant_range_with`/`run_slot` cores, deciding everything in
+//!   a second pure state machine (`worker_machine.rs`,
+//!   `Worker::on(event)`); `iris submit` delivers a spec and receives
+//!   the final report, byte-identical to `iris campaign|guided --jobs 1`.
 //!
 //! Plus the adversarial-robustness layer (DISTRIBUTED.md "Failure and
 //! trust model"): [`chaos`] is a seeded in-process TCP proxy that turns
@@ -61,6 +62,7 @@ mod machine;
 pub mod proto;
 pub mod verify;
 pub mod worker;
+mod worker_machine;
 
 use std::fmt;
 use std::io;

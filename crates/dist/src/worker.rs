@@ -1,41 +1,25 @@
-//! The worker loop behind `iris worker --connect`.
+//! The worker loop behind `iris worker --connect`: the I/O around the
+//! state machine in `worker_machine.rs`, which makes every worker
+//! decision (DISTRIBUTED.md §8). This loop connects, reads frames with
+//! a 250 ms poll, checks the stop flag, sleeps the backoff the machine
+//! chooses, and runs each lease through [`execute_range`], the
+//! in-process cores on a private target stack, so a distributed range's
+//! bytes match the single-process run's by construction. The two test
+//! hooks wrap the machine here; they are not its inputs.
 //!
-//! A worker is stateless between leases: it re-derives the job's trace,
-//! plan, and initial corpus from the [`JobSpec`] the coordinator's
-//! `Assign` frame carries (determinism makes the derivation
-//! byte-identical on every host), builds a **private target stack** per
-//! lease via `TargetFactory`, and runs the exact in-process cores —
-//! [`execute_range`] wraps `run_mutant_range_with` for campaign chunks
-//! and a `SlotContext` slot loop for guided ranges (seed paths rebuilt
-//! from the epoch's promotion lineage) — so a distributed range's bytes
-//! match the single-process run's by construction.
-//!
-//! Liveness: each served connection has one sibling thread that owns
-//! nothing but the heartbeat cadence (`Heartbeats`): at every tick
-//! that falls inside a lease it writes a `Heartbeat` frame, renewing
-//! the coordinator-side lease. The sibling is spawned once per
-//! connection, not per lease — a 16-mutant lease computes in ~100 µs,
-//! less than a thread costs — and is joined before the connection's
-//! `serve` returns, so it cannot linger past it (or past `--once`).
-//! Workers survive a coordinator restart by reconnecting — under the
-//! bounded exponential [`BackoffPolicy`] with deterministic jitter —
-//! with the last job fingerprint in `Hello`, and accepting a fresh
-//! `Assign`. A coordinator that stays unreachable past the backoff
-//! budget surfaces as a typed [`DistError::RetriesExhausted`].
+//! Liveness: each connection has one sibling thread that owns nothing
+//! but the heartbeat cadence (`Heartbeats`): at every tick that falls
+//! inside a lease it writes a `Heartbeat` frame, renewing the lease. It
+//! is spawned once per connection, not per lease (a 16-mutant lease
+//! computes in ~100 µs, less than a thread costs), and joined before
+//! the connection ends, so it cannot linger past it (or `--once`).
 
 use crate::backoff::BackoffPolicy;
-use crate::job::{JobKind, JobSpec};
-use crate::proto::{
-    read_frame, write_frame, ErrorCode, Frame, LeaseKind, LeaseRange, RangeOutput, PROTO_VERSION,
-};
-use crate::verify::{execute_range, ExecDetail};
+use crate::proto::{read_frame, write_frame, Frame, RangeOutput};
+use crate::verify::execute_range;
+use crate::worker_machine::{Lease, Worker, WorkerAction, WorkerEvent};
 use crate::DistError;
-use iris_core::seed::VmSeed;
-use iris_core::trace::RecordedTrace;
-use iris_fuzzer::guided::{corpus_paths, initial_corpus};
 use iris_fuzzer::target::Backend;
-use iris_fuzzer::testcase::TestCase;
-use iris_hv::coverage::CoverageMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -46,9 +30,9 @@ use std::time::Duration;
 pub struct WorkerOptions {
     /// Coordinator address, e.g. `127.0.0.1:7331`.
     pub connect: String,
-    /// Backend registry name this worker serves (`iris` | `faulty`) —
-    /// the coordinator only leases matching jobs to it.
-    pub target: String,
+    /// The backend this worker serves (`iris` | `faulty`) — the
+    /// coordinator only leases matching jobs to it.
+    pub target: Backend,
     /// Exit after the first completed job instead of waiting for more.
     pub once: bool,
     /// Heartbeat cadence while a lease computes. Must be comfortably
@@ -80,7 +64,7 @@ impl Default for WorkerOptions {
     fn default() -> Self {
         Self {
             connect: String::new(),
-            target: "iris".to_owned(),
+            target: Backend::Iris,
             once: false,
             heartbeat_ms: 1_000,
             backoff: BackoffPolicy::default(),
@@ -94,7 +78,7 @@ impl Default for WorkerOptions {
 /// What a worker did before returning.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerSummary {
-    /// Leases computed and delivered.
+    /// Leases computed and whose results were sent.
     pub chunks_done: u64,
     /// Jobs this worker saw complete.
     pub jobs_done: u64,
@@ -104,61 +88,14 @@ pub struct WorkerSummary {
     pub results_corrupted: u64,
 }
 
-/// The job state a worker caches per `Assign` — everything re-derived
-/// locally from the spec.
-struct WorkerJob {
-    id: u64,
-    fingerprint: String,
-    trace: RecordedTrace,
-    plan: Vec<TestCase>,
-    corpus0: Vec<VmSeed>,
-    /// The guided generation the cached corpus/coverage belong to.
-    epoch: Option<u64>,
-    epoch_corpus: Vec<VmSeed>,
-    /// Seed path per corpus entry, rebuilt from the epoch's promotion
-    /// lineage ([`corpus_paths`]) — where each slot positions its
-    /// target before submitting.
-    epoch_paths: Vec<Vec<usize>>,
-    epoch_seen: CoverageMap,
-}
-
-enum Served {
-    /// Connection lost or coordinator shutting down — reconnect.
-    Lost(DistError),
-    /// `--once` satisfied.
-    Once,
-    /// Cooperative stop requested.
-    Stop,
-    /// The `fail_after_chunks` hook fired.
-    FaultInjected,
-}
-
 fn stop_requested(opts: &WorkerOptions) -> bool {
     opts.stop.is_some_and(|s| s.load(Ordering::SeqCst))
-}
-
-/// Errors that reconnecting cannot fix: speaking to an incompatible
-/// coordinator, a protocol bug on either side, or being quarantined
-/// (the divergence is deterministic — reconnecting reproduces it).
-fn is_fatal(e: &DistError) -> bool {
-    match e {
-        DistError::VersionMismatch { .. }
-        | DistError::FingerprintMismatch { .. }
-        | DistError::Protocol(_)
-        | DistError::FrameTooLarge { .. }
-        | DistError::RetriesExhausted { .. } => true,
-        DistError::Remote { code, .. } => !matches!(code, ErrorCode::Shutdown),
-        DistError::Disconnected { .. } | DistError::Io(_) | DistError::Busy { .. } => false,
-    }
 }
 
 /// Sleep `total_ms`, waking early when the stop flag trips.
 fn sleep_with_stop(total_ms: u64, opts: &WorkerOptions) {
     let mut remaining = total_ms;
-    while remaining > 0 {
-        if stop_requested(opts) {
-            return;
-        }
+    while remaining > 0 && !stop_requested(opts) {
         let step = remaining.min(50);
         std::thread::sleep(Duration::from_millis(step));
         remaining -= step;
@@ -174,228 +111,99 @@ fn sleep_with_stop(total_ms: u64, opts: &WorkerOptions) {
 /// quarantine) and [`DistError::RetriesExhausted`] when the reconnect
 /// budget is spent.
 pub fn run_worker(opts: &WorkerOptions) -> Result<WorkerSummary, DistError> {
-    let backend = Backend::parse(&opts.target)
-        .ok_or_else(|| DistError::Protocol(format!("unknown target '{}'", opts.target)))?;
-    let mut summary = WorkerSummary::default();
-    let mut job: Option<WorkerJob> = None;
-    let mut attempt: u32 = 0;
-    loop {
+    let mut worker = Worker::new(opts.target, opts.once, opts.backoff);
+    let result = 'run: loop {
         if stop_requested(opts) {
-            return Ok(summary);
+            break Ok(worker.summary());
         }
-        let last = match TcpStream::connect(&opts.connect) {
-            Ok(stream) => {
-                let mut progressed = false;
-                match serve(
-                    stream,
-                    opts,
-                    backend,
-                    &mut job,
-                    &mut summary,
-                    &mut progressed,
-                ) {
-                    Ok(Served::Once | Served::Stop) => return Ok(summary),
-                    Ok(Served::FaultInjected) => {
-                        summary.fault_injected = true;
-                        return Ok(summary);
-                    }
-                    Ok(Served::Lost(e)) => {
-                        if progressed {
-                            // The coordinator was alive this connection:
-                            // a fresh outage gets the full budget.
-                            attempt = 0;
-                        }
-                        e
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Err(e) => DistError::Io(e),
+        let ending = match TcpStream::connect(&opts.connect) {
+            Ok(stream) => vec![serve(&stream, opts, &mut worker)],
+            Err(e) => worker.on(WorkerEvent::Lost(DistError::Io(e))),
         };
-        attempt += 1;
-        if opts.backoff.exhausted(attempt) {
-            return Err(DistError::RetriesExhausted {
-                attempts: attempt.saturating_sub(1),
-                last: Box::new(last),
-            });
+        for action in ending {
+            match action {
+                WorkerAction::Reconnect { after_ms } => sleep_with_stop(after_ms, opts),
+                WorkerAction::Exit(result) => break 'run result,
+                // Only `Reconnect` and `Exit` end a connection.
+                WorkerAction::Send(_) | WorkerAction::Compute(_) => {}
+            }
         }
-        sleep_with_stop(opts.backoff.delay_ms(attempt), opts);
-    }
-}
-
-/// Serve one connection until it ends. `Err` is fatal for the whole
-/// worker; `Ok(Served::Lost)` asks the caller to reconnect.
-/// `progressed` flips once any frame arrives — the caller's signal to
-/// reset the backoff attempt counter.
-fn serve(
-    mut stream: TcpStream,
-    opts: &WorkerOptions,
-    backend: Backend,
-    job: &mut Option<WorkerJob>,
-    summary: &mut WorkerSummary,
-    progressed: &mut bool,
-) -> Result<Served, DistError> {
-    let _ = stream.set_nodelay(true);
-    let hello = Frame::Hello {
-        proto_version: PROTO_VERSION,
-        job_fingerprint: job
-            .as_ref()
-            .map(|j| j.fingerprint.clone())
-            .unwrap_or_default(),
-        target: opts.target.clone(),
     };
-    if let Err(e) = write_frame(&mut stream, &hello) {
-        return Ok(Served::Lost(e));
-    }
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let beat_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(e) => return Ok(Served::Lost(DistError::Io(e))),
-    };
-    let heartbeats = Heartbeats::default();
-    let every = Duration::from_millis(opts.heartbeat_ms.max(1));
-    std::thread::scope(|scope| {
-        scope.spawn(|| heartbeats.beat(&beat_stream, every));
-        // Ends the sibling on every way out, unwinding included.
-        let _session = heartbeats.session();
-        serve_frames(
-            &mut stream,
-            &heartbeats,
-            opts,
-            backend,
-            job,
-            summary,
-            progressed,
-        )
+    // Every result from the `corrupt_after`-th on was falsified.
+    result.map(|s| WorkerSummary {
+        results_corrupted: opts
+            .corrupt_after
+            .map_or(0, |n| s.chunks_done.saturating_sub(n)),
+        ..s
     })
 }
 
-/// The frame loop of one connection; see [`serve`].
-fn serve_frames(
-    stream: &mut TcpStream,
-    heartbeats: &Heartbeats,
-    opts: &WorkerOptions,
-    backend: Backend,
-    job: &mut Option<WorkerJob>,
-    summary: &mut WorkerSummary,
-    progressed: &mut bool,
-) -> Result<Served, DistError> {
-    loop {
-        if stop_requested(opts) {
-            return Ok(Served::Stop);
-        }
-        let frame = match read_frame(stream) {
-            Ok(f) => f,
-            Err(e) if e.is_poll_timeout() => continue,
-            Err(e) if is_fatal(&e) => return Err(e),
-            Err(e) => return Ok(Served::Lost(e)),
-        };
-        *progressed = true;
-        match frame {
-            Frame::Assign {
-                job_id,
-                fingerprint,
-                spec,
-            } => {
-                if spec.target != opts.target {
-                    return Err(DistError::Protocol(format!(
-                        "assigned job targets '{}' but this worker serves '{}'",
-                        spec.target, opts.target
-                    )));
-                }
-                *job = Some(derive_job(job_id, fingerprint, &spec)?);
-            }
-            Frame::Epoch {
-                job_id,
-                epoch,
-                promoted,
-                lineage,
-                seen,
-            } => {
-                let Some(j) = job.as_mut().filter(|j| j.id == job_id) else {
-                    return Err(DistError::Protocol(
-                        "epoch update for a job this worker was never assigned".to_owned(),
-                    ));
+/// Whether a test hook armed at `hook` results is due.
+fn due(hook: Option<u64>, worker: &Worker) -> bool {
+    hook.is_some_and(|n| worker.summary().chunks_done >= n)
+}
+
+/// Serve one connection. Returns the `Reconnect` or `Exit` that ends
+/// it: the machine's, or the loop's own `Exit` when the stop flag trips
+/// or the `fail_after_chunks` hook fires.
+fn serve(stream: &TcpStream, opts: &WorkerOptions, worker: &mut Worker) -> WorkerAction {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    let heartbeats = Heartbeats::default();
+    let every = Duration::from_millis(opts.heartbeat_ms.max(1));
+    std::thread::scope(|scope| {
+        scope.spawn(|| heartbeats.beat(stream, every));
+        // Ends the sibling on every way out, unwinding included.
+        let _session = heartbeats.session();
+        let mut next = Some(WorkerEvent::Connected);
+        loop {
+            let event = match next.take() {
+                Some(event) => event,
+                None => loop {
+                    if stop_requested(opts) {
+                        return WorkerAction::Exit(Ok(worker.summary()));
+                    }
+                    match read_frame(&mut &*stream) {
+                        Err(e) if e.is_poll_timeout() => {}
+                        read => break read.map_or_else(WorkerEvent::Lost, WorkerEvent::Peer),
+                    }
+                },
+            };
+            for action in worker.on(event) {
+                next = match action {
+                    WorkerAction::Send(frame) => write_frame(&mut &*stream, &frame)
+                        .err()
+                        .map(WorkerEvent::Lost),
+                    WorkerAction::Compute(_) if due(opts.fail_after_chunks, worker) => {
+                        // Simulated SIGKILL: drop the socket holding the
+                        // lease, which the coordinator re-leases.
+                        let mut summary = worker.summary();
+                        summary.fault_injected = true;
+                        return WorkerAction::Exit(Ok(summary));
+                    }
+                    WorkerAction::Compute(lease) => {
+                        Some(compute(&lease, opts, worker, &heartbeats))
+                    }
+                    end => return end,
                 };
-                // The scheduling corpus is `initial ++ promoted` — the
-                // exact shape SharedEngine maintains coordinator-side —
-                // and the seed paths every slot positions with are a
-                // pure function of the lineage.
-                j.epoch_paths = corpus_paths(j.corpus0.len(), promoted.len(), &lineage)
-                    .map_err(|e| DistError::Protocol(format!("epoch update: {e}")))?;
-                let mut corpus = j.corpus0.clone();
-                corpus.extend(promoted);
-                j.epoch_corpus = corpus;
-                j.epoch_seen = *seen;
-                j.epoch = Some(epoch);
-            }
-            Frame::Lease {
-                job_id,
-                kind,
-                range,
-                rng_seed,
-                epoch,
-            } => {
-                let Some(j) = job.as_ref().filter(|j| j.id == job_id) else {
-                    return Err(DistError::Protocol(
-                        "lease for a job this worker was never assigned".to_owned(),
-                    ));
-                };
-                if opts
-                    .fail_after_chunks
-                    .is_some_and(|n| summary.chunks_done >= n)
-                {
-                    // Simulated SIGKILL: drop the socket while holding
-                    // the lease. The coordinator re-leases the range.
-                    return Ok(Served::FaultInjected);
-                }
-                // The same core the coordinator's adjudicating
-                // re-execution runs, on a private target stack.
-                let leased = validate_lease(j, &kind, range, rng_seed, epoch).and_then(|detail| {
-                    let run = || execute_range(&backend, &j.trace, &detail, range, rng_seed);
-                    heartbeats.during_lease(run)
-                });
-                let mut output = match leased {
-                    Ok(out) => out,
-                    Err(e) if is_fatal(&e) => return Err(e),
-                    Err(e) => return Ok(Served::Lost(e)),
-                };
-                if opts.corrupt_after.is_some_and(|n| summary.chunks_done >= n) {
-                    corrupt_output(&mut output);
-                    summary.results_corrupted += 1;
-                }
-                let done = Frame::ChunkDone {
-                    job_id,
-                    range_start: range.start,
-                    output,
-                };
-                match write_frame(stream, &done) {
-                    Ok(()) => summary.chunks_done += 1,
-                    Err(e) => return Ok(Served::Lost(e)),
-                }
-            }
-            Frame::JobDone { .. } => {
-                summary.jobs_done += 1;
-                *job = None;
-                if opts.once {
-                    return Ok(Served::Once);
-                }
-            }
-            Frame::Error { code, detail } => {
-                let e = DistError::Remote { code, detail };
-                if is_fatal(&e) {
-                    return Err(e);
-                }
-                return Ok(Served::Lost(e));
-            }
-            Frame::Heartbeat | Frame::Progress { .. } => {}
-            Frame::Hello { .. } | Frame::Submit { .. } | Frame::ChunkDone { .. } => {
-                return Err(DistError::Protocol(
-                    "coordinator sent a client/worker-bound frame".to_owned(),
-                ));
             }
         }
-    }
+    })
+}
+
+/// Run `lease` on a private target stack while heartbeats flow — the
+/// core the coordinator's adjudicating re-execution runs too — and
+/// falsify the result once the `corrupt_after` hook is due.
+fn compute(lease: &Lease, opts: &WorkerOptions, worker: &Worker, hb: &Heartbeats) -> WorkerEvent {
+    let computed = worker.input(lease).and_then(|(trace, detail)| {
+        hb.during_lease(|| execute_range(&opts.target, trace, &detail, lease.range, lease.rng_seed))
+    });
+    computed.map_or_else(WorkerEvent::Lost, |mut output| {
+        if due(opts.corrupt_after, worker) {
+            corrupt_output(&mut output);
+        }
+        WorkerEvent::Computed(output)
+    })
 }
 
 /// The byzantine test hook's falsification: wrong but well-formed, so
@@ -415,27 +223,6 @@ fn corrupt_output(output: &mut RangeOutput) {
             }
         }
     }
-}
-
-/// Re-derive a job's local state from its spec.
-fn derive_job(id: u64, fingerprint: String, spec: &JobSpec) -> Result<WorkerJob, DistError> {
-    let trace = spec.record_trace()?;
-    let plan = spec.plan(&trace)?;
-    let corpus0 = match spec.kind {
-        JobKind::Guided { .. } => initial_corpus(&trace),
-        JobKind::Campaign { .. } => Vec::new(),
-    };
-    Ok(WorkerJob {
-        id,
-        fingerprint,
-        trace,
-        plan,
-        corpus0,
-        epoch: None,
-        epoch_corpus: Vec::new(),
-        epoch_paths: Vec::new(),
-        epoch_seen: CoverageMap::default(),
-    })
 }
 
 /// Where a connection's heartbeat sibling stands.
@@ -495,29 +282,27 @@ impl Heartbeats {
 
     /// Run `compute` as a lease: heartbeats flow while it runs. Returns
     /// after any heartbeat write in flight has finished, so the caller
-    /// may write its result frame straight away.
+    /// may write its result frame straight away. A result computed after
+    /// the link was lost is dropped: the coordinator re-leases the
+    /// range, and the re-run is byte-identical.
     fn during_lease<T>(&self, compute: impl FnOnce() -> T) -> Result<T, DistError> {
-        let lost = || DistError::Disconnected {
-            during: "heartbeat delivery",
-            mid_frame: false,
-        };
-        {
-            let mut state = self.lock();
-            if *state == Beat::LinkLost {
-                return Err(lost());
-            }
-            *state = Beat::Leased;
-        }
+        self.enter(Beat::Leased)?;
         let out = compute();
+        self.enter(Beat::Idle)?;
+        Ok(out)
+    }
+
+    /// Move to `next`, unless a heartbeat write has already failed.
+    fn enter(&self, next: Beat) -> Result<(), DistError> {
         let mut state = self.lock();
         if *state == Beat::LinkLost {
-            // The result is computed but undeliverable; the coordinator
-            // will re-lease and the re-run is byte-identical, so
-            // dropping it is safe.
-            return Err(lost());
+            return Err(DistError::Disconnected {
+                during: "heartbeat delivery",
+                mid_frame: false,
+            });
         }
-        *state = Beat::Idle;
-        Ok(out)
+        *state = next;
+        Ok(())
     }
 
     /// A guard that ends the sibling when dropped.
@@ -530,59 +315,6 @@ impl Heartbeats {
             }
         }
         Session(self)
-    }
-}
-
-/// Check a lease against the locally derived job, and return what
-/// [`execute_range`] runs it on.
-fn validate_lease<'a>(
-    job: &'a WorkerJob,
-    kind: &LeaseKind,
-    range: LeaseRange,
-    rng_seed: u64,
-    epoch: u64,
-) -> Result<ExecDetail<'a>, DistError> {
-    match *kind {
-        LeaseKind::CampaignChunk { testcase_index } => {
-            let Some(tc) = job.plan.get(testcase_index) else {
-                return Err(DistError::Protocol(format!(
-                    "lease names test case {testcase_index} outside the {}-entry plan",
-                    job.plan.len()
-                )));
-            };
-            if tc.rng_seed != rng_seed {
-                return Err(DistError::Protocol(
-                    "lease rng seed disagrees with the locally derived plan".to_owned(),
-                ));
-            }
-            if range.start.saturating_add(range.len) > tc.mutants as u64 {
-                return Err(DistError::Protocol(format!(
-                    "lease range {}..{} beyond the test case's {} mutants",
-                    range.start,
-                    range.start.saturating_add(range.len),
-                    tc.mutants
-                )));
-            }
-            Ok(ExecDetail::Campaign(tc))
-        }
-        LeaseKind::GuidedSlotRange => {
-            if job.epoch != Some(epoch) {
-                return Err(DistError::Protocol(format!(
-                    "guided lease for epoch {epoch} but worker holds {:?}",
-                    job.epoch
-                )));
-            }
-            if job.epoch_corpus.is_empty() {
-                return Err(DistError::Protocol(
-                    "guided lease with an empty scheduling corpus".to_owned(),
-                ));
-            }
-            Ok(ExecDetail::Guided {
-                corpus: &job.epoch_corpus,
-                paths: &job.epoch_paths,
-                seen: &job.epoch_seen,
-            })
-        }
     }
 }
 
@@ -666,6 +398,68 @@ mod tests {
             }
             other => panic!("expected heartbeat-delivery disconnect, got {other:?}"),
         }
+    }
+
+    /// A stand-in coordinator that hands a guided job a lease of
+    /// `u64::MAX` slots: the worker must refuse it with a protocol
+    /// error instead of sizing an allocation from it.
+    #[test]
+    fn a_hostile_guided_lease_is_a_protocol_error() {
+        use crate::job::{JobKind, JobSpec};
+        use crate::proto::LeaseKind;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let opts = WorkerOptions {
+            connect: listener.local_addr().unwrap().to_string(),
+            backoff: BackoffPolicy {
+                attempts: 0,
+                ..BackoffPolicy::default()
+            },
+            ..WorkerOptions::default()
+        };
+        let worker = std::thread::spawn(move || run_worker(&opts));
+        let (mut coordinator, _) = listener.accept().unwrap();
+        assert!(matches!(
+            read_frame(&mut coordinator),
+            Ok(Frame::Hello { .. })
+        ));
+        let spec = JobSpec {
+            target: "iris".to_owned(),
+            workload: "OS BOOT".to_owned(),
+            exits: 150,
+            seed: 42,
+            kind: JobKind::Guided {
+                budget: 300,
+                generation: 64,
+            },
+        };
+        for frame in [
+            Frame::Assign {
+                job_id: 1,
+                fingerprint: spec.fingerprint(0),
+                spec,
+            },
+            Frame::Epoch {
+                job_id: 1,
+                epoch: 0,
+                promoted: Vec::new(),
+                lineage: Vec::new(),
+                seen: Box::default(),
+            },
+            Frame::Lease {
+                job_id: 1,
+                kind: LeaseKind::GuidedSlotRange,
+                range: crate::proto::LeaseRange {
+                    start: 0,
+                    len: u64::MAX,
+                },
+                rng_seed: 42,
+                epoch: 0,
+            },
+        ] {
+            write_frame(&mut coordinator, &frame).unwrap();
+        }
+        let result = worker.join().expect("the worker must not panic");
+        assert!(matches!(result, Err(DistError::Protocol(_))), "{result:?}");
     }
 
     #[test]

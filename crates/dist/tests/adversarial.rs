@@ -61,7 +61,7 @@ struct Fleet {
 }
 
 impl Fleet {
-    fn spawn(addr: &str, target: &str, corrupt_after: Vec<Option<u64>>) -> Fleet {
+    fn spawn(addr: &str, target: Backend, corrupt_after: Vec<Option<u64>>) -> Fleet {
         // Leaked so worker threads can hold the same 'static flag shape
         // the CLI's sigint wiring provides; a few bytes per test.
         let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
@@ -70,7 +70,7 @@ impl Fleet {
         for hook in corrupt_after {
             let opts = WorkerOptions {
                 connect: addr.to_owned(),
-                target: target.to_owned(),
+                target,
                 heartbeat_ms: 200,
                 backoff: iris_dist::backoff::BackoffPolicy {
                     base_ms: 10,
@@ -148,7 +148,7 @@ fn chaos_proxied_fleet_is_byte_identical_on_every_backend() {
             ..ChaosOptions::default()
         })
         .expect("bind proxy");
-        let fleet = Fleet::spawn(&proxy.addr().to_string(), backend.name(), vec![None, None]);
+        let fleet = Fleet::spawn(&proxy.addr().to_string(), backend, vec![None, None]);
         // The submitter bypasses the proxy: chaos is aimed at the
         // worker path, where re-leasing must absorb it.
         let outcome =
@@ -188,7 +188,7 @@ fn redundancy_two_quarantines_byzantine_worker_and_preserves_bytes() {
     })
     .expect("bind loopback");
     let addr = server.addr().to_string();
-    let fleet = Fleet::spawn(&addr, "iris", vec![None, None, Some(0)]);
+    let fleet = Fleet::spawn(&addr, Backend::Iris, vec![None, None, Some(0)]);
     let outcome = submit(&addr, &spec, |_, _, _| {}).expect("submission completes");
     let summaries = fleet.join();
 
@@ -251,7 +251,7 @@ fn redundancy_two_quarantines_a_byzantine_worker_on_a_guided_job() {
     })
     .expect("bind loopback");
     let addr = server.addr().to_string();
-    let fleet = Fleet::spawn(&addr, "iris", vec![None, None, Some(0)]);
+    let fleet = Fleet::spawn(&addr, Backend::Iris, vec![None, None, Some(0)]);
     let outcome = submit(&addr, &spec, |_, _, _| {}).expect("submission completes");
     fleet.join();
     let events = server.events();
@@ -285,7 +285,7 @@ fn spot_check_catches_a_corrupt_worker_without_redundancy() {
     })
     .expect("bind loopback");
     let addr = server.addr().to_string();
-    let fleet = Fleet::spawn(&addr, "iris", vec![None, Some(0)]);
+    let fleet = Fleet::spawn(&addr, Backend::Iris, vec![None, Some(0)]);
     let outcome = submit(&addr, &spec, |_, _, _| {}).expect("submission completes");
     fleet.join();
 
@@ -324,7 +324,7 @@ fn garbage_and_oversized_connections_never_kill_the_daemon() {
     // reference bytes on the same listener.
     let spec = campaign_spec("iris", 4, 2);
     let reference = campaign_reference(&spec);
-    let fleet = Fleet::spawn(&addr, "iris", vec![None]);
+    let fleet = Fleet::spawn(&addr, Backend::Iris, vec![None]);
     let outcome = submit(&addr, &spec, |_, _, _| {}).expect("daemon survived the garbage");
     fleet.join();
     server.stop();
@@ -359,7 +359,7 @@ fn slowloris_costs_the_connection_within_the_deadline_not_the_daemon() {
     // normal job clears the same deadline.
     let spec = campaign_spec("iris", 4, 2);
     let reference = campaign_reference(&spec);
-    let fleet = Fleet::spawn(&addr, "iris", vec![None]);
+    let fleet = Fleet::spawn(&addr, Backend::Iris, vec![None]);
     let outcome = submit(&addr, &spec, |_, _, _| {}).expect("daemon survived the slowloris");
     fleet.join();
     server.stop();
@@ -410,7 +410,7 @@ fn full_submission_queue_is_a_typed_busy_rejection() {
 
     // The refused submission cost nothing: a worker drains the active
     // job to reference bytes.
-    let fleet = Fleet::spawn(&addr, "iris", vec![None]);
+    let fleet = Fleet::spawn(&addr, Backend::Iris, vec![None]);
     let outcome = first
         .join()
         .expect("submitter must not panic")
@@ -445,7 +445,7 @@ fn queued_submissions_below_the_limit_are_served_in_turn() {
         })
         .collect();
 
-    let fleet = Fleet::spawn(&addr, "iris", vec![None]);
+    let fleet = Fleet::spawn(&addr, Backend::Iris, vec![None]);
     for s in submitters {
         let outcome = s
             .join()

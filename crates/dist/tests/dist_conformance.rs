@@ -75,7 +75,7 @@ struct Fleet {
 }
 
 impl Fleet {
-    fn spawn(addr: &str, target: &str, fail_after: Vec<Option<u64>>) -> Fleet {
+    fn spawn(addr: &str, target: Backend, fail_after: Vec<Option<u64>>) -> Fleet {
         // Leaked so worker threads can hold the same 'static flag shape
         // the CLI's sigint wiring provides; a few bytes per test.
         let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
@@ -84,7 +84,7 @@ impl Fleet {
             .map(|fail_after_chunks| {
                 let opts = WorkerOptions {
                     connect: addr.to_owned(),
-                    target: target.to_owned(),
+                    target,
                     heartbeat_ms: 200,
                     backoff: iris_dist::backoff::BackoffPolicy {
                         base_ms: 25,
@@ -130,7 +130,7 @@ fn campaign_fleet_is_byte_identical_to_sequential_on_every_backend() {
 
         let server = Server::start(ServeOptions::default()).expect("bind loopback");
         let addr = server.addr().to_string();
-        let fleet = Fleet::spawn(&addr, backend.name(), vec![None, None]);
+        let fleet = Fleet::spawn(&addr, backend, vec![None, None]);
         let outcome = submit(&addr, &spec, |_, _, _| {}).expect("submission completes");
         let summaries = fleet.join();
         assert_eq!(server.stop(), 1, "exactly one job completed");
@@ -158,7 +158,7 @@ fn guided_fleet_is_byte_identical_to_jobs1_on_every_backend() {
 
         let server = Server::start(ServeOptions::default()).expect("bind loopback");
         let addr = server.addr().to_string();
-        let fleet = Fleet::spawn(&addr, backend.name(), vec![None, None]);
+        let fleet = Fleet::spawn(&addr, backend, vec![None, None]);
         let outcome = submit(&addr, &spec, |_, _, _| {}).expect("submission completes");
         fleet.join();
         server.stop();
@@ -182,7 +182,7 @@ fn worker_death_mid_lease_preserves_bytes() {
     // One worker "SIGKILLs" after a single delivered chunk — it drops
     // the socket while holding its next lease; the healthy worker must
     // absorb the re-leased range with no trace in the report bytes.
-    let fleet = Fleet::spawn(&addr, "iris", vec![Some(1), None]);
+    let fleet = Fleet::spawn(&addr, Backend::Iris, vec![Some(1), None]);
     let outcome = submit(&addr, &spec, |_, _, _| {}).expect("submission completes");
     let summaries = fleet.join();
     server.stop();
@@ -215,7 +215,7 @@ fn coordinator_kill_and_resume_preserves_bytes() {
     })
     .expect("bind loopback");
     let addr = server.addr().to_string();
-    let fleet = Fleet::spawn(&addr, "iris", vec![Some(2)]);
+    let fleet = Fleet::spawn(&addr, Backend::Iris, vec![Some(2)]);
     let submit_spec = spec.clone();
     let submit_addr = addr.clone();
     let submitter = std::thread::spawn(move || submit(&submit_addr, &submit_spec, |_, _, _| {}));
@@ -249,7 +249,7 @@ fn coordinator_kill_and_resume_preserves_bytes() {
     })
     .expect("bind loopback");
     let addr = server.addr().to_string();
-    let fleet = Fleet::spawn(&addr, "iris", vec![None]);
+    let fleet = Fleet::spawn(&addr, Backend::Iris, vec![None]);
     let outcome = submit(&addr, &spec, |_, _, _| {}).expect("resumed submission completes");
     let summaries = fleet.join();
     server.stop();
@@ -273,7 +273,7 @@ fn workers_survive_a_coordinator_restart_by_reconnecting() {
 
     let server = Server::start(ServeOptions::default()).expect("bind loopback");
     let addr = server.addr().to_string();
-    let fleet = Fleet::spawn(&addr, "iris", vec![None]);
+    let fleet = Fleet::spawn(&addr, Backend::Iris, vec![None]);
     let first = submit(&addr, &spec, |_, _, _| {}).expect("first job completes");
     assert_eq!(first.report, reference);
 
@@ -402,7 +402,7 @@ proptest! {
         let (spec, reference, _) = proptest_reference();
         let server = Server::start(ServeOptions::default()).expect("bind loopback");
         let addr = server.addr().to_string();
-        let fleet = Fleet::spawn(&addr, "iris", vec![Some(kill_after), None]);
+        let fleet = Fleet::spawn(&addr, Backend::Iris, vec![Some(kill_after), None]);
         let outcome = submit(&addr, spec, |_, _, _| {}).expect("submission completes");
         fleet.join();
         server.stop();
@@ -426,7 +426,7 @@ proptest! {
         })
         .expect("bind loopback");
         let addr = server.addr().to_string();
-        let fleet = Fleet::spawn(&addr, "iris", vec![Some(kill_after)]);
+        let fleet = Fleet::spawn(&addr, Backend::Iris, vec![Some(kill_after)]);
         let submit_spec = spec.clone();
         let submit_addr = addr.clone();
         let submitter =
@@ -444,7 +444,7 @@ proptest! {
         })
         .expect("bind loopback");
         let addr = server.addr().to_string();
-        let fleet = Fleet::spawn(&addr, "iris", vec![None]);
+        let fleet = Fleet::spawn(&addr, Backend::Iris, vec![None]);
         let outcome = submit(&addr, spec, |_, _, _| {}).expect("resumed submission completes");
         fleet.join();
         server.stop();

@@ -291,20 +291,24 @@ mod tests {
         let cli = scoped_rules("crates/cli/src/lib.rs");
         assert_eq!(cli, vec![Rule::UnsafeAudit]);
 
-        // The coordinator's state machine carries every law of the fold
-        // it drives; its I/O loop reads the clock, so it stays outside
-        // the deterministic core.
-        let machine = scoped_rules("crates/dist/src/machine.rs");
-        for rule in [
-            Rule::AmbientNondeterminism,
-            Rule::UnorderedMerge,
-            Rule::PanicPath,
-        ] {
-            assert!(machine.contains(&rule), "machine.rs lacks {}", rule.id());
+        // The coordinator's and the worker's state machines carry every
+        // law of the fold they feed; their I/O loops read clocks and
+        // sockets, so they stay outside the deterministic core.
+        for file in ["machine.rs", "worker_machine.rs"] {
+            let machine = scoped_rules(&format!("crates/dist/src/{file}"));
+            for rule in [
+                Rule::AmbientNondeterminism,
+                Rule::UnorderedMerge,
+                Rule::PanicPath,
+            ] {
+                assert!(machine.contains(&rule), "{file} lacks {}", rule.id());
+            }
+            assert!(!machine.contains(&Rule::RngLaw));
         }
-        assert!(!machine.contains(&Rule::RngLaw));
-        let coordinator = scoped_rules("crates/dist/src/coordinator.rs");
-        assert!(!coordinator.contains(&Rule::AmbientNondeterminism));
-        assert!(coordinator.contains(&Rule::PanicPath));
+        for file in ["coordinator.rs", "worker.rs"] {
+            let io_loop = scoped_rules(&format!("crates/dist/src/{file}"));
+            assert!(!io_loop.contains(&Rule::AmbientNondeterminism));
+            assert!(io_loop.contains(&Rule::PanicPath), "{file}");
+        }
     }
 }

@@ -90,7 +90,7 @@ pub const ALLOW_RULE_ID: &str = "lint-allow";
 /// The deterministic core: modules whose outputs must be a pure
 /// function of their inputs for the jobs × chunk byte-identity
 /// guarantee to hold.
-const DET_CORE_FILES: [&str; 8] = [
+const DET_CORE_FILES: [&str; 9] = [
     "crates/fuzzer/src/campaign.rs",
     "crates/fuzzer/src/guided.rs",
     "crates/fuzzer/src/executor.rs",
@@ -101,11 +101,14 @@ const DET_CORE_FILES: [&str; 8] = [
     // The coordinator's state machine: its only time is the `now_ms`
     // the I/O loop hands it, so a schedule replays exactly under test.
     "crates/dist/src/machine.rs",
+    // The worker's state machine reads no clock at all: heartbeat
+    // cadence, poll timeouts and backoff sleeps live in its I/O loop.
+    "crates/dist/src/worker_machine.rs",
 ];
 
 /// Aggregation / merge modules: anywhere worker outputs are folded
 /// into a report, iteration order is part of the byte-identity law.
-const MERGE_FILES: [&str; 16] = [
+const MERGE_FILES: [&str; 17] = [
     "crates/fuzzer/src/parallel.rs",
     "crates/fuzzer/src/executor.rs",
     "crates/fuzzer/src/guided.rs",
@@ -125,6 +128,7 @@ const MERGE_FILES: [&str; 16] = [
     // them — unordered iteration in any of these can scramble what
     // reaches the merge.
     "crates/dist/src/worker.rs",
+    "crates/dist/src/worker_machine.rs",
     "crates/dist/src/client.rs",
     "crates/dist/src/chaos.rs",
     // The snapshot forest merges evicted nodes into their children and
@@ -137,7 +141,7 @@ const MERGE_FILES: [&str; 16] = [
 
 /// Executor worker closures and slot/range run functions: the modules
 /// where a panic silently burns the worker-restart budget.
-const PANIC_SCOPE_FILES: [&str; 14] = [
+const PANIC_SCOPE_FILES: [&str; 15] = [
     "crates/fuzzer/src/executor.rs",
     "crates/fuzzer/src/guided.rs",
     "crates/fuzzer/src/campaign.rs",
@@ -157,6 +161,7 @@ const PANIC_SCOPE_FILES: [&str; 14] = [
     // streams — all three must turn bad input into typed errors, never
     // panics.
     "crates/dist/src/worker.rs",
+    "crates/dist/src/worker_machine.rs",
     "crates/dist/src/client.rs",
     "crates/dist/src/chaos.rs",
     // Forest restores and page-level dirty tracking run inside every

@@ -7,6 +7,7 @@
 //! cargo run --example crafted_seed
 //! ```
 
+use iris_core::record::RECORD_RAM_BYTES;
 use iris_core::replay::ReplayEngine;
 use iris_core::seed::VmSeed;
 use iris_guest::runner::fast_forward_boot;
@@ -17,7 +18,7 @@ use iris_vtx::gpr::Gpr;
 
 fn main() {
     let mut hv = Hypervisor::new();
-    let dummy = hv.create_hvm_domain(64 << 20);
+    let dummy = hv.create_hvm_domain(RECORD_RAM_BYTES);
     fast_forward_boot(&mut hv, dummy);
     let mut engine = ReplayEngine::new(&mut hv, dummy);
 
