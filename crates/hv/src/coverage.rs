@@ -23,8 +23,8 @@
 //!   bit-set, `merge`/`new_lines_from` are word-wise, and lines are looked
 //!   up in the table when a bit is first set.
 //!
-//! Handlers mark their basic blocks through [`CovSink::hit`] (usually via
-//! the `cov!` macro), naming only the block. Components can be
+//! Handlers mark their basic blocks with `cov.hit(Component::Vmx, 12)`
+//! ([`CovSink::hit`]), naming only the block. Components can be
 //! selectively enabled, mirroring selective instrumentation, and hits made
 //! by the record/replay machinery itself are attributed to
 //! [`Component::IrisFramework`] so they can be *"cleaned up by removing
@@ -618,15 +618,6 @@ impl<'a> CovSink<'a> {
             self.per_exit.hit(block);
         }
     }
-}
-
-/// Mark a basic block: `cov!(ctx, Vmx, 12)` hits block 12 of `vmx.c`
-/// (5 lines, per [`BLOCK_LINES`]).
-#[macro_export]
-macro_rules! cov {
-    ($ctx:expr, $comp:ident, $id:expr) => {
-        $ctx.cov.hit($crate::coverage::Component::$comp, $id)
-    };
 }
 
 #[cfg(test)]

@@ -220,7 +220,7 @@ pub fn emulate_string_io(
             ctx.cov.hit(Component::Emulate, 22);
             let v = u32::from_le_bytes(buf);
             let tsc = ctx.tsc.now();
-            let _ = ctx.iobus.access(
+            ctx.iobus.access(
                 port,
                 iris_vtx::exit::IoDirection::Out,
                 size,
@@ -231,7 +231,7 @@ pub fn emulate_string_io(
         } else {
             ctx.cov.hit(Component::Emulate, 23);
             let tsc = ctx.tsc.now();
-            let r = ctx.iobus.access(
+            let value = ctx.iobus.access(
                 port,
                 iris_vtx::exit::IoDirection::In,
                 size,
@@ -239,7 +239,7 @@ pub fn emulate_string_io(
                 tsc,
                 &mut ctx.cov,
             );
-            buf = r.value.to_le_bytes();
+            buf = value.to_le_bytes();
             if ctx.copy_to_guest(addr, &buf[..size as usize]).is_err() {
                 ctx.cov.hit(Component::Emulate, 24);
                 return (

@@ -77,7 +77,7 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
             ctx.cov.hit(Component::Vmx, 45);
             let raw = ctx.vcpu.gprs.get32(Gpr::Rax);
             let value = raw & size_mask(qual.size);
-            let _ = ctx.iobus.access(
+            ctx.iobus.access(
                 qual.port,
                 IoDirection::Out,
                 qual.size,
@@ -94,7 +94,7 @@ pub fn handle(ctx: &mut ExitCtx<'_>) -> Disposition {
             // Partial-width IN merges into RAX like real hardware.
             let old = ctx.vcpu.gprs.get32(Gpr::Rax);
             let m = size_mask(qual.size);
-            ctx.vcpu.gprs.set32(Gpr::Rax, (old & !m) | (r.value & m));
+            ctx.vcpu.gprs.set32(Gpr::Rax, (old & !m) | (r & m));
         }
     }
     Disposition::AdvanceAndResume

@@ -10,8 +10,7 @@
 //!
 //! Coverage block ids: component `Vlapic`, blocks 0–79.
 
-use crate::cov;
-use crate::coverage::CovSink;
+use crate::coverage::{Component, CovSink};
 use serde::{Deserialize, Serialize};
 
 /// xAPIC register offsets (within the 4 KiB APIC page).
@@ -127,16 +126,16 @@ impl Vlapic {
     /// Queue an interrupt (`vlapic_set_irq`). Returns whether it was
     /// newly pending.
     pub fn set_irq(&mut self, vector: u8, cov: &mut CovSink<'_>) -> bool {
-        cov!(Sink { cov }, Vlapic, 0);
+        cov.hit(Component::Vlapic, 0);
         if !self.enabled() {
-            cov!(Sink { cov }, Vlapic, 1);
+            cov.hit(Component::Vlapic, 1);
             return false;
         }
         let (w, b) = Self::word_bit(vector);
         let newly = self.irr[w] & b == 0;
         self.irr[w] |= b;
         if newly {
-            cov!(Sink { cov }, Vlapic, 2);
+            cov.hit(Component::Vlapic, 2);
             self.accepted += 1;
         }
         newly
@@ -163,22 +162,22 @@ impl Vlapic {
     /// Move the highest pending vector from IRR to ISR — interrupt
     /// delivery at VM entry (`vlapic_ack_pending_irq`).
     pub fn ack_pending(&mut self, cov: &mut CovSink<'_>) -> Option<u8> {
-        cov!(Sink { cov }, Vlapic, 3);
+        cov.hit(Component::Vlapic, 3);
         let vec = self.highest_pending()?;
         let (w, b) = Self::word_bit(vec);
         self.irr[w] &= !b;
         self.isr[w] |= b;
-        cov!(Sink { cov }, Vlapic, 4);
+        cov.hit(Component::Vlapic, 4);
         Some(vec)
     }
 
     /// Register read (`vlapic_read`).
     pub fn read(&mut self, offset: u32, tsc: u64, cov: &mut CovSink<'_>) -> u32 {
-        cov!(Sink { cov }, Vlapic, 10);
+        cov.hit(Component::Vlapic, 10);
         match offset {
             reg::ID => self.id,
             reg::VERSION => {
-                cov!(Sink { cov }, Vlapic, 11);
+                cov.hit(Component::Vlapic, 11);
                 0x0005_0014
             }
             reg::TPR => self.tpr,
@@ -190,7 +189,7 @@ impl Vlapic {
             reg::TIMER_ICR => self.timer_icr,
             reg::TIMER_DCR => self.timer_dcr,
             reg::TIMER_CCR => {
-                cov!(Sink { cov }, Vlapic, 12);
+                cov.hit(Component::Vlapic, 12);
                 if self.timer_icr == 0 {
                     0
                 } else {
@@ -200,17 +199,17 @@ impl Vlapic {
                 }
             }
             o if (reg::IRR0..reg::IRR0 + 0x80).contains(&o) => {
-                cov!(Sink { cov }, Vlapic, 13);
+                cov.hit(Component::Vlapic, 13);
                 let idx = ((o - reg::IRR0) / 0x10) as usize;
                 (self.irr[idx / 2] >> (32 * (idx % 2))) as u32
             }
             o if (reg::ISR0..reg::ISR0 + 0x80).contains(&o) => {
-                cov!(Sink { cov }, Vlapic, 14);
+                cov.hit(Component::Vlapic, 14);
                 let idx = ((o - reg::ISR0) / 0x10) as usize;
                 (self.isr[idx / 2] >> (32 * (idx % 2))) as u32
             }
             _ => {
-                cov!(Sink { cov }, Vlapic, 15);
+                cov.hit(Component::Vlapic, 15);
                 0
             }
         }
@@ -218,18 +217,18 @@ impl Vlapic {
 
     /// Register write (`vlapic_reg_write`).
     pub fn write(&mut self, offset: u32, value: u32, cov: &mut CovSink<'_>) {
-        cov!(Sink { cov }, Vlapic, 20);
+        cov.hit(Component::Vlapic, 20);
         match offset {
             reg::ID => {
-                cov!(Sink { cov }, Vlapic, 21);
+                cov.hit(Component::Vlapic, 21);
                 self.id = value;
             }
             reg::TPR => {
-                cov!(Sink { cov }, Vlapic, 22);
+                cov.hit(Component::Vlapic, 22);
                 self.tpr = value & 0xff;
             }
             reg::EOI => {
-                cov!(Sink { cov }, Vlapic, 23);
+                cov.hit(Component::Vlapic, 23);
                 self.eois += 1;
                 // Clear highest ISR bit.
                 for w in (0..4).rev() {
@@ -241,26 +240,26 @@ impl Vlapic {
                 }
             }
             reg::SVR => {
-                cov!(Sink { cov }, Vlapic, 24);
+                cov.hit(Component::Vlapic, 24);
                 let was = self.enabled();
                 self.svr = value;
                 if !was && self.enabled() {
-                    cov!(Sink { cov }, Vlapic, 25);
+                    cov.hit(Component::Vlapic, 25);
                 }
             }
             reg::LDR => self.ldr = value,
             reg::DFR => self.dfr = value | 0x0fff_ffff,
             reg::LVT_TIMER => {
-                cov!(Sink { cov }, Vlapic, 26);
+                cov.hit(Component::Vlapic, 26);
                 self.lvt_timer = value;
             }
             reg::TIMER_ICR => {
-                cov!(Sink { cov }, Vlapic, 27);
+                cov.hit(Component::Vlapic, 27);
                 self.timer_icr = value;
             }
             reg::TIMER_DCR => self.timer_dcr = value,
             reg::ICR_LOW => {
-                cov!(Sink { cov }, Vlapic, 28);
+                cov.hit(Component::Vlapic, 28);
                 // Self-IPI and startup IPIs on a single-vCPU domain:
                 // deliver to ourselves if it is a fixed interrupt.
                 if value & 0x700 == 0 {
@@ -268,21 +267,17 @@ impl Vlapic {
                 }
             }
             reg::ICR_HIGH => {
-                cov!(Sink { cov }, Vlapic, 29);
+                cov.hit(Component::Vlapic, 29);
             }
             reg::ESR => {
-                cov!(Sink { cov }, Vlapic, 30);
+                cov.hit(Component::Vlapic, 30);
                 self.esr = 0;
             }
             _ => {
-                cov!(Sink { cov }, Vlapic, 31);
+                cov.hit(Component::Vlapic, 31);
             }
         }
     }
-}
-
-struct Sink<'a, 'b> {
-    cov: &'a mut CovSink<'b>,
 }
 
 #[cfg(test)]

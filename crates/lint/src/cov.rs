@@ -2,8 +2,8 @@
 //! agree.
 //!
 //! Coverage weights live once, in `iris_hv::coverage::BLOCK_LINES` — the
-//! build's `.gcno`. A site (`cov!(ctx, Vmx, 12)`, `ctx.cov.hit(
-//! Component::Vmx, 12)`) names only its block, and `CoverageMap::hit`
+//! build's `.gcno`. A site (`ctx.cov.hit(Component::Vmx, 12)`) names
+//! only its block, and `CoverageMap::hit`
 //! ignores an undeclared one in release builds, so a typo'd id would
 //! silently lose coverage and a forgotten row would silently weigh
 //! nothing. This rule closes both gaps statically:
@@ -231,36 +231,26 @@ fn literal(text: &str) -> Option<u32> {
     text.parse().ok()
 }
 
-/// The instrumentation sites on one line of code: each `cov!(sink,
-/// Component, id)` and each `cov.hit(Component::Name, id)`, as the block
-/// it names or — when an argument is not a literal — its argument text.
-/// The `cov!` macro's own definition (arguments are `$` metavariables)
-/// is not a site.
+/// The instrumentation sites on one line of code: each
+/// `cov.hit(Component::Name, id)`, as the block it names or — when an
+/// argument is not a literal — its argument text.
 fn sites_on(code: &str) -> impl Iterator<Item = Result<BlockName, String>> + '_ {
-    // (opener, whether it is the macro form)
-    const FORMS: [(&str, bool); 2] = [("cov!(", true), ("cov.hit(", false)];
-    FORMS.into_iter().flat_map(move |(opener, is_macro)| {
-        code.match_indices(opener).filter_map(move |(at, _)| {
-            if code[..at].chars().next_back().is_some_and(is_ident) {
-                return None; // `xcov!(`, `mycov.hit(`: another name
-            }
-            let args = call_args(&code[at + opener.len()..]);
-            let text = args.join(",");
-            if text.contains('$') {
-                return None;
-            }
-            let named = match (is_macro, args.as_slice()) {
-                (true, [_sink, component, id]) => variant(component).zip(literal(id)),
-                (false, [component, id]) => component
-                    .trim()
-                    .rsplit_once("::")
-                    .filter(|(path, _)| *path == "Component" || path.ends_with("::Component"))
-                    .and_then(|(_, name)| variant(name))
-                    .zip(literal(id)),
-                _ => None,
-            };
-            Some(named.ok_or_else(|| text.trim().to_string()))
-        })
+    const OPENER: &str = "cov.hit(";
+    code.match_indices(OPENER).filter_map(move |(at, _)| {
+        if code[..at].chars().next_back().is_some_and(is_ident) {
+            return None; // `mycov.hit(`: another name
+        }
+        let args = call_args(&code[at + OPENER.len()..]);
+        let named = match args.as_slice() {
+            [component, id] => component
+                .trim()
+                .rsplit_once("::")
+                .filter(|(path, _)| *path == "Component" || path.ends_with("::Component"))
+                .and_then(|(_, name)| variant(name))
+                .zip(literal(id)),
+            _ => None,
+        };
+        Some(named.ok_or_else(|| args.join(",").trim().to_string()))
     })
 }
 
@@ -335,20 +325,16 @@ const AFTER: (u32, u32) = (7, 7);
     }
 
     #[test]
-    fn both_site_forms_parse_and_the_macro_definition_is_not_a_site() {
+    fn hit_sites_parse_and_lookalikes_are_not_sites() {
         let src = "\
-fn f(ctx: &mut Ctx) {
-    cov!(ctx, Vmx, 12);
-    cov!(Sink { cov }, Io, 1);
-    ctx.cov.hit(Component::Vmx, 0);
+fn f(ctx: &mut Ctx, cov: &mut CovSink<'_>) {
+    ctx.cov.hit(Component::Vmx, 12);
     cov.hit(crate::coverage::Component::Io, 1);
+    ctx.cov.hit(Component::Vmx, 0);
+    cov.hit(iris_hv::coverage::Component::Io, 1);
     discovered.hit(block);
-    // cov!(ctx, Vmx, 99) in a comment, and \"cov!(ctx, Vmx, 98)\" in a string
-}
-macro_rules! cov {
-    ($ctx:expr, $comp:ident, $id:expr) => {
-        $ctx.cov.hit($crate::coverage::Component::$comp, $id)
-    };
+    mycov.hit(Component::Vmx, 97);
+    // cov.hit(Component::Vmx, 99) in a comment, and \"cov.hit(Component::Vmx, 98)\" in a string
 }
 ";
         let sites: Vec<_> = facts(src)
@@ -373,12 +359,18 @@ macro_rules! cov {
 fn f(ctx: &mut Ctx, c: Component, id: u16) {
     ctx.cov.hit(Component::Vmx, 200 - 1);
     ctx.cov.hit(c, 3);
-    cov!(ctx, Vmx, id);
-    cov!(ctx, Vmx, 12, 5);
+    ctx.cov.hit(Component::Vmx, id);
+    ctx.cov.hit(Component::Vmx, 12, 5);
+    ctx.cov.hit(Vmx, 12);
+}
+macro_rules! cov {
+    ($ctx:expr, $comp:ident, $id:expr) => {
+        $ctx.cov.hit($crate::coverage::Component::$comp, $id)
+    };
 }
 ";
         let sites = facts(src).sites;
-        assert_eq!(sites.len(), 4);
+        assert_eq!(sites.len(), 6);
         assert!(sites.iter().all(|s| s.block.is_err()), "{sites:?}");
     }
 
@@ -386,9 +378,9 @@ fn f(ctx: &mut Ctx, c: Component, id: u16) {
     fn the_law_holds_across_files_and_names_each_breach() {
         let sites = "\
 fn f(ctx: &mut Ctx) {
-    cov!(ctx, Vmx, 12);
+    ctx.cov.hit(Component::Vmx, 12);
     ctx.cov.hit(Component::Vmx, 0);
-    cov!(ctx, Io, 1);
+    ctx.cov.hit(Component::Io, 1);
 }
 ";
         let clean = [
@@ -398,7 +390,7 @@ fn f(ctx: &mut Ctx) {
         assert_eq!(check(&clean), []);
 
         // Drop Io/1's only site, and hit a block nobody declared.
-        let broken = sites.replace("cov!(ctx, Io, 1);", "cov!(ctx, Io, 2);");
+        let broken = sites.replace("(Component::Io, 1)", "(Component::Io, 2)");
         let diags = check(&[
             ("coverage.rs".to_string(), facts(TABLE)),
             ("handlers.rs".to_string(), facts(&broken)),
@@ -422,13 +414,13 @@ fn f(ctx: &mut Ctx) {
         let src = format!(
             "{TABLE}
 fn f(ctx: &mut Ctx) {{
-    cov!(ctx, Vmx, 12);
-    cov!(ctx, Vmx, 0);
+    ctx.cov.hit(Component::Vmx, 12);
+    ctx.cov.hit(Component::Vmx, 0);
 }}
 #[cfg(test)]
 mod tests {{
     fn g(ctx: &mut Ctx) {{
-        cov!(ctx, Io, 1);
+        ctx.cov.hit(Component::Io, 1);
     }}
 }}
 "
