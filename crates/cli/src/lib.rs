@@ -30,15 +30,15 @@ use iris_dist::worker::{run_worker, WorkerOptions};
 use iris_dist::DistError;
 use iris_fuzzer::checkpoint::{
     atomic_write_json, load_if_present, CampaignCheckpoint, GuidedCheckpoint, JsonWriter,
-    SessionError,
+    RunOptions, SessionError,
 };
 use iris_fuzzer::corpus::Corpus;
-use iris_fuzzer::executor::{run_ordered, RunPolicy};
+use iris_fuzzer::executor::run_ordered;
 use iris_fuzzer::guided::{
-    run_guided_shared_session, run_guided_shared_with, GuidedConfig, GuidedResult, SharedRunOptions,
+    run_guided_shared_session, run_guided_shared_with, GuidedConfig, GuidedResult,
 };
 use iris_fuzzer::mutation::SeedArea;
-use iris_fuzzer::parallel::{available_jobs, CampaignReport, CampaignRunOptions, ParallelCampaign};
+use iris_fuzzer::parallel::{available_jobs, CampaignReport, ParallelCampaign};
 use iris_fuzzer::target::{render_planted_fault_report, Backend, ConfiguredBackend, TargetFactory};
 use iris_fuzzer::testcase::{TestCase, DEFAULT_CHUNK};
 use iris_guest::workloads::Workload;
@@ -548,10 +548,10 @@ fn cmd_targets(_: &Parsed) -> Result<String, CliError> {
 }
 
 /// Ctrl-C stops the run gracefully: SIGINT trips the executor's stop flag.
-fn interruptible() -> RunPolicy<'static> {
-    RunPolicy {
+fn interruptible<C>(resume: Option<C>) -> RunOptions<'static, C> {
+    RunOptions {
         stop: Some(sigint::install()),
-        ..RunPolicy::default()
+        resume,
     }
 }
 
@@ -719,10 +719,7 @@ fn cmd_campaign(p: &Parsed) -> Result<String, CliError> {
     let (mut run, resume) = DurableRun::open(p, &fingerprint, CampaignCheckpoint::load)?;
 
     let mut last_folded = resume.as_ref().map_or(0, |cp| cp.folded);
-    let options = CampaignRunOptions {
-        policy: interruptible(),
-        resume,
-    };
+    let options = interruptible(resume);
     // Fingerprints deliberately exclude the forest flag (like jobs and
     // chunk): the report bytes are invariant under it, so a resume may
     // switch it freely (RELIABILITY.md).
@@ -832,10 +829,7 @@ fn cmd_guided(p: &Parsed) -> Result<String, CliError> {
     // byte-identical for any worker count — the artifact CI diffs.
     let fingerprint = spec.fingerprint(0);
     let (mut run, resume) = DurableRun::open(p, &fingerprint, GuidedCheckpoint::load)?;
-    let options = SharedRunOptions {
-        policy: interruptible(),
-        resume,
-    };
+    let options = interruptible(resume);
     let r = run_guided_shared_session(&factory, &trace, config, jobs, options, |g| {
         run.progress(format_args!(
             "guided: {}/{} executions, {} lines, corpus {}",
@@ -906,7 +900,7 @@ fn guided_ensemble(
     run_ordered(
         &configs,
         jobs,
-        &RunPolicy::default(),
+        None,
         || (),
         |(), _, cfg| run_guided_shared_with(factory, trace, *cfg, 1),
         |_, result| results.push(result),

@@ -17,11 +17,11 @@ use iris_dist::proto::ErrorCode;
 use iris_dist::worker::{run_worker, WorkerOptions, WorkerSummary};
 use iris_dist::DistError;
 use iris_fuzzer::checkpoint::{
-    CampaignCheckpoint, CheckpointMismatch, GuidedCheckpoint, SessionError, CHECKPOINT_VERSION,
+    CampaignCheckpoint, CheckpointMismatch, GuidedCheckpoint, RunOptions, SessionError,
+    CHECKPOINT_VERSION,
 };
-use iris_fuzzer::executor::RunPolicy;
-use iris_fuzzer::guided::{run_guided_shared_session, run_guided_shared_with, SharedRunOptions};
-use iris_fuzzer::parallel::{CampaignRunOptions, ParallelCampaign};
+use iris_fuzzer::guided::{run_guided_shared_session, run_guided_shared_with};
+use iris_fuzzer::parallel::ParallelCampaign;
 use iris_fuzzer::target::{Backend, TargetFactory};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -489,11 +489,8 @@ fn hostile_checkpoints_are_typed_errors_in_process_and_over_the_wire() {
     // two test cases folded.
     let stop = AtomicBool::new(false);
     let mut barrier = None;
-    let interrupt = SharedRunOptions {
-        policy: RunPolicy {
-            stop: Some(&stop),
-            ..RunPolicy::default()
-        },
+    let interrupt = RunOptions {
+        stop: Some(&stop),
         resume: None,
     };
     run_guided_shared_session(&Backend::Iris, &trace, config, 1, interrupt, |p| {
@@ -538,6 +535,11 @@ fn hostile_checkpoints_are_typed_errors_in_process_and_over_the_wire() {
             |e| matches!(e, CheckpointMismatch::SlotOffBoundary { .. }),
         ),
         (
+            "growth curve longer than the generations run",
+            tamper_guided(|cp| cp.growth.push(cp.seen.lines())),
+            |e| matches!(e, CheckpointMismatch::GrowthLength { growth: 2, .. }),
+        ),
+        (
             "folded > plan.len()",
             tamper_campaign(&|cp| cp.folded = plan.len() + 1),
             |e| matches!(e, CheckpointMismatch::FoldedCount { .. }),
@@ -547,6 +549,11 @@ fn hostile_checkpoints_are_typed_errors_in_process_and_over_the_wire() {
             tamper_campaign(&|cp| cp.report.results.swap(0, 1)),
             |e| matches!(e, CheckpointMismatch::PlanPrefix { index: 0 }),
         ),
+        (
+            "failure totals are not the results' sum",
+            tamper_campaign(&|cp| cp.report.failures.vm_crashes += 1),
+            |e| matches!(e, CheckpointMismatch::FailureTotals { .. }),
+        ),
     ];
 
     for (name, hostile, expected) in cases {
@@ -555,9 +562,9 @@ fn hostile_checkpoints_are_typed_errors_in_process_and_over_the_wire() {
         let (spec, refused) = match hostile {
             Hostile::Guided(cp) => {
                 cp.save(&path).expect("checkpoint saves");
-                let options = SharedRunOptions {
+                let options = RunOptions {
+                    stop: None,
                     resume: Some(cp),
-                    ..SharedRunOptions::default()
                 };
                 let run =
                     run_guided_shared_session(&Backend::Iris, &trace, config, 1, options, |_| {});
@@ -565,9 +572,9 @@ fn hostile_checkpoints_are_typed_errors_in_process_and_over_the_wire() {
             }
             Hostile::Campaign(cp) => {
                 cp.save(&path).expect("checkpoint saves");
-                let options = CampaignRunOptions {
+                let options = RunOptions {
+                    stop: None,
                     resume: Some(cp),
-                    ..CampaignRunOptions::default()
                 };
                 let run = ParallelCampaign::with_factory(1, Backend::Iris).run_session(
                     &traces,

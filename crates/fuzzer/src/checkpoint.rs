@@ -47,6 +47,7 @@ use iris_hv::coverage::CoverageMap;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicBool;
 
 /// Checkpoint format version. Bump on any layout change; loaders
 /// reject other versions instead of guessing. (v2: guided checkpoints
@@ -212,11 +213,27 @@ pub enum CheckpointMismatch {
         /// Test cases in this run's plan.
         plan: usize,
     },
+    /// Guided: the growth curve does not have one point per generation
+    /// completed before `next_slot`.
+    GrowthLength {
+        /// Points in the checkpoint's growth curve.
+        growth: usize,
+        /// Generations `next_slot` says have completed.
+        generations: u64,
+    },
     /// Campaign: stored result `index` is not the plan's test case at
     /// that position — the report is not a folded prefix of this plan.
     PlanPrefix {
         /// First position where result and plan disagree.
         index: usize,
+    },
+    /// Campaign: the report's failure totals are not the sum of its
+    /// stored results' counters.
+    FailureTotals {
+        /// The report's totals.
+        stored: FailureStats,
+        /// The sum of its results' counters.
+        merged: FailureStats,
     },
 }
 
@@ -247,17 +264,51 @@ impl std::fmt::Display for CheckpointMismatch {
                 f,
                 "folded={folded}, {results} stored results, plan of {plan}"
             ),
+            Self::GrowthLength {
+                growth,
+                generations,
+            } => write!(
+                f,
+                "{growth} growth points for {generations} completed generations"
+            ),
             Self::PlanPrefix { index } => {
                 write!(
                     f,
                     "stored result {index} is not the plan's test case {index}"
                 )
             }
+            Self::FailureTotals { stored, merged } => {
+                write!(f, "totals {stored:?} are not the results' sum {merged:?}")
+            }
         }
     }
 }
 
 impl std::error::Error for CheckpointMismatch {}
+
+/// Options for a resumable in-process session: a
+/// [`crate::parallel::ParallelCampaign::run_session`] resumes from a
+/// [`CampaignCheckpoint`], a [`crate::guided::run_guided_shared_session`]
+/// from a [`GuidedCheckpoint`]. The default is a fresh, uninterruptible
+/// run.
+#[derive(Debug)]
+pub struct RunOptions<'a, C> {
+    /// Cooperative stop flag, checked at every executor claim point and
+    /// at the engine's own fold boundaries.
+    pub stop: Option<&'a AtomicBool>,
+    /// Resume from a fold-boundary checkpoint (fingerprint-checked at
+    /// load; the engine's `resume` checks its structure).
+    pub resume: Option<C>,
+}
+
+impl<C> Default for RunOptions<'_, C> {
+    fn default() -> Self {
+        Self {
+            stop: None,
+            resume: None,
+        }
+    }
+}
 
 /// Why a resumable in-process session
 /// ([`crate::parallel::ParallelCampaign::run_session`],

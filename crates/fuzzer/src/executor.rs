@@ -4,7 +4,7 @@
 //! precomputed, indexed work list (one uncontended `fetch_add` per
 //! claim — measured 5.6 vs 13.7 ns against the old `Mutex<VecDeque>`
 //! queue), worker threads streaming `(index, output)` pairs to the
-//! calling thread over an `mpsc` channel, and a [`Reorder`] buffer that
+//! calling thread over an `mpsc` channel, and a reorder buffer that
 //! re-establishes **item order** whatever the completion order was.
 //! The chunked campaign ([`crate::parallel::ParallelCampaign`]), the
 //! generational guided engine
@@ -53,23 +53,18 @@
 //! worker ran it and of that worker's history (the determinism
 //! contract below), a re-executed item is **byte-identical** to what
 //! the lost attempt would have produced — the run completes with the
-//! same result it would have had without the panic. A
-//! [`RunPolicy::max_worker_restarts`] budget bounds how many panics a
-//! single run absorbs; exhausting it surfaces a typed
+//! same result it would have had without the panic. A run absorbs at
+//! most [`MAX_WORKER_RESTARTS`] panics; one more surfaces a typed
 //! [`ExecutorError::RestartBudgetExhausted`] instead of a raw panic.
+//! Tests reach this path the way a real fault does: their own `work` or
+//! `worker_ctx` closure panics, or the target their factory builds does.
 //!
-//! Runs can also be **interrupted cooperatively**: a
-//! [`RunPolicy::stop`] flag is checked at every claim point, and a
-//! tripped flag drains the run into
-//! [`ExecutorError::Interrupted`] after the in-flight items finish —
-//! the sink has then seen a clean, contiguous prefix of the work list,
-//! which is exactly what the checkpoint layer
+//! Runs can also be **interrupted cooperatively**: an optional stop
+//! flag is checked at every claim point, and a tripped flag drains the
+//! run into [`ExecutorError::Interrupted`] after the in-flight items
+//! finish — the sink has then seen a clean, contiguous prefix of the
+//! work list, which is exactly what the checkpoint layer
 //! ([`crate::checkpoint`]) persists.
-//!
-//! Recovery paths are exercised deterministically, not by luck: a
-//! test-only [`FaultPlan`] plants panics at chosen item indices or
-//! claim ordinals, mirroring the planted-bug philosophy of the
-//! `faulty` backend.
 //!
 //! Determinism contract: the executor guarantees *delivery order*
 //! (index order) and nothing else. Byte-identical results across
@@ -80,176 +75,24 @@
 //! submissions from the canonical target state, exactly the properties
 //! the campaign and guided determinism suites pin.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 
-/// Marker prefix carried by every panic [`FaultPlan`] injects, so test
-/// harnesses (and [`quiet_injected_faults`]) can tell planted faults
-/// from real bugs.
-pub const INJECTED_FAULT: &str = "injected executor fault";
-
-/// Deterministic harness-fault injection for executor tests.
-///
-/// A `FaultPlan` plants panics inside the executor's claim loop — the
-/// same philosophy as the `faulty` backend's planted bugs: recovery
-/// paths are exercised on purpose, at chosen points, rather than by
-/// luck. Three triggers compose:
-///
-/// * [`panic_once_at`](Self::panic_once_at) — panic the first time the
-///   given **item index** is claimed; the re-executed attempt runs
-///   clean (the trigger is consumed).
-/// * [`panic_always_at`](Self::panic_always_at) — panic on **every**
-///   claim of the given item index; with a finite restart budget this
-///   deterministically exhausts it.
-/// * [`panic_at_claim`](Self::panic_at_claim) — panic on the n-th
-///   **claim ordinal** of the run (0-based, counted across all
-///   workers in claim order), independent of which item was claimed.
-///   Ordinals are per [`run_ordered`] invocation.
-///
-/// The plan is interior-mutable and `Sync`; thread it into a run via
-/// [`RunPolicy::faults`]. Injected panics carry the
-/// [`INJECTED_FAULT`] prefix and otherwise go through the normal
-/// panic machinery (so they exercise exactly the production recovery
-/// path); call [`quiet_injected_faults`] in tests to keep them out of
-/// the test output.
-#[derive(Debug, Default)]
-pub struct FaultPlan {
-    once: Mutex<BTreeSet<usize>>,
-    always: BTreeSet<usize>,
-    claims: Mutex<BTreeSet<u64>>,
-}
-
-impl FaultPlan {
-    /// An empty plan: no faults fire.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Panic the first time item `index` is claimed; later re-claims
-    /// of the same index run clean.
-    #[must_use]
-    pub fn panic_once_at(self, index: usize) -> Self {
-        lock(&self.once).insert(index);
-        self
-    }
-
-    /// Panic on every claim of item `index` — the deterministic way to
-    /// exhaust a restart budget.
-    #[must_use]
-    pub fn panic_always_at(mut self, index: usize) -> Self {
-        self.always.insert(index);
-        self
-    }
-
-    /// Panic on the claim with ordinal `ordinal` (0-based, counted
-    /// across all workers of one run in claim order), regardless of
-    /// which item that claim drew.
-    #[must_use]
-    pub fn panic_at_claim(self, ordinal: u64) -> Self {
-        lock(&self.claims).insert(ordinal);
-        self
-    }
-
-    /// Called by the executor after each claim, before the item runs;
-    /// panics if a trigger fires.
-    pub fn trip(&self, index: usize, claim_ordinal: u64) {
-        if lock(&self.once).remove(&index) {
-            // lint:allow(panic-path-audit) -- deliberate: FaultPlan exists to
-            // inject worker panics and exercise the production recovery path
-            panic!("{INJECTED_FAULT}: one-shot panic at item {index} (claim {claim_ordinal})");
-        }
-        if self.always.contains(&index) {
-            // lint:allow(panic-path-audit) -- deliberate: FaultPlan exists to
-            // inject worker panics and exercise the production recovery path
-            panic!("{INJECTED_FAULT}: persistent panic at item {index} (claim {claim_ordinal})");
-        }
-        if lock(&self.claims).remove(&claim_ordinal) {
-            // lint:allow(panic-path-audit) -- deliberate: FaultPlan exists to
-            // inject worker panics and exercise the production recovery path
-            panic!("{INJECTED_FAULT}: panic at claim {claim_ordinal} (item {index})");
-        }
-    }
-}
-
-/// Install a process-wide panic hook that suppresses the default
-/// "thread panicked" report for [`FaultPlan`]-injected panics (payloads
-/// carrying the [`INJECTED_FAULT`] prefix) and forwards everything
-/// else to the previous hook.
-///
-/// Test-suite convenience: injected faults are *expected* panics, and
-/// without this every recovery test would spray backtraces into the
-/// output. Idempotent; safe to call from concurrent tests.
-pub fn quiet_injected_faults() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let injected = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .is_some_and(|s| s.starts_with(INJECTED_FAULT));
-            if !injected {
-                previous(info);
-            }
-        }));
-    });
-}
-
-/// Fault-tolerance knobs for one executor run.
-///
-/// The default policy is a restart budget of
-/// [`RunPolicy::DEFAULT_MAX_WORKER_RESTARTS`], no stop flag, no fault
-/// injection.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunPolicy<'a> {
-    /// How many worker panics one run absorbs before giving up with
-    /// [`ExecutorError::RestartBudgetExhausted`]. Each absorbed panic
-    /// tears down the panicking worker's context and re-leases the
-    /// lost index; `0` means the first panic is fatal. `None` uses
-    /// [`RunPolicy::DEFAULT_MAX_WORKER_RESTARTS`].
-    pub max_worker_restarts: Option<usize>,
-    /// Cooperative stop flag, checked at every claim point. Once it
-    /// reads `true`, workers stop claiming (in-flight items finish),
-    /// and the run returns [`ExecutorError::Interrupted`] after the
-    /// delivered prefix reaches the sink.
-    pub stop: Option<&'a AtomicBool>,
-    /// Deterministic fault injection (tests only).
-    pub faults: Option<&'a FaultPlan>,
-}
-
-impl RunPolicy<'_> {
-    /// Default panic budget per run: generous enough to ride out a
-    /// flaky worker, small enough that a deterministic crash-loop
-    /// (every re-execution panics again) fails fast.
-    pub const DEFAULT_MAX_WORKER_RESTARTS: usize = 8;
-
-    fn budget(&self) -> usize {
-        self.max_worker_restarts
-            .unwrap_or(Self::DEFAULT_MAX_WORKER_RESTARTS)
-    }
-
-    /// Whether the policy's stop flag (if any) has been tripped — the
-    /// check the engines share at their own synchronization points
-    /// (generation loop top, fold boundaries) in addition to the
-    /// executor's claim points.
-    #[must_use]
-    pub fn stop_requested(&self) -> bool {
-        self.stop.is_some_and(|flag| flag.load(Ordering::Relaxed))
-    }
-}
+/// How many worker panics one [`run_ordered`] call absorbs before it
+/// gives up with [`ExecutorError::RestartBudgetExhausted`]: generous
+/// enough to ride out a flaky worker, small enough that a deterministic
+/// crash loop (every re-execution panics again) fails fast.
+pub const MAX_WORKER_RESTARTS: usize = 8;
 
 /// Why a fault-tolerant run did not deliver the full work list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecutorError {
-    /// More worker panics than [`RunPolicy::max_worker_restarts`]
-    /// allows; the run poisoned itself instead of crash-looping.
+    /// More worker panics than [`MAX_WORKER_RESTARTS`] allows; the run
+    /// poisoned itself instead of crash-looping.
     RestartBudgetExhausted {
-        /// The configured budget that was exceeded.
+        /// The budget that was exceeded ([`MAX_WORKER_RESTARTS`]).
         budget: usize,
         /// Total worker panics observed (always `budget + 1` at the
         /// point of poisoning; more only if several workers panicked
@@ -260,7 +103,7 @@ pub enum ExecutorError {
         /// Panic message of the last observed worker panic.
         last_panic: String,
     },
-    /// A [`RunPolicy::stop`] flag was tripped; the sink received the
+    /// The run's stop flag was tripped; the sink received the
     /// contiguous prefix `0..delivered` and nothing else.
     Interrupted {
         /// Items delivered to the sink before the run wound down.
@@ -297,6 +140,7 @@ impl std::error::Error for ExecutorError {}
 
 /// What the workers share besides the cursor: the re-lease list and
 /// the panic/poison/stop bookkeeping around it.
+#[derive(Default)]
 struct FaultState {
     /// Indices lost to worker panics, waiting to be re-claimed.
     releases: Mutex<Vec<usize>>,
@@ -308,8 +152,6 @@ struct FaultState {
     /// Set once the panic count exceeds the budget; all workers wind
     /// down at their next claim point.
     poisoned: AtomicBool,
-    /// Claim ordinal counter feeding [`FaultPlan::panic_at_claim`].
-    claim_ordinal: AtomicU64,
     /// Indices abandoned *after* poisoning (never re-leased).
     lost: Mutex<Vec<usize>>,
     /// Message of the most recent worker panic.
@@ -317,18 +159,6 @@ struct FaultState {
 }
 
 impl FaultState {
-    fn new() -> Self {
-        Self {
-            releases: Mutex::new(Vec::new()),
-            released: AtomicUsize::new(0),
-            panics: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
-            claim_ordinal: AtomicU64::new(0),
-            lost: Mutex::new(Vec::new()),
-            last_panic: Mutex::new(String::new()),
-        }
-    }
-
     /// Pop a re-leased index if any are pending. One relaxed load on
     /// the empty fast path — the claim loop stays lock-free unless a
     /// panic actually happened.
@@ -358,9 +188,8 @@ impl FaultState {
 }
 
 /// Lock `mutex` whether or not it is poisoned: every lock here guards
-/// plain data (a `Vec`, a `String`, a `BTreeSet`), and no code panics
-/// while holding one — [`FaultPlan::trip`] panics only after its lock is
-/// released.
+/// plain data (a `Vec` or a `String`), and no code panics while holding
+/// one.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -373,35 +202,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// The index-reorder buffer every ordered fold shares: outputs arrive
-/// tagged with their index in any order, and leave in index order —
-/// eagerly when the next index arrives, parked while a gap is open.
-/// [`run_ordered`]'s aggregator and [`crate::parallel::CampaignEngine`]
-/// order through this one type.
-#[derive(Debug)]
-pub struct Reorder<R> {
+/// [`run_ordered`]'s index-reorder buffer: outputs arrive tagged with
+/// their index in any order, and leave in index order — eagerly when
+/// the next index arrives, parked while a gap is open.
+struct Reorder<R> {
     /// Outputs that ran ahead of a gap, keyed by index.
     parked: BTreeMap<usize, R>,
     /// The next index to deliver; everything below it has been.
     next: usize,
 }
 
-impl<R> Default for Reorder<R> {
-    /// An empty buffer expecting index 0 first.
-    fn default() -> Self {
-        Self {
-            parked: BTreeMap::new(),
-            next: 0,
-        }
-    }
-}
-
 impl<R> Reorder<R> {
     /// Accept `out` for `index` and hand every output that is now
-    /// next-in-order to `deliver`, in index order. Each index must be
-    /// pushed at most once (callers deduplicate — the executor by
-    /// construction, the coordinator through its ledger).
-    pub fn push(&mut self, index: usize, out: R, mut deliver: impl FnMut(usize, R)) {
+    /// next-in-order to `deliver`, in index order. Each index is pushed
+    /// at most once: a re-leased index is only re-run after its first
+    /// attempt panicked.
+    fn push(&mut self, index: usize, out: R, mut deliver: impl FnMut(usize, R)) {
         debug_assert!(index >= self.next, "index {index} was already delivered");
         if index != self.next {
             self.parked.insert(index, out);
@@ -416,8 +232,7 @@ impl<R> Reorder<R> {
     }
 
     /// Outputs delivered so far — the contiguous prefix `0..delivered`.
-    #[must_use]
-    pub fn delivered(&self) -> usize {
+    fn delivered(&self) -> usize {
         self.next
     }
 }
@@ -435,9 +250,8 @@ impl<R> Reorder<R> {
 ///   fills.
 /// * One worker (`jobs == 1`, or a single item) is the calling thread
 ///   itself: no thread is spawned and `sink` runs between items.
-/// * `policy` controls panic recovery, cooperative stop, and fault
-///   injection ([`RunPolicy::default`] absorbs up to
-///   [`RunPolicy::DEFAULT_MAX_WORKER_RESTARTS`] worker panics).
+/// * `stop`, when given, is checked at every claim point; up to
+///   [`MAX_WORKER_RESTARTS`] worker panics are absorbed.
 ///
 /// On success the sink has seen every index in order, exactly once —
 /// byte-identical to a run without panics, because re-leased indices
@@ -451,12 +265,12 @@ impl<R> Reorder<R> {
 /// # Errors
 ///
 /// [`ExecutorError::RestartBudgetExhausted`] when worker panics exceed
-/// `policy.max_worker_restarts`; [`ExecutorError::Interrupted`] when
-/// `policy.stop` trips before the work list drains.
+/// [`MAX_WORKER_RESTARTS`]; [`ExecutorError::Interrupted`] when `stop`
+/// trips before the work list drains.
 pub fn run_ordered<T, R, C, B, W, S>(
     items: &[T],
     jobs: usize,
-    policy: &RunPolicy<'_>,
+    stop: Option<&AtomicBool>,
     worker_ctx: B,
     work: W,
     mut sink: S,
@@ -474,14 +288,16 @@ where
     let workers = jobs.min(items.len()).max(1);
     let run = Run {
         items,
-        policy,
-        budget: policy.budget(),
+        stop,
         cursor: AtomicUsize::new(0),
-        faults: FaultState::new(),
+        faults: FaultState::default(),
         worker_ctx: &worker_ctx,
         work: &work,
     };
-    let mut order = Reorder::default();
+    let mut order = Reorder {
+        parked: BTreeMap::new(),
+        next: 0,
+    };
     if workers == 1 {
         run.claim_loop(|index, out| {
             order.push(index, out, &mut sink);
@@ -509,8 +325,7 @@ where
 /// What the workers of one [`run_ordered`] call share.
 struct Run<'a, T, B, W> {
     items: &'a [T],
-    policy: &'a RunPolicy<'a>,
-    budget: usize,
+    stop: Option<&'a AtomicBool>,
     cursor: AtomicUsize,
     faults: FaultState,
     worker_ctx: &'a B,
@@ -527,7 +342,7 @@ impl<T, B, W> Run<'_, T, B, W> {
     {
         let Self {
             items,
-            policy,
+            stop,
             faults,
             ..
         } = self;
@@ -535,7 +350,9 @@ impl<T, B, W> Run<'_, T, B, W> {
         loop {
             // Claim point: honour poisoning and stop requests before
             // taking on more work.
-            if faults.poisoned.load(Ordering::Acquire) || policy.stop_requested() {
+            if faults.poisoned.load(Ordering::Acquire)
+                || stop.is_some_and(|flag| flag.load(Ordering::Relaxed))
+            {
                 break;
             }
             // Re-leased indices take priority over the cursor so a lost
@@ -548,14 +365,10 @@ impl<T, B, W> Run<'_, T, B, W> {
             let Some(item) = items.get(index) else {
                 break;
             };
-            let ordinal = faults.claim_ordinal.fetch_add(1, Ordering::Relaxed);
             // The lazy context build shares the panic scope with `work`:
             // a panicking constructor is recovered the same way as a
             // panicking item.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(plan) = policy.faults {
-                    plan.trip(index, ordinal);
-                }
                 let ctx = ctx.get_or_insert_with(self.worker_ctx);
                 (self.work)(ctx, index, item)
             }));
@@ -573,7 +386,7 @@ impl<T, B, W> Run<'_, T, B, W> {
                     *lock(&faults.last_panic) = panic_message(payload.as_ref());
                     drop(payload);
                     let panics = faults.panics.fetch_add(1, Ordering::AcqRel) + 1;
-                    if panics > self.budget {
+                    if panics > MAX_WORKER_RESTARTS {
                         // Poison *before* recording the index as lost so
                         // no racing worker can rescue it: budget
                         // exhaustion must surface deterministically.
@@ -596,7 +409,7 @@ impl<T, B, W> Run<'_, T, B, W> {
         let faults = &self.faults;
         if faults.poisoned.load(Ordering::Acquire) {
             return Err(ExecutorError::RestartBudgetExhausted {
-                budget: self.budget,
+                budget: MAX_WORKER_RESTARTS,
                 panics: faults.panics.load(Ordering::Acquire),
                 lost: faults.lost_indices(),
                 last_panic: lock(&faults.last_panic).clone(),
@@ -621,25 +434,34 @@ pub fn available_jobs() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::collections::BTreeSet;
 
     /// Collect the ordered deliveries, as batch callers do in their sink.
     fn collect<T: Sync, R: Send, C>(
         items: &[T],
         jobs: usize,
-        policy: &RunPolicy<'_>,
         worker_ctx: impl Fn() -> C + Sync,
         work: impl Fn(&mut C, usize, &T) -> R + Sync,
     ) -> Result<Vec<R>, ExecutorError> {
         let mut out = Vec::with_capacity(items.len());
-        run_ordered(items, jobs, policy, worker_ctx, work, |_, r| out.push(r))?;
+        run_ordered(items, jobs, None, worker_ctx, work, |_, r| out.push(r))?;
         Ok(out)
     }
 
-    fn faulty(plan: &FaultPlan) -> RunPolicy<'_> {
-        RunPolicy {
-            faults: Some(plan),
-            ..RunPolicy::default()
+    /// Item indices whose first run panics; a re-run goes through. The
+    /// recovery tests plant it in their own `work` closure, so the panic
+    /// takes the production path out of `work`.
+    struct PanicOnce(Mutex<BTreeSet<usize>>);
+
+    impl PanicOnce {
+        fn at(indices: &[usize]) -> Self {
+            Self(Mutex::new(indices.iter().copied().collect()))
+        }
+
+        fn trip(&self, index: usize) {
+            if lock(&self.0).remove(&index) {
+                panic!("planted panic at item {index}");
+            }
         }
     }
 
@@ -650,7 +472,6 @@ mod tests {
             let out = collect(
                 &items,
                 jobs,
-                &RunPolicy::default(),
                 || (),
                 |(), i, &v| {
                     assert_eq!(i, v);
@@ -668,7 +489,7 @@ mod tests {
         run_ordered(
             &items,
             4,
-            &RunPolicy::default(),
+            None,
             || (),
             |(), _, &v| v,
             |index, v| {
@@ -687,7 +508,6 @@ mod tests {
         let out = collect(
             &items,
             3,
-            &RunPolicy::default(),
             || built.fetch_add(1, Ordering::Relaxed),
             |_ctx, _, &v| v,
         );
@@ -707,7 +527,6 @@ mod tests {
         let out = collect(
             &items,
             1,
-            &RunPolicy::default(),
             || 0usize,
             |count, _, _| {
                 *count += 1;
@@ -722,14 +541,8 @@ mod tests {
         let caller = std::thread::current().id();
         let items: Vec<usize> = (0..8).collect();
         let ran_on = |jobs| {
-            collect(
-                &items,
-                jobs,
-                &RunPolicy::default(),
-                || (),
-                |(), _, _| std::thread::current().id(),
-            )
-            .expect("no faults, no stop flag")
+            collect(&items, jobs, || (), |(), _, _| std::thread::current().id())
+                .expect("no faults, no stop flag")
         };
         assert!(ran_on(1).iter().all(|id| *id == caller));
         assert!(ran_on(2).iter().all(|id| *id != caller));
@@ -741,15 +554,11 @@ mod tests {
         // delivery tripped the flag is never claimed.
         let items: Vec<usize> = (0..200).collect();
         let stop = AtomicBool::new(false);
-        let policy = RunPolicy {
-            stop: Some(&stop),
-            ..RunPolicy::default()
-        };
         let ran = AtomicUsize::new(0);
         let err = run_ordered(
             &items,
             1,
-            &policy,
+            Some(&stop),
             || (),
             |(), _, &v| {
                 ran.fetch_add(1, Ordering::Relaxed);
@@ -778,7 +587,7 @@ mod tests {
         let outcome = run_ordered(
             &[0u32; 0],
             4,
-            &RunPolicy::default(),
+            None,
             || (),
             |(), _, &v| v,
             |_, _| fired = true,
@@ -790,50 +599,68 @@ mod tests {
     #[test]
     fn more_workers_than_items_is_fine() {
         let items = [7u64, 8, 9];
-        let out = collect(&items, 64, &RunPolicy::default(), || (), |(), _, &v| v + 1);
+        let out = collect(&items, 64, || (), |(), _, &v| v + 1);
         assert_eq!(out, Ok(vec![8, 9, 10]));
     }
 
     #[test]
     fn injected_panic_is_recovered_byte_identically() {
-        quiet_injected_faults();
         let items: Vec<usize> = (0..50).collect();
         let reference: Vec<usize> = items.iter().map(|v| v * 7).collect();
         for jobs in [1usize, 2, 4] {
-            let plan = FaultPlan::new()
-                .panic_once_at(3)
-                .panic_once_at(17)
-                .panic_once_at(49);
-            let out = collect(&items, jobs, &faulty(&plan), || (), |(), _, &v| v * 7)
-                .expect("panics within budget must be absorbed");
+            let planted = PanicOnce::at(&[3, 17, 49]);
+            let out = collect(
+                &items,
+                jobs,
+                || (),
+                |(), i, &v| {
+                    planted.trip(i);
+                    v * 7
+                },
+            )
+            .expect("panics within budget must be absorbed");
             assert_eq!(out, reference, "jobs={jobs}");
         }
     }
 
     #[test]
     fn claim_ordinal_faults_are_recovered() {
-        quiet_injected_faults();
+        // Panic on the 1st and 10th `work` call, whichever items those
+        // draw: the fault follows the schedule, not the item.
         let items: Vec<usize> = (0..32).collect();
-        let plan = FaultPlan::new().panic_at_claim(0).panic_at_claim(9);
-        let out = collect(&items, 2, &faulty(&plan), || (), |(), _, &v| v + 1)
-            .expect("claim faults within budget must be absorbed");
+        let calls = AtomicUsize::new(0);
+        let out = collect(
+            &items,
+            2,
+            || (),
+            |(), _, &v| {
+                let call = calls.fetch_add(1, Ordering::Relaxed);
+                if call == 0 || call == 9 {
+                    panic!("planted panic at call {call}");
+                }
+                v + 1
+            },
+        )
+        .expect("claim faults within budget must be absorbed");
         assert_eq!(out, (1..=32).collect::<Vec<_>>());
+        assert_eq!(calls.load(Ordering::Relaxed), 34, "two calls re-ran");
     }
 
     #[test]
     fn panicking_worker_rebuilds_a_fresh_context() {
-        quiet_injected_faults();
         let items: Vec<usize> = (0..10).collect();
         let built = AtomicUsize::new(0);
-        let plan = FaultPlan::new().panic_once_at(4);
+        let planted = PanicOnce::at(&[4]);
         let out = collect(
             &items,
             1,
-            &faulty(&plan),
             || built.fetch_add(1, Ordering::Relaxed),
-            |_ctx, _, &v| v,
+            |_ctx, i, &v| {
+                planted.trip(i);
+                v
+            },
         )
-        .expect("one panic is within the default budget");
+        .expect("one panic is within the budget");
         assert_eq!(out, items);
         // One worker, one panic: the original context plus the fresh
         // rebuild after the teardown.
@@ -842,16 +669,19 @@ mod tests {
 
     #[test]
     fn exhausted_restart_budget_is_a_typed_error() {
-        quiet_injected_faults();
         let items: Vec<usize> = (0..8).collect();
-        let plan = FaultPlan::new().panic_always_at(5);
-        let policy = RunPolicy {
-            max_worker_restarts: Some(2),
-            faults: Some(&plan),
-            ..RunPolicy::default()
-        };
-        let err = collect(&items, 2, &policy, || (), |(), _, &v| v)
-            .expect_err("a persistent fault must exhaust the budget");
+        let err = collect(
+            &items,
+            2,
+            || (),
+            |(), i, &v| {
+                if i == 5 {
+                    panic!("planted panic at item {i}, every time");
+                }
+                v
+            },
+        )
+        .expect_err("a persistent fault must exhaust the budget");
         match &err {
             ExecutorError::RestartBudgetExhausted {
                 budget,
@@ -859,13 +689,18 @@ mod tests {
                 lost,
                 last_panic,
             } => {
-                assert_eq!(*budget, 2);
-                assert_eq!(*panics, 3);
+                assert_eq!(*budget, MAX_WORKER_RESTARTS);
+                assert_eq!(*budget, 8);
+                // Only one worker at a time can hold the faulty index.
+                assert_eq!(*panics, 9);
                 assert!(
                     lost.contains(&5),
                     "lost {lost:?} must contain the faulty index"
                 );
-                assert!(last_panic.starts_with(INJECTED_FAULT), "got {last_panic:?}");
+                assert!(
+                    last_panic.contains("planted panic at item 5"),
+                    "got {last_panic:?}"
+                );
             }
             other => panic!("expected RestartBudgetExhausted, got {other:?}"),
         }
@@ -876,11 +711,7 @@ mod tests {
     fn pre_tripped_stop_flag_interrupts_immediately() {
         let items: Vec<usize> = (0..16).collect();
         let stop = AtomicBool::new(true);
-        let policy = RunPolicy {
-            stop: Some(&stop),
-            ..RunPolicy::default()
-        };
-        let err = collect(&items, 4, &policy, || (), |(), _, &v| v)
+        let err = run_ordered(&items, 4, Some(&stop), || (), |(), _, &v| v, |_, _| {})
             .expect_err("a pre-tripped stop flag must interrupt");
         assert_eq!(
             err,
@@ -895,15 +726,11 @@ mod tests {
     fn stop_mid_run_delivers_a_contiguous_prefix() {
         let items: Vec<usize> = (0..200).collect();
         let stop = AtomicBool::new(false);
-        let policy = RunPolicy {
-            stop: Some(&stop),
-            ..RunPolicy::default()
-        };
         let mut delivered = Vec::new();
         let err = run_ordered(
             &items,
             2,
-            &policy,
+            Some(&stop),
             || (),
             |(), _, &v| {
                 std::thread::sleep(std::time::Duration::from_millis(1));
@@ -936,13 +763,22 @@ mod tests {
 
     #[test]
     fn panicking_context_build_is_recovered() {
-        quiet_injected_faults();
-        // The first context build panics (via a one-shot fault on the
-        // first claim ordinal); the retry builds cleanly.
+        // The first context build panics; the retry builds cleanly and
+        // the item it was built for runs on it.
         let items: Vec<usize> = (0..6).collect();
-        let plan = FaultPlan::new().panic_at_claim(0);
-        let out = collect(&items, 1, &faulty(&plan), || (), |(), _, &v| v * 2)
-            .expect("context-build panic must be absorbed");
+        let builds = AtomicUsize::new(0);
+        let out = collect(
+            &items,
+            1,
+            || {
+                if builds.fetch_add(1, Ordering::Relaxed) == 0 {
+                    panic!("planted panic in the first context build");
+                }
+            },
+            |(), _, &v| v * 2,
+        )
+        .expect("context-build panic must be absorbed");
         assert_eq!(out, vec![0, 2, 4, 6, 8, 10]);
+        assert_eq!(builds.load(Ordering::Relaxed), 2);
     }
 }

@@ -51,9 +51,11 @@
 //! same law is what lets a panicked worker's lost slots be
 //! re-executed byte-identically (see RELIABILITY.md).
 
-use crate::checkpoint::{CheckpointMismatch, GuidedCheckpoint, SessionError, CHECKPOINT_VERSION};
+use crate::checkpoint::{
+    CheckpointMismatch, GuidedCheckpoint, RunOptions, SessionError, CHECKPOINT_VERSION,
+};
 use crate::corpus::{Corpus, CrashRecord};
-use crate::executor::{ExecutorError, RunPolicy};
+use crate::executor::ExecutorError;
 use crate::failure::FailureStats;
 use crate::strategies::scheduled_mutant;
 use crate::target::{BootPlan, CrashVerdict, FuzzTarget, TargetFactory};
@@ -66,6 +68,7 @@ use iris_hv::coverage::CoverageMap;
 use iris_vtx::exit::ExitReason;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 
 /// Result of a guided run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -218,22 +221,6 @@ impl GenerationProgress<'_> {
     pub fn checkpoint(&self, fingerprint: &str) -> GuidedCheckpoint {
         self.engine.checkpoint(fingerprint)
     }
-}
-
-/// Options for [`run_guided_shared_session`]: where to resume from and
-/// how to react to worker panics and stop requests. The default is a
-/// fresh, uninterruptible run under the executor's default restart
-/// budget.
-#[derive(Debug, Default)]
-pub struct SharedRunOptions<'a> {
-    /// Executor fault policy: restart budget, cooperative stop flag,
-    /// fault injection. The stop flag is honoured at generation-loop
-    /// boundaries as well as the executor's claim points.
-    pub policy: RunPolicy<'a>,
-    /// Resume from a generation-barrier checkpoint (fingerprint-checked
-    /// by [`GuidedCheckpoint::load`]; [`SharedEngine::resume`] checks
-    /// its structure).
-    pub resume: Option<GuidedCheckpoint>,
 }
 
 /// What one slot of a generation produced — everything the barrier
@@ -496,9 +483,10 @@ impl SharedEngine {
     ///
     /// # Errors
     /// [`CheckpointMismatch`] when `next_slot` is past the budget or
-    /// off a generation boundary, when promotions and lineage do not
-    /// line up, or when a lineage entry names a base that did not
-    /// exist.
+    /// off a generation boundary, when the growth curve does not have
+    /// one point per completed generation, when promotions and lineage
+    /// do not line up, or when a lineage entry names a base that did
+    /// not exist.
     pub fn resume(
         trace: &RecordedTrace,
         config: GuidedConfig,
@@ -511,6 +499,13 @@ impl SharedEngine {
             return Err(CheckpointMismatch::SlotOffBoundary {
                 next_slot: cp.next_slot,
                 generation,
+            });
+        }
+        let (growth, generations) = (cp.growth.len(), cp.next_slot.div_ceil(generation));
+        if growth as u64 != generations {
+            return Err(CheckpointMismatch::GrowthLength {
+                growth,
+                generations,
             });
         }
         let mut corpus = initial_corpus(trace);
@@ -709,7 +704,7 @@ impl SharedEngine {
 /// byte-identical for any `jobs`; jobs=1 is the reference.
 ///
 /// # Panics
-/// Panics if worker panics exhaust the default executor restart budget
+/// Panics if worker panics exhaust the executor's restart budget
 /// (a persistent crash-loop) — use [`run_guided_shared_session`] for
 /// the typed error.
 #[must_use]
@@ -719,8 +714,7 @@ pub fn run_guided_shared_with<F: TargetFactory>(
     config: GuidedConfig,
     jobs: usize,
 ) -> GuidedResult {
-    let options = SharedRunOptions::default();
-    match run_guided_shared_session(factory, trace, config, jobs, options, |_| {}) {
+    match run_guided_shared_session(factory, trace, config, jobs, RunOptions::default(), |_| {}) {
         Ok(result) => result,
         // lint:allow(panic-path-audit) -- infallible wrapper by contract: the default options carry no stop flag and no checkpoint, so the only error is a persistent crash loop, itself worth a panic
         Err(err) => panic!("guided shared run failed: {err}"),
@@ -728,8 +722,8 @@ pub fn run_guided_shared_with<F: TargetFactory>(
 }
 
 /// The fault-tolerant form of the generational shared-corpus engine:
-/// resume from a generation-barrier checkpoint, absorb worker panics
-/// under an explicit restart budget, honour a cooperative stop flag,
+/// resume from a generation-barrier checkpoint, absorb worker panics,
+/// honour a cooperative stop flag (also at every generation boundary),
 /// and call `observe` at every generation barrier (after the merge) —
 /// the hook `iris guided --corpus`/`--checkpoint` persist through.
 ///
@@ -742,15 +736,16 @@ pub fn run_guided_shared_with<F: TargetFactory>(
 /// conformance suite pins this over every backend.
 ///
 /// # Errors
-/// [`SessionError::Executor`] when worker panics exceed the policy's
-/// budget; [`SessionError::Checkpoint`] when the resume checkpoint is
+/// [`SessionError::Executor`] when worker panics exceed
+/// [`crate::executor::MAX_WORKER_RESTARTS`];
+/// [`SessionError::Checkpoint`] when the resume checkpoint is
 /// structurally inconsistent with this run ([`SharedEngine::resume`]).
 pub fn run_guided_shared_session<F, O>(
     factory: &F,
     trace: &RecordedTrace,
     config: GuidedConfig,
     jobs: usize,
-    options: SharedRunOptions<'_>,
+    options: RunOptions<'_, GuidedCheckpoint>,
     mut observe: O,
 ) -> Result<GuidedResult, SessionError>
 where
@@ -774,7 +769,10 @@ where
     while let Some(batch) = engine.batch() {
         // Stop check at the generation boundary: don't launch a batch
         // that a tripped flag would immediately abandon.
-        if options.policy.stop_requested() {
+        if options
+            .stop
+            .is_some_and(|flag| flag.load(Ordering::Relaxed))
+        {
             break;
         }
         // The generation's indexed batch: one work item per slot. The
@@ -791,7 +789,7 @@ where
         match crate::executor::run_ordered(
             &items,
             jobs,
-            &options.policy,
+            options.stop,
             || {
                 // One private booted SlotContext per worker, serving
                 // every slot the worker steals this generation. Each
@@ -1016,7 +1014,7 @@ mod tests {
             crate::executor::run_ordered(
                 &configs,
                 jobs,
-                &RunPolicy::default(),
+                None,
                 || (),
                 |(), _, cfg| run_guided_shared(&trace, *cfg, 1),
                 |_, r| results.push(r),

@@ -20,8 +20,8 @@
 //! * [`campaign`] — baseline, fuzzing sequence, crash recovery, all
 //!   through [`FuzzTarget`].
 //! * [`executor`] — the shared work-stealing executor (atomic-cursor
-//!   claim, per-worker context, index-ordered delivery) every parallel
-//!   driver runs on.
+//!   claim, per-worker context, index-ordered delivery, worker-panic
+//!   recovery) every parallel driver runs on.
 //! * [`parallel`] — the campaign's ordered fold
 //!   ([`parallel::CampaignEngine`]) and its sharded multi-worker
 //!   thread driver, with deterministic (worker-count-independent)
@@ -83,19 +83,17 @@ pub mod testcase;
 pub use campaign::TestCaseResult;
 pub use checkpoint::{
     atomic_write_json, CampaignCheckpoint, CheckpointMismatch, GuidedCheckpoint, JsonWriter,
-    SessionError,
+    RunOptions, SessionError,
 };
 pub use corpus::{Corpus, CrashRecord};
-pub use executor::{ExecutorError, FaultPlan, RunPolicy};
+pub use executor::ExecutorError;
 pub use failure::{FailureKind, FailureStats};
 pub use guided::{
     run_guided_shared_session, run_guided_shared_with, GenerationProgress, GuidedConfig,
-    GuidedResult, SharedEngine, SharedRunOptions,
+    GuidedResult, SharedEngine,
 };
 pub use mutation::{mutate, AppliedMutation, SeedArea};
-pub use parallel::{
-    available_jobs, CampaignEngine, CampaignReport, CampaignRunOptions, ParallelCampaign,
-};
+pub use parallel::{available_jobs, CampaignEngine, CampaignReport, ParallelCampaign};
 pub use strategies::{mutate_with, Strategy};
 pub use table1::Table1;
 pub use target::{

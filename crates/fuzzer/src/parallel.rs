@@ -53,9 +53,11 @@ use crate::campaign::{
     assemble_test_case, run_mutant_range_on, run_mutant_range_with, run_test_case_with,
     ChunkOutput, TestCaseResult,
 };
-use crate::checkpoint::{CampaignCheckpoint, CheckpointMismatch, SessionError, CHECKPOINT_VERSION};
+use crate::checkpoint::{
+    CampaignCheckpoint, CheckpointMismatch, RunOptions, SessionError, CHECKPOINT_VERSION,
+};
 use crate::corpus::Corpus;
-use crate::executor::{run_ordered, ExecutorError, Reorder, RunPolicy};
+use crate::executor::{run_ordered, ExecutorError};
 use crate::failure::FailureStats;
 use crate::guided::{position, SlotContext};
 use crate::target::{BootPlan, FuzzTarget, IrisHvTarget, TargetFactory};
@@ -165,6 +167,13 @@ pub enum FoldError {
         /// The offending chunk index.
         index: usize,
     },
+    /// The chunk is not the next one in chunk order.
+    OutOfOrder {
+        /// The chunk the engine folds next.
+        expected: usize,
+        /// The offending chunk index.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for FoldError {
@@ -173,6 +182,9 @@ impl std::fmt::Display for FoldError {
             Self::UnknownChunk { index } => write!(f, "no campaign chunk {index} in this plan"),
             Self::RangeMismatch { index } => {
                 write!(f, "chunk output's mutant range is not chunk {index}'s")
+            }
+            Self::OutOfOrder { expected, index } => {
+                write!(f, "chunk {index} arrived while chunk {expected} is next")
             }
         }
     }
@@ -194,7 +206,8 @@ pub struct CampaignEngine {
     /// Outstanding work in `(test_case_index, range_start)` order — the
     /// resumed plan prefix is skipped.
     chunks: Vec<(usize, MutantRange)>,
-    order: Reorder<ChunkOutput>,
+    /// The next chunk to fold; every chunk below it has been.
+    next: usize,
     /// The chunk outputs of the test case being assembled, in range
     /// order. Dropped as soon as the test case folds, so memory holds
     /// one test case's chunks (each carries two 448-byte coverage maps),
@@ -221,8 +234,9 @@ impl CampaignEngine {
     ///
     /// # Errors
     /// [`CheckpointMismatch`] when `folded` disagrees with the stored
-    /// results or the plan length, or a stored result is not the plan's
-    /// test case at its position.
+    /// results or the plan length, a stored result is not the plan's
+    /// test case at its position, or the report's failure totals are not
+    /// the sum of its results'.
     pub fn resume(
         plan: Vec<TestCase>,
         chunk: usize,
@@ -239,6 +253,14 @@ impl CampaignEngine {
         if let Some(index) = (plan.iter().zip(results)).position(|(tc, r)| *tc != r.testcase) {
             return Err(CheckpointMismatch::PlanPrefix { index });
         }
+        let mut merged = FailureStats::default();
+        for r in results {
+            merged.merge(&r.failures);
+        }
+        if merged != cp.report.failures {
+            let stored = cp.report.failures;
+            return Err(CheckpointMismatch::FailureTotals { stored, merged });
+        }
         Ok(Self::start(plan, chunk, cp.report))
     }
 
@@ -249,7 +271,7 @@ impl CampaignEngine {
             chunks: (plan.iter().enumerate().skip(folded))
                 .flat_map(|(tc_idx, tc)| tc.chunks(chunk).map(move |r| (tc_idx, r)))
                 .collect(),
-            order: Reorder::default(),
+            next: 0,
             pending: Vec::new(),
             mutants_done: mutants(folded),
             mutants_total: mutants(plan.len()),
@@ -273,41 +295,42 @@ impl CampaignEngine {
         &self.chunks
     }
 
-    /// Accept chunk `index`'s output. Outputs may arrive in any order,
-    /// each at most once; they fold strictly in chunk order, and a test
+    /// Fold chunk `index`'s output, which must be the next chunk in
+    /// chunk order — both drivers deliver in that order (the executor
+    /// by construction, the fleet's lease table by draining). A test
     /// case assembles and folds into the report the moment its last
     /// chunk does.
     ///
     /// # Errors
-    /// [`FoldError`] when `index` is not a chunk of this engine or
-    /// `out` covers a different mutant range; the engine is unchanged.
+    /// [`FoldError`] when `index` is not a chunk of this engine, `out`
+    /// covers a different mutant range, or `index` is not the next
+    /// chunk; the engine is unchanged.
     pub fn fold(&mut self, index: usize, out: ChunkOutput) -> Result<(), FoldError> {
-        match self.chunks.get(index) {
-            None => return Err(FoldError::UnknownChunk { index }),
-            Some(&(_, range)) if range != out.range => {
-                return Err(FoldError::RangeMismatch { index })
-            }
-            Some(_) => {}
+        let Some(&(tc_idx, range)) = self.chunks.get(index) else {
+            return Err(FoldError::UnknownChunk { index });
+        };
+        if range != out.range {
+            return Err(FoldError::RangeMismatch { index });
         }
-        let mut folded = Ok(());
-        self.order.push(index, out, |index, out| {
-            let tc_idx = self.chunks.get(index).map(|&(tc_idx, _)| tc_idx);
-            let Some(tc) = tc_idx.and_then(|i| self.plan.get(i)) else {
-                folded = Err(FoldError::UnknownChunk { index });
-                return;
-            };
-            self.mutants_done += out.range.len as u64;
-            // Chunks partition `0..mutants` in order, so the one ending
-            // at `mutants` is the test case's last.
-            let last = out.range.end() == tc.mutants;
-            self.pending.push(out);
-            if last {
-                let (result, coverage) =
-                    assemble_test_case(tc, self.pending.drain(..), &mut self.report.corpus);
-                self.report.fold_assembled(result, &coverage);
-            }
-        });
-        folded
+        if index != self.next {
+            let expected = self.next;
+            return Err(FoldError::OutOfOrder { expected, index });
+        }
+        let Some(tc) = self.plan.get(tc_idx) else {
+            return Err(FoldError::UnknownChunk { index });
+        };
+        self.next += 1;
+        self.mutants_done += out.range.len as u64;
+        // Chunks partition `0..mutants` in order, so the one ending at
+        // `mutants` is the test case's last.
+        let last = out.range.end() == tc.mutants;
+        self.pending.push(out);
+        if last {
+            let (result, coverage) =
+                assemble_test_case(tc, self.pending.drain(..), &mut self.report.corpus);
+            self.report.fold_assembled(result, &coverage);
+        }
+        Ok(())
     }
 
     /// Progress through the chunks folded so far.
@@ -347,21 +370,6 @@ impl CampaignEngine {
     pub fn into_report(self) -> CampaignReport {
         self.report
     }
-}
-
-/// Options for [`ParallelCampaign::run_session`]: where to resume from
-/// and how to react to worker panics and stop requests. The default is
-/// a fresh, uninterruptible run under the executor's default restart
-/// budget.
-#[derive(Debug, Default)]
-pub struct CampaignRunOptions<'a> {
-    /// Executor fault policy: restart budget, cooperative stop flag,
-    /// fault injection.
-    pub policy: RunPolicy<'a>,
-    /// Resume from a fold-boundary checkpoint (fingerprint-checked by
-    /// [`CampaignCheckpoint::load`]; [`CampaignEngine::resume`] checks
-    /// it against the plan).
-    pub resume: Option<CampaignCheckpoint>,
 }
 
 /// A campaign executor that shards the planned test cases' mutant
@@ -425,20 +433,19 @@ impl<F: TargetFactory> ParallelCampaign<F> {
     /// # Panics
     /// Panics if a planned test case names a workload with no trace in
     /// `traces` — a malformed plan, not a runtime condition — or if
-    /// worker panics exhaust the default restart budget.
+    /// worker panics exhaust the executor's restart budget.
     #[must_use]
     pub fn run(
         &self,
         traces: &BTreeMap<Workload, RecordedTrace>,
         plan: &[TestCase],
     ) -> CampaignReport {
-        completed(self.run_session(traces, plan, CampaignRunOptions::default(), |_| {}))
+        completed(self.run_session(traces, plan, RunOptions::default(), |_| {}))
     }
 
     /// [`ParallelCampaign::run`] with the fault-tolerance knobs and an
-    /// observer: resume from a fold-boundary checkpoint, absorb worker
-    /// panics under an explicit restart budget, honour a cooperative
-    /// stop flag. `observe` runs on the aggregator thread after every
+    /// observer: resume from a fold-boundary checkpoint, honour a
+    /// cooperative stop flag. `observe` runs on the aggregator thread after every
     /// folded chunk: drive progress lines (mutant-granular, so huge-`M`
     /// cells show movement), persist corpus snapshots or checkpoints
     /// ([`CampaignEngine::checkpoint`]; pair with
@@ -454,8 +461,8 @@ impl<F: TargetFactory> ParallelCampaign<F> {
     /// byte-identical to an uninterrupted one.
     ///
     /// # Errors
-    /// [`SessionError::Executor`] when worker panics exceed the
-    /// policy's budget; [`SessionError::Checkpoint`] when the resume
+    /// [`SessionError::Executor`] when worker panics exceed
+    /// [`crate::executor::MAX_WORKER_RESTARTS`]; [`SessionError::Checkpoint`] when the resume
     /// checkpoint is not a folded prefix of `plan`.
     ///
     /// # Panics
@@ -464,7 +471,7 @@ impl<F: TargetFactory> ParallelCampaign<F> {
         &self,
         traces: &BTreeMap<Workload, RecordedTrace>,
         plan: &[TestCase],
-        options: CampaignRunOptions<'_>,
+        options: RunOptions<'_, CampaignCheckpoint>,
         observe: O,
     ) -> Result<CampaignReport, SessionError>
     where
@@ -483,11 +490,10 @@ impl<F: TargetFactory> ParallelCampaign<F> {
     /// Run a single-trace plan (every test case targets `trace`).
     ///
     /// # Panics
-    /// Panics if worker panics exhaust the default restart budget.
+    /// Panics if worker panics exhaust the executor's restart budget.
     #[must_use]
     pub fn run_trace(&self, trace: &RecordedTrace, plan: &[TestCase]) -> CampaignReport {
-        let options = CampaignRunOptions::default();
-        completed(self.run_with(plan, |_| Some(trace), options, |_| {}))
+        completed(self.run_with(plan, |_| Some(trace), RunOptions::default(), |_| {}))
     }
 
     /// The thread driver of [`CampaignEngine`]: run the engine's chunk
@@ -500,7 +506,7 @@ impl<F: TargetFactory> ParallelCampaign<F> {
         &self,
         plan: &[TestCase],
         trace_of: G,
-        options: CampaignRunOptions<'_>,
+        options: RunOptions<'_, CampaignCheckpoint>,
         mut observe: O,
     ) -> Result<CampaignReport, SessionError>
     where
@@ -540,7 +546,7 @@ impl<F: TargetFactory> ParallelCampaign<F> {
             run_ordered(
                 &items,
                 self.jobs,
-                &options.policy,
+                options.stop,
                 BTreeMap::new,
                 |servers: &mut BTreeMap<Workload, SlotContext<F::Target<'t>>>,
                  _,
@@ -556,7 +562,7 @@ impl<F: TargetFactory> ParallelCampaign<F> {
             run_ordered(
                 &items,
                 self.jobs,
-                &options.policy,
+                options.stop,
                 || (),
                 |(), _, &(tc, trace, range)| run_mutant_range_with(factory, trace, tc, range),
                 &mut sink,
@@ -704,11 +710,10 @@ mod tests {
 
     #[test]
     fn engine_folds_reverse_order_deliveries_to_the_reference_bytes() {
-        // The engine by hand, as a driver with the worst possible
-        // schedule would run it: every chunk executed up front, outputs
-        // handed back last-to-first. The fold still happens in plan
-        // order, so the bytes match the thread driver and the
-        // sequential reference.
+        // The engine by hand: every chunk executed up front, then folded
+        // in chunk order — the bytes match the thread driver and the
+        // sequential reference. A reversed delivery is refused chunk by
+        // chunk, and a refusal leaves the engine as it was.
         let trace = boot_trace(100);
         let plan = plan_over(&trace, 20);
         let factory = IrisHvTarget::default();
@@ -716,7 +721,8 @@ mod tests {
         let outputs: Vec<ChunkOutput> = (engine.chunks().iter())
             .map(|&(tc_idx, range)| run_mutant_range_with(&factory, &trace, &plan[tc_idx], range))
             .collect();
-        assert!(outputs.len() > plan.len(), "several chunks per test case");
+        let last = outputs.len() - 1;
+        assert!(last >= plan.len(), "several chunks per test case");
         let wrong = outputs[1].clone();
         assert_eq!(
             engine.fold(0, wrong),
@@ -728,11 +734,22 @@ mod tests {
                 index: outputs.len()
             })
         );
-        for (index, out) in outputs.into_iter().enumerate().rev() {
-            assert!(engine.report().results.is_empty(), "chunk 0 is still out");
+        for (index, out) in outputs.iter().enumerate().rev().take(3) {
+            assert_eq!(
+                engine.fold(index, out.clone()),
+                Err(FoldError::OutOfOrder { expected: 0, index })
+            );
+        }
+        assert_eq!(engine.progress().mutants_done, 0, "refusals fold nothing");
+        for (index, out) in outputs.iter().enumerate() {
             engine
-                .fold(index, out)
-                .expect("every chunk is the engine's own");
+                .fold(index, out.clone())
+                .expect("chunks in order are the engine's own");
+            if index < last {
+                let redelivered = engine.fold(index, out.clone());
+                let expected = index + 1;
+                assert_eq!(redelivered, Err(FoldError::OutOfOrder { expected, index }));
+            }
         }
         assert_eq!(engine.progress().results_folded, plan.len());
         let folded = serde_json::to_string(&engine.into_report()).unwrap();
@@ -791,7 +808,7 @@ mod tests {
         let mut seen = Vec::new();
         let report = ParallelCampaign::new(2)
             .with_chunk(8)
-            .run_session(&traces, &plan, CampaignRunOptions::default(), |engine| {
+            .run_session(&traces, &plan, RunOptions::default(), |engine| {
                 let p = engine.progress();
                 assert_eq!(p.mutants_total, total);
                 assert_eq!(p.results_folded, engine.report().results.len());
@@ -907,11 +924,8 @@ mod tests {
             .run_session(
                 &traces,
                 &plan,
-                CampaignRunOptions {
-                    policy: RunPolicy {
-                        stop: Some(&stop),
-                        ..RunPolicy::default()
-                    },
+                RunOptions {
+                    stop: Some(&stop),
                     resume: None,
                 },
                 |engine| {
@@ -935,9 +949,9 @@ mod tests {
             .run_session(
                 &traces,
                 &plan,
-                CampaignRunOptions {
+                RunOptions {
                     resume: Some(checkpoint),
-                    ..CampaignRunOptions::default()
+                    ..RunOptions::default()
                 },
                 |_| {},
             )
@@ -949,81 +963,65 @@ mod tests {
         );
     }
 
-    #[test]
-    fn campaign_survives_injected_worker_panics_byte_identically() {
-        use crate::executor::{quiet_injected_faults, FaultPlan};
+    /// A backend whose every boot panics: each attempt at a chunk
+    /// fails the same way, the crash loop the restart budget bounds.
+    struct CrashLoop;
 
-        quiet_injected_faults();
-        let trace = boot_trace(100);
-        let plan = plan_over(&trace, 20);
-        let mut traces = BTreeMap::new();
-        traces.insert(iris_guest::workloads::Workload::OsBoot, trace);
+    struct CrashLoopTarget;
 
-        let reference = ParallelCampaign::new(2).with_chunk(8).run(&traces, &plan);
-        let baseline = serde_json::to_string(&reference).unwrap();
+    impl FuzzTarget for CrashLoopTarget {
+        fn boot(&mut self) {
+            panic!("planted panic in boot");
+        }
 
-        // Small chunks so the job list is long enough for faults in the
-        // middle; each tripped index is re-leased and re-run clean.
-        let faults = FaultPlan::new()
-            .panic_once_at(1)
-            .panic_once_at(5)
-            .panic_once_at(9);
-        let report = ParallelCampaign::new(2)
-            .with_chunk(8)
-            .run_session(
-                &traces,
-                &plan,
-                CampaignRunOptions {
-                    policy: RunPolicy {
-                        faults: Some(&faults),
-                        ..RunPolicy::default()
-                    },
-                    resume: None,
-                },
-                |_| {},
-            )
-            .expect("panics within budget are absorbed");
-        assert_eq!(
-            serde_json::to_string(&report).unwrap(),
-            baseline,
-            "injected worker panics changed the report"
-        );
+        fn submit(&mut self, _: &iris_core::seed::VmSeed) -> crate::target::SubmitOutcome {
+            unreachable!("boot never returns")
+        }
+
+        fn reset(&mut self) {
+            unreachable!("boot never returns")
+        }
+    }
+
+    impl TargetFactory for CrashLoop {
+        type Target<'t> = CrashLoopTarget;
+
+        fn build<'t>(&self, _: BootPlan<'t>) -> CrashLoopTarget {
+            CrashLoopTarget
+        }
+
+        fn name(&self) -> &'static str {
+            "crash-loop"
+        }
+
+        fn description(&self) -> &'static str {
+            "every boot panics"
+        }
     }
 
     #[test]
     fn campaign_restart_budget_exhaustion_is_a_typed_error() {
-        use crate::executor::{quiet_injected_faults, FaultPlan};
-
-        quiet_injected_faults();
+        // One chunk: only its re-leases can reach the budget, and only
+        // one worker at a time can hold it.
         let trace = boot_trace(80);
         let plan = plan_over(&trace, 10);
         let mut traces = BTreeMap::new();
         traces.insert(iris_guest::workloads::Workload::OsBoot, trace);
 
-        let faults = FaultPlan::new().panic_always_at(0);
-        let err = ParallelCampaign::new(2)
-            .run_session(
-                &traces,
-                &plan,
-                CampaignRunOptions {
-                    policy: RunPolicy {
-                        max_worker_restarts: Some(1),
-                        faults: Some(&faults),
-                        ..RunPolicy::default()
-                    },
-                    resume: None,
-                },
-                |_| {},
-            )
+        let err = ParallelCampaign::with_factory(2, CrashLoop)
+            .run_session(&traces, &plan[..1], RunOptions::default(), |_| {})
             .expect_err("a persistent fault must exhaust the budget");
         match err {
             SessionError::Executor(ExecutorError::RestartBudgetExhausted {
                 budget,
                 panics,
-                ..
+                lost,
+                last_panic,
             }) => {
-                assert_eq!(budget, 1);
-                assert!(panics > budget);
+                assert_eq!(budget, crate::executor::MAX_WORKER_RESTARTS);
+                assert_eq!(panics, budget + 1);
+                assert_eq!(lost, vec![0]);
+                assert!(last_panic.contains("planted panic in boot"), "{last_panic}");
             }
             other => panic!("unexpected error: {other}"),
         }

@@ -9,22 +9,23 @@
 
 use iris_core::forest::{ForestConfig, StateId};
 use iris_core::trace::RecordedTrace;
-use iris_fuzzer::checkpoint::GuidedCheckpoint;
-use iris_fuzzer::executor::{quiet_injected_faults, FaultPlan, RunPolicy};
+use iris_fuzzer::checkpoint::{GuidedCheckpoint, RunOptions};
 use iris_fuzzer::guided::{
-    run_guided_shared_session, run_guided_shared_with, GuidedConfig, SharedRunOptions,
+    initial_corpus, run_guided_shared_session, run_guided_shared_with, GuidedConfig,
 };
 use iris_fuzzer::mutation::SeedArea;
 use iris_fuzzer::parallel::ParallelCampaign;
 use iris_fuzzer::target::{
-    record_trace, Backend, BootPlan, ConfiguredBackend, FuzzTarget, IrisHvTarget, TargetFactory,
+    record_trace, Backend, BootPlan, ConfiguredBackend, FuzzTarget, IrisHvTarget, SubmitOutcome,
+    TargetFactory,
 };
 use iris_fuzzer::testcase::TestCase;
 use iris_guest::workloads::Workload;
 use iris_vtx::exit::ExitReason;
 use iris_vtx::fields::VmcsField;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Run `$body` once per registered backend with `$factory` bound to that
 /// backend's factory. Exhaustive over [`Backend`] by construction.
@@ -533,11 +534,8 @@ fn forest_resume_interoperates_with_forest_off_checkpoints() {
             &trace,
             cfg,
             2,
-            SharedRunOptions {
-                policy: RunPolicy {
-                    stop: Some(&stop),
-                    ..RunPolicy::default()
-                },
+            RunOptions {
+                stop: Some(&stop),
                 resume: None,
             },
             |p| {
@@ -556,8 +554,8 @@ fn forest_resume_interoperates_with_forest_off_checkpoints() {
             &trace,
             cfg,
             2,
-            SharedRunOptions {
-                policy: RunPolicy::default(),
+            RunOptions {
+                stop: None,
                 resume: captured,
             },
             |_| {},
@@ -571,16 +569,122 @@ fn forest_resume_interoperates_with_forest_off_checkpoints() {
     });
 }
 
+/// The `boot` and `submit` calls a [`Panicking`] backend panics on,
+/// by ordinal: each kind of call is counted across every instance the
+/// factory builds, in call order.
+#[derive(Default)]
+struct Planted {
+    boots: Vec<u64>,
+    submits: Vec<u64>,
+    boot_calls: AtomicU64,
+    submit_calls: AtomicU64,
+    fired: AtomicUsize,
+}
+
+impl Planted {
+    fn trip(&self, calls: &AtomicU64, at: &[u64], what: &str) {
+        let call = calls.fetch_add(1, Ordering::Relaxed);
+        if at.contains(&call) {
+            self.fired.fetch_add(1, Ordering::Relaxed);
+            panic!("planted panic in {what} {call}");
+        }
+    }
+}
+
+/// A backend with planted panics. They leave the target the way a real
+/// backend fault would: through the executor's `work` call, or through
+/// the lazy `worker_ctx` build when the panicking `boot` builds a
+/// worker's context.
+#[derive(Clone)]
+struct Panicking<F> {
+    inner: F,
+    planted: Arc<Planted>,
+}
+
+impl<F> Panicking<F> {
+    fn new(inner: F, boots: &[u64], submits: &[u64]) -> Self {
+        let planted = Planted {
+            boots: boots.to_vec(),
+            submits: submits.to_vec(),
+            ..Planted::default()
+        };
+        Self {
+            inner,
+            planted: Arc::new(planted),
+        }
+    }
+
+    fn fired(&self) -> usize {
+        self.planted.fired.load(Ordering::Relaxed)
+    }
+}
+
+struct PanickingTarget<T> {
+    inner: T,
+    planted: Arc<Planted>,
+}
+
+impl<T: FuzzTarget> FuzzTarget for PanickingTarget<T> {
+    fn boot(&mut self) {
+        let p = &self.planted;
+        p.trip(&p.boot_calls, &p.boots, "boot");
+        self.inner.boot();
+    }
+
+    fn submit(&mut self, seed: &iris_core::seed::VmSeed) -> SubmitOutcome {
+        let p = &self.planted;
+        p.trip(&p.submit_calls, &p.submits, "submit");
+        self.inner.submit(seed)
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+
+    fn pin_state(&mut self) -> Option<StateId> {
+        self.inner.pin_state()
+    }
+
+    fn reset_to(&mut self, id: StateId) -> bool {
+        self.inner.reset_to(id)
+    }
+}
+
+impl<F: TargetFactory> TargetFactory for Panicking<F> {
+    type Target<'t> = PanickingTarget<F::Target<'t>>;
+
+    fn build<'t>(&self, plan: BootPlan<'t>) -> Self::Target<'t> {
+        PanickingTarget {
+            inner: self.inner.build(plan),
+            planted: Arc::clone(&self.planted),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn description(&self) -> &'static str {
+        self.inner.description()
+    }
+
+    fn forest(&self) -> Option<ForestConfig> {
+        self.inner.forest()
+    }
+}
+
 #[test]
 fn injected_worker_panics_leave_guided_results_byte_identical() {
     // The re-lease law: a worker panicking mid-generation loses its
     // claimed slot to the re-lease list, a fresh context re-runs it,
     // and — because submissions are derived from canonical target
-    // state, not worker history — the jobs=2 run with three injected
+    // state, not worker history — the jobs=2 run with four planted
     // panics still serializes byte-identically to the clean jobs=1
     // reference on every registered backend.
-    quiet_injected_faults();
     let trace = boot_trace(150);
+    // The baseline's one boot and its submits run on the calling
+    // thread, outside the executor; the planted panics come after.
+    let warmup = initial_corpus(&trace).len() as u64;
     for_every_backend!(|factory, backend| {
         let cfg = GuidedConfig {
             budget: 250,
@@ -590,26 +694,72 @@ fn injected_worker_panics_leave_guided_results_byte_identical() {
         let reference = run_guided_shared_with(&factory, &trace, cfg, 1);
         let baseline = serde_json::to_string(&reference).unwrap();
 
-        // Two slot-indexed faults (tripping in the first batch that
-        // reaches them) plus one claim-ordinal fault mid-batch.
-        let faults = FaultPlan::new()
-            .panic_once_at(3)
-            .panic_once_at(17)
-            .panic_at_claim(10);
-        let options = SharedRunOptions {
-            policy: RunPolicy {
-                faults: Some(&faults),
-                ..RunPolicy::default()
-            },
-            resume: None,
-        };
-        let r = run_guided_shared_session(&factory, &trace, cfg, 2, options, |_| {})
-            .expect("panics within the restart budget are absorbed");
+        // One worker-context build (its boot) and three slot submits.
+        let submits = [warmup + 3, warmup + 17, warmup + 60];
+        let panicking = Panicking::new(factory, &[1], &submits);
+        let r = run_guided_shared_with(&panicking, &trace, cfg, 2);
+        assert_eq!(
+            panicking.fired(),
+            4,
+            "{backend:?}: every planted panic fired"
+        );
         assert_eq!(
             serde_json::to_string(&r).unwrap(),
             baseline,
             "{backend:?}: injected worker panics changed the guided result"
         );
+    });
+}
+
+#[test]
+fn campaign_survives_injected_worker_panics_byte_identically() {
+    // The campaign's re-lease law on every backend: a chunk lost to a
+    // panicking boot or submit re-runs on a fresh target and folds to
+    // the clean jobs=1 bytes. In forest mode the boot builds a worker's
+    // long-lived prefix server, so a panicking boot tears down that
+    // lazily built context.
+    let trace = boot_trace(120);
+    let plan: Vec<TestCase> = [
+        (ExitReason::CrAccess, SeedArea::Vmcs),
+        (ExitReason::Cpuid, SeedArea::Gpr),
+        (ExitReason::IoInstruction, SeedArea::Vmcs),
+    ]
+    .into_iter()
+    .map(|(reason, area)| TestCase {
+        mutants: 45,
+        ..TestCase::new(
+            Workload::OsBoot,
+            find_seed(&trace, reason),
+            reason,
+            area,
+            0xFEED,
+        )
+    })
+    .collect();
+    for_every_backend!(|factory, backend| {
+        let reference = ParallelCampaign::with_factory(1, factory).run_trace(&trace, &plan);
+        let baseline = serde_json::to_string(&reference).unwrap();
+        let forest = Some(ForestConfig { cap: 2 });
+        let cases: [(&str, &[u64], &[u64], _); 4] = [
+            ("submit", &[], &[5, 50, 120], None),
+            ("boot", &[1, 4], &[], None),
+            ("forest submit", &[], &[5, 50, 120], forest),
+            ("forest boot", &[0, 1], &[], forest),
+        ];
+        for (case, boots, submits, forest) in cases {
+            let target = ConfiguredBackend::new(backend).with_forest(forest);
+            let panicking = Panicking::new(target, boots, submits);
+            let report = ParallelCampaign::with_factory(2, panicking.clone())
+                .with_chunk(8)
+                .run_trace(&trace, &plan);
+            let planted = boots.len() + submits.len();
+            assert_eq!(panicking.fired(), planted, "{backend:?} {case}: all fired");
+            assert_eq!(
+                serde_json::to_string(&report).unwrap(),
+                baseline,
+                "{backend:?} {case}: injected worker panics changed the report"
+            );
+        }
     });
 }
 
@@ -792,10 +942,7 @@ proptest! {
                 trace,
                 cfg,
                 jobs,
-                SharedRunOptions {
-                    policy: RunPolicy { stop: Some(&stop), ..RunPolicy::default() },
-                    resume: None,
-                },
+                RunOptions { stop: Some(&stop), resume: None },
                 |p| {
                     captured = Some(p.checkpoint("prop-fingerprint"));
                     if p.generation >= stop_after {
@@ -815,7 +962,7 @@ proptest! {
                 trace,
                 cfg,
                 jobs,
-                SharedRunOptions { policy: RunPolicy::default(), resume: captured },
+                RunOptions { stop: None, resume: captured },
                 |_| {},
             )
             .expect("resumed run completes");
